@@ -44,6 +44,29 @@
 //!   below), which clone the tableau (one memcpy ≈ one pivot) and tighten
 //!   the probe bound on the copy.
 //!
+//! ## Work the search already holds is not redone
+//!
+//! Redoing any of the following would reproduce the same bits, so
+//! skipping it leaves the trees byte-identical:
+//!
+//! - **Primed pricing weights.** Before a node's first strong-branching
+//!   probe, its dive tableau computes its dual steepest-edge weights
+//!   ([`DiveTableau::prime_dse`]). Every probe copy and the scheduled dive
+//!   inherit them instead of each repeating the full-tableau scan; bound
+//!   folds touch only the rhs column, which the weights exclude.
+//! - **One root relaxation.** The root cut loop's first optimal tableau,
+//!   of the pre-cut model, seeds the root dive, and the tableau of the
+//!   committed cut-loop model serves the depth-0 node — after an exact
+//!   check that the node's rounded box and row count match it bit for bit
+//!   (otherwise the node cold-solves). A run resumed inside the root phase
+//!   no longer holds them and solves them again.
+//! - **Snapshot allocations.** Probe scratch and dive snapshots are
+//!   refilled by `clone_from`, which reuses the tableau's buffers instead
+//!   of reallocating them.
+//!
+//! [`MilpStats::lp_solves`] and [`MilpStats::pivots`] count the work
+//! actually done, so reused solves are not charged twice.
+//!
 //! ## Pseudocost branching
 //!
 //! Branching is guided by **pseudocosts**: per-variable estimates of the
@@ -302,7 +325,10 @@ pub struct MilpStats {
     pub nodes: usize,
     /// LP relaxations solved (cold node solves plus every incremental
     /// re-solve on a dive tableau: dive steps and strong-branching
-    /// probes).
+    /// probes). Counts solves actually performed: the root dive and the
+    /// depth-0 node reuse the root cut loop's relaxations uncharged, so a
+    /// chain resumed inside the root phase — which re-solves them —
+    /// reports more than an uninterrupted run.
     pub lp_solves: usize,
     /// Incremental warm re-solves on a live [`DiveTableau`] (the diving
     /// heuristic's chain steps; tree nodes deliberately solve cold).
@@ -327,7 +353,9 @@ pub struct MilpStats {
     /// pseudocosts (each probes both directions of one variable).
     pub strong_branch_probes: usize,
     /// Total simplex pivots (tableau eliminations, including warm-start
-    /// basis reinstalls) across all node LPs.
+    /// basis reinstalls) across all node LPs — like
+    /// [`MilpStats::lp_solves`], the pivots actually performed, so a
+    /// reused root relaxation is charged once.
     pub pivots: usize,
     /// Total bound flips (rank-1 rhs updates in place of pivots).
     pub bound_flips: usize,
@@ -1366,12 +1394,16 @@ fn solve_presolved(
     }
 
     // Root cut loop: rounds of separate → append → re-solve on the root
-    // relaxation, before the root dive (so the dive benefits from the
-    // tightened relaxation). Committed atomically like the dive — an
-    // interrupted loop discards its cuts *and* its counters whole and is
-    // re-run on resume, so a resumed run's totals match an uninterrupted
-    // run's exactly.
+    // relaxation, before the root dive. Committed atomically like the
+    // dive — an interrupted loop discards its cuts *and* its counters
+    // whole and is re-run on resume, so the resumed search commits the
+    // same cuts and the same tree. The work counters count work actually
+    // done: a chain resumed inside the root phase has lost the relaxations
+    // the loop hands on below, re-solves them, and reports more LP solves
+    // and pivots than an uninterrupted run.
     let mut root_interrupted = false;
+    let mut dive_seed = None;
+    let mut root_lp = None;
     if cfg.cuts && !st.root_cuts_done {
         match root_cut_loop(&ctx, model) {
             RootCuts::Done(res) => {
@@ -1381,6 +1413,8 @@ fn solve_presolved(
                 st.pool = res.pool;
                 st.root_cuts_done = true;
                 search_model = res.model;
+                dive_seed = res.dive_seed;
+                root_lp = res.root_lp;
                 // The 512-case GMI proptest's oracle, run for real: no
                 // root-separated cut may exclude an integer point of the
                 // base model (exhaustively when the box is small, cheap
@@ -1417,10 +1451,11 @@ fn solve_presolved(
     // integer point (observed on the saturation corpus — the cut-augmented
     // dive finds nothing where the plain one lands an incumbent
     // immediately), and every offer is re-validated against the original
-    // model at commit time regardless.
+    // model at commit time regardless. That pre-cut relaxation is the cut
+    // loop's first solve, whose tableau the dive starts from.
     if !root_interrupted && !st.root_dive_done {
         let mut run = NodeRun::new(&ctx, st.incumbent.score(), st.pc.clone());
-        dive_probe(&mut run, model);
+        dive_probe(&mut run, model, dive_seed);
         if !run.interrupted {
             let out = run.finish(OutcomeKind::Pruned);
             st.absorb_effects(out);
@@ -1494,6 +1529,7 @@ fn solve_presolved(
             &sep_flags,
             &mut work_models,
             threads,
+            root_lp.take(),
         );
         if outcomes.iter().any(|o| o.interrupted) {
             // Abort the round whole: push the batch back so the frontier
@@ -1609,7 +1645,8 @@ enum RootCuts {
     Infeasible,
     /// Cancellation or the deadline landed mid-loop. Everything is
     /// discarded (cuts, counters, bounds); the resumed run re-runs the
-    /// loop from scratch, so its totals match an uninterrupted run.
+    /// loop from scratch, so it commits the same cuts as an uninterrupted
+    /// run.
     Interrupted,
 }
 
@@ -1619,7 +1656,17 @@ struct RootCutResult {
     pre: f64,
     post: f64,
     counters: LocalCounters,
+    /// The first optimal relaxation, of `base` itself: the root dive starts
+    /// from it instead of cold-solving the same model again.
+    dive_seed: Option<SolvedLp>,
+    /// The optimal relaxation of the committed `model`, for the depth-0
+    /// node; `None` when aging rebuilt the model after its last solve.
+    root_lp: Option<SolvedLp>,
 }
+
+/// An optimal relaxation together with its live tableau, handed on so the
+/// next consumer of the same LP does not solve it again.
+type SolvedLp = (Solution, DiveTableau);
 
 /// Rounds of separate → append → re-solve on the root relaxation of
 /// `base`, until separation dries up or the bound stops improving. Works
@@ -1647,6 +1694,8 @@ fn root_cut_loop(ctx: &Ctx<'_>, base: &Model) -> RootCuts {
             pre: f64::NAN,
             post: f64::NAN,
             counters,
+            dive_seed: None,
+            root_lp: None,
         }))
     };
 
@@ -1667,6 +1716,9 @@ fn root_cut_loop(ctx: &Ctx<'_>, base: &Model) -> RootCuts {
     };
     let pre = ctx.dir * sol.objective;
     let mut post = pre;
+    // `root_tab` stays the tableau of the committed `model`; the dive gets
+    // its own copy of this first one.
+    let dive_seed = root_tab.clone().map(|dt| (sol.clone(), dt));
     for _ in 0..ROOT_CUT_ROUNDS {
         // lint:allow(D-02) cut-round deadline poll: an interrupted loop is discarded whole and re-run on resume
         if ctx.cfg.cancel.cancelled() || ctx.deadline.is_some_and(|dl| Instant::now() >= dl) {
@@ -1726,17 +1778,29 @@ fn root_cut_loop(ctx: &Ctx<'_>, base: &Model) -> RootCuts {
             }
         }
         counters.cut_rounds += 1;
-        (sol, root_tab) = match solve_root(&model, &mut counters) {
-            (LpOutcome::Optimal(s), dt) => (s, dt),
-            (LpOutcome::Infeasible, _) => return RootCuts::Infeasible,
-            (LpOutcome::Unbounded, _) => break,
-            (LpOutcome::PivotTooSmall, _) => {
-                if ctx.cfg.cancel.is_set() {
-                    return RootCuts::Interrupted;
-                }
-                break;
+        // Score space: cuts can only *lower* the (maximizing) score bound.
+        // A re-solve that ends unbounded or in numerical trouble proves
+        // nothing about the round's cuts, so it is rolled back exactly like
+        // a round that failed to move the bound.
+        let improved = match solve_root(&model, &mut counters) {
+            (LpOutcome::Optimal(s), dt) if ctx.dir * s.objective < post - ROOT_CUT_MIN_IMPROVE => {
+                Some((s, dt))
             }
+            (LpOutcome::Infeasible, _) => return RootCuts::Infeasible,
+            (LpOutcome::PivotTooSmall, _) if ctx.cfg.cancel.is_set() => {
+                return RootCuts::Interrupted
+            }
+            _ => None,
         };
+        let Some((new_sol, new_tab)) = improved else {
+            pool = round_pool;
+            model = round_model;
+            counters.cuts_added = round_cuts_added;
+            counters.cut_rounds = round_cut_rounds;
+            break;
+        };
+        post = ctx.dir * new_sol.objective;
+        (sol, root_tab) = (new_sol, new_tab);
         // Activity-based aging: cuts slack at the new root point age; old
         // enough, they retire and the model is rebuilt without them (the
         // pool keeps insertion order, so the rebuild is deterministic).
@@ -1749,17 +1813,6 @@ fn root_cut_loop(ctx: &Ctx<'_>, base: &Model) -> RootCuts {
             }
             root_tab = None;
         }
-        // Score space: cuts can only *lower* the (maximizing) score bound.
-        let new_post = ctx.dir * sol.objective;
-        if new_post < post - ROOT_CUT_MIN_IMPROVE {
-            post = new_post;
-        } else {
-            pool = round_pool;
-            model = round_model;
-            counters.cuts_added = round_cuts_added;
-            counters.cut_rounds = round_cut_rounds;
-            break;
-        }
     }
     RootCuts::Done(Box::new(RootCutResult {
         pool,
@@ -1767,6 +1820,8 @@ fn root_cut_loop(ctx: &Ctx<'_>, base: &Model) -> RootCuts {
         pre,
         post,
         counters,
+        dive_seed,
+        root_lp: root_tab.map(|dt| (sol, dt)),
     }))
 }
 
@@ -1775,6 +1830,10 @@ fn root_cut_loop(ctx: &Ctx<'_>, base: &Model) -> RootCuts {
 /// atomic counter. Either way each node sees only the frozen round-start
 /// state, so the outcomes are identical — threading changes wall-clock
 /// time, nothing else.
+///
+/// `root_lp`, the cut loop's relaxation of the committed root model, goes
+/// to the depth-0 node. Only a cold run's first round carries it, and that
+/// round holds the root alone, so it always takes the sequential path.
 #[allow(clippy::too_many_arguments)]
 fn process_batch(
     ctx: &Ctx<'_>,
@@ -1786,6 +1845,7 @@ fn process_batch(
     sep_flags: &[bool],
     work_models: &mut [Model],
     threads: usize,
+    mut root_lp: Option<SolvedLp>,
 ) -> Vec<NodeOutcome> {
     let n = batch.len();
     let workers = threads.min(n).min(work_models.len());
@@ -1804,6 +1864,11 @@ fn process_batch(
                     dive_flags[i],
                     sep_flags[i],
                     work,
+                    if node.depth == 0 {
+                        root_lp.take()
+                    } else {
+                        None
+                    },
                 )
             })
             .collect();
@@ -1829,6 +1894,7 @@ fn process_batch(
                         dive_flags[i],
                         sep_flags[i],
                         work,
+                        None,
                     );
                     *results[i].lock().expect("result slot poisoned") = Some(out);
                 });
@@ -1856,6 +1922,7 @@ fn run_one(
     dive: bool,
     sep: bool,
     work: &mut Model,
+    root_lp: Option<SolvedLp>,
 ) -> NodeOutcome {
     let mut run = NodeRun::new(ctx, inc_score, pc.clone());
     // A cancel that lands mid-round aborts the round before more work is
@@ -1864,7 +1931,7 @@ fn run_one(
         run.interrupted = true;
         return run.finish(OutcomeKind::Pruned);
     }
-    let kind = process_node(&mut run, work, node, dive, sep, pool);
+    let kind = process_node(&mut run, work, node, dive, sep, pool, root_lp);
     run.finish(kind)
 }
 
@@ -1875,6 +1942,7 @@ fn process_node(
     dive: bool,
     sep: bool,
     pool: &CutPool,
+    root_lp: Option<SolvedLp>,
 ) -> OutcomeKind {
     let ctx = run.ctx;
     // Prune by the inherited parent bound — the incumbent may have
@@ -1981,7 +2049,7 @@ fn process_node(
     // tableau stays live as a DiveTableau for the strong-branching probes
     // and the scheduled dive below, whose chains of pure bound tightenings
     // run in place with zero basis reinstalls.
-    let (outcome, mut dt) = solve_node_lp(run, work);
+    let (outcome, mut dt) = solve_node_lp(run, work, root_lp);
     let sol = match outcome {
         LpOutcome::Optimal(s) => s,
         LpOutcome::Infeasible => return OutcomeKind::Pruned,
@@ -2055,7 +2123,7 @@ fn process_node(
     // Pick the branching variable: pseudocost product rule with
     // strong-branching-lite initialization when enabled and a dive tableau
     // is available, otherwise most-fractional.
-    let branch = match (ctx.cfg.pseudocost, dt.as_ref()) {
+    let branch = match (ctx.cfg.pseudocost, dt.as_mut()) {
         (true, Some(t)) => select_branch_pseudocost(run, work, t, &sol, raw_score),
         _ => select_most_fractional(ctx, &sol),
     };
@@ -2183,11 +2251,22 @@ fn process_node(
 /// a [`DiveTableau`] for strong-branching probes and scheduled dives; the
 /// explicit-bound-row reference path ([`MilpConfig::reference_lp`])
 /// returns no tableau.
-fn solve_node_lp(run: &mut NodeRun<'_, '_>, work: &Model) -> (LpOutcome, Option<DiveTableau>) {
+///
+/// `root_lp` (depth-0 node only) is the root cut loop's solve of the same
+/// committed model. It stands in for the cold solve — nothing is charged,
+/// the solve already was — when the node's rounded box and row count
+/// match it bit for bit; a cold solve would rebuild it exactly.
+fn solve_node_lp(
+    run: &mut NodeRun<'_, '_>,
+    work: &Model,
+    root_lp: Option<SolvedLp>,
+) -> (LpOutcome, Option<DiveTableau>) {
     if run.ctx.cfg.reference_lp {
         let (outcome, lp_stats) = crate::reference::solve_relaxation_stats(work);
         run.charge_lp(&lp_stats, false);
         (outcome, None)
+    } else if let Some((sol, dt)) = root_lp.filter(|(_, dt)| dt.fits(work)) {
+        (LpOutcome::Optimal(sol), Some(dt))
     } else {
         cold_dive_tableau(run, work, false)
     }
@@ -2367,13 +2446,18 @@ fn dive_from(run: &mut NodeRun<'_, '_>, work: &Model, mut dt: DiveTableau, mut s
 
 /// Deterministic root diving probe: seeds the incumbent before the tree
 /// search, so every run (and every thread count) begins from the same
-/// incumbent floor. Dives on the given (cut-augmented) search model;
-/// always on the bounded-variable dive tableau (the reference path has no
+/// incumbent floor. Dives on the given (pre-cut) model, from `seed` when
+/// the root cut loop already solved it, else from a cold solve; always on
+/// the bounded-variable dive tableau (the reference path has no
 /// incremental machinery; dives only feed incumbents, which are
 /// feasibility-checked against the cut-free original model, so this
 /// cannot change a reference run's reported optimum).
-fn dive_probe(run: &mut NodeRun<'_, '_>, model: &Model) {
-    match cold_dive_tableau(run, model, true) {
+fn dive_probe(run: &mut NodeRun<'_, '_>, model: &Model, seed: Option<SolvedLp>) {
+    let solved = match seed {
+        Some((sol, dt)) => (LpOutcome::Optimal(sol), Some(dt)),
+        None => cold_dive_tableau(run, model, true),
+    };
+    match solved {
         (LpOutcome::Optimal(sol), Some(dt)) => dive_from(run, model, dt, sol),
         (LpOutcome::PivotTooSmall, _) => run.interrupt_if_cancelled(),
         _ => {}
@@ -2484,7 +2568,9 @@ fn probe_dir(
 /// (fewer than [`PC_RELIABLE`] observations in either direction) are
 /// initialized by probing both children on a **clone of the node's dive
 /// tableau** — a bound tightening plus dual repair, no reinstall — with at
-/// most [`SB_PER_NODE`] probes per node, most fractional first; probe
+/// most [`SB_PER_NODE`] probes per node, most fractional first. The node
+/// tableau's dual steepest-edge weights are primed before the first probe,
+/// so the clones (and a scheduled dive from `dt`) inherit them; probe
 /// degradations are recorded into the node's pseudocost log (replayed into
 /// the shared store at commit), so each variable is probed only a bounded
 /// number of times across the whole search. An infeasible probe direction
@@ -2495,7 +2581,7 @@ fn probe_dir(
 fn select_branch_pseudocost(
     run: &mut NodeRun<'_, '_>,
     work: &Model,
-    dt: &DiveTableau,
+    dt: &mut DiveTableau,
     sol: &Solution,
     raw_score: f64,
 ) -> Option<(VarId, f64)> {
@@ -2529,9 +2615,12 @@ fn select_branch_pseudocost(
     // Local probe estimates (total degradation per direction); NaN = none.
     let mut local: Vec<(f64, f64)> = vec![(f64::NAN, f64::NAN); cands.len()];
     let mut probes = 0usize;
-    // Probe scratch tableau, allocated on the first probe and refilled by
-    // `clone_from` for every direction afterwards (zero steady-state
-    // allocation on the branching hot path).
+    // Probe scratch tableau, allocated on the first probe and refilled in
+    // place by `clone_from` for every direction afterwards (zero
+    // steady-state allocation on the branching hot path). Each refill
+    // copies the node tableau's dual steepest-edge weights, primed once
+    // before the first probe: otherwise every probe direction would repeat
+    // the full-tableau weight scan on its own copy.
     let mut scratch: Option<DiveTableau> = None;
     for &ci in &order {
         if probes >= SB_PER_NODE {
@@ -2541,6 +2630,9 @@ fn select_branch_pseudocost(
         let v = VarId(i as u32);
         if run.pc.count(v, false) >= PC_RELIABLE && run.pc.count(v, true) >= PC_RELIABLE {
             continue;
+        }
+        if probes == 0 {
+            dt.prime_dse();
         }
         probes += 1;
         run.counters.strong_branch_probes += 1;
@@ -3218,8 +3310,15 @@ mod tests {
     /// checkpointing at every interruption and resuming, and returns the
     /// final run plus the number of resumes it took.
     fn run_resume_chain(m: &Model, step: usize) -> (MilpRun, usize) {
-        let mut limit = step;
-        let mut ck: Option<SearchCheckpoint> = None;
+        resume_chain(m, step, None)
+    }
+
+    /// [`run_resume_chain`] continuing from checkpoint `start` (the
+    /// number of resumes counts the slices after it).
+    fn resume_chain(m: &Model, step: usize, start: Option<SearchCheckpoint>) -> (MilpRun, usize) {
+        let first_chain = start.as_ref().map_or(0, |c| c.resumed_chain() as usize + 1);
+        let mut limit = start.as_ref().map_or(0, |c| c.nodes()) + step;
+        let mut ck = start;
         let mut resumes = 0usize;
         loop {
             let cfg = MilpConfig {
@@ -3230,7 +3329,7 @@ mod tests {
             match run.checkpoint {
                 Some(c) => {
                     assert!(c.matches(m, &cfg), "checkpoint must match its own solve");
-                    assert_eq!(c.resumed_chain() as usize, resumes);
+                    assert_eq!(c.resumed_chain() as usize, first_chain + resumes);
                     ck = Some(c);
                     // The node budget is cumulative across the chain.
                     limit += step;
@@ -3265,6 +3364,129 @@ mod tests {
                 s.stats.strong_branch_probes, full.stats.strong_branch_probes,
                 "step {step}"
             );
+        }
+    }
+
+    /// Two binary pairs, each capped at one: the root LP lands on an
+    /// integral vertex (objective 2), so there is nothing to cut, and the
+    /// cutoff row `Σx ≥ 3` is beyond what activity propagation can refute,
+    /// so the depth-0 node does solve its relaxation.
+    fn integral_root_model() -> Model {
+        let mut m = Model::new(Sense::Maximize);
+        let x: Vec<_> = (0..4)
+            .map(|i| m.add_var(format!("x{i}"), VarKind::Binary, 0.0, 1.0))
+            .collect();
+        m.add_constraint(LinExpr::from(x[0]) + x[1], Cmp::Le, 1.0);
+        m.add_constraint(LinExpr::from(x[2]) + x[3], Cmp::Le, 1.0);
+        m.set_objective(LinExpr::from(x[0]) + x[1] + x[2] + x[3]);
+        m
+    }
+
+    #[test]
+    fn root_relaxation_is_solved_once_when_no_cut_is_kept() {
+        // The cut loop's solve seeds the root dive and serves the depth-0
+        // node: one LP for the whole proof, where the root dive and node 0
+        // used to cold-solve the same relaxation twice more.
+        let m = integral_root_model();
+        let s = solve(&m, &MilpConfig::default()).unwrap();
+        assert!(s.stats.proven_optimal);
+        assert_eq!(s.stats.cut_rounds, 0);
+        assert_eq!(s.stats.propagation_fathoms, 0, "node 0 must reach its LP");
+        assert_eq!(s.stats.nodes, 1);
+        assert_eq!(s.stats.lp_solves, 1, "stats: {:?}", s.stats);
+        assert!((s.objective - 2.0).abs() < 1e-9);
+        // Without the cut loop both consumers solve for themselves.
+        let off = solve(
+            &m,
+            &MilpConfig {
+                cuts: false,
+                ..MilpConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(off.stats.lp_solves, 2);
+        assert_eq!(off.objective, s.objective);
+        assert_eq!(off.stats.trace_digest, s.stats.trace_digest);
+    }
+
+    #[test]
+    fn root_tableau_is_rejected_when_node_zero_rounds_the_box() {
+        // With presolve off, x keeps its fractional upper bound 2.5 in the
+        // cut loop's model, while node 0 rounds it to 2: the cut loop's
+        // tableau (x = 2.5) is not node 0's relaxation and must not stand
+        // in for it. Taking it would branch on x; the cold solve lands on
+        // the integral optimum x = 2, y = 3 at once.
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_var("x", VarKind::Integer, 0.0, 2.5);
+        let y = m.add_var("y", VarKind::Integer, 0.0, 3.0);
+        m.add_constraint(LinExpr::from(x) + (2.0, y), Cmp::Le, 10.0);
+        m.set_objective(LinExpr::from(x) + y);
+        let cfg = MilpConfig {
+            presolve: false,
+            ..MilpConfig::default()
+        };
+        let s = solve(&m, &cfg).unwrap();
+        let brute = (0..=2)
+            .flat_map(|x| (0..=3).map(move |y| (x, y)))
+            .filter(|&(x, y)| x + 2 * y <= 10)
+            .map(|(x, y)| x + y)
+            .max()
+            .unwrap();
+        assert!(s.stats.proven_optimal);
+        assert_eq!(s.objective, brute as f64);
+        assert_eq!(s.stats.nodes, 1, "node 0 solved the unrounded box");
+        // A run whose node 0 is resumed, and hence cold-solved, explores
+        // the same tree.
+        let ck = solve_resumable(
+            &m,
+            &MilpConfig {
+                node_limit: 0,
+                ..cfg.clone()
+            },
+            None,
+        )
+        .checkpoint
+        .expect("node_limit 0 stops before node 0");
+        let resumed = solve_from(&m, &cfg, &ck).result.unwrap();
+        assert_eq!(resumed.stats.nodes, s.stats.nodes);
+        assert_eq!(resumed.stats.trace_digest, s.stats.trace_digest);
+        assert_eq!(resumed.objective, s.objective);
+    }
+
+    #[test]
+    fn resume_between_root_cuts_and_root_dive_matches_uninterrupted() {
+        // A node-limit-0 checkpoint stops after the root phase. Undoing
+        // the dive's commitment — its incumbent; it records no
+        // pseudocosts — leaves the state an interrupted root dive
+        // checkpoints: cut loop committed, dive to be re-run. The resumed
+        // dive and node 0 have lost the cut loop's relaxations and
+        // cold-solve them; the tree must not notice.
+        for m in [wide_model(), knapsack_model(), integral_root_model()] {
+            let full = solve(&m, &MilpConfig::default()).unwrap();
+            let mut ck = solve_resumable(
+                &m,
+                &MilpConfig {
+                    node_limit: 0,
+                    ..MilpConfig::default()
+                },
+                None,
+            )
+            .checkpoint
+            .expect("node_limit 0 stops before node 0");
+            assert!(ck.root_cuts_done && ck.root_dive_done);
+            ck.root_dive_done = false;
+            ck.incumbent = None;
+            for step in [1usize, 5] {
+                let (run, _) = resume_chain(&m, step, Some(ck.clone()));
+                let s = run.result.expect("resumed chain completes");
+                assert!(s.stats.resumed && s.stats.proven_optimal);
+                assert_eq!(s.objective, full.objective, "step {step}");
+                assert_eq!(s.stats.nodes, full.stats.nodes, "step {step}");
+                assert_eq!(
+                    s.stats.trace_digest, full.stats.trace_digest,
+                    "step {step}: resumed chain explored a different tree"
+                );
+            }
         }
     }
 

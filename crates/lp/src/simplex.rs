@@ -186,7 +186,6 @@ enum DualStatus {
     Stalled,
 }
 
-#[derive(Clone)]
 struct Tableau {
     /// (m + 1) rows × (ncols + 1) columns, row-major; last row is the cost
     /// row, last column the right-hand side (= actual basic values, with
@@ -213,9 +212,9 @@ struct Tableau {
     pricing: Pricing,
     /// Dual steepest-edge reference weights, `w_r = ‖row_r‖²` over the
     /// structural + slack + artificial columns (rhs excluded). Empty until
-    /// the first DSE-priced dual loop initializes them; from then on every
-    /// pivot keeps them exact. Bound flips and rhs folds touch only the
-    /// rhs column, so they leave the weights untouched.
+    /// [`Tableau::ensure_dse`] initializes them; from then on every pivot
+    /// keeps them exact. Bound flips and rhs folds touch only the rhs
+    /// column, so they leave the weights untouched.
     dse: Vec<f64>,
     /// Reused snapshot of the normalized pivot row.
     scratch_row: Vec<f64>,
@@ -233,6 +232,66 @@ struct Tableau {
 /// Pivot-loop iterations between cancellation checks (power of two minus
 /// one, used as a mask).
 const CANCEL_CHECK_MASK: usize = 127;
+
+/// Hand-written so that [`Clone::clone_from`] refills the destination's
+/// buffers in place: the derived impl is `*self = src.clone()`, which
+/// reallocates the whole `(m+1)×(n+1)` tableau on every probe and dive
+/// snapshot. The pivot scratch buffers hold nothing between pivots, so a
+/// clone starts them empty and a refill keeps its own.
+impl Clone for Tableau {
+    fn clone(&self) -> Self {
+        Tableau {
+            t: self.t.clone(),
+            m: self.m,
+            ncols: self.ncols,
+            basis: self.basis.clone(),
+            status: self.status.clone(),
+            range: self.range.clone(),
+            allowed: self.allowed.clone(),
+            pivots: self.pivots,
+            flips: self.flips,
+            dse_pivots: self.dse_pivots,
+            pricing: self.pricing,
+            dse: self.dse.clone(),
+            scratch_row: Vec::new(),
+            scratch_nz: Vec::new(),
+            cancel: self.cancel.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Tableau {
+            t,
+            m,
+            ncols,
+            basis,
+            status,
+            range,
+            allowed,
+            pivots,
+            flips,
+            dse_pivots,
+            pricing,
+            dse,
+            scratch_row: _,
+            scratch_nz: _,
+            cancel,
+        } = src;
+        self.t.clone_from(t);
+        self.m = *m;
+        self.ncols = *ncols;
+        self.basis.clone_from(basis);
+        self.status.clone_from(status);
+        self.range.clone_from(range);
+        self.allowed.clone_from(allowed);
+        self.pivots = *pivots;
+        self.flips = *flips;
+        self.dse_pivots = *dse_pivots;
+        self.pricing = *pricing;
+        self.dse.clone_from(dse);
+        self.cancel.clone_from(cancel);
+    }
+}
 
 impl Tableau {
     fn new(m: usize, ncols: usize, range: Vec<f64>) -> Self {
@@ -589,9 +648,13 @@ impl Tableau {
 
     /// Computes the dual steepest-edge reference weights from scratch —
     /// one full tableau scan, about the cost of a single pivot. Called
-    /// lazily by the first DSE-priced dual loop; afterwards
+    /// through [`Tableau::ensure_dse`]: lazily by the first DSE-priced dual
+    /// loop, or up front by [`DiveTableau::prime_dse`] so that clones
+    /// inherit the weights instead of each repeating the scan. Afterwards
     /// [`Tableau::pivot`] keeps the weights exact, so the scan never
     /// repeats for the lifetime of the tableau (dive chains included).
+    /// When it runs does not matter: between the cold solve and the first
+    /// dual loop only rhs folds happen, and the weights exclude the rhs.
     fn init_dse(&mut self) {
         let w = self.ncols + 1;
         self.dse = (0..self.m)
@@ -605,13 +668,19 @@ impl Tableau {
             .collect();
     }
 
+    /// Initializes the dual steepest-edge weights unless they are already
+    /// live or the tableau prices by Dantzig.
+    fn ensure_dse(&mut self) {
+        if self.pricing == Pricing::DualSteepestEdge && self.dse.is_empty() {
+            self.init_dse();
+        }
+    }
+
     /// [`Tableau::dual_optimize`] with an explicit iteration cap —
     /// strong-branching probes bound their repair effort and treat a
     /// capped-out repair as [`DualStatus::Stalled`] (no estimate).
     fn dual_optimize_capped(&mut self, iter_budget: usize) -> Result<DualStatus, PivotStall> {
-        if self.pricing == Pricing::DualSteepestEdge && self.dse.is_empty() {
-            self.init_dse();
-        }
+        self.ensure_dse();
         let use_dse = !self.dse.is_empty();
         for it in 1..=iter_budget {
             if self.cancelled_at(it) {
@@ -1317,8 +1386,8 @@ pub enum DiveStep {
 /// re-mobilize a column whose reduced cost drifted while it was fixed —
 /// so callers snapshot via [`Clone`] (one tableau memcpy, ≈ the cost of a
 /// single pivot) where they may need to back out, e.g. strong-branching
-/// probes and dive batch fallbacks.
-#[derive(Clone)]
+/// probes and dive batch fallbacks. [`Clone::clone_from`] refills an
+/// existing snapshot's buffers without allocating.
 pub struct DiveTableau {
     tab: Tableau,
     /// Current lower bound per structural variable (the column shift).
@@ -1327,6 +1396,25 @@ pub struct DiveTableau {
     hi: Vec<f64>,
     /// Structural variable count.
     n: usize,
+}
+
+impl Clone for DiveTableau {
+    fn clone(&self) -> Self {
+        DiveTableau {
+            tab: self.tab.clone(),
+            lo: self.lo.clone(),
+            hi: self.hi.clone(),
+            n: self.n,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let DiveTableau { tab, lo, hi, n } = src;
+        self.tab.clone_from(tab);
+        self.lo.clone_from(lo);
+        self.hi.clone_from(hi);
+        self.n = *n;
+    }
 }
 
 impl DiveTableau {
@@ -1352,8 +1440,9 @@ impl DiveTableau {
     /// [`DiveTableau::new_cancellable`] with an explicit pricing rule for
     /// every dual repair performed on the live tableau (dive steps and
     /// strong-branching probes). Under [`Pricing::DualSteepestEdge`] the
-    /// reference weights are initialized once — lazily, by the first
-    /// repair — and maintained exactly across the whole chain.
+    /// reference weights are initialized once — lazily by the first
+    /// repair, or up front by [`DiveTableau::prime_dse`] — and maintained
+    /// exactly across the whole chain.
     pub fn new_with_pricing(
         model: &Model,
         cancel: Option<&crate::cancel::Cancel>,
@@ -1386,6 +1475,29 @@ impl DiveTableau {
     /// counters of their source; callers charge deltas).
     pub fn work(&self) -> (usize, usize, usize) {
         (self.tab.pivots, self.tab.flips, self.tab.dse_pivots)
+    }
+
+    /// Computes the dual steepest-edge weights now rather than at the
+    /// first dual repair, so every clone taken afterwards inherits them
+    /// instead of repeating the scan. The results are bit-identical to the
+    /// lazy path: tightenings fold only the rhs column, which the weights
+    /// exclude. A no-op under [`Pricing::Dantzig`] or once the weights are
+    /// live.
+    pub(crate) fn prime_dse(&mut self) {
+        self.tab.ensure_dse();
+    }
+
+    /// Whether `model` has this tableau's row count and bit-identical
+    /// variable bounds. On a tableau no tightening has touched, that is
+    /// the check for reusing it in place of a cold solve of `model`; the
+    /// row *contents* are the caller's guarantee.
+    pub(crate) fn fits(&self, model: &Model) -> bool {
+        self.tab.m == model.num_constraints()
+            && self.n == model.num_vars()
+            && (0..self.n).all(|i| {
+                let (lo, hi) = model.bounds(crate::VarId(i as u32));
+                lo.to_bits() == self.lo[i].to_bits() && hi.to_bits() == self.hi[i].to_bits()
+            })
     }
 
     /// Gomory mixed-integer cuts read off the current optimal tableau.
@@ -2346,6 +2458,99 @@ mod tests {
                     ),
                 }
             }
+        }
+
+        /// Priming is a pure scheduling change: on random tightening
+        /// chains, a clone whose steepest-edge weights were primed before
+        /// step `prime_at`'s fold and a clone left to initialize them
+        /// lazily take bit-identical steps with identical work counters —
+        /// also under the probes' repair cap, and on clones refilled by
+        /// `clone_from` the way probes and dives take their snapshots.
+        #[test]
+        fn primed_dse_weights_match_lazy_initialization(
+            bounds in proptest::array::uniform8((-3i64..=3, 2i64..=8)),
+            cons in proptest::collection::vec(
+                (proptest::array::uniform8(-3i64..=3), 0i64..=4, any::<bool>()), 3..9),
+            obj in proptest::array::uniform8(-4i64..=4),
+            chain in proptest::collection::vec(
+                proptest::collection::vec((0usize..8, 0u8..=4, 0u8..=4), 1..4), 1..7),
+            prime_at in 0usize..7,
+            cap_pick in 0usize..3,
+        ) {
+            let cap = [usize::MAX, 1, 3][cap_pick];
+            let mut m = Model::new(Sense::Maximize);
+            let vars: Vec<_> = bounds
+                .iter()
+                .enumerate()
+                .map(|(i, &(lo, w))| {
+                    m.add_var(format!("x{i}"), VarKind::Continuous, lo as f64, (lo + w) as f64)
+                })
+                .collect();
+            // Every row holds at the box centre (within `slack`), so the
+            // relaxation is feasible and bounded and every case dives.
+            for (coefs, slack, le) in &cons {
+                let mut e = LinExpr::new();
+                let mut at_centre = 0.0;
+                for (i, &c) in coefs.iter().enumerate() {
+                    e = e + (c as f64, vars[i]);
+                    at_centre += c as f64 * (bounds[i].0 as f64 + bounds[i].1 as f64 / 2.0);
+                }
+                if *le {
+                    m.add_constraint(e, Cmp::Le, at_centre + *slack as f64);
+                } else {
+                    m.add_constraint(e, Cmp::Ge, at_centre - *slack as f64);
+                }
+            }
+            let mut o = LinExpr::new();
+            for (i, &c) in obj.iter().enumerate() {
+                o = o + (c as f64, vars[i]);
+            }
+            m.set_objective(o);
+
+            let (_, dt, _) = DiveTableau::new_with_pricing(&m, None, Pricing::DualSteepestEdge);
+            let dt = dt.expect("the box centre is feasible");
+            // Step outcome: 0 optimal / 1 infeasible / 2 stalled, plus
+            // the objective and value bits, plus the work counters.
+            type Trace = Vec<(u8, Option<(u64, Vec<u64>)>, (usize, usize, usize))>;
+            let run = |t: &mut DiveTableau, prime: Option<usize>| -> Trace {
+                let mut trace = Trace::new();
+                for (k, step) in chain.iter().enumerate() {
+                    if prime == Some(k) {
+                        t.prime_dse();
+                    }
+                    // Each step shrinks a few boxes by tenths of their
+                    // width, so several rows can turn infeasible at
+                    // once and the pricing rule has a choice to make.
+                    let change: Vec<_> = step
+                        .iter()
+                        .map(|&(v, dlo, dhi)| {
+                            let (lo, hi) = t.bounds(vars[v]);
+                            let w = (hi - lo) / 10.0;
+                            (vars[v], lo + dlo as f64 * w, hi - dhi as f64 * w)
+                        })
+                        .collect();
+                    let (kind, bits) = match t.tighten_capped(&change, &m, cap) {
+                        DiveStep::Optimal(s) => (0, Some((
+                            s.objective.to_bits(),
+                            s.values.iter().map(|x| x.to_bits()).collect(),
+                        ))),
+                        DiveStep::Infeasible => (1, None),
+                        DiveStep::Stalled => (2, None),
+                    };
+                    trace.push((kind, bits, t.work()));
+                    if kind != 0 {
+                        break;
+                    }
+                }
+                trace
+            };
+            let mut buf = dt.clone();
+            let primed = run(&mut buf, Some(prime_at));
+            // The used buffer, refilled in place the way probe scratch
+            // and dive snapshots are, must forget its own weights.
+            buf.clone_from(&dt);
+            let lazy = run(&mut buf, None);
+            prop_assert_eq!(primed, lazy);
         }
     }
 }

@@ -119,18 +119,58 @@ proptest! {
     }
 }
 
+/// Pinned `(objective, nodes, trace_digest, cuts_added,
+/// propagation_fathoms)` per instance: any change to the explored tree —
+/// not only a thread-count dependence — fails the suite. A change that
+/// means to reshape the tree updates these and says why.
+type Tree = (f64, usize, u64, usize, usize);
+
 #[test]
 fn bench_grid_trees_are_thread_invariant_with_cuts_and_dse() {
-    // The exact instances the scaling bench pins, solved with the full
-    // accelerator stack at every thread count: one fixed (nodes, digest,
-    // cuts, fathoms) tuple per size. This is the `nodes_invariant` /
-    // per-cell trace-digest acceptance check, runnable outside the bench
-    // harness.
-    for (size, seed) in [(12usize, 1u64), (14, 0), (18, 4)] {
+    // The exact instances the scaling bench pins, plus four kernel intLPs
+    // covering branching with strong-branching probes (lll12, lll1 int),
+    // root cut rounds that are kept (whet_p8) and a propagation fathom
+    // (tomcatv int), solved with the full accelerator stack at every
+    // thread count. This is the `nodes_invariant` / per-cell trace-digest
+    // acceptance check, runnable outside the bench harness.
+    let mut cases: Vec<(String, rs_lp::Model, Tree)> = Vec::new();
+    for (size, seed, tree) in [
+        (12usize, 1u64, (6.0, 17, 0x5ac2_8445_6af7_c949, 0, 0)),
+        (14, 0, (8.0, 69, 0x6aef_6eac_aa77_76bf, 9, 3)),
+        (18, 4, (10.0, 51, 0x0c63_99ab_8ab0_979e, 0, 0)),
+    ] {
         let cfg = RandomDagConfig::sized(size, 0xBEEF + size as u64 + seed * 7919);
         let ddg = random_ddg(&cfg, Target::superscalar());
         let model = RsIlp::new().build_model(&ddg, RegType::FLOAT).0;
-        let mut baseline: Option<(f64, usize, u64, usize, usize)> = None;
+        cases.push((format!("size {size}"), model, tree));
+    }
+    for (name, ty, tree) in [
+        (
+            "lll12",
+            RegType::FLOAT,
+            (6.0, 9, 0xc12a_8795_4124_e81f, 0, 0),
+        ),
+        ("lll1", RegType::INT, (4.0, 7, 0x3b28_676b_271a_27f2, 0, 0)),
+        (
+            "whet_p8",
+            RegType::FLOAT,
+            (5.0, 1, 0x8820_1fb9_60ff_6465, 8, 0),
+        ),
+        (
+            "tomcatv",
+            RegType::INT,
+            (6.0, 1, 0x8820_1fb9_60ff_6465, 0, 1),
+        ),
+    ] {
+        let kernel = rs_kernels::corpus()
+            .into_iter()
+            .find(|k| k.name == name)
+            .expect("corpus kernel");
+        let ddg = (kernel.build)(Target::superscalar());
+        let model = RsIlp::new().build_model(&ddg, ty).0;
+        cases.push((format!("{name} {ty:?}"), model, tree));
+    }
+    for (name, model, pinned) in cases {
         for threads in [1usize, 2, 4] {
             let sol = rs_lp::solve(
                 &model,
@@ -142,19 +182,16 @@ fn bench_grid_trees_are_thread_invariant_with_cuts_and_dse() {
                     ..MilpConfig::default()
                 },
             )
-            .expect("grid instance solves");
-            assert!(sol.stats.proven_optimal, "size {size} threads {threads}");
-            let tuple = (
+            .expect("pinned instance solves");
+            assert!(sol.stats.proven_optimal, "{name} threads {threads}");
+            let tree = (
                 sol.objective,
                 sol.stats.nodes,
                 sol.stats.trace_digest,
                 sol.stats.cuts_added,
                 sol.stats.propagation_fathoms,
             );
-            match &baseline {
-                None => baseline = Some(tuple),
-                Some(b) => assert_eq!(*b, tuple, "size {size}: threads {threads} changed the tree"),
-            }
+            assert_eq!(tree, pinned, "{name}: threads {threads} changed the tree");
         }
     }
 }
