@@ -47,17 +47,14 @@ struct Cell {
     lp_solves: usize,
     warm_solves: usize,
     warm_hits: usize,
-    /// Basis reinstalls performed by dive steps — zero by construction on
-    /// the incremental dive tableau (asserted below); the previous engine
-    /// re-installed the parent basis on every dive step.
-    dive_reinstalls: usize,
     /// Branching decisions taken from trusted accumulated pseudocosts.
     pseudocost_branches: usize,
     /// Strong-branching-lite probes spent initializing pseudocosts.
     strong_branch_probes: usize,
     pivots: usize,
     bound_flips: usize,
-    /// Pivots priced by the dual steepest-edge rule (subset of `pivots`).
+    /// Dual-repair pivots, priced by dual steepest edge (subset of
+    /// `pivots`).
     dse_pivots: usize,
     /// Cutting planes accepted into the pool (root + in-tree, deduped).
     cuts_added: usize,
@@ -207,7 +204,7 @@ fn main() {
 
         // Differential baseline: one serial solve through the
         // explicit-bound-row reference engine (the pre-rewrite
-        // formulation; no warm machinery, bound rows in the tableau).
+        // formulation; no live node tableau, bound rows in the tableau).
         let start = Instant::now();
         let ref_sol = rs_lp::reference::solve_milp(&model, &MilpConfig::default())
             .expect("RS model feasible");
@@ -277,13 +274,6 @@ fn main() {
                 model.num_constraints(),
                 sol.stats.cuts_added
             );
-            // The incremental-dive-tableau invariant: dive chains apply
-            // bound folds in place; a basis reinstall anywhere in a dive
-            // is a regression to the previous engine.
-            assert_eq!(
-                sol.stats.dive_reinstalls, 0,
-                "size {size}: dive steps re-installed a basis"
-            );
             // Both engines presolve identically, so the reference tableau
             // must exceed the bounded one by exactly its explicit bound
             // rows (one per finite upper bound — strictly more rows).
@@ -316,7 +306,6 @@ fn main() {
                 lp_solves: sol.stats.lp_solves,
                 warm_solves: sol.stats.warm_solves,
                 warm_hits: sol.stats.warm_hits,
-                dive_reinstalls: sol.stats.dive_reinstalls,
                 pseudocost_branches: sol.stats.pseudocost_branches,
                 strong_branch_probes: sol.stats.strong_branch_probes,
                 pivots: sol.stats.pivots,

@@ -340,7 +340,7 @@ impl RsEngine {
         reducer.reduce_with(ddg, t, r, &mut estimate, &cancel)
     }
 
-    /// Runs a [`Pipeline`] through this engine (see [`Pipeline::run_with`]).
+    /// Runs a [`Pipeline`] through this engine (see `Pipeline::run_with`).
     pub fn run_pipeline(&mut self, pipeline: &Pipeline, ddg: &mut Ddg) -> PipelineReport {
         pipeline.run_with(self, ddg)
     }

@@ -77,8 +77,8 @@ pub struct RsIlp {
     /// `Σ_e δ(e)`). Smaller horizons shrink big-M constants; the result is
     /// the saturation restricted to schedules of that makespan.
     pub horizon_override: Option<i64>,
-    /// Branch-and-bound budget and engine knobs (cutting planes, pricing
-    /// rule, bound propagation, threads — see [`MilpConfig`]).
+    /// Branch-and-bound budget and engine knobs (cutting planes, bound
+    /// propagation, threads — see [`MilpConfig`]).
     pub milp: MilpConfig,
 }
 
@@ -106,8 +106,8 @@ pub struct RsIlpResult {
     /// Model size (for the complexity table).
     pub model_stats: ModelStats,
     /// Branch-and-bound solve statistics (nodes, LP solves, incremental
-    /// dive-tableau re-solves and reinstall count, pseudocost branching
-    /// counters, pivots, relaxation tableau shape) — surfaced by
+    /// dive-tableau re-solves, pseudocost branching counters, pivots,
+    /// relaxation tableau shape) — surfaced by
     /// `rsat analyze --ilp --stats`.
     pub milp_stats: MilpStats,
     /// True iff branch-and-bound proved optimality within budget.

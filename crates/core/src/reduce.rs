@@ -129,7 +129,7 @@ struct Candidate {
 
 /// A saturation estimator: returns the estimate and its witness antichain,
 /// like [`GreedyK::saturation`]. The batch engine supplies a scratch-backed
-/// one to [`Reducer::reduce_with`].
+/// one to `Reducer::reduce_with`.
 pub type RsEstimator<'a> = dyn FnMut(&Ddg, RegType) -> (usize, Vec<NodeId>) + 'a;
 
 impl Reducer {

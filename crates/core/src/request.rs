@@ -374,20 +374,18 @@ pub struct IlpStats {
     pub nodes: usize,
     /// LP relaxation solves.
     pub lp_solves: usize,
-    /// Warm-started dive solves.
+    /// In-place re-solves on a live dive tableau (dive steps).
     pub warm_solves: usize,
-    /// Warm-start hits.
+    /// Dive steps whose dual repair converged.
     pub warm_hits: usize,
-    /// Dive-tableau basis reinstalls.
-    pub dive_reinstalls: usize,
     /// Pseudocost-guided branching decisions.
     pub pseudocost_branches: usize,
     /// Strong-branching probes.
     pub strong_branch_probes: usize,
     /// Simplex pivots.
     pub pivots: usize,
-    /// Pivots whose leaving row was chosen by dual steepest-edge pricing
-    /// (zero under Dantzig pricing).
+    /// Dual-repair pivots of dive steps and strong-branching probes, all
+    /// priced by dual steepest edge.
     pub dse_pivots: usize,
     /// Bound flips.
     pub bound_flips: usize,

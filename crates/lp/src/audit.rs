@@ -158,9 +158,9 @@ fn check_terms(terms: &[(crate::VarId, f64)], n: usize) -> Result<(), String> {
 /// Always: each row is finite, strictly sorted, in range, and keeps at
 /// least one point of the variable bounding box (a row whose minimal lhs
 /// over the box already exceeds the rhs excludes *everything*). When the
-/// model is all-integral and its bounding box holds at most [`BOX_CAP`]
-/// points, additionally runs the exact oracle: every integer-feasible
-/// point of the base model must satisfy every cut.
+/// model is all-integral and its bounding box holds at most 4096
+/// (`BOX_CAP`) points, additionally runs the exact oracle: every
+/// integer-feasible point of the base model must satisfy every cut.
 pub fn check_cuts(model: &Model, cuts: &[Cut]) -> Result<(), AuditError> {
     let n = model.num_vars();
     for (i, cut) in cuts.iter().enumerate() {

@@ -2,13 +2,13 @@
 //! bounded-variable simplex relaxation.
 //!
 //! The search is organized as **bulk-synchronous rounds** over a
-//! deterministic frontier ([`crate::pool::Frontier`]): each round pops a
-//! fixed-size batch of open nodes ([`BATCH`], independent of the thread
+//! deterministic frontier (`pool::Frontier`): each round pops a
+//! fixed-size batch of open nodes (`BATCH`, independent of the thread
 //! count), processes every node of the batch against *frozen* round-start
 //! state — incumbent score, pseudocost store — and then commits the
 //! results sequentially in batch order. Worker threads only parallelize
 //! the processing step; they never touch shared mutable state. Node
-//! identity is the **branch path** from the root (see [`crate::pool`]), so
+//! identity is the **branch path** from the root (see `crate::pool`), so
 //! pop order, node counts, branching decisions, incumbents, and the
 //! explored-node sequence are identical at any [`MilpConfig::threads`]
 //! value; [`MilpStats::trace_digest`] content-hashes the committed node
@@ -36,10 +36,8 @@
 //! - the **diving primal heuristic**: nodes whose global index falls on
 //!   the dive period dive from their subproblem, fixing near-integral
 //!   variables in batches. Every dive step is an in-place bound fold plus
-//!   dual repair on the live tableau — **no per-step basis reinstall**
-//!   ([`MilpStats::dive_reinstalls`] pins the invariant at zero). The
-//!   incumbents those dives find are what turn the near-flat big-M dual
-//!   bounds into actual pruning.
+//!   dual repair on the live tableau. The incumbents those dives find are
+//!   what turn the near-flat big-M dual bounds into actual pruning.
 //! - **strong-branching-lite probes** for pseudocost initialization (see
 //!   below), which clone the tableau (one memcpy ≈ one pivot) and tighten
 //!   the probe bound on the copy.
@@ -51,7 +49,7 @@
 //!
 //! - **Primed pricing weights.** Before a node's first strong-branching
 //!   probe, its dive tableau computes its dual steepest-edge weights
-//!   ([`DiveTableau::prime_dse`]). Every probe copy and the scheduled dive
+//!   (`DiveTableau::prime_dse`). Every probe copy and the scheduled dive
 //!   inherit them instead of each repeating the full-tableau scan; bound
 //!   folds touch only the rhs column, which the weights exclude.
 //! - **One root relaxation.** The root cut loop's first optimal tableau,
@@ -78,8 +76,9 @@
 //! steer — are thread-count invariant. Variables without reliable
 //! estimates are initialized by strong-branching-lite probes on the node's
 //! dive tableau (bounded per node); the score is the classic product rule
-//! `max(down·f⁻, ε) · max(up·f⁺, ε)`. [`MilpConfig::pseudocost`] falls
-//! back to most-fractional branching when disabled.
+//! `max(down·f⁻, ε) · max(up·f⁺, ε)`. The reference path
+//! ([`MilpConfig::reference_lp`]) has no dive tableau to probe and branches
+//! most-fractional.
 //!
 //! The dual bound is rounded to an integer before pruning when
 //! [`MilpConfig::integral_objective`] is set (every objective in the
@@ -90,7 +89,7 @@ use crate::cancel::{min_deadline, Cancel};
 use crate::cuts::Cut;
 use crate::model::{Model, Sense, VarKind};
 use crate::pool::{BranchStep, CutPool, Frontier, Incumbent, Node, PcStore};
-use crate::simplex::{DiveStep, DiveTableau, LpOutcome, LpStats, Pricing, Solution};
+use crate::simplex::{DiveStep, DiveTableau, LpOutcome, LpStats, Solution};
 use crate::{VarId, EPS};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -166,8 +165,10 @@ const CUT_MAX_AGE: u32 = 2;
 
 /// Wire-format version of [`SearchCheckpoint`]; a checkpoint from a
 /// different version is silently ignored (the solve starts cold).
-/// Version 2 added the cut pool and the cut/pricing/propagation counters.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Version 2 added the cut pool and the cut/pricing/propagation counters;
+/// version 3 dropped the pricing and pseudocost switches from the
+/// fingerprint and the always-zero dive reinstall counter.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Knobs for the branch-and-bound driver.
 #[derive(Clone, Debug)]
@@ -194,13 +195,7 @@ pub struct MilpConfig {
     /// reported optimum are identical for every value — threads only
     /// change wall-clock time.
     pub threads: usize,
-    /// Pseudocost branching with strong-branching-lite reliability
-    /// initialization (default). Disabled, the search falls back to
-    /// most-fractional branching. The reference-LP path always uses
-    /// most-fractional branching (it has no dive tableau to probe). The
-    /// optimal objective does not depend on this flag.
-    pub pseudocost: bool,
-    /// Run the [`crate::presolve`] pass (singleton-row folding, activity
+    /// Run the [`crate::presolve()`] pass (singleton-row folding, activity
     /// bound tightening, redundant-row elimination) before the search
     /// (default). Presolve never changes the feasible set, so the optimal
     /// objective does not depend on this flag; [`MilpStats::rows`] /
@@ -208,20 +203,11 @@ pub struct MilpConfig {
     pub presolve: bool,
     /// Route every node relaxation through the explicit-bound-row
     /// *reference* simplex ([`crate::reference`]) instead of the
-    /// bounded-variable path. Test-only differential baseline: no warm
-    /// starts, bound rows double the tableau. The optimal objective must
-    /// not depend on this flag.
+    /// bounded-variable path. Test-only differential baseline: bound rows
+    /// double the tableau, and with no live node tableau to probe, nodes
+    /// branch most-fractional instead of by pseudocost. The optimal
+    /// objective must not depend on this flag.
     pub reference_lp: bool,
-    /// Pricing rule for the dual-simplex repair passes (dive tableau
-    /// tightenings, strong-branching probes, warm re-solves). The default
-    /// [`Pricing::DualSteepestEdge`] picks leaving rows by
-    /// steepest-edge-normalized infeasibility — markedly fewer pivots per
-    /// repair on the register-saturation tableaus; [`Pricing::Dantzig`]
-    /// (most-violated row) is the simpler fallback. Cold solves are primal
-    /// and unaffected. The optimal objective does not depend on this knob,
-    /// but the explored tree may (different optimal-face vertices), so it
-    /// is part of the checkpoint fingerprint.
-    pub pricing: Pricing,
     /// Separate lifted cover and clique cuts ([`crate::cuts`]) at the root
     /// (rounds until the relaxation bound stops improving) and sparingly
     /// in the tree, managed through a deduplicating pool with
@@ -264,10 +250,8 @@ impl Default for MilpConfig {
             integral_objective: true,
             int_tol: 1e-6,
             threads: 1,
-            pseudocost: true,
             presolve: true,
             reference_lp: false,
-            pricing: Pricing::DualSteepestEdge,
             cuts: true,
             propagation: true,
             audit: cfg!(debug_assertions),
@@ -338,13 +322,6 @@ pub struct MilpStats {
     /// stalled repair discards the tableau). Dive steps are pure bound
     /// tightenings, so this normally equals [`MilpStats::warm_solves`].
     pub warm_hits: usize,
-    /// Basis reinstalls performed on behalf of dive steps. The incremental
-    /// dive tableau applies bound tightenings in place — **no per-step
-    /// reinstall** — so this is zero by construction; the counter is wired
-    /// end-to-end so the perf report can pin the invariant (the previous
-    /// engine re-installed the parent basis on every dive step, which
-    /// dominated its warm cost).
-    pub dive_reinstalls: usize,
     /// Branching decisions taken purely from trusted (reliable)
     /// accumulated pseudocosts — no strong-branching probe needed at that
     /// node.
@@ -352,16 +329,15 @@ pub struct MilpStats {
     /// Strong-branching-lite probes performed to initialize unreliable
     /// pseudocosts (each probes both directions of one variable).
     pub strong_branch_probes: usize,
-    /// Total simplex pivots (tableau eliminations, including warm-start
-    /// basis reinstalls) across all node LPs — like
-    /// [`MilpStats::lp_solves`], the pivots actually performed, so a
+    /// Total simplex pivots (tableau eliminations) across all LP solves —
+    /// like [`MilpStats::lp_solves`], the pivots actually performed, so a
     /// reused root relaxation is charged once.
     pub pivots: usize,
     /// Total bound flips (rank-1 rhs updates in place of pivots).
     pub bound_flips: usize,
-    /// Pivots priced by the dual steepest-edge rule (a subset of
-    /// [`MilpStats::pivots`]; zero when [`MilpConfig::pricing`] is
-    /// Dantzig).
+    /// Dual-repair pivots of dive steps and strong-branching probes, every
+    /// one priced by dual steepest edge (a subset of
+    /// [`MilpStats::pivots`]; cold solves are primal and add none).
     pub dse_pivots: usize,
     /// Cutting planes accepted into the cut pool (root + in-tree), net of
     /// dedup, not counting later retirements.
@@ -533,13 +509,8 @@ fn fingerprint(model: &Model, cfg: &MilpConfig) -> u64 {
     h.f64v(model.objective.constant);
     h.f64v(cfg.int_tol);
     h.byte(cfg.integral_objective as u8);
-    h.byte(cfg.pseudocost as u8);
     h.byte(cfg.presolve as u8);
     h.byte(cfg.reference_lp as u8);
-    h.byte(match cfg.pricing {
-        Pricing::Dantzig => 0,
-        Pricing::DualSteepestEdge => 1,
-    });
     h.byte(cfg.cuts as u8);
     h.byte(cfg.propagation as u8);
     h.state()
@@ -562,7 +533,7 @@ fn fingerprint(model: &Model, cfg: &MilpConfig) -> u64 {
 /// `±∞` and round-tripping through decimal could perturb bounds.
 ///
 /// A checkpoint is bound to its model and semantic configuration by a
-/// [`fingerprint`]; [`solve_resumable`] silently ignores a checkpoint that
+/// fingerprint; [`solve_resumable`] silently ignores a checkpoint that
 /// does not match (the solve starts cold, flagged by
 /// [`MilpStats::resumed`] `false`) — robustness over strictness, since
 /// upper layers key checkpoints by request cache keys that could collide.
@@ -665,7 +636,6 @@ struct CkptCounters {
     lp_solves: usize,
     warm_solves: usize,
     warm_hits: usize,
-    dive_reinstalls: usize,
     pseudocost_branches: usize,
     strong_branch_probes: usize,
     pivots: usize,
@@ -851,7 +821,7 @@ impl SearchCheckpoint {
 /// [`MilpStats::proven_optimal`]).
 ///
 /// With [`MilpConfig::presolve`] (the default) the model first runs
-/// through [`crate::presolve`]: singleton rows fold into bounds, activity
+/// through [`crate::presolve()`]: singleton rows fold into bounds, activity
 /// arguments tighten bounds and drop redundant rows, and a
 /// presolve-proven-infeasible model returns [`MilpError::Infeasible`]
 /// without any search. Presolve keeps the variable set (and the integer
@@ -981,7 +951,6 @@ struct LocalCounters {
     lp_solves: usize,
     warm_solves: usize,
     warm_hits: usize,
-    dive_reinstalls: usize,
     pseudocost_branches: usize,
     strong_branch_probes: usize,
     pivots: usize,
@@ -997,7 +966,6 @@ impl LocalCounters {
         self.lp_solves += o.lp_solves;
         self.warm_solves += o.warm_solves;
         self.warm_hits += o.warm_hits;
-        self.dive_reinstalls += o.dive_reinstalls;
         self.pseudocost_branches += o.pseudocost_branches;
         self.strong_branch_probes += o.strong_branch_probes;
         self.pivots += o.pivots;
@@ -1006,6 +974,22 @@ impl LocalCounters {
         self.cuts_added += o.cuts_added;
         self.cut_rounds += o.cut_rounds;
         self.propagation_fathoms += o.propagation_fathoms;
+    }
+
+    /// Charges one cold LP solve and its [`LpStats`].
+    fn charge_lp(&mut self, st: &LpStats) {
+        self.lp_solves += 1;
+        self.pivots += st.pivots;
+        self.bound_flips += st.bound_flips;
+    }
+
+    /// Charges the pivot/flip work a dive tableau performed since
+    /// `before` (its [`DiveTableau::work`] snapshot).
+    fn charge_dive_work(&mut self, dt: &DiveTableau, before: (usize, usize, usize)) {
+        let (p, f, d) = dt.work();
+        self.pivots += p - before.0;
+        self.bound_flips += f - before.1;
+        self.dse_pivots += d - before.2;
     }
 }
 
@@ -1095,30 +1079,6 @@ impl<'c, 'a> NodeRun<'c, 'a> {
     fn record(&mut self, v: VarId, up: bool, per_unit: f64) {
         self.pc.record(v, up, per_unit);
         self.records.push((v, up, per_unit));
-    }
-
-    /// Charges one LP solve's [`LpStats`]. When the solve ran on behalf of
-    /// a dive chain (`dive`), its basis-reinstall count feeds
-    /// [`MilpStats::dive_reinstalls`] — the incremental dive tableau
-    /// performs none, so any nonzero there means a dive step regressed to
-    /// a reinstalling warm solve.
-    fn charge_lp(&mut self, st: &LpStats, dive: bool) {
-        self.counters.lp_solves += 1;
-        self.counters.pivots += st.pivots;
-        self.counters.bound_flips += st.bound_flips;
-        self.counters.dse_pivots += st.dse_pivots;
-        if dive {
-            self.counters.dive_reinstalls += st.reinstalls;
-        }
-    }
-
-    /// Charges the pivot/flip work a dive tableau performed since
-    /// `before` (its [`DiveTableau::work`] snapshot).
-    fn charge_dive_work(&mut self, dt: &DiveTableau, before: (usize, usize, usize)) {
-        let (p, f, d) = dt.work();
-        self.counters.pivots += p - before.0;
-        self.counters.bound_flips += f - before.1;
-        self.counters.dse_pivots += d - before.2;
     }
 
     /// Marks the node interrupted if the cancel flag is set — called at
@@ -1224,7 +1184,6 @@ impl SearchState {
                 lp_solves: ck.counters.lp_solves,
                 warm_solves: ck.counters.warm_solves,
                 warm_hits: ck.counters.warm_hits,
-                dive_reinstalls: ck.counters.dive_reinstalls,
                 pseudocost_branches: ck.counters.pseudocost_branches,
                 strong_branch_probes: ck.counters.strong_branch_probes,
                 pivots: ck.counters.pivots,
@@ -1326,7 +1285,6 @@ impl SearchState {
                 lp_solves: self.counters.lp_solves,
                 warm_solves: self.counters.warm_solves,
                 warm_hits: self.counters.warm_hits,
-                dive_reinstalls: self.counters.dive_reinstalls,
                 pseudocost_branches: self.counters.pseudocost_branches,
                 strong_branch_probes: self.counters.strong_branch_probes,
                 pivots: self.counters.pivots,
@@ -1601,7 +1559,6 @@ fn solve_presolved(
         lp_solves: st.counters.lp_solves,
         warm_solves: st.counters.warm_solves,
         warm_hits: st.counters.warm_hits,
-        dive_reinstalls: st.counters.dive_reinstalls,
         pseudocost_branches: st.counters.pseudocost_branches,
         strong_branch_probes: st.counters.strong_branch_probes,
         pivots: st.counters.pivots,
@@ -1679,12 +1636,8 @@ fn root_cut_loop(ctx: &Ctx<'_>, base: &Model) -> RootCuts {
 
     let solve_root =
         |model: &Model, counters: &mut LocalCounters| -> (LpOutcome, Option<DiveTableau>) {
-            let (outcome, dt, st) =
-                DiveTableau::new_with_pricing(model, Some(&ctx.cfg.cancel), ctx.cfg.pricing);
-            counters.lp_solves += 1;
-            counters.pivots += st.pivots;
-            counters.bound_flips += st.bound_flips;
-            counters.dse_pivots += st.dse_pivots;
+            let (outcome, dt, st) = DiveTableau::new(model, Some(&ctx.cfg.cancel));
+            counters.charge_lp(&st);
             (outcome, dt)
         };
     let done_empty = |counters: LocalCounters, model: Model| -> RootCuts {
@@ -2048,7 +2001,7 @@ fn process_node(
     // 100-1000x on the random-kernel corpus. On the bounded path the cold
     // tableau stays live as a DiveTableau for the strong-branching probes
     // and the scheduled dive below, whose chains of pure bound tightenings
-    // run in place with zero basis reinstalls.
+    // run in place.
     let (outcome, mut dt) = solve_node_lp(run, work, root_lp);
     let sol = match outcome {
         LpOutcome::Optimal(s) => s,
@@ -2121,11 +2074,11 @@ fn process_node(
     }
 
     // Pick the branching variable: pseudocost product rule with
-    // strong-branching-lite initialization when enabled and a dive tableau
-    // is available, otherwise most-fractional.
-    let branch = match (ctx.cfg.pseudocost, dt.as_mut()) {
-        (true, Some(t)) => select_branch_pseudocost(run, work, t, &sol, raw_score),
-        _ => select_most_fractional(ctx, &sol),
+    // strong-branching-lite initialization on the node's dive tableau, or
+    // most-fractional on the reference path, which has none.
+    let branch = match dt.as_mut() {
+        Some(t) => select_branch_pseudocost(run, work, t, &sol, raw_score),
+        None => select_most_fractional(ctx, &sol),
     };
     if run.interrupted {
         return OutcomeKind::Pruned;
@@ -2230,8 +2183,7 @@ fn process_node(
                     None => {
                         // Reference path: no live tableau from the node
                         // solve; build one cold for the dive.
-                        if let (LpOutcome::Optimal(s), Some(t)) = cold_dive_tableau(run, work, true)
-                        {
+                        if let (LpOutcome::Optimal(s), Some(t)) = cold_dive_tableau(run, work) {
                             dive_from(run, work, t, s);
                         }
                     }
@@ -2263,31 +2215,25 @@ fn solve_node_lp(
 ) -> (LpOutcome, Option<DiveTableau>) {
     if run.ctx.cfg.reference_lp {
         let (outcome, lp_stats) = crate::reference::solve_relaxation_stats(work);
-        run.charge_lp(&lp_stats, false);
+        run.counters.charge_lp(&lp_stats);
         (outcome, None)
     } else if let Some((sol, dt)) = root_lp.filter(|(_, dt)| dt.fits(work)) {
         (LpOutcome::Optimal(sol), Some(dt))
     } else {
-        cold_dive_tableau(run, work, false)
+        cold_dive_tableau(run, work)
     }
 }
 
 /// One counted cold solve that keeps the tableau live (the bounded node
 /// path, the root probe, and the reference path's dive entry).
-fn cold_dive_tableau(
-    run: &mut NodeRun<'_, '_>,
-    model: &Model,
-    dive: bool,
-) -> (LpOutcome, Option<DiveTableau>) {
-    let (outcome, dt, lp_stats) =
-        DiveTableau::new_with_pricing(model, Some(&run.ctx.cfg.cancel), run.ctx.cfg.pricing);
-    run.charge_lp(&lp_stats, dive);
+fn cold_dive_tableau(run: &mut NodeRun<'_, '_>, model: &Model) -> (LpOutcome, Option<DiveTableau>) {
+    let (outcome, dt, lp_stats) = DiveTableau::new(model, Some(&run.ctx.cfg.cancel));
+    run.counters.charge_lp(&lp_stats);
     (outcome, dt)
 }
 
 /// One counted incremental re-solve on a live dive tableau: applies the
-/// bound tightenings in place (rank-1 rhs folds — **zero** basis
-/// reinstalls, see [`MilpStats::dive_reinstalls`]) and dual-repairs.
+/// bound tightenings in place (rank-1 rhs folds) and dual-repairs.
 fn dive_tighten(
     run: &mut NodeRun<'_, '_>,
     dt: &mut DiveTableau,
@@ -2298,7 +2244,7 @@ fn dive_tighten(
     run.counters.warm_solves += 1;
     let before = dt.work();
     let step = dt.tighten(changes, work);
-    run.charge_dive_work(dt, before);
+    run.counters.charge_dive_work(dt, before);
     // Both Optimal and Infeasible are *converged* warm outcomes (the dual
     // repair finished — an infeasibility proof is a success); only a stall
     // discards the tableau.
@@ -2455,7 +2401,7 @@ fn dive_from(run: &mut NodeRun<'_, '_>, work: &Model, mut dt: DiveTableau, mut s
 fn dive_probe(run: &mut NodeRun<'_, '_>, model: &Model, seed: Option<SolvedLp>) {
     let solved = match seed {
         Some((sol, dt)) => (LpOutcome::Optimal(sol), Some(dt)),
-        None => cold_dive_tableau(run, model, true),
+        None => cold_dive_tableau(run, model),
     };
     match solved {
         (LpOutcome::Optimal(sol), Some(dt)) => dive_from(run, model, dt, sol),
@@ -2468,9 +2414,9 @@ fn dive_probe(run: &mut NodeRun<'_, '_>, model: &Model, seed: Option<SolvedLp>) 
 // Branching rules.
 // ---------------------------------------------------------------------------
 
-/// Most-fractional branching rule (fraction closest to one half), the
-/// fallback when pseudocost branching is disabled or no dive tableau is
-/// available (reference path).
+/// Most-fractional branching rule (fraction closest to one half): the
+/// reference path's branching rule, where no dive tableau is available,
+/// and the dive's pick of the variable to fix.
 fn select_most_fractional(ctx: &Ctx<'_>, sol: &Solution) -> Option<(VarId, f64)> {
     let mut branch: Option<(VarId, f64)> = None;
     let mut best_dist_half = f64::INFINITY;
@@ -2519,10 +2465,7 @@ fn probe_dir(
     };
     let before = p.work();
     let step = p.tighten_capped(&[(v, child_lo, child_hi)], work, SB_PIVOT_CAP);
-    let (pv, fl, ds) = p.work();
-    run.counters.pivots += pv - before.0;
-    run.counters.bound_flips += fl - before.1;
-    run.counters.dse_pivots += ds - before.2;
+    run.counters.charge_dive_work(p, before);
     match step {
         DiveStep::Optimal(s) => {
             let deg = (raw_score - run.ctx.dir * s.objective).max(0.0);
@@ -2924,7 +2867,7 @@ mod tests {
 
     #[test]
     fn warm_starts_are_exercised() {
-        // Any branching model solves child LPs from the parent basis.
+        // Any branching model's scheduled dives re-solve on a live tableau.
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..8)
             .map(|i| m.add_var(format!("x{i}"), VarKind::Integer, 0.0, 9.0))
@@ -2996,8 +2939,7 @@ mod tests {
     #[test]
     fn pseudocost_engine_reports_stats() {
         // A branching model: the first nodes have unreliable pseudocosts,
-        // so strong-branching-lite probes must fire, and the incremental
-        // dive tableau must never reinstall a basis.
+        // so strong-branching-lite probes must fire.
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..8)
             .map(|i| m.add_var(format!("x{i}"), VarKind::Integer, 0.0, 9.0))
@@ -3012,22 +2954,19 @@ mod tests {
         m.set_objective(obj);
         let s = solve(&m, &MilpConfig::default()).unwrap();
         assert!(s.stats.proven_optimal);
-        assert_eq!(
-            s.stats.dive_reinstalls, 0,
-            "dive tableau must not reinstall"
-        );
         assert!(
             s.stats.nodes <= 1 || s.stats.strong_branch_probes > 0,
             "branching without reliable pseudocosts must probe, stats: {:?}",
             s.stats
         );
 
-        // Disabling pseudocost branching falls back to most-fractional and
-        // must not change the objective (or touch the probe counters).
+        // The reference path has no node tableau to probe: it branches
+        // most-fractional, reaches the same objective, and never touches
+        // the probe counters.
         let off = solve(
             &m,
             &MilpConfig {
-                pseudocost: false,
+                reference_lp: true,
                 ..MilpConfig::default()
             },
         )
@@ -3159,16 +3098,13 @@ mod tests {
                 m.set_objective(o);
 
                 let expected = brute_force(&cons, &obj, sense);
-                // Default engine (cuts + DSE pricing + propagation +
-                // pseudocost branching + presolve on), the fully stripped
-                // configuration (every accelerator off — the PR 8 baseline
-                // tree), and the reference-LP differential must all match
-                // the brute force — objective equivalence across every
-                // knob combination.
+                // Default engine (cuts + propagation + presolve on),
+                // presolve off, every remaining switch off, and the
+                // reference-LP differential must all match the brute force
+                // — objective equivalence across every knob combination.
                 let configs = [
                     MilpConfig::with_threads(threads),
                     MilpConfig {
-                        pseudocost: false,
                         presolve: false,
                         threads,
                         ..MilpConfig::default()
@@ -3176,8 +3112,6 @@ mod tests {
                     MilpConfig {
                         cuts: false,
                         propagation: false,
-                        pricing: crate::Pricing::Dantzig,
-                        pseudocost: false,
                         presolve: false,
                         threads,
                         ..MilpConfig::default()
@@ -3605,9 +3539,9 @@ mod tests {
     #[test]
     fn checkpoint_rejects_accelerator_config_drift() {
         // The fingerprint must cover every knob that shapes the tree:
-        // resuming a default-config checkpoint under flipped cuts, pricing,
-        // or propagation would splice incompatible search frontiers, so
-        // each mismatch has to force a cold start instead.
+        // resuming a default-config checkpoint under flipped cuts or
+        // propagation would splice incompatible search frontiers, so each
+        // mismatch has to force a cold start instead.
         let m = wide_model();
         let ck = solve_resumable(
             &m,
@@ -3622,10 +3556,6 @@ mod tests {
         for cfg in [
             MilpConfig {
                 cuts: false,
-                ..MilpConfig::default()
-            },
-            MilpConfig {
-                pricing: crate::Pricing::Dantzig,
                 ..MilpConfig::default()
             },
             MilpConfig {

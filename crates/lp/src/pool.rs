@@ -34,8 +34,8 @@ pub(crate) struct BranchStep {
 
 /// An open branch-and-bound node: the bound overrides along its path from
 /// the root plus ordering metadata. Nodes carry no simplex basis — node
-/// relaxations solve cold on purpose (see `milp`); the warm machinery
-/// serves the diving heuristic instead.
+/// relaxations solve cold on purpose (see `milp`); the live dive tableau
+/// serves the diving heuristic and the strong-branching probes instead.
 #[derive(Clone)]
 pub(crate) struct Node {
     /// `(var, lo, hi)` overrides accumulated from the root.

@@ -11,8 +11,9 @@
 //!
 //! Nothing here is exercised by the production solvers. The entry points
 //! exist for differential tests and the `milp_scaling` bench's
-//! before/after comparison; warm starts are deliberately unavailable (every
-//! node LP is a cold solve, as in the pre-rewrite engine's fallback path).
+//! before/after comparison. Every LP here is a cold two-phase solve that
+//! keeps no live tableau, so the MILP driver's nodes on this path branch
+//! most-fractional instead of probing.
 
 use crate::milp::{MilpConfig, MilpError, MilpSolution};
 use crate::model::Model;
@@ -26,8 +27,7 @@ pub fn solve_relaxation(model: &Model) -> LpOutcome {
 /// [`solve_relaxation`] with the per-solve work counters.
 pub fn solve_relaxation_stats(model: &Model) -> (LpOutcome, LpStats) {
     let sf = std_form(model, true);
-    let (outcome, _, stats) = cold_solve(model, &sf);
-    (outcome, stats)
+    cold_solve(model, &sf)
 }
 
 /// Tableau dimensions `(rows, structural + slack columns)` of the
@@ -39,8 +39,8 @@ pub fn tableau_shape(model: &Model) -> (usize, usize) {
 
 /// Solves the MILP with every node relaxation routed through the
 /// explicit-bound-row reference simplex (see
-/// [`MilpConfig::reference_lp`]) — same branch-and-bound driver, no warm
-/// starts, doubled tableaux.
+/// [`MilpConfig::reference_lp`]) — same branch-and-bound driver, cold node
+/// solves on doubled tableaux.
 pub fn solve_milp(model: &Model, cfg: &MilpConfig) -> Result<MilpSolution, MilpError> {
     let cfg = MilpConfig {
         reference_lp: true,

@@ -1,4 +1,5 @@
-//! Bounded-variable dense primal simplex with warm-started re-solves.
+//! Bounded-variable dense primal simplex with in-place re-solves after
+//! bound tightenings.
 //!
 //! The models produced by the register-saturation formulations are small
 //! (hundreds of rows and columns), dense-tableau simplex is the simplest
@@ -38,21 +39,14 @@
 //! ratio ties) after an iteration budget proportional to the tableau size.
 //! Bound flips move the objective strictly and cannot cycle.
 //!
-//! ## Warm starts
+//! ## Re-solves after bound tightenings
 //!
 //! A bound tightening leaves the constraint matrix untouched, so
-//! [`solve_with_basis`] accepts the previous solve's optimal [`Basis`]
-//! (basic columns **plus nonbasic bound statuses** — both are needed for
-//! the hint to survive the bounded rewrite): the tableau is rebuilt, the
-//! hinted columns are pivoted back in by Gaussian elimination with column
-//! selection, the hinted at-upper columns are folded at the **new** bounds,
-//! and the solve resumes with dual simplex when the bound change made the
-//! basis primal-infeasible — a single tightening typically converges in a
-//! handful of pivots. Any structural mismatch or numerical trouble falls
-//! back to the cold two-phase path, so the warm entry point is never less
-//! robust than [`solve_relaxation`]. The MILP driver uses this for its
-//! diving-heuristic chains; tree nodes re-solve cold on purpose (see
-//! `crate::milp` for why).
+//! [`DiveTableau`] keeps a cold solve's optimal tableau live and applies
+//! each tightening in place as rank-1 right-hand-side folds, then restores
+//! primal feasibility by dual simplex priced by dual steepest edge. The
+//! MILP driver uses it for its diving heuristic and its strong-branching
+//! probes; tree nodes solve cold on purpose (see `crate::milp` for why).
 //!
 //! ## Pivot loop
 //!
@@ -67,8 +61,7 @@ use crate::EPS;
 
 /// Pivot elements smaller than this are refused: instead of dividing by a
 /// near-zero (silent garbage in release builds), the solve reports
-/// [`LpOutcome::PivotTooSmall`], or falls back to the cold path when warm
-/// starting.
+/// [`LpOutcome::PivotTooSmall`] (a dive step [`DiveStep::Stalled`]).
 const PIVOT_MIN: f64 = 1e-11;
 
 /// Columns whose range (`hi − lo`) is at most this are *fixed*: they can
@@ -80,23 +73,6 @@ const FIXED_TOL: f64 = 1e-9;
 /// the exact update recurrence can drive a weight slightly negative, and a
 /// non-positive weight would flip the pricing ratio's sign.
 const DSE_MIN: f64 = 1e-10;
-
-/// Leaving-row pricing rule for the dual simplex repair loops.
-///
-/// Dantzig picks the row with the largest bound violation — one pass over
-/// the right-hand side, but blind to how distorted the row is. Dual
-/// steepest edge normalizes the violation by the row norm of `B⁻¹A`
-/// (`violation² / ‖row‖²`), which consistently picks pivots that make real
-/// progress on degenerate big-M relaxations. The weights start exact
-/// (`w_r = ‖row_r‖²`) and stay exact: every pivot updates them with the
-/// textbook recurrence fused into the elimination loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Pricing {
-    /// Largest bound violation (the classic rule; always available).
-    Dantzig,
-    /// Reference-weight dual steepest edge with exact pivot updates.
-    DualSteepestEdge,
-}
 
 /// A feasible (optimal) LP solution.
 #[derive(Clone, Debug)]
@@ -123,25 +99,16 @@ pub enum LpOutcome {
     PivotTooSmall,
 }
 
-/// Per-solve work counters.
+/// Work counters of one cold solve. The cold path is primal only; the
+/// dual-repair work of later tightenings is read off
+/// [`DiveTableau::work`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LpStats {
-    /// Full tableau eliminations (including warm-start basis reinstalls).
+    /// Full tableau eliminations.
     pub pivots: usize,
     /// Bound flips: a nonbasic column moved to its opposite bound with a
     /// rank-1 right-hand-side update instead of a pivot.
     pub bound_flips: usize,
-    /// Basis reinstalls performed: `1` when a warm-start hint was accepted
-    /// and pivoted back in by Gaussian elimination (`m` of the counted
-    /// pivots are that reinstall), `0` on cold solves and on the in-place
-    /// [`DiveTableau`] re-solves, which never reinstall.
-    pub reinstalls: usize,
-    /// True iff a warm-start hint was accepted and the solve finished on
-    /// the warm path (no cold fallback).
-    pub warm_hit: bool,
-    /// Pivots selected by the dual steepest-edge rule (a subset of
-    /// [`LpStats::pivots`]; zero under [`Pricing::Dantzig`]).
-    pub dse_pivots: usize,
 }
 
 /// Position of a column relative to the current basis.
@@ -152,24 +119,6 @@ enum ColStatus {
     Lower,
     /// Nonbasic at its (finite) upper bound (shifted value `range`).
     Upper,
-}
-
-/// An exportable simplex basis: the basic column per structural row plus
-/// the set of columns nonbasic at their upper bound, over the structural +
-/// slack columns (artificials are never exported).
-///
-/// Obtained from [`solve_with_basis`] and fed back as a warm-start hint for
-/// a model with the same constraint structure (branch-and-bound children
-/// qualify: bound tightenings change bounds and right-hand sides, not the
-/// row/column layout — branching no longer grows the tableau).
-#[derive(Clone, Debug)]
-pub struct Basis {
-    m: usize,
-    /// Structural + slack column count the basis was exported against.
-    ncols: usize,
-    cols: Vec<usize>,
-    /// Columns nonbasic at their upper bound at export time.
-    upper: Vec<u32>,
 }
 
 /// Internal soft error: a pivot element below [`PIVOT_MIN`].
@@ -206,10 +155,8 @@ struct Tableau {
     pivots: usize,
     /// Bound flips performed.
     flips: usize,
-    /// Pivots whose leaving row was chosen by dual steepest edge.
+    /// Dual-repair pivots (every one priced by dual steepest edge).
     dse_pivots: usize,
-    /// Leaving-row pricing rule for the dual repair loops.
-    pricing: Pricing,
     /// Dual steepest-edge reference weights, `w_r = ‖row_r‖²` over the
     /// structural + slack + artificial columns (rhs excluded). Empty until
     /// [`Tableau::ensure_dse`] initializes them; from then on every pivot
@@ -251,7 +198,6 @@ impl Clone for Tableau {
             pivots: self.pivots,
             flips: self.flips,
             dse_pivots: self.dse_pivots,
-            pricing: self.pricing,
             dse: self.dse.clone(),
             scratch_row: Vec::new(),
             scratch_nz: Vec::new(),
@@ -271,7 +217,6 @@ impl Clone for Tableau {
             pivots,
             flips,
             dse_pivots,
-            pricing,
             dse,
             scratch_row: _,
             scratch_nz: _,
@@ -287,7 +232,6 @@ impl Clone for Tableau {
         self.pivots = *pivots;
         self.flips = *flips;
         self.dse_pivots = *dse_pivots;
-        self.pricing = *pricing;
         self.dse.clone_from(dse);
         self.cancel.clone_from(cancel);
     }
@@ -308,7 +252,6 @@ impl Tableau {
             pivots: 0,
             flips: 0,
             dse_pivots: 0,
-            pricing: Pricing::Dantzig,
             dse: Vec::new(),
             scratch_row: Vec::new(),
             scratch_nz: Vec::new(),
@@ -638,18 +581,10 @@ impl Tableau {
         }
     }
 
-    /// Dual simplex repair: restores primal feasibility (with respect to
-    /// both bounds of the basic variables) while keeping the cost row dual
-    /// feasible. Precondition: every movable at-lower column has reduced
-    /// cost `≥ -EPS` and every movable at-upper column `≤ EPS`.
-    fn dual_optimize(&mut self) -> Result<DualStatus, PivotStall> {
-        self.dual_optimize_capped(50 * (self.m + self.ncols) + 1000)
-    }
-
     /// Computes the dual steepest-edge reference weights from scratch —
     /// one full tableau scan, about the cost of a single pivot. Called
-    /// through [`Tableau::ensure_dse`]: lazily by the first DSE-priced dual
-    /// loop, or up front by [`DiveTableau::prime_dse`] so that clones
+    /// through [`Tableau::ensure_dse`]: lazily by the first dual repair,
+    /// or up front by [`DiveTableau::prime_dse`] so that clones
     /// inherit the weights instead of each repeating the scan. Afterwards
     /// [`Tableau::pivot`] keeps the weights exact, so the scan never
     /// repeats for the lifetime of the tableau (dive chains included).
@@ -669,61 +604,52 @@ impl Tableau {
     }
 
     /// Initializes the dual steepest-edge weights unless they are already
-    /// live or the tableau prices by Dantzig.
+    /// live.
     fn ensure_dse(&mut self) {
-        if self.pricing == Pricing::DualSteepestEdge && self.dse.is_empty() {
+        if self.dse.is_empty() {
             self.init_dse();
         }
     }
 
-    /// [`Tableau::dual_optimize`] with an explicit iteration cap —
-    /// strong-branching probes bound their repair effort and treat a
-    /// capped-out repair as [`DualStatus::Stalled`] (no estimate).
-    fn dual_optimize_capped(&mut self, iter_budget: usize) -> Result<DualStatus, PivotStall> {
+    /// Dual simplex repair: restores primal feasibility (with respect to
+    /// both bounds of the basic variables) while keeping the cost row dual
+    /// feasible, within `iter_budget` pivots — strong-branching probes cap
+    /// their repair effort and treat a capped-out repair as
+    /// [`DualStatus::Stalled`] (no estimate). Precondition: every movable
+    /// at-lower column has reduced cost `≥ -EPS` and every movable
+    /// at-upper column `≤ EPS`.
+    ///
+    /// Leaving rows are priced by dual steepest edge: the largest
+    /// `violation² / w_r`, the violation measured in the geometry of the
+    /// row (`w_r = ‖row_r‖²` of `B⁻¹A`), so a huge violation on a
+    /// badly-scaled row does not win over a genuinely deep one — on the
+    /// degenerate big-M relaxations this picks pivots that make real
+    /// progress. The weights start exact and every pivot keeps them exact
+    /// with the textbook recurrence fused into the elimination loop.
+    fn dual_optimize(&mut self, iter_budget: usize) -> Result<DualStatus, PivotStall> {
         self.ensure_dse();
-        let use_dse = !self.dse.is_empty();
         for it in 1..=iter_budget {
             if self.cancelled_at(it) {
                 return Err(PivotStall);
             }
-            // Leaving row. Dantzig: largest bound violation on either
-            // side. Dual steepest edge: largest `violation² / w_r` — the
-            // violation measured in the geometry of the row, so a huge
-            // violation on a badly-scaled row no longer wins over a
-            // genuinely deep one. Both rules break ties towards the
-            // smaller row index (strict `>`), deterministically.
+            // Ties break towards the smaller row index (strict `>`),
+            // deterministically.
             let mut row: Option<(usize, bool)> = None;
-            if use_dse {
-                let mut best = 0.0f64;
-                for r in 0..self.m {
-                    let b = self.rhs(r);
-                    let u = self.basic_range(r);
-                    let (viol, above) = if -b > 1e-9 {
-                        (-b, false)
-                    } else if u.is_finite() && b - u > 1e-9 {
-                        (b - u, true)
-                    } else {
-                        continue;
-                    };
-                    let score = viol * viol / self.dse[r];
-                    if score > best {
-                        best = score;
-                        row = Some((r, above));
-                    }
-                }
-            } else {
-                let mut worst = 1e-9;
-                for r in 0..self.m {
-                    let b = self.rhs(r);
-                    if -b > worst {
-                        worst = -b;
-                        row = Some((r, false));
-                    }
-                    let u = self.basic_range(r);
-                    if u.is_finite() && b - u > worst {
-                        worst = b - u;
-                        row = Some((r, true));
-                    }
+            let mut best = 0.0f64;
+            for r in 0..self.m {
+                let b = self.rhs(r);
+                let u = self.basic_range(r);
+                let (viol, above) = if -b > 1e-9 {
+                    (-b, false)
+                } else if u.is_finite() && b - u > 1e-9 {
+                    (b - u, true)
+                } else {
+                    continue;
+                };
+                let score = viol * viol / self.dse[r];
+                if score > best {
+                    best = score;
+                    row = Some((r, above));
                 }
             }
             let Some((row, above)) = row else {
@@ -772,9 +698,7 @@ impl Tableau {
             };
             let from_upper = self.status[col] == ColStatus::Upper;
             self.pivot_bounded(row, col, from_upper, above)?;
-            if use_dse {
-                self.dse_pivots += 1;
-            }
+            self.dse_pivots += 1;
         }
         Ok(DualStatus::Stalled)
     }
@@ -802,22 +726,6 @@ impl Tableau {
             b >= -1e-9 && (u.is_infinite() || b <= u + 1e-9)
         })
     }
-
-    /// Dual feasibility of the reduced costs over the first `ncheck`
-    /// columns (fixed columns are vacuously dual feasible).
-    fn dual_feasible(&self, ncheck: usize) -> bool {
-        (0..ncheck).all(|j| {
-            if !self.movable(j) {
-                return true;
-            }
-            let rc = self.at(self.m, j);
-            match self.status[j] {
-                ColStatus::Lower => rc >= -EPS,
-                ColStatus::Upper => rc <= EPS,
-                ColStatus::Basic => true,
-            }
-        })
-    }
 }
 
 /// Result of the bounded ratio test.
@@ -836,7 +744,8 @@ struct Row {
     rhs: f64,
 }
 
-/// The standard form shared by the cold and warm solve paths.
+/// The standard form shared by the bounded-variable and reference solve
+/// paths.
 pub(crate) struct StdForm {
     n: usize,
     m: usize,
@@ -896,7 +805,7 @@ pub(crate) fn std_form(model: &Model, explicit_bounds: bool) -> StdForm {
 
     let m = rows.len();
     // Column layout: [0, n) structural; then one slack/surplus per Le/Ge
-    // row; then artificials as needed (cold path only).
+    // row; then artificials as needed.
     let mut slack_of_row: Vec<Option<(usize, f64)>> = Vec::with_capacity(m);
     let mut next = n;
     for r in &rows {
@@ -1038,217 +947,35 @@ fn extract(tab: &Tableau, sf: &StdForm, model: &Model) -> Solution {
     Solution { values, objective }
 }
 
-/// Exports the basis when it is artificial-free (it always is on the warm
-/// path; a cold solve may leave a degenerate artificial basic).
-fn export_basis(tab: &Tableau, sf: &StdForm) -> Option<Basis> {
-    let core = sf.n + sf.n_slack;
-    if tab.basis.iter().all(|&b| b < core) {
-        let upper = (0..core)
-            .filter(|&j| tab.status[j] == ColStatus::Upper)
-            .map(|j| j as u32)
-            .collect();
-        Some(Basis {
-            m: sf.m,
-            ncols: core,
-            cols: tab.basis.clone(),
-            upper,
-        })
-    } else {
-        None
-    }
-}
-
 /// Solves the LP relaxation of `model` (integrality is ignored).
 pub fn solve_relaxation(model: &Model) -> LpOutcome {
-    solve_with_basis(model, None).0
-}
-
-/// Solves the LP relaxation, optionally warm-starting from a [`Basis`]
-/// exported by a previous solve of a structurally identical model (same
-/// rows and columns; bound tightenings qualify). Returns the outcome and,
-/// when optimal, the basis to seed the next solve with.
-///
-/// Fast path: if the hinted basis is still primal feasible and dual
-/// feasible after the bound change, the solve finishes with **zero**
-/// simplex pivots beyond the basis reinstall. A primal-infeasible hint is
-/// repaired by dual simplex; anything else falls back to the cold
-/// two-phase solve.
-pub fn solve_with_basis(model: &Model, hint: Option<&Basis>) -> (LpOutcome, Option<Basis>) {
-    let (outcome, basis, _) = solve_with_basis_stats(model, hint);
-    (outcome, basis)
-}
-
-/// [`solve_with_basis`] with per-solve work counters.
-pub fn solve_with_basis_stats(
-    model: &Model,
-    hint: Option<&Basis>,
-) -> (LpOutcome, Option<Basis>, LpStats) {
-    solve_with_basis_pricing(model, hint, Pricing::Dantzig)
-}
-
-/// [`solve_with_basis_stats`] with an explicit leaving-row pricing rule
-/// for the warm path's dual repair. The MILP driver routes
-/// `MilpConfig::pricing` through here; [`Pricing::Dantzig`] reproduces the
-/// historical behavior exactly.
-pub fn solve_with_basis_pricing(
-    model: &Model,
-    hint: Option<&Basis>,
-    pricing: Pricing,
-) -> (LpOutcome, Option<Basis>, LpStats) {
-    let sf = std_form(model, false);
-    let mut stats = LpStats::default();
-    if let Some(h) = hint {
-        if let Some((outcome, basis, warm_stats)) = warm_solve(model, &sf, h, pricing) {
-            stats.pivots += warm_stats.pivots;
-            stats.bound_flips += warm_stats.bound_flips;
-            stats.reinstalls += warm_stats.reinstalls;
-            stats.dse_pivots += warm_stats.dse_pivots;
-            stats.warm_hit = true;
-            return (outcome, basis, stats);
-        }
-    }
-    let (outcome, basis, cold_stats) = cold_solve(model, &sf);
-    stats.pivots += cold_stats.pivots;
-    stats.bound_flips += cold_stats.bound_flips;
-    stats.dse_pivots += cold_stats.dse_pivots;
-    (outcome, basis, stats)
-}
-
-/// The warm path: rebuild the tableau without artificials, pivot the hinted
-/// columns back into the basis, restore the hinted bound statuses, and
-/// resume. `None` means "fall back to the cold path" (structural mismatch
-/// or numerical trouble) and is not a verdict about the model.
-fn warm_solve(
-    model: &Model,
-    sf: &StdForm,
-    hint: &Basis,
-    pricing: Pricing,
-) -> Option<(LpOutcome, Option<Basis>, LpStats)> {
-    let core = sf.n + sf.n_slack;
-    if hint.m != sf.m || hint.ncols != core || hint.cols.len() != sf.m {
-        return None;
-    }
-    let mut tab = Tableau::new(sf.m, core, sf.range.clone());
-    tab.pricing = pricing;
-    fill_core(&mut tab, sf);
-
-    // Re-install the hinted basis by Gaussian elimination with column
-    // selection: the hinted columns still form a nonsingular basis for the
-    // child (bound changes never touch the constraint matrix), but the
-    // parent's exact row-column pairing replayed in fixed order can hit a
-    // zero (an earlier elimination cancels the entry), so each row instead
-    // pivots on the largest-magnitude remaining hinted column. Exact
-    // arithmetic guarantees a nonzero exists for every row; a numerically
-    // tiny best entry falls back cold.
-    let mut remaining: Vec<usize> = hint.cols.clone();
-    for r in 0..sf.m {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &c) in remaining.iter().enumerate() {
-            if c >= core {
-                return None;
-            }
-            let mag = tab.at(r, c).abs();
-            if best.is_none_or(|(_, b)| mag > b) {
-                best = Some((i, mag));
-            }
-        }
-        let (i, mag) = best?;
-        if mag <= 1e-9 {
-            return None;
-        }
-        let c = remaining.swap_remove(i);
-        tab.pivot(r, c).ok()?;
-        tab.status[c] = ColStatus::Basic;
-    }
-    // Fold the hinted at-upper columns at the *child's* ranges: branching
-    // is a pure bound change, so the parent's nonbasic statuses carry over
-    // even when the bound values themselves moved. A column whose child
-    // range became infinite or fixed stays at lower.
-    for &c in &hint.upper {
-        let c = c as usize;
-        if c >= core {
-            return None;
-        }
-        if tab.status[c] == ColStatus::Basic {
-            continue;
-        }
-        if tab.range[c].is_finite() && tab.range[c] > FIXED_TOL {
-            tab.status[c] = ColStatus::Upper;
-            tab.fold_rhs(c, -1.0);
-        }
-    }
-
-    set_phase2_cost(&mut tab, model);
-    tab.reduce_cost_row();
-
-    if !tab.primal_feasible() {
-        // Bound tightenings leave the parent's reduced costs intact, so the
-        // cost row is normally still dual feasible and dual simplex repairs
-        // feasibility in a few pivots. If dual feasibility was lost too,
-        // the hint is useless: go cold.
-        if !tab.dual_feasible(core) {
-            return None;
-        }
-        match tab.dual_optimize() {
-            Ok(DualStatus::Feasible) => {}
-            Ok(DualStatus::Infeasible) => {
-                let stats = LpStats {
-                    pivots: tab.pivots,
-                    bound_flips: tab.flips,
-                    reinstalls: 1,
-                    warm_hit: true,
-                    dse_pivots: tab.dse_pivots,
-                };
-                return Some((LpOutcome::Infeasible, None, stats));
-            }
-            Ok(DualStatus::Stalled) | Err(PivotStall) => return None,
-        }
-    }
-    let result = tab.optimize();
-    let stats = LpStats {
-        pivots: tab.pivots,
-        bound_flips: tab.flips,
-        reinstalls: 1,
-        warm_hit: true,
-        dse_pivots: tab.dse_pivots,
-    };
-    match result {
-        Ok(true) => {
-            let sol = extract(&tab, sf, model);
-            let basis = export_basis(&tab, sf);
-            Some((LpOutcome::Optimal(sol), basis, stats))
-        }
-        Ok(false) => Some((LpOutcome::Unbounded, None, stats)),
-        Err(PivotStall) => None,
-    }
+    cold_solve(model, &std_form(model, false)).0
 }
 
 /// The cold two-phase path, shared by the bounded-variable and
 /// explicit-bound-row (reference) standard forms.
-pub(crate) fn cold_solve(model: &Model, sf: &StdForm) -> (LpOutcome, Option<Basis>, LpStats) {
-    let (outcome, basis, stats, _) = cold_solve_tab(model, sf, None, Pricing::Dantzig);
-    (outcome, basis, stats)
+pub(crate) fn cold_solve(model: &Model, sf: &StdForm) -> (LpOutcome, LpStats) {
+    let (outcome, stats, _) = cold_solve_tab(model, sf, None);
+    (outcome, stats)
 }
 
 /// [`cold_solve`] variant that also hands back the final tableau on an
 /// optimal solve, so [`DiveTableau`] can keep it live across a chain of
-/// bound tightenings instead of rebuilding + re-installing a basis per
-/// step. A `cancel` token, when given, rides on the tableau: both solve
-/// phases — and every later warm repair on the live tableau — abort as
+/// bound tightenings instead of rebuilding it per step. A `cancel` token,
+/// when given, rides on the tableau: both solve phases — and every later
+/// dual repair on the live tableau — abort as
 /// [`LpOutcome::PivotTooSmall`] once it trips.
 fn cold_solve_tab(
     model: &Model,
     sf: &StdForm,
     cancel: Option<&crate::cancel::Cancel>,
-    pricing: Pricing,
-) -> (LpOutcome, Option<Basis>, LpStats, Option<Tableau>) {
+) -> (LpOutcome, LpStats, Option<Tableau>) {
     let core = sf.n + sf.n_slack;
     let ncols = core + sf.n_art;
     let mut range = sf.range.clone();
     range.resize(ncols, f64::INFINITY);
     let mut tab = Tableau::new(sf.m, ncols, range);
     tab.cancel = cancel.cloned();
-    tab.pricing = pricing;
     fill_core(&mut tab, sf);
     {
         let w = ncols + 1;
@@ -1269,9 +996,6 @@ fn cold_solve_tab(
     let stats_of = |tab: &Tableau| LpStats {
         pivots: tab.pivots,
         bound_flips: tab.flips,
-        reinstalls: 0,
-        warm_hit: false,
-        dse_pivots: tab.dse_pivots,
     };
 
     // Phase 1: minimize the artificial sum. Cost row: 1 on artificials,
@@ -1296,13 +1020,11 @@ fn cold_solve_tab(
             // "unbounded" verdict can only mean numerical breakdown.
             // Surface it instead of running phase 2 on a corrupt tableau.
             Ok(true) => {}
-            Ok(false) | Err(PivotStall) => {
-                return (LpOutcome::PivotTooSmall, None, stats_of(&tab), None)
-            }
+            Ok(false) | Err(PivotStall) => return (LpOutcome::PivotTooSmall, stats_of(&tab), None),
         }
         let art_sum = -tab.rhs(m);
         if art_sum > 1e-6 {
-            return (LpOutcome::Infeasible, None, stats_of(&tab), None);
+            return (LpOutcome::Infeasible, stats_of(&tab), None);
         }
         // Drive remaining (degenerate) artificials out of the basis.
         for r in 0..sf.m {
@@ -1317,7 +1039,7 @@ fn cold_solve_tab(
                 if let Some(j) = pivot_col {
                     let from_upper = tab.status[j] == ColStatus::Upper;
                     if tab.pivot_bounded(r, j, from_upper, false).is_err() {
-                        return (LpOutcome::PivotTooSmall, None, stats_of(&tab), None);
+                        return (LpOutcome::PivotTooSmall, stats_of(&tab), None);
                     }
                 }
                 // else: the row is redundant; the artificial stays basic at 0
@@ -1335,12 +1057,11 @@ fn cold_solve_tab(
     match tab.optimize() {
         Ok(true) => {
             let sol = extract(&tab, sf, model);
-            let basis = export_basis(&tab, sf);
             let stats = stats_of(&tab);
-            (LpOutcome::Optimal(sol), basis, stats, Some(tab))
+            (LpOutcome::Optimal(sol), stats, Some(tab))
         }
-        Ok(false) => (LpOutcome::Unbounded, None, stats_of(&tab), None),
-        Err(PivotStall) => (LpOutcome::PivotTooSmall, None, stats_of(&tab), None),
+        Ok(false) => (LpOutcome::Unbounded, stats_of(&tab), None),
+        Err(PivotStall) => (LpOutcome::PivotTooSmall, stats_of(&tab), None),
     }
 }
 
@@ -1360,13 +1081,9 @@ pub enum DiveStep {
 /// An **incremental dive tableau**: the factorized tableau of an optimal
 /// relaxation kept live across a chain of bound *tightenings*.
 ///
-/// The warm-start path ([`solve_with_basis`]) rebuilds the tableau and
-/// re-installs the parent basis by Gaussian elimination — `m` full pivots —
-/// before the (usually tiny) dual repair even starts; across a diving
-/// chain that reinstall dominates the cost. `DiveTableau` removes it
-/// entirely: a bound tightening is applied **in place** as rank-1
-/// right-hand-side folds, and the only simplex work per step is the dual
-/// repair itself.
+/// A bound tightening is applied **in place** as rank-1 right-hand-side
+/// folds — no tableau rebuild, no basis reinstall — and the only simplex
+/// work per step is the dual repair itself, priced by dual steepest edge.
 ///
 /// The algebra, for a structural column `j` currently shifted by `lo_j`
 /// with range `r_j = hi_j − lo_j` (rhs column = `B⁻¹b − Σ_{k at upper}
@@ -1422,34 +1139,18 @@ impl DiveTableau {
     /// simplex — identical work to [`solve_relaxation`]) and keeps the
     /// optimal tableau live. The tableau is `Some` exactly when the
     /// outcome is [`LpOutcome::Optimal`].
-    pub fn new(model: &Model) -> (LpOutcome, Option<DiveTableau>, LpStats) {
-        Self::new_cancellable(model, None)
-    }
-
-    /// [`DiveTableau::new`] with an optional cancellation token that stays
-    /// attached to the live tableau: the cold solve and every later
-    /// [`DiveTableau::tighten`] repair abort as
-    /// [`LpOutcome::PivotTooSmall`] / [`DiveStep::Stalled`] once it trips.
-    pub fn new_cancellable(
+    ///
+    /// An optional cancellation token stays attached to the live tableau:
+    /// the cold solve and every later [`DiveTableau::tighten`] repair
+    /// abort as [`LpOutcome::PivotTooSmall`] / [`DiveStep::Stalled`] once
+    /// it trips. The steepest-edge weights of the dual repairs are
+    /// initialized once and maintained exactly across the whole chain.
+    pub fn new(
         model: &Model,
         cancel: Option<&crate::cancel::Cancel>,
-    ) -> (LpOutcome, Option<DiveTableau>, LpStats) {
-        Self::new_with_pricing(model, cancel, Pricing::Dantzig)
-    }
-
-    /// [`DiveTableau::new_cancellable`] with an explicit pricing rule for
-    /// every dual repair performed on the live tableau (dive steps and
-    /// strong-branching probes). Under [`Pricing::DualSteepestEdge`] the
-    /// reference weights are initialized once — lazily by the first
-    /// repair, or up front by [`DiveTableau::prime_dse`] — and maintained
-    /// exactly across the whole chain.
-    pub fn new_with_pricing(
-        model: &Model,
-        cancel: Option<&crate::cancel::Cancel>,
-        pricing: Pricing,
     ) -> (LpOutcome, Option<DiveTableau>, LpStats) {
         let sf = std_form(model, false);
-        let (outcome, _, stats, tab) = cold_solve_tab(model, &sf, cancel, pricing);
+        let (outcome, stats, tab) = cold_solve_tab(model, &sf, cancel);
         let dt = tab.map(|tab| {
             let n = sf.n;
             let hi = (0..n)
@@ -1481,8 +1182,7 @@ impl DiveTableau {
     /// first dual repair, so every clone taken afterwards inherits them
     /// instead of repeating the scan. The results are bit-identical to the
     /// lazy path: tightenings fold only the rhs column, which the weights
-    /// exclude. A no-op under [`Pricing::Dantzig`] or once the weights are
-    /// live.
+    /// exclude. A no-op once the weights are live.
     pub(crate) fn prime_dse(&mut self) {
         self.tab.ensure_dse();
     }
@@ -1795,7 +1495,7 @@ impl DiveTableau {
         }
         if !self.tab.primal_feasible() {
             let budget = (50 * (self.tab.m + self.tab.ncols) + 1000).min(max_repair_pivots);
-            match self.tab.dual_optimize_capped(budget) {
+            match self.tab.dual_optimize(budget) {
                 Ok(DualStatus::Feasible) => {}
                 Ok(DualStatus::Infeasible) => return DiveStep::Infeasible,
                 Ok(DualStatus::Stalled) | Err(PivotStall) => return DiveStep::Stalled,
@@ -2031,10 +1731,8 @@ mod tests {
         assert_eq!(ref_cols, 3 + 5);
     }
 
-    // ---- warm-start coverage ----
-
-    /// A model with all-finite bounds (the B&B shape) to exercise the warm
-    /// path: max 3x + 2y + z s.t. x + y + z <= 10, x + 2y <= 8.
+    /// A model with all-finite bounds (the B&B shape): max 3x + 2y + z
+    /// s.t. x + y + z <= 10, x + 2y <= 8.
     fn bounded_model() -> Model {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", VarKind::Continuous, 0.0, 6.0);
@@ -2046,171 +1744,18 @@ mod tests {
         m
     }
 
-    fn warm_optimal(m: &Model, hint: Option<&Basis>) -> (Solution, Option<Basis>) {
-        match solve_with_basis(m, hint) {
-            (LpOutcome::Optimal(s), b) => (s, b),
-            (other, _) => panic!("expected optimal, got {:?}", other),
-        }
-    }
-
-    #[test]
-    fn cold_solve_exports_reusable_basis() {
-        let m = bounded_model();
-        let (s1, basis) = warm_optimal(&m, None);
-        let basis = basis.expect("bounded model exports a basis");
-        // Re-solving the identical model from its own basis is the
-        // zero-pivot fast path and must reproduce the optimum.
-        let (s2, _) = warm_optimal(&m, Some(&basis));
-        assert!((s1.objective - s2.objective).abs() < 1e-9);
-        assert_eq!(s1.values.len(), s2.values.len());
-    }
-
-    #[test]
-    fn warm_start_matches_cold_after_bound_tightening() {
-        let m = bounded_model();
-        let (cold_parent, basis) = warm_optimal(&m, None);
-        let basis = basis.unwrap();
-        // Tighten x's upper bound below its optimal value — exactly what a
-        // branch-and-bound "down" child does.
-        for new_hi in [5.0, 4.0, 2.0, 1.0, 0.0] {
-            let mut child = m.clone();
-            child.set_bounds(crate::VarId(0), 0.0, new_hi);
-            let (warm, _) = warm_optimal(&child, Some(&basis));
-            let (cold, _) = warm_optimal(&child, None);
-            assert!(
-                (warm.objective - cold.objective).abs() < 1e-6,
-                "hi={new_hi}: warm {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
-            assert!(child.check_feasible(&warm.values, 1e-6).is_ok());
-            // the tightened child can never beat the parent
-            assert!(warm.objective <= cold_parent.objective + 1e-9);
-        }
-    }
-
-    #[test]
-    fn warm_start_matches_cold_after_lower_bound_raise() {
-        let m = bounded_model();
-        let (_, basis) = warm_optimal(&m, None);
-        let basis = basis.unwrap();
-        for new_lo in [1.0, 2.0, 3.0] {
-            let mut child = m.clone();
-            child.set_bounds(crate::VarId(1), new_lo, 6.0);
-            let (warm, _) = warm_optimal(&child, Some(&basis));
-            let (cold, _) = warm_optimal(&child, None);
-            assert!(
-                (warm.objective - cold.objective).abs() < 1e-6,
-                "lo={new_lo}: warm {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
-        }
-        // y >= 5 forces x + 2y >= 10 > 8: warm and cold must both say
-        // infeasible.
-        let mut child = m.clone();
-        child.set_bounds(crate::VarId(1), 5.0, 6.0);
-        let (out, _) = solve_with_basis(&child, Some(&basis));
-        assert!(matches!(out, LpOutcome::Infeasible), "got {out:?}");
-        assert!(matches!(solve_relaxation(&child), LpOutcome::Infeasible));
-    }
-
-    #[test]
-    fn warm_start_detects_infeasible_child() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", VarKind::Continuous, 0.0, 10.0);
-        let y = m.add_var("y", VarKind::Continuous, 0.0, 10.0);
-        m.add_constraint(LinExpr::from(x) + y, Cmp::Ge, 8.0);
-        m.set_objective(LinExpr::from(x) + y);
-        let (_, basis) = warm_optimal(&m, None);
-        // x <= 3, y <= 3 cannot reach x + y >= 8.
-        let mut child = m.clone();
-        child.set_bounds(crate::VarId(0), 0.0, 3.0);
-        child.set_bounds(crate::VarId(1), 0.0, 3.0);
-        let (out, _) = solve_with_basis(&child, basis.as_ref());
-        assert!(matches!(out, LpOutcome::Infeasible), "got {out:?}");
-        // cold agrees
-        assert!(matches!(solve_relaxation(&child), LpOutcome::Infeasible));
-    }
-
-    #[test]
-    fn mismatched_basis_falls_back_to_cold() {
-        let m = bounded_model();
-        let (_, basis) = warm_optimal(&m, None);
-        let basis = basis.unwrap();
-        // A different model (extra constraint => different row count): the
-        // hint must be rejected, not crash or corrupt the answer.
-        let mut other = bounded_model();
-        other.add_constraint(
-            LinExpr::from(crate::VarId(0)) + crate::VarId(1),
-            Cmp::Le,
-            7.0,
-        );
-        let (warm, _) = warm_optimal(&other, Some(&basis));
-        let (cold, _) = warm_optimal(&other, None);
-        assert!((warm.objective - cold.objective).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warm_start_chain_over_many_tightenings() {
-        // Chained warm starts (basis of each solve feeds the next) across a
-        // sweep of bound tightenings — the exact access pattern of a DFS
-        // dive in branch-and-bound.
-        let m = bounded_model();
-        let (_, mut basis) = warm_optimal(&m, None);
-        let mut child = m.clone();
-        for step in 0..5 {
-            let hi = 5.0 - step as f64;
-            child.set_bounds(crate::VarId(2), 0.0, hi);
-            let (warm, next) = warm_optimal(&child, basis.as_ref());
-            let (cold, _) = warm_optimal(&child, None);
-            assert!(
-                (warm.objective - cold.objective).abs() < 1e-6,
-                "step {step}: warm {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
-            basis = next.or(basis);
-        }
-    }
-
-    #[test]
-    fn warm_start_preserves_at_upper_statuses() {
-        // At the parent optimum of `bounded_model` x sits at its upper
-        // bound (x = 6 would violate x + 2y ≤ 8 with y = 1 → x = 6, y = 1,
-        // z = 3 is the optimum, x basic or at-upper depending on pivoting).
-        // Whatever the exported statuses are, replaying them on the
-        // unchanged model must hit the zero-pivot fast path and agree.
-        let m = bounded_model();
-        let (cold, basis) = warm_optimal(&m, None);
-        let basis = basis.unwrap();
-        let (out, _, stats) = solve_with_basis_stats(&m, Some(&basis));
-        let LpOutcome::Optimal(warm) = out else {
-            panic!("expected optimal");
-        };
-        assert!(stats.warm_hit);
-        // Only the basis-reinstall pivots, nothing beyond.
-        assert!(stats.pivots <= m.num_constraints());
-        assert!((warm.objective - cold.objective).abs() < 1e-9);
-        assert_eq!(warm.values.len(), cold.values.len());
-        for (a, b) in warm.values.iter().zip(&cold.values) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
-
     #[test]
     fn pivot_and_flip_counters_report_work() {
         let m = bounded_model();
-        let (out, _, stats) = solve_with_basis_stats(&m, None);
+        let (out, _, stats) = DiveTableau::new(&m, None);
         assert!(matches!(out, LpOutcome::Optimal(_)));
-        assert!(!stats.warm_hit);
         assert!(stats.pivots + stats.bound_flips > 0);
     }
 
     // ---- incremental dive tableau ----
 
     fn dive_tableau(m: &Model) -> (DiveTableau, Solution) {
-        let (out, dt, _) = DiveTableau::new(m);
+        let (out, dt, _) = DiveTableau::new(m, None);
         let LpOutcome::Optimal(sol) = out else {
             panic!("expected optimal, got {out:?}");
         };
@@ -2220,8 +1765,7 @@ mod tests {
     #[test]
     fn dive_tableau_matches_cold_solve_chain() {
         // A chain of upper-bound tightenings applied in place must track
-        // fresh cold solves exactly — and perform zero pivots for the
-        // reinstall that no longer exists (only the dual repair works).
+        // fresh cold solves exactly.
         let m = bounded_model();
         let (mut dt, first) = dive_tableau(&m);
         let cold_first = optimal(&m);
@@ -2363,7 +1907,7 @@ mod tests {
             }
             m.set_objective(o);
 
-            let (outcome, dt, _) = DiveTableau::new(&m);
+            let (outcome, dt, _) = DiveTableau::new(&m, None);
             if let (LpOutcome::Optimal(_), Some(dt)) = (outcome, dt) {
                 let cuts = dt.gomory_cuts(&m, &[true, true, true], 8, 64);
                 let rng: Vec<std::ops::RangeInclusive<i64>> = bounds
@@ -2387,75 +1931,6 @@ mod tests {
                             }
                         }
                     }
-                }
-            }
-        }
-
-        /// Pricing is a tie-breaking rule, not a semantics change: on random
-        /// warm restarts after a bound tightening, dual steepest-edge and
-        /// Dantzig leaving-row selection must reach the same outcome class
-        /// and (when optimal) the same objective.
-        #[test]
-        fn dse_and_dantzig_agree_on_warm_restarts(
-            bounds in proptest::array::uniform3((-4i64..=4, 1i64..=6)),
-            cons in proptest::collection::vec(
-                (proptest::array::uniform3(-3i64..=3), -8i64..=16, 0u8..=8), 1..5),
-            obj in proptest::array::uniform3(-4i64..=4),
-            tighten_var in 0usize..3,
-        ) {
-            let mut m = Model::new(Sense::Maximize);
-            let vars: Vec<_> = bounds
-                .iter()
-                .enumerate()
-                .map(|(i, &(lo, w))| {
-                    m.add_var(format!("x{i}"), VarKind::Continuous, lo as f64, (lo + w) as f64)
-                })
-                .collect();
-            for (coefs, rhs, cmp) in &cons {
-                let mut e = LinExpr::new();
-                for (i, &c) in coefs.iter().enumerate() {
-                    e = e + (c as f64, vars[i]);
-                }
-                let cmp = match cmp % 3 {
-                    0 => Cmp::Le,
-                    1 => Cmp::Ge,
-                    _ => Cmp::Eq,
-                };
-                m.add_constraint(e, cmp, *rhs as f64);
-            }
-            let mut o = LinExpr::new();
-            for (i, &c) in obj.iter().enumerate() {
-                o = o + (c as f64, vars[i]);
-            }
-            m.set_objective(o);
-
-            let (root, basis) = solve_with_basis(&m, None);
-            if let (LpOutcome::Optimal(_), Some(basis)) = (&root, basis) {
-                // Shrink one variable's box around an interior slice, as a
-                // branching step would, so the warm path has repair work.
-                let (lo, w) = bounds[tighten_var];
-                let mid = lo as f64 + w as f64 / 2.0;
-                m.set_bounds(vars[tighten_var], lo as f64, mid.floor().max(lo as f64));
-                let (a, _, sa) =
-                    solve_with_basis_pricing(&m, Some(&basis), Pricing::Dantzig);
-                let (b, _, sb) =
-                    solve_with_basis_pricing(&m, Some(&basis), Pricing::DualSteepestEdge);
-                // Dantzig never charges steepest-edge pivots; DSE only ever
-                // charges them on its warm dual-repair path.
-                prop_assert_eq!(sa.dse_pivots, 0);
-                prop_assert!(sb.warm_hit || sb.dse_pivots == 0);
-                match (&a, &b) {
-                    (LpOutcome::Optimal(x), LpOutcome::Optimal(y)) => prop_assert!(
-                        (x.objective - y.objective).abs() < 1e-6,
-                        "pricing changed the optimum: dantzig {} vs dse {}",
-                        x.objective, y.objective
-                    ),
-                    (LpOutcome::Infeasible, LpOutcome::Infeasible) => {}
-                    (LpOutcome::Unbounded, LpOutcome::Unbounded) => {}
-                    (a, b) => prop_assert!(
-                        false,
-                        "pricing changed the outcome class: dantzig {a:?} vs dse {b:?}"
-                    ),
                 }
             }
         }
@@ -2507,7 +1982,7 @@ mod tests {
             }
             m.set_objective(o);
 
-            let (_, dt, _) = DiveTableau::new_with_pricing(&m, None, Pricing::DualSteepestEdge);
+            let (_, dt, _) = DiveTableau::new(&m, None);
             let dt = dt.expect("the box centre is feasible");
             // Step outcome: 0 optimal / 1 infeasible / 2 stalled, plus
             // the objective and value bits, plus the work counters.

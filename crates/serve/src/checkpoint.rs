@@ -2,7 +2,7 @@
 //!
 //! When a solver inside a request is interrupted (deadline expiry, a
 //! watchdog force-cancel, or a node budget), it emits a
-//! [`rs_lp::SearchCheckpoint`] alongside its partial result. The
+//! [`rs_core::SearchCheckpoint`] alongside its partial result. The
 //! dispatcher parks those snapshots here, keyed by the request's cache
 //! key, so a **retry of the same request resumes the search node-for-node
 //! instead of restarting it** — the mirror image of the [`crate::cache`]

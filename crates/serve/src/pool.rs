@@ -10,7 +10,7 @@ use crate::dispatch::{process_line_at, Dispatcher, WatchSlot};
 use crate::fault::FaultPlan;
 use rs_core::request::{codes, RsResponse};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -187,7 +187,10 @@ pub struct PoolShared {
     ckpts: Arc<CheckpointStore>,
     counters: PoolCounters,
     slots: Vec<WatchSlot>,
-    stop_watchdog: AtomicBool,
+    /// Set by [`ServePool::shutdown`], which then wakes the watchdog out of
+    /// its timed wait through `watchdog_wake`.
+    stop_watchdog: Mutex<bool>,
+    watchdog_wake: Condvar,
 }
 
 /// A cloneable submission handle (used by per-connection reader threads).
@@ -249,7 +252,8 @@ impl ServePool {
             ckpts: Arc::new(CheckpointStore::default()),
             counters: PoolCounters::default(),
             slots: (0..n).map(|_| WatchSlot::default()).collect(),
-            stop_watchdog: AtomicBool::new(false),
+            stop_watchdog: Mutex::new(false),
+            watchdog_wake: Condvar::new(),
         });
         let workers = (0..n)
             .map(|i| {
@@ -305,7 +309,8 @@ impl ServePool {
         for w in self.workers {
             let _ = w.join();
         }
-        self.shared.stop_watchdog.store(true, Ordering::Relaxed);
+        *crate::lock_recover(&self.shared.stop_watchdog) = true;
+        self.shared.watchdog_wake.notify_all();
         if let Some(w) = self.watchdog.take() {
             let _ = w.join();
         }
@@ -371,12 +376,14 @@ fn worker_loop(shared: &PoolShared, index: usize, faults: Option<Arc<FaultPlan>>
 }
 
 /// Sweeps every worker's [`WatchSlot`] until shutdown, force-cancelling
-/// in-flight work stuck past its deadline plus `grace`.
+/// in-flight work stuck past its deadline plus `grace`. Between sweeps it
+/// waits on `watchdog_wake` rather than sleeping, so shutdown joins it at
+/// once instead of waiting out the rest of a sweep.
 fn watchdog_loop(shared: &PoolShared, grace: Duration) {
     // Sweep often enough that a stuck request overshoots its grace by at
     // most ~1/4 of it (bounded to keep an idle daemon cheap).
     let sweep = (grace / 4).clamp(Duration::from_millis(5), Duration::from_millis(250));
-    while !shared.stop_watchdog.load(Ordering::Relaxed) {
+    loop {
         let now = Instant::now();
         for slot in &shared.slots {
             if slot.check(now, grace) {
@@ -386,7 +393,14 @@ fn watchdog_loop(shared: &PoolShared, grace: Duration) {
                     .fetch_add(1, Ordering::Relaxed);
             }
         }
-        std::thread::sleep(sweep);
+        let stop = crate::lock_recover(&shared.stop_watchdog);
+        let (stop, _) = shared
+            .watchdog_wake
+            .wait_timeout_while(stop, sweep, |stop| !*stop)
+            .unwrap_or_else(|p| p.into_inner());
+        if *stop {
+            return;
+        }
     }
 }
 
@@ -411,5 +425,21 @@ mod tests {
         q.close();
         assert_eq!(q.pop(), None);
         assert!(!q.push(4), "closed queue rejects pushes");
+    }
+
+    #[test]
+    fn idle_pool_shuts_down_without_waiting_out_a_sweep() {
+        // At the default grace the watchdog sweeps every 250 ms; shutdown
+        // must wake it instead of waiting for the sweep to end.
+        let cfg = ServeConfig::default();
+        assert_eq!(cfg.grace_ms, 1000);
+        let pool = ServePool::new(&cfg);
+        let start = Instant::now();
+        pool.shutdown();
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_millis(100),
+            "idle shutdown took {took:?}"
+        );
     }
 }

@@ -23,8 +23,7 @@
 //! `--ilp` intLP branch-and-bound) with `N` parallel workers; the reported
 //! saturations are identical for every thread count. `--stats` prints the
 //! branch-and-bound solve statistics of each `--ilp` run (nodes, LP
-//! solves, incremental dive-tableau solves and hits with the dive basis
-//! reinstall count — zero on the incremental engine — pseudocost branch
+//! solves, incremental dive-tableau solves and hits, pseudocost branch
 //! and strong-branching-probe counts, simplex pivots with the
 //! steepest-edge share, bound flips, cutting planes added with the root
 //! round count, propagation fathoms, and the relaxation tableau shape).
@@ -231,15 +230,14 @@ fn render_analyze(req: &RsRequest, result: &RsResult) {
         println!();
         if let (true, Some(st)) = (req.stats, &tr.ilp_stats) {
             println!(
-                "  intLP stats: {} nodes, {} LP solves ({} warm dives, {} warm hits, \
-                 {} dive reinstalls), {} pseudocost branches, {} strong-branch probes, \
+                "  intLP stats: {} nodes, {} LP solves ({} warm dives, {} warm hits), \
+                 {} pseudocost branches, {} strong-branch probes, \
                  {} pivots ({} steepest-edge), {} bound flips, {} cuts in {} rounds, \
                  {} propagation fathoms, tableau {}x{}, trace digest {:016x}",
                 st.nodes,
                 st.lp_solves,
                 st.warm_solves,
                 st.warm_hits,
-                st.dive_reinstalls,
                 st.pseudocost_branches,
                 st.strong_branch_probes,
                 st.pivots,

@@ -79,9 +79,9 @@ fn interrupted_resume_chain_matches_uninterrupted_on_rs_models() {
 #[test]
 fn resume_token_is_rejected_across_accelerator_config_changes() {
     // A checkpoint's frontier is only meaningful for the exact tree its
-    // config grows: the fingerprint covers the cut generator, the pricing
-    // rule, and the propagation pass, so a token minted under the default
-    // engine must cold-start — never splice — when any of them is flipped.
+    // config grows: the fingerprint covers the cut generator and the
+    // propagation pass, so a token minted under the default engine must
+    // cold-start — never splice — when either of them is flipped.
     let ddg = kernel();
     let mut solver = RsIlp::new();
     solver.milp.node_limit = 2;
@@ -93,12 +93,8 @@ fn resume_token_is_rejected_across_accelerator_config_changes() {
     let full = RsIlp::new()
         .saturation(&ddg, RegType::FLOAT)
         .expect("model solves");
-    let variants: [(&str, Box<dyn Fn(&mut RsIlp)>); 3] = [
+    let variants: [(&str, Box<dyn Fn(&mut RsIlp)>); 2] = [
         ("cuts off", Box::new(|s: &mut RsIlp| s.milp.cuts = false)),
-        (
-            "dantzig pricing",
-            Box::new(|s: &mut RsIlp| s.milp.pricing = rs_lp::Pricing::Dantzig),
-        ),
         (
             "propagation off",
             Box::new(|s: &mut RsIlp| s.milp.propagation = false),
@@ -127,6 +123,64 @@ fn resume_token_is_rejected_across_accelerator_config_changes() {
         .expect("resume completes");
     assert!(sol.milp_stats.resumed, "control: same config must resume");
     assert_eq!(sol.saturation, full.saturation);
+}
+
+#[test]
+fn version_2_checkpoint_is_never_resumed() {
+    // Version-2 tokens were minted under a fingerprint that still covered
+    // the pricing and pseudocost switches, with a dive reinstall counter
+    // among their statistics. A real interrupted checkpoint relabelled
+    // that way — fingerprint untouched, so only the version gate stands
+    // between it and the search — must be rejected outright or cold-start
+    // to the uninterrupted answer; it must never be spliced in.
+    let ddg = kernel();
+    let mut solver = RsIlp::new();
+    solver.milp.node_limit = 2;
+    let ck = solver
+        .saturation_resumable(&ddg, RegType::FLOAT, None)
+        .checkpoint
+        .expect("tiny budget interrupts");
+    assert_eq!(rs_lp::milp::CHECKPOINT_VERSION, 3);
+    let json = ck.to_json();
+    let old = json
+        .replacen("\"version\":3,", "\"version\":2,", 1)
+        .replacen(
+            "\"pseudocost_branches\":",
+            "\"dive_reinstalls\":0,\"pseudocost_branches\":",
+            1,
+        );
+    assert!(
+        old.contains("\"version\":2,") && old.contains("\"dive_reinstalls\":0,"),
+        "rewrite missed the wire layout: {json}"
+    );
+
+    let full = RsIlp::new()
+        .saturation(&ddg, RegType::FLOAT)
+        .expect("model solves");
+    if let Ok(stale) = SearchCheckpoint::from_json(&old) {
+        let mut fresh = RsIlp::new();
+        fresh.milp.node_limit = 100_000;
+        let sol = fresh
+            .saturation_resumable(&ddg, RegType::FLOAT, Some(&stale))
+            .result
+            .expect("cold restart completes");
+        assert!(!sol.milp_stats.resumed, "a version-2 token must cold-start");
+        assert!(sol.proven_optimal);
+        assert_eq!(sol.saturation, full.saturation);
+        assert_eq!(sol.milp_stats.nodes, full.milp_stats.nodes);
+        assert_eq!(sol.milp_stats.trace_digest, full.milp_stats.trace_digest);
+    }
+
+    // Control: the same token at the current version resumes, so the
+    // version alone decided the cold start above.
+    let current = SearchCheckpoint::from_json(&json).expect("token parses");
+    let mut same = RsIlp::new();
+    same.milp.node_limit = 100_000;
+    let sol = same
+        .saturation_resumable(&ddg, RegType::FLOAT, Some(&current))
+        .result
+        .expect("resume completes");
+    assert!(sol.milp_stats.resumed, "control: a version-3 token resumes");
 }
 
 #[test]

@@ -2,12 +2,13 @@
 //!
 //! `rs_lp::DiveTableau` keeps a factorized simplex tableau live across a
 //! chain of bound tightenings, applying each batch as in-place rank-1
-//! right-hand-side folds plus dual repair — no tableau rebuild and no
-//! basis reinstall. These proptests drive random chains of tightenings
-//! (single and batched, upper and lower, including variable fixings)
-//! through a live tableau and check every step against a **fresh cold
-//! solve** of the same bounds: outcome classes must match, optimal
-//! objectives must agree, and extracted solutions must be feasible.
+//! right-hand-side folds plus a dual repair priced by dual steepest edge —
+//! no tableau rebuild and no basis reinstall. These proptests drive random
+//! chains of tightenings (single and batched, upper and lower, including
+//! variable fixings) through a live tableau and check every step against
+//! a **fresh cold solve** of the same bounds: outcome classes must match,
+//! optimal objectives must agree, and extracted solutions must be
+//! feasible.
 
 use proptest::prelude::*;
 use rs_lp::{Cmp, DiveStep, DiveTableau, LinExpr, LpOutcome, Model, Sense, VarId, VarKind};
@@ -66,7 +67,7 @@ proptest! {
             (0usize..4, 0u8..=4, any::<bool>()), 1..8),
     ) {
         let mut model = build_lp(4, &widths, &cons, &obj, maximize);
-        let (out, dt, _) = DiveTableau::new(&model);
+        let (out, dt, _) = DiveTableau::new(&model, None);
         let mut dt = match (out, dt) {
             (LpOutcome::Optimal(sol), Some(dt)) => {
                 prop_assert!(model.check_feasible(&sol.values, 1e-6).is_ok());
@@ -110,7 +111,7 @@ proptest! {
             proptest::collection::vec((0usize..5, 0u8..=5), 1..4), 1..4),
     ) {
         let mut model = build_lp(5, &widths, &cons, &obj, maximize);
-        let (out, dt, _) = DiveTableau::new(&model);
+        let (out, dt, _) = DiveTableau::new(&model, None);
         let mut dt = match (out, dt) {
             (LpOutcome::Optimal(_), Some(dt)) => dt,
             _ => return Ok(()),

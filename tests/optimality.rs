@@ -63,9 +63,10 @@ fn intlp_matches_enumeration_on_small_dags() {
         let e = ExactRs::new().saturation(&ddg, RegType::FLOAT);
         let ilp = RsIlp::new().saturation(&ddg, RegType::FLOAT).unwrap();
         assert!(e.proven_optimal);
-        if !ilp.proven_optimal {
-            continue;
-        }
+        assert!(
+            ilp.proven_optimal,
+            "seed {seed}: intLP did not prove optimality"
+        );
         assert_eq!(
             e.saturation, ilp.saturation,
             "seed {seed}: enumeration {} vs intLP {}",
@@ -81,6 +82,7 @@ fn intlp_matches_enumeration_on_small_dags() {
 
 #[test]
 fn intlp_full_iff_matches_fast_encoding() {
+    let mut checked = 0;
     for seed in 0..6u64 {
         let ddg = random_ddg(
             &RandomDagConfig::sized(6, 0xD1CE + seed),
@@ -96,10 +98,14 @@ fn intlp_full_iff_matches_fast_encoding() {
         }
         .saturation(&ddg, RegType::FLOAT)
         .unwrap();
-        if fast.proven_optimal && full.proven_optimal {
-            assert_eq!(fast.saturation, full.saturation, "seed {seed}");
-        }
+        assert!(
+            fast.proven_optimal && full.proven_optimal,
+            "seed {seed}: an encoding did not prove optimality"
+        );
+        assert_eq!(fast.saturation, full.saturation, "seed {seed}");
+        checked += 1;
     }
+    assert!(checked >= 2, "only {checked} DAGs were compared");
 }
 
 #[test]
