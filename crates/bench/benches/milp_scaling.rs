@@ -56,7 +56,7 @@ struct Cell {
     /// Dual-repair pivots, priced by dual steepest edge (subset of
     /// `pivots`).
     dse_pivots: usize,
-    /// Cutting planes accepted into the pool (root + in-tree, deduped).
+    /// Cutting planes the root cut loop accepted into the pool (deduped).
     cuts_added: usize,
     /// Root separation rounds that accepted at least one cut.
     cut_rounds: usize,
@@ -264,19 +264,19 @@ fn main() {
                 }
             }
             // The bounded-simplex invariant: no explicit bound rows — the
-            // tableau has at most the structural constraint rows (presolve
-            // may fold singleton rows away, never add any) plus the cut
-            // rows the search itself appended.
+            // tableau holds the model's constraints plus the root cut rows
+            // still in the pool.
             assert!(
-                sol.stats.rows <= model.num_constraints() + sol.stats.cuts_added,
-                "size {size}: bounded path emitted bound rows ({} rows > {} constraints + {} cuts)",
+                sol.stats.rows >= model.num_constraints()
+                    && sol.stats.rows <= model.num_constraints() + sol.stats.cuts_added,
+                "size {size}: bounded path has {} rows for {} constraints + {} root cuts",
                 sol.stats.rows,
                 model.num_constraints(),
                 sol.stats.cuts_added
             );
-            // Both engines presolve identically, so the reference tableau
-            // must exceed the bounded one by exactly its explicit bound
-            // rows (one per finite upper bound — strictly more rows).
+            // Both engines run the same root cut loop, so the reference
+            // tableau must exceed the bounded one by exactly its explicit
+            // bound rows (one per finite upper bound — strictly more rows).
             assert!(
                 ref_sol.stats.rows > sol.stats.rows,
                 "size {size}: reference must carry explicit bound rows \

@@ -77,8 +77,8 @@ pub struct RsIlp {
     /// `Σ_e δ(e)`). Smaller horizons shrink big-M constants; the result is
     /// the saturation restricted to schedules of that makespan.
     pub horizon_override: Option<i64>,
-    /// Branch-and-bound budget and engine knobs (cutting planes, bound
-    /// propagation, threads — see [`MilpConfig`]).
+    /// Branch-and-bound budget, worker threads and tolerance (see
+    /// [`MilpConfig`]).
     pub milp: MilpConfig,
 }
 
@@ -151,6 +151,31 @@ impl RsIlp {
 
     /// Builds the Section-3 model without solving it.
     pub fn build_model(&self, ddg: &Ddg, t: RegType) -> (Model, RsIlpVars) {
+        let (mut m, vars) = self.build_cast(ddg, t);
+
+        // Independent-set constraints:
+        // s_{u,v} = 0 ⟹ x_u + x_v ≤ 1, linearly: x_u + x_v ≤ 1 + s_{u,v}.
+        for (&(u, v), &pv) in &vars.pair {
+            let lhs = LinExpr::from(vars.x[&u]) + vars.x[&v];
+            match pv {
+                PairVar::Never => m.add_constraint(lhs, Cmp::Le, 1.0),
+                PairVar::Var(s) => m.add_constraint(lhs - s, Cmp::Le, 1.0),
+            }
+        }
+
+        // Objective: maximize Σ x_u.
+        let mut obj = LinExpr::new();
+        for u in ddg.values(t) {
+            obj = obj + vars.x[&u];
+        }
+        m.set_objective(obj);
+        (m, vars)
+    }
+
+    /// The variable cast both intLPs share: `σ_u` with its precedence
+    /// rows, `k_u`, `s_{u,v}` with its interference rows, and the `x_u`
+    /// columns — but no independent-set row and no objective.
+    fn build_cast(&self, ddg: &Ddg, t: RegType) -> (Model, RsIlpVars) {
         let n = ddg.num_ops();
         let horizon = self.horizon_override.unwrap_or_else(|| ddg.horizon());
         let asap_v = asap(ddg.graph());
@@ -234,8 +259,7 @@ impl RsIlp {
             }
         }
 
-        // Independent-set variables and constraints:
-        // s_{u,v} = 0 ⟹ x_u + x_v ≤ 1, linearly: x_u + x_v ≤ 1 + s_{u,v}.
+        // Independent-set variables.
         let mut x = BTreeMap::new();
         for &u in &values {
             x.insert(
@@ -243,20 +267,6 @@ impl RsIlp {
                 m.add_named_var(format!("x_{}", u.index()), VarKind::Binary, 0.0, 1.0),
             );
         }
-        for (&(u, v), &pv) in &pair {
-            let lhs = LinExpr::from(x[&u]) + x[&v];
-            match pv {
-                PairVar::Never => m.add_constraint(lhs, Cmp::Le, 1.0),
-                PairVar::Var(s) => m.add_constraint(lhs - s, Cmp::Le, 1.0),
-            }
-        }
-
-        // Objective: maximize Σ x_u.
-        let mut obj = LinExpr::new();
-        for &u in &values {
-            obj = obj + x[&u];
-        }
-        m.set_objective(obj);
 
         (
             m,
@@ -410,7 +420,8 @@ pub struct ReduceIlpResult {
     pub cp_after: i64,
     /// Total schedule time `σ(⊥)` of the witness (the minimized objective).
     pub makespan: i64,
-    /// True iff the MILP proved optimality.
+    /// True iff the MILP proved optimality and the serialization arcs
+    /// needed no cycle repair.
     pub proven_optimal: bool,
     /// True iff cycle repair had to drop arcs and re-verify (see module
     /// docs); the reduction is still sound but may not be arc-minimal.
@@ -474,16 +485,14 @@ impl ReduceIlp {
         // sharing, so it must imply real lifetime disjointness).
         let rs = RsIlp {
             full_iff: true,
-            prefilter_pairs: true,
-            eliminate_redundant_arcs: false,
             horizon_override: Some(horizon),
-            milp: self.milp.clone(),
+            ..RsIlp::default()
         };
-        let (mut m, vars) = rs.build_model(ddg, t);
+        let (mut m, vars) = rs.build_cast(ddg, t);
 
-        // Strip the IS machinery: rebuild objective; keep x_u variables
-        // unused (they remain in the model but no longer matter). To avoid
-        // dead binaries we instead fix them to 0.
+        // No independent set here: the x_u columns stay, fixed at 0, so
+        // the column order matches the Section-3 model's, but none of
+        // their rows is emitted.
         for &xv in vars.x.values() {
             m.set_bounds(xv, 0.0, 0.0);
         }

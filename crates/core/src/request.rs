@@ -389,7 +389,7 @@ pub struct IlpStats {
     pub dse_pivots: usize,
     /// Bound flips.
     pub bound_flips: usize,
-    /// Cutting planes added to the relaxation (root rounds + node cuts).
+    /// Cutting planes the root cut loop added to the relaxation.
     pub cuts_added: usize,
     /// Root separation rounds that improved the relaxation bound.
     pub cut_rounds: usize,

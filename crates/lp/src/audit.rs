@@ -153,7 +153,8 @@ fn check_terms(terms: &[(crate::VarId, f64)], n: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a cut-pool snapshot against the (presolved) base model.
+/// Validates a cut-pool snapshot against the base model the cuts were
+/// separated from.
 ///
 /// Always: each row is finite, strictly sorted, in range, and keeps at
 /// least one point of the variable bounding box (a row whose minimal lhs

@@ -7,8 +7,8 @@
 //! almost entirely on incumbent diving to prune. Cuts attack the bound
 //! directly. Every cut produced here is **globally valid**: it is derived
 //! from one model row plus the *global* variable bounds only — never from
-//! a node's tightened bounds — so a cut separated anywhere in the tree can
-//! be appended to every node's relaxation (and serialized into a search
+//! a node's tightened bounds — so a cut separated at the root can be
+//! appended to every node's relaxation (and serialized into a search
 //! checkpoint) without restricting the integer feasible set.
 //!
 //! ## Derivation
@@ -36,8 +36,8 @@
 //!
 //! Separation is deterministic end to end — rows in index order, item
 //! orderings broken by variable index, a violation-sorted cap with a
-//! stable sort — which is what lets the MILP driver commit cut decisions
-//! per round and keep its trace digest thread-count invariant.
+//! stable sort — which is what keeps the MILP driver's cut pool, and its
+//! trace digest, thread-count invariant.
 
 use crate::model::{Cmp, Model, VarId};
 use crate::EPS;

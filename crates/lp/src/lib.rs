@@ -47,7 +47,7 @@ pub mod linearize;
 pub mod milp;
 pub mod model;
 pub(crate) mod pool;
-pub mod presolve;
+pub mod propagate;
 pub mod reference;
 pub mod simplex;
 
@@ -59,7 +59,7 @@ pub use milp::{
     solve, solve_from, solve_resumable, MilpConfig, MilpError, MilpRun, MilpStats, SearchCheckpoint,
 };
 pub use model::{Cmp, Model, ModelStats, Sense, VarId, VarKind};
-pub use presolve::{presolve, propagate, PresolveOutcome, PresolveStats, Propagation};
+pub use propagate::{propagate, Propagation};
 pub use simplex::{
     solve_relaxation, tableau_shape, DiveStep, DiveTableau, LpOutcome, LpStats, Solution,
 };

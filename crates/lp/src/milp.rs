@@ -80,10 +80,22 @@
 //! ([`MilpConfig::reference_lp`]) has no dive tableau to probe and branches
 //! most-fractional.
 //!
-//! The dual bound is rounded to an integer before pruning when
-//! [`MilpConfig::integral_objective`] is set (every objective in the
-//! register-saturation models has integer coefficients, so `floor`/`ceil`
-//! of the relaxation bound is a valid tightening).
+//! ## Root cuts and node propagation
+//!
+//! Both always run. Before the tree search, the root relaxation is
+//! strengthened by rounds of lifted cover, clique and Gomory cuts
+//! ([`crate::cuts`]); a round is kept only if it moves the root bound, and
+//! the kept rows join every node relaxation. No cut is separated inside
+//! the tree. Before each node's LP solve, [`crate::propagate()`] runs over
+//! the node's box, with the objective cutoff as a temporary row once an
+//! incumbent exists, and fathoms the node when the box is empty
+//! ([`MilpStats::propagation_fathoms`]).
+//!
+//! The dual bound is rounded to an integer before pruning when the model's
+//! objective takes integer values at every integer point: every term on an
+//! integral variable with an integer coefficient, and an integral constant.
+//! That is read off the model, not configured — both register-saturation
+//! objectives qualify, and a fractional objective is never rounded.
 
 use crate::cancel::{min_deadline, Cancel};
 use crate::cuts::Cut;
@@ -109,9 +121,6 @@ const BATCH: usize = 8;
 /// period (power of two; relaxed 4x once an incumbent exists).
 const DIVE_PERIOD: usize = 64;
 
-/// Fixpoint rounds for the presolve pass wired in front of the search.
-const PRESOLVE_ROUNDS: usize = 4;
-
 /// A pseudocost direction is *reliable* — trusted without further strong
 /// branching — once it has this many observations.
 const PC_RELIABLE: usize = 1;
@@ -135,20 +144,6 @@ const ROOT_CUT_ROUNDS: usize = 8;
 /// Cuts accepted per root separation round (most violated first).
 const ROOT_CUTS_PER_ROUND: usize = 20;
 
-/// Cuts accepted per in-tree separation (sparingly: cuts are global rows
-/// appended to every relaxation, so tree separation pays for itself only
-/// near the top of the tree).
-const NODE_CUTS_PER_NODE: usize = 4;
-
-/// In-tree separation only at nodes this deep or shallower (depth 0 is
-/// covered by the root loop).
-const NODE_CUT_DEPTH: usize = 8;
-
-/// In-tree separation fires when the committed node index matches this
-/// mask (a function of the committed index, like dive scheduling — that is
-/// what keeps it thread-count invariant).
-const NODE_CUT_MASK: usize = 15;
-
 /// Minimum violation for a separated cut to be accepted.
 const CUT_MIN_VIOLATION: f64 = 1e-4;
 
@@ -167,8 +162,10 @@ const CUT_MAX_AGE: u32 = 2;
 /// different version is silently ignored (the solve starts cold).
 /// Version 2 added the cut pool and the cut/pricing/propagation counters;
 /// version 3 dropped the pricing and pseudocost switches from the
-/// fingerprint and the always-zero dive reinstall counter.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// fingerprint and the always-zero dive reinstall counter; version 4
+/// dropped the integral-objective, presolve, cuts and propagation bytes
+/// from the fingerprint.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Knobs for the branch-and-bound driver.
 #[derive(Clone, Debug)]
@@ -185,9 +182,6 @@ pub struct MilpConfig {
     /// negligible normally, but noticeable on models whose single LP
     /// solves are slow. Pair with `node_limit` for a hard stop.
     pub time_limit: Option<std::time::Duration>,
-    /// Declare the dual bound integral and round it when pruning (valid
-    /// whenever the objective takes integer values on integer solutions).
-    pub integral_objective: bool,
     /// Integrality tolerance.
     pub int_tol: f64,
     /// Worker threads processing each round's batch (clamped to ≥ 1).
@@ -195,12 +189,6 @@ pub struct MilpConfig {
     /// reported optimum are identical for every value — threads only
     /// change wall-clock time.
     pub threads: usize,
-    /// Run the [`crate::presolve()`] pass (singleton-row folding, activity
-    /// bound tightening, redundant-row elimination) before the search
-    /// (default). Presolve never changes the feasible set, so the optimal
-    /// objective does not depend on this flag; [`MilpStats::rows`] /
-    /// [`MilpStats::cols`] report the presolved tableau shape.
-    pub presolve: bool,
     /// Route every node relaxation through the explicit-bound-row
     /// *reference* simplex ([`crate::reference`]) instead of the
     /// bounded-variable path. Test-only differential baseline: bound rows
@@ -208,19 +196,6 @@ pub struct MilpConfig {
     /// branch most-fractional instead of by pseudocost. The optimal
     /// objective must not depend on this flag.
     pub reference_lp: bool,
-    /// Separate lifted cover and clique cuts ([`crate::cuts`]) at the root
-    /// (rounds until the relaxation bound stops improving) and sparingly
-    /// in the tree, managed through a deduplicating pool with
-    /// activity-based aging (default). Cuts are globally valid, so they
-    /// tighten every node relaxation; they never exclude an integer point,
-    /// so the optimal objective does not depend on this flag.
-    pub cuts: bool,
-    /// Run a cheap bound-propagation pass ([`crate::presolve::propagate`])
-    /// on each node's tightened domain before its LP solve (default).
-    /// Knapsack-style activity arguments shrink integer domains and detect
-    /// infeasible branches without a simplex call
-    /// ([`MilpStats::propagation_fathoms`]).
-    pub propagation: bool,
     /// Run the [`crate::audit`] static pass before the search: the
     /// emitted model, every restored or root-separated cut-pool row, and
     /// any accepted checkpoint are validated up front, and a violation
@@ -247,13 +222,9 @@ impl Default for MilpConfig {
         MilpConfig {
             node_limit: 200_000,
             time_limit: Some(std::time::Duration::from_secs(120)),
-            integral_objective: true,
             int_tol: 1e-6,
             threads: 1,
-            presolve: true,
             reference_lp: false,
-            cuts: true,
-            propagation: true,
             audit: cfg!(debug_assertions),
             cancel: Cancel::new(),
         }
@@ -339,7 +310,7 @@ pub struct MilpStats {
     /// one priced by dual steepest edge (a subset of
     /// [`MilpStats::pivots`]; cold solves are primal and add none).
     pub dse_pivots: usize,
-    /// Cutting planes accepted into the cut pool (root + in-tree), net of
+    /// Cutting planes the root cut loop accepted into the cut pool, net of
     /// dedup, not counting later retirements.
     pub cuts_added: usize,
     /// Root cut-separation rounds that accepted at least one cut.
@@ -348,17 +319,18 @@ pub struct MilpStats {
     /// proved infeasible without an LP solve.
     pub propagation_fathoms: usize,
     /// Root relaxation bound before any cuts, in objective space (`NaN`
-    /// when the cut loop never ran: cuts disabled, or resumed past it).
+    /// when the root relaxation never solved to optimality, or when the
+    /// search stopped before the cut loop finished).
     pub root_bound_pre_cuts: f64,
     /// Root relaxation bound after the last cut round, in objective space
-    /// (`NaN` when the cut loop never ran).
+    /// (`NaN` when `root_bound_pre_cuts` is).
     pub root_bound_post_cuts: f64,
-    /// Relaxation tableau rows **including appended cut rows**. Equals the
-    /// structural constraint count on the bounded-variable path (zero
-    /// bound rows); the reference path adds one row per finite upper
-    /// bound.
+    /// Relaxation tableau rows: the model's constraints plus the committed
+    /// root cut rows. The bounded-variable path has no bound rows; the
+    /// reference path adds one row per finite upper bound.
     pub rows: usize,
-    /// Relaxation tableau columns (structural + slack).
+    /// Relaxation tableau columns: the model's variables plus one slack
+    /// per inequality row (the reference path adds its bound-row slacks).
     pub cols: usize,
     /// True iff optimality was proven (budget not exhausted, no numerical
     /// trouble encountered).
@@ -465,8 +437,8 @@ impl Fnv {
     }
 }
 
-/// Fingerprint of the *original* (pre-presolve) model plus every
-/// configuration knob that affects search semantics. Budget knobs
+/// Fingerprint of the model plus every configuration knob that affects
+/// search semantics (`int_tol`, `reference_lp`). Budget knobs
 /// (`node_limit`, `time_limit`), `threads`, and the cancel token are
 /// deliberately excluded — a checkpoint exists precisely to be resumed
 /// with a different budget, and threads are semantically inert.
@@ -508,11 +480,7 @@ fn fingerprint(model: &Model, cfg: &MilpConfig) -> u64 {
     }
     h.f64v(model.objective.constant);
     h.f64v(cfg.int_tol);
-    h.byte(cfg.integral_objective as u8);
-    h.byte(cfg.presolve as u8);
     h.byte(cfg.reference_lp as u8);
-    h.byte(cfg.cuts as u8);
-    h.byte(cfg.propagation as u8);
     h.state()
 }
 
@@ -718,7 +686,7 @@ impl SearchCheckpoint {
         self.resumed_chain
     }
 
-    /// Structural sanity against the (presolved) variable count: a
+    /// Structural sanity against the model's variable count: a
     /// fingerprint collision must not index out of bounds.
     fn structurally_valid(&self, n: usize) -> bool {
         self.pc.up_sum.len() == n
@@ -820,13 +788,9 @@ impl SearchCheckpoint {
 /// best incumbent if the budget ran out (flagged in
 /// [`MilpStats::proven_optimal`]).
 ///
-/// With [`MilpConfig::presolve`] (the default) the model first runs
-/// through [`crate::presolve()`]: singleton rows fold into bounds, activity
-/// arguments tighten bounds and drop redundant rows, and a
-/// presolve-proven-infeasible model returns [`MilpError::Infeasible`]
-/// without any search. Presolve keeps the variable set (and the integer
-/// feasible set) intact, so the returned values are valid for the original
-/// model.
+/// The search runs on the model as given: emitters fold single-variable
+/// rows into bounds themselves (`Model::add_bound_or_constraint`), and the
+/// only rows the search appends are the root cut loop's.
 pub fn solve(model: &Model, cfg: &MilpConfig) -> Result<MilpSolution, MilpError> {
     solve_resumable(model, cfg, None).result
 }
@@ -854,23 +818,6 @@ pub fn solve_resumable(
         }
     }
     let fp = fingerprint(model, cfg);
-    let reduced;
-    let pre = if cfg.presolve {
-        match crate::presolve::presolve(model, PRESOLVE_ROUNDS) {
-            crate::presolve::PresolveOutcome::Infeasible => {
-                return MilpRun {
-                    result: Err(MilpError::Infeasible),
-                    checkpoint: None,
-                }
-            }
-            crate::presolve::PresolveOutcome::Reduced { model: m, .. } => {
-                reduced = m;
-                &reduced
-            }
-        }
-    } else {
-        model
-    };
     // A checkpoint that does not speak the current wire version or does
     // not fingerprint-match stays a *silent* cold start — collisions are
     // expected (upper layers key checkpoints by cache keys). One that
@@ -880,7 +827,7 @@ pub fn solve_resumable(
     let resume = resume.filter(|ck| ck.version == CHECKPOINT_VERSION && ck.fingerprint == fp);
     let resume = if cfg.audit {
         if let Some(ck) = resume {
-            if let Err(e) = ck.audit_coherence(pre.num_vars()) {
+            if let Err(e) = ck.audit_coherence(model.num_vars()) {
                 return MilpRun {
                     result: Err(MilpError::Audit(e)),
                     checkpoint: None,
@@ -889,9 +836,9 @@ pub fn solve_resumable(
         }
         resume
     } else {
-        resume.filter(|ck| ck.structurally_valid(pre.num_vars()))
+        resume.filter(|ck| ck.structurally_valid(model.num_vars()))
     };
-    solve_presolved(pre, cfg, fp, resume)
+    search(model, cfg, fp, resume)
 }
 
 /// Resumes a search from a checkpoint: shorthand for
@@ -917,13 +864,16 @@ struct Ctx<'a> {
     original_bounds: Vec<(f64, f64)>,
     /// Per variable: is it integral (integer or binary)?
     integral: Vec<bool>,
+    /// Does the objective take integer values at every integer point?
+    /// Only then may a dual bound be rounded.
+    integral_objective: bool,
     deadline: Option<Instant>,
 }
 
 impl Ctx<'_> {
     /// Integral rounding of a dual bound, in score space.
     fn tighten_score(&self, score: f64) -> f64 {
-        if self.cfg.integral_objective && score.is_finite() {
+        if self.integral_objective && score.is_finite() {
             // score = dir·obj; maximizing the score, the valid integral
             // tightening is always floor (it is ceil in minimize objective
             // space, which is floor after negation).
@@ -942,6 +892,19 @@ impl Ctx<'_> {
     fn feas_tol(&self) -> f64 {
         self.cfg.int_tol.min(1e-5)
     }
+}
+
+/// Does the objective take integer values at every integer point? True
+/// when every term is on an integral variable with an integer
+/// coefficient and the constant is an integer.
+fn objective_is_integral(model: &Model) -> bool {
+    let whole = |c: f64| c.is_finite() && c.trunc() == c;
+    whole(model.objective.constant)
+        && model
+            .objective
+            .terms
+            .iter()
+            .all(|&(v, c)| model.is_integral(v) && whole(c))
 }
 
 /// Per-solve statistics counters (also the per-node local accumulator a
@@ -1012,11 +975,6 @@ struct NodeOutcome {
     kind: OutcomeKind,
     records: Vec<(VarId, bool, f64)>,
     offers: Vec<(f64, f64, Vec<f64>)>,
-    /// Cuts separated at this node (already violation-filtered and
-    /// deduplicated against the frozen round-start pool). The driver
-    /// deduplicates again at commit time — two nodes of one round can
-    /// separate the same cut — and appends survivors to every model.
-    cuts: Vec<Cut>,
     counters: LocalCounters,
     /// True when cancellation or a deadline altered (or could have
     /// altered) this node's processing. The driver aborts the whole round:
@@ -1038,7 +996,6 @@ struct NodeRun<'c, 'a> {
     pc: PcStore,
     records: Vec<(VarId, bool, f64)>,
     offers: Vec<(f64, f64, Vec<f64>)>,
-    cuts: Vec<Cut>,
     counters: LocalCounters,
     interrupted: bool,
 }
@@ -1051,7 +1008,6 @@ impl<'c, 'a> NodeRun<'c, 'a> {
             pc,
             records: Vec::new(),
             offers: Vec::new(),
-            cuts: Vec::new(),
             counters: LocalCounters::default(),
             interrupted: false,
         }
@@ -1095,7 +1051,6 @@ impl<'c, 'a> NodeRun<'c, 'a> {
             kind,
             records: self.records,
             offers: self.offers,
-            cuts: self.cuts,
             counters: self.counters,
             interrupted: self.interrupted,
         }
@@ -1302,14 +1257,8 @@ impl SearchState {
 // The round driver.
 // ---------------------------------------------------------------------------
 
-/// The round-based branch-and-bound search on an (optionally presolved)
-/// model.
-fn solve_presolved(
-    model: &Model,
-    cfg: &MilpConfig,
-    fp: u64,
-    resume: Option<&SearchCheckpoint>,
-) -> MilpRun {
+/// The round-based branch-and-bound search.
+fn search(model: &Model, cfg: &MilpConfig, fp: u64, resume: Option<&SearchCheckpoint>) -> MilpRun {
     // lint:allow(D-02) anchors the merged deadline; sampled only at round boundaries, never fed to the digest
     let start = Instant::now();
     let threads = cfg.threads.max(1);
@@ -1323,6 +1272,7 @@ fn solve_presolved(
         },
         original_bounds: (0..n).map(|i| model.bounds(VarId(i as u32))).collect(),
         integral: (0..n).map(|i| model.is_integral(VarId(i as u32))).collect(),
+        integral_objective: objective_is_integral(model),
         deadline: min_deadline(cfg.time_limit.map(|tl| start + tl), cfg.cancel.deadline()),
     };
     let mut st = match resume {
@@ -1342,8 +1292,8 @@ fn solve_presolved(
         }
     }
 
-    // The *search model*: the (presolved) base model plus every committed
-    // cut row, in pool insertion order. A resumed run rebuilds it from the
+    // The *search model*: the base model plus every committed cut row, in
+    // pool insertion order. A resumed run rebuilds it from the
     // checkpointed pool before touching the frontier, so every node
     // re-solves against the identical relaxation.
     let mut search_model = model.clone();
@@ -1362,7 +1312,7 @@ fn solve_presolved(
     let mut root_interrupted = false;
     let mut dive_seed = None;
     let mut root_lp = None;
-    if cfg.cuts && !st.root_cuts_done {
+    if !st.root_cuts_done {
         match root_cut_loop(&ctx, model) {
             RootCuts::Done(res) => {
                 st.counters.add(&res.counters);
@@ -1422,8 +1372,7 @@ fn solve_presolved(
     }
 
     // Per-worker model copies, allocated once and reused across rounds
-    // (nodes change variable bounds; committed cut rows are appended to
-    // every copy in batch order).
+    // (nodes change only variable bounds).
     let slots = threads.clamp(1, BATCH);
     let mut work_models: Vec<Model> = (0..slots).map(|_| search_model.clone()).collect();
 
@@ -1464,27 +1413,12 @@ fn solve_presolved(
         let dive_flags: Vec<bool> = (0..take)
             .map(|bi| (st.nodes + bi) & period_mask == 1)
             .collect();
-        // In-tree cut separation is scheduled exactly like dives: a
-        // function of the committed node index plus the node's own depth,
-        // never of worker timing — thread-count invariant by construction.
-        let sep_flags: Vec<bool> = batch
-            .iter()
-            .enumerate()
-            .map(|(bi, node)| {
-                cfg.cuts
-                    && node.depth >= 1
-                    && node.depth <= NODE_CUT_DEPTH
-                    && (st.nodes + bi) & NODE_CUT_MASK == 3
-            })
-            .collect();
         let outcomes = process_batch(
             &ctx,
             st.incumbent.score(),
             &st.pc,
-            &st.pool,
             &batch,
             &dive_flags,
-            &sep_flags,
             &mut work_models,
             threads,
             root_lp.take(),
@@ -1493,35 +1427,16 @@ fn solve_presolved(
             // Abort the round whole: push the batch back so the frontier
             // (and hence the checkpoint) covers exactly the uncommitted
             // work, and nothing half-processed leaks into the state.
-            // Outcome cuts are discarded with the round, keeping the
-            // committed pool a deterministic prefix.
             for node in batch {
                 st.frontier.push(node);
             }
             interrupted = true;
             break;
         }
-        for (node, mut out) in batch.iter().zip(outcomes) {
-            let node_cuts = std::mem::take(&mut out.cuts);
+        for (node, out) in batch.iter().zip(outcomes) {
             if st.commit_node(node, out) {
                 unbounded = true;
                 break 'search;
-            }
-            // Commit the node's cuts in batch order: deduplicate against
-            // the pool (two nodes of one round can separate the same cut
-            // — they read the same frozen pool), then append the row to
-            // every worker model and the search model. From the next
-            // round on, every relaxation includes the new rows.
-            for cut in node_cuts {
-                if st.pool.contains(cut.key()) {
-                    continue;
-                }
-                for wm in work_models.iter_mut() {
-                    cut.append_to(wm);
-                }
-                cut.append_to(&mut search_model);
-                st.pool.insert(cut);
-                st.counters.cuts_added += 1;
             }
         }
     }
@@ -1792,10 +1707,8 @@ fn process_batch(
     ctx: &Ctx<'_>,
     inc_score: f64,
     pc: &PcStore,
-    pool: &CutPool,
     batch: &[Node],
     dive_flags: &[bool],
-    sep_flags: &[bool],
     work_models: &mut [Model],
     threads: usize,
     mut root_lp: Option<SolvedLp>,
@@ -1812,10 +1725,8 @@ fn process_batch(
                     ctx,
                     inc_score,
                     pc,
-                    pool,
                     node,
                     dive_flags[i],
-                    sep_flags[i],
                     work,
                     if node.depth == 0 {
                         root_lp.take()
@@ -1838,17 +1749,7 @@ fn process_batch(
                     if i >= n {
                         break;
                     }
-                    let out = run_one(
-                        ctx,
-                        inc_score,
-                        pc,
-                        pool,
-                        &batch[i],
-                        dive_flags[i],
-                        sep_flags[i],
-                        work,
-                        None,
-                    );
+                    let out = run_one(ctx, inc_score, pc, &batch[i], dive_flags[i], work, None);
                     *results[i].lock().expect("result slot poisoned") = Some(out);
                 });
             }
@@ -1865,15 +1766,12 @@ fn process_batch(
 }
 
 /// Runs one node against frozen round-start state, producing its outcome.
-#[allow(clippy::too_many_arguments)]
 fn run_one(
     ctx: &Ctx<'_>,
     inc_score: f64,
     pc: &PcStore,
-    pool: &CutPool,
     node: &Node,
     dive: bool,
-    sep: bool,
     work: &mut Model,
     root_lp: Option<SolvedLp>,
 ) -> NodeOutcome {
@@ -1884,7 +1782,7 @@ fn run_one(
         run.interrupted = true;
         return run.finish(OutcomeKind::Pruned);
     }
-    let kind = process_node(&mut run, work, node, dive, sep, pool, root_lp);
+    let kind = process_node(&mut run, work, node, dive, root_lp);
     run.finish(kind)
 }
 
@@ -1893,8 +1791,6 @@ fn process_node(
     work: &mut Model,
     node: &Node,
     dive: bool,
-    sep: bool,
-    pool: &CutPool,
     root_lp: Option<SolvedLp>,
 ) -> OutcomeKind {
     let ctx = run.ctx;
@@ -1949,7 +1845,8 @@ fn process_node(
     // rows shrink integer domains, and a propagation-proven-empty domain
     // fathoms the branch with zero LP work. Once an incumbent exists the
     // pass also propagates the **objective cutoff** as a temporary row
-    // (`dir·obj ≥ next improving integral value`): a node survives here
+    // (`dir·obj ≥` the next improving value, the next integer when the
+    // objective is integral): a node survives here
     // only if it can still beat the incumbent — sound because the search
     // only ever asks each subtree for *improving* solutions, and
     // deterministic because the row derives from the frozen round-start
@@ -1958,10 +1855,10 @@ fn process_node(
     // propagation's only influence on the search is the fathom verdict —
     // feeding the tightenings to the LP was observed to perturb branching
     // on the saturation corpus for no node-count gain.
-    if ctx.cfg.propagation && (run.inc_score.is_finite() || !node.bounds.is_empty()) {
+    if run.inc_score.is_finite() || !node.bounds.is_empty() {
         let cutoff = run.inc_score.is_finite();
         if cutoff {
-            let target = if ctx.cfg.integral_objective {
+            let target = if ctx.integral_objective {
                 (run.inc_score + ctx.cfg.int_tol).floor() + 1.0
             } else {
                 run.inc_score + EPS
@@ -1980,14 +1877,14 @@ fn process_node(
         let saved: Vec<(f64, f64)> = (0..work.num_vars())
             .map(|i| work.bounds(VarId(i as u32)))
             .collect();
-        let res = crate::presolve::propagate(work, ctx.cfg.int_tol, 3);
+        let res = crate::propagate::propagate(work, ctx.cfg.int_tol, 3);
         for (i, &(lo, hi)) in saved.iter().enumerate() {
             work.set_bounds(VarId(i as u32), lo, hi);
         }
         if cutoff {
             work.constraints.pop();
         }
-        if let crate::presolve::Propagation::Infeasible = res {
+        if let crate::propagate::Propagation::Infeasible = res {
             run.counters.propagation_fathoms += 1;
             return OutcomeKind::Pruned;
         }
@@ -2054,23 +1951,6 @@ fn process_node(
     let score = ctx.tighten_score(raw_score);
     if !run.improves(score) {
         return OutcomeKind::Pruned;
-    }
-
-    // Driver-scheduled in-tree separation: offer new globally valid cuts
-    // violated by this node's relaxation point. Derived from the row set
-    // (shared by every work model) and the *global* bounds — never the
-    // node's — so the cuts can be appended everywhere. Committed
-    // (deduplicated against the live pool) in batch order.
-    if sep {
-        run.cuts = crate::cuts::separate(
-            work,
-            &ctx.original_bounds,
-            &ctx.integral,
-            &sol.values,
-            NODE_CUTS_PER_NODE,
-            CUT_MIN_VIOLATION,
-            |k| pool.contains(k),
-        );
     }
 
     // Pick the branching variable: pseudocost product rule with
@@ -2820,22 +2700,28 @@ mod tests {
     fn interrupted_search_brackets_the_true_optimum() {
         // Stop almost immediately via the node budget: the incumbent (from
         // the root dive) and the abandoned-node dual bound must bracket the
-        // known optimum 732, and the proof must be surrendered. Root cuts
-        // are pinned off — Gomory rounds close this model's gap so well the
-        // search would otherwise finish inside the two-node budget, and the
-        // scenario under test is the *interrupted* bracketing contract.
+        // optimum of a full solve, and the proof must be surrendered. The
+        // wide model's tree is larger than one round, so a two-node budget
+        // interrupts it.
+        let m = wide_model();
+        let full = solve(&m, &MilpConfig::default()).unwrap();
+        assert!(full.stats.proven_optimal && full.stats.nodes > BATCH);
         let cfg = MilpConfig {
             node_limit: 2,
-            cuts: false,
             ..MilpConfig::default()
         };
-        let s = solve(&knapsack_model(), &cfg).unwrap();
+        let s = solve(&m, &cfg).unwrap();
         assert!(!s.stats.proven_optimal);
-        assert!(s.objective <= 732.0 + 1e-9, "incumbent {}", s.objective);
         assert!(
-            s.stats.dual_bound >= 732.0 - 1e-9,
-            "dual bound {} must stay above the optimum",
-            s.stats.dual_bound
+            s.objective <= full.objective + 1e-9,
+            "incumbent {}",
+            s.objective
+        );
+        assert!(
+            s.stats.dual_bound >= full.objective - 1e-9,
+            "dual bound {} must stay above the optimum {}",
+            s.stats.dual_bound,
+            full.objective
         );
     }
 
@@ -2903,9 +2789,6 @@ mod tests {
         m.set_objective(LinExpr::from(x));
         let cfg = MilpConfig {
             int_tol: 0.45,
-            // presolve would fold the singleton row into x's bounds and
-            // hide the leaf this regression is about
-            presolve: false,
             ..MilpConfig::default()
         };
         // Surrendering with an error is sound; claiming the infeasible
@@ -3098,24 +2981,10 @@ mod tests {
                 m.set_objective(o);
 
                 let expected = brute_force(&cons, &obj, sense);
-                // Default engine (cuts + propagation + presolve on),
-                // presolve off, every remaining switch off, and the
-                // reference-LP differential must all match the brute force
-                // — objective equivalence across every knob combination.
+                // The default engine and the reference-LP differential
+                // must both match the brute force.
                 let configs = [
                     MilpConfig::with_threads(threads),
-                    MilpConfig {
-                        presolve: false,
-                        threads,
-                        ..MilpConfig::default()
-                    },
-                    MilpConfig {
-                        cuts: false,
-                        propagation: false,
-                        presolve: false,
-                        threads,
-                        ..MilpConfig::default()
-                    },
                     MilpConfig {
                         reference_lp: true,
                         threads,
@@ -3205,6 +3074,63 @@ mod tests {
         let s = solve(&m, &MilpConfig::default()).unwrap();
         // best: y=4, x=0 -> 8
         assert_eq!(s.objective.round() as i64, 8);
+    }
+
+    #[test]
+    fn fractional_objective_is_never_rounded() {
+        // An objective taking half-integer values at integer points must
+        // never have its dual bound rounded: the rounded bound would prune
+        // the optimum and prove a wrong value. x₀, x₁ integer in [0, 4],
+        // t continuous in [0, 5].
+        let build = |sense, obj: [f64; 3], rows: &[([f64; 3], f64)]| {
+            let mut m = Model::new(sense);
+            let x0 = m.add_var("x0", VarKind::Integer, 0.0, 4.0);
+            let x1 = m.add_var("x1", VarKind::Integer, 0.0, 4.0);
+            let t = m.add_var("t", VarKind::Continuous, 0.0, 5.0);
+            for &([a, b, c], rhs) in rows {
+                m.add_constraint(LinExpr::from(x0) * a + (b, x1) + (c, t), Cmp::Le, rhs);
+            }
+            m.set_objective(LinExpr::from(x0) * obj[0] + (obj[1], x1) + (obj[2], t));
+            m
+        };
+        let cases = [
+            // max −2x₀ + 0.5x₁ + 2t: optimum 0.5 at (1, 1, 1).
+            (
+                build(
+                    Sense::Maximize,
+                    [-2.0, 0.5, 2.0],
+                    &[
+                        ([-3.0, 2.0, 1.0], 0.0),
+                        ([1.0, 1.0, 0.0], 10.0),
+                        ([2.0, 0.0, 3.0], 5.0),
+                    ],
+                ),
+                0.5,
+            ),
+            // min x₀ + 0.5x₁ + t: optimum 0.5 at (0, 1, 0).
+            (
+                build(
+                    Sense::Minimize,
+                    [1.0, 0.5, 1.0],
+                    &[
+                        ([-2.0, -3.0, 0.0], -1.0),
+                        ([2.0, 3.0, 2.0], 7.0),
+                        ([-3.0, -3.0, -2.0], 12.0),
+                    ],
+                ),
+                0.5,
+            ),
+        ];
+        for (m, optimum) in cases {
+            let s = solve(&m, &MilpConfig::default()).unwrap();
+            assert!(s.stats.proven_optimal);
+            assert!(
+                (s.objective - optimum).abs() < 1e-6,
+                "proved {} where the optimum is {optimum}",
+                s.objective
+            );
+            assert!(m.check_feasible(&s.values, 1e-6).is_ok());
+        }
     }
 
     #[test]
@@ -3329,36 +3255,21 @@ mod tests {
         assert_eq!(s.stats.nodes, 1);
         assert_eq!(s.stats.lp_solves, 1, "stats: {:?}", s.stats);
         assert!((s.objective - 2.0).abs() < 1e-9);
-        // Without the cut loop both consumers solve for themselves.
-        let off = solve(
-            &m,
-            &MilpConfig {
-                cuts: false,
-                ..MilpConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(off.stats.lp_solves, 2);
-        assert_eq!(off.objective, s.objective);
-        assert_eq!(off.stats.trace_digest, s.stats.trace_digest);
     }
 
     #[test]
     fn root_tableau_is_rejected_when_node_zero_rounds_the_box() {
-        // With presolve off, x keeps its fractional upper bound 2.5 in the
-        // cut loop's model, while node 0 rounds it to 2: the cut loop's
-        // tableau (x = 2.5) is not node 0's relaxation and must not stand
-        // in for it. Taking it would branch on x; the cold solve lands on
-        // the integral optimum x = 2, y = 3 at once.
+        // x keeps its fractional upper bound 2.5 in the cut loop's model,
+        // while node 0 rounds it to 2: the cut loop's tableau (x = 2.5) is
+        // not node 0's relaxation and must not stand in for it. Taking it
+        // would branch on x; the cold solve lands on the integral optimum
+        // x = 2, y = 3 at once.
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", VarKind::Integer, 0.0, 2.5);
         let y = m.add_var("y", VarKind::Integer, 0.0, 3.0);
         m.add_constraint(LinExpr::from(x) + (2.0, y), Cmp::Le, 10.0);
         m.set_objective(LinExpr::from(x) + y);
-        let cfg = MilpConfig {
-            presolve: false,
-            ..MilpConfig::default()
-        };
+        let cfg = MilpConfig::default();
         let s = solve(&m, &cfg).unwrap();
         let brute = (0..=2)
             .flat_map(|x| (0..=3).map(move |y| (x, y)))
@@ -3496,52 +3407,45 @@ mod tests {
 
     #[test]
     fn propagation_fathoms_row_infeasible_child_before_lp() {
-        // Maximize 2x + 2y under 2x + 2y ≤ 7: the root LP sits on the face
-        // x + y = 3.5 (every vertex fractional) with bound 7, which the
-        // integral round-down cannot improve, so the root must branch even
-        // though the dive already landed the true optimum 6. The node-time
-        // objective-cutoff row then demands 2x + 2y ≥ 7, and the down child
-        // of the branch caps that row's activity at 6: propagation proves
-        // the child empty from its box alone and must fathom it before any
-        // LP (the counter ticks).
+        // Maximize 2x₀ + 3x₁ + x₂ under 2x₀ + x₁ + x₂ ≤ 7 on [0, 4]³: the
+        // root cuts leave a fractional relaxation, so the root branches,
+        // and once an incumbent exists the node-time objective-cutoff row
+        // leaves one child's box empty: propagation must fathom it before
+        // any LP (the counter ticks).
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", VarKind::Integer, 0.0, 4.0);
-        let y = m.add_var("y", VarKind::Integer, 0.0, 4.0);
-        m.add_constraint(LinExpr::from(x) * 2.0 + (2.0, y), Cmp::Le, 7.0);
-        m.set_objective(LinExpr::from(x) * 2.0 + (2.0, y));
-        // Cuts off: a root GMI cut closes this model's gap outright, and
-        // the point of the test is the *branching* path.
-        let cfg = MilpConfig {
-            cuts: false,
-            ..MilpConfig::default()
-        };
-        let s = solve(&m, &cfg).unwrap();
+        let x: Vec<_> = (0..3)
+            .map(|i| m.add_var(format!("x{i}"), VarKind::Integer, 0.0, 4.0))
+            .collect();
+        m.add_constraint(
+            LinExpr::from(x[0]) * 2.0 + (1.0, x[1]) + (1.0, x[2]),
+            Cmp::Le,
+            7.0,
+        );
+        m.set_objective(LinExpr::from(x[0]) * 2.0 + (3.0, x[1]) + (1.0, x[2]));
+        let s = solve(&m, &MilpConfig::default()).unwrap();
+        let brute = (0..=4)
+            .flat_map(|a| (0..=4).flat_map(move |b| (0..=4).map(move |c| (a, b, c))))
+            .filter(|&(a, b, c)| 2 * a + b + c <= 7)
+            .map(|(a, b, c)| 2 * a + 3 * b + c)
+            .max()
+            .unwrap();
         assert!(s.stats.proven_optimal);
-        assert!((s.objective - 6.0).abs() < 1e-6);
+        assert_eq!(s.objective, brute as f64);
+        assert!(s.stats.nodes > 1, "the root must branch: {:?}", s.stats);
         assert!(
             s.stats.propagation_fathoms >= 1,
-            "the down child must die in propagation, got {:?}",
+            "a child must die in propagation, got {:?}",
             s.stats
         );
-        // The fathom is an accelerator, not a semantics change.
-        let off = solve(
-            &m,
-            &MilpConfig {
-                propagation: false,
-                ..cfg
-            },
-        )
-        .unwrap();
-        assert_eq!(off.stats.propagation_fathoms, 0);
-        assert!((off.objective - s.objective).abs() < 1e-6);
     }
 
     #[test]
     fn checkpoint_rejects_accelerator_config_drift() {
         // The fingerprint must cover every knob that shapes the tree:
-        // resuming a default-config checkpoint under flipped cuts or
-        // propagation would splice incompatible search frontiers, so each
-        // mismatch has to force a cold start instead.
+        // resuming a default-config checkpoint under the reference LP path
+        // or another integrality tolerance would splice incompatible
+        // search frontiers, so each mismatch has to force a cold start
+        // instead.
         let m = wide_model();
         let ck = solve_resumable(
             &m,
@@ -3555,11 +3459,11 @@ mod tests {
         .expect("node_limit 1 must interrupt the wide model");
         for cfg in [
             MilpConfig {
-                cuts: false,
+                reference_lp: true,
                 ..MilpConfig::default()
             },
             MilpConfig {
-                propagation: false,
+                int_tol: 1e-5,
                 ..MilpConfig::default()
             },
         ] {

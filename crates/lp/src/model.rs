@@ -220,7 +220,8 @@ impl Model {
 
     /// Is the variable integrality-constrained (integer or binary)? The
     /// predicate behind every integral-rounding decision in the solver
-    /// stack (bound folds, presolve, branch-and-bound candidate scans).
+    /// stack (bound folds, node propagation, branch-and-bound candidate
+    /// scans).
     pub fn is_integral(&self, v: VarId) -> bool {
         !matches!(self.vars[v.index()].kind, VarKind::Continuous)
     }
@@ -236,8 +237,8 @@ impl Model {
         &self.vars[v.index()].name
     }
 
-    /// Tightens a variable's bounds (used by branch-and-bound and by the
-    /// bound-folding paths of presolve and the linearizations).
+    /// Tightens a variable's bounds (used by branch-and-bound, node
+    /// propagation and the bound-folding path of the linearizations).
     ///
     /// Binary variables are re-clamped to `[0, 1]` exactly as on creation,
     /// and the result is validated: an empty domain (`lo > hi` after
@@ -371,17 +372,15 @@ impl Model {
     }
 }
 
-/// Interval arithmetic shared by every single-variable-row fold (the
-/// model-level [`Model::add_bound_or_constraint`] and presolve's singleton
-/// pass): tightens `[lo, hi]` with the row `a·x cmp rhs`, rounding inward
-/// for integral variables.
+/// Interval arithmetic of a single-variable-row fold
+/// ([`Model::add_bound_or_constraint`]): tightens `[lo, hi]` with the row
+/// `a·x cmp rhs`, rounding inward for integral variables.
 ///
 /// Returns `None` when the row pins an integral variable to a fractional
 /// value (the row cannot be represented as a bound at all), otherwise the
-/// tightened interval — **possibly empty** (`nlo > nhi`); the caller
-/// chooses the empty-interval policy (keep the row vs. declare
-/// infeasibility).
-pub(crate) fn fold_interval(
+/// tightened interval — **possibly empty** (`nlo > nhi`), in which case
+/// the caller keeps the row.
+fn fold_interval(
     lo: f64,
     hi: f64,
     integral: bool,

@@ -926,10 +926,11 @@ fn set_phase2_cost(tab: &mut Tableau, model: &Model) {
     }
 }
 
-/// Extracts the structural solution from an optimal tableau: basic columns
+/// Extracts the structural solution from an optimal tableau whose
+/// structural columns are shifted by the lower bounds `lo`: basic columns
 /// read their row's right-hand side, at-upper columns their range, at-lower
 /// columns zero.
-fn extract(tab: &Tableau, sf: &StdForm, model: &Model) -> Solution {
+fn extract(tab: &Tableau, lo: &[f64], model: &Model) -> Solution {
     let mut shifted = vec![0.0f64; tab.ncols];
     for (j, &s) in tab.status.iter().enumerate() {
         if s == ColStatus::Upper {
@@ -942,7 +943,7 @@ fn extract(tab: &Tableau, sf: &StdForm, model: &Model) -> Solution {
             shifted[b] = tab.rhs(r);
         }
     }
-    let values: Vec<f64> = (0..sf.n).map(|i| sf.lo[i] + shifted[i]).collect();
+    let values: Vec<f64> = lo.iter().zip(&shifted).map(|(l, x)| l + x).collect();
     let objective = model.objective.eval(&values);
     Solution { values, objective }
 }
@@ -1056,7 +1057,7 @@ fn cold_solve_tab(
     tab.reduce_cost_row();
     match tab.optimize() {
         Ok(true) => {
-            let sol = extract(&tab, sf, model);
+            let sol = extract(&tab, &sf.lo, model);
             let stats = stats_of(&tab);
             (LpOutcome::Optimal(sol), stats, Some(tab))
         }
@@ -1501,28 +1502,7 @@ impl DiveTableau {
                 Ok(DualStatus::Stalled) | Err(PivotStall) => return DiveStep::Stalled,
             }
         }
-        DiveStep::Optimal(self.solution(model))
-    }
-
-    /// Extracts the structural solution of the current (primal-feasible)
-    /// tableau.
-    fn solution(&self, model: &Model) -> Solution {
-        let tab = &self.tab;
-        let mut shifted = vec![0.0f64; tab.ncols];
-        for (j, &s) in tab.status.iter().enumerate() {
-            if s == ColStatus::Upper {
-                shifted[j] = tab.range[j];
-            }
-        }
-        for r in 0..tab.m {
-            let b = tab.basis[r];
-            if b < tab.ncols {
-                shifted[b] = tab.rhs(r);
-            }
-        }
-        let values: Vec<f64> = (0..self.n).map(|i| self.lo[i] + shifted[i]).collect();
-        let objective = model.objective.eval(&values);
-        Solution { values, objective }
+        DiveStep::Optimal(extract(&self.tab, &self.lo, model))
     }
 }
 

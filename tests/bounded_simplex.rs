@@ -70,18 +70,19 @@ proptest! {
                         "ops={} seed={} threads={}: bounded {} vs reference {}",
                         ops, seed, threads, b.objective, r.objective
                     );
-                    // Both engines presolve the same way, so the reference
-                    // tableau exceeds the bounded one by exactly its
-                    // explicit bound rows; the bounded path never has more
-                    // rows than the structural constraints (presolve may
-                    // fold singletons away, never add rows).
+                    // The bounded tableau holds the model's constraints
+                    // plus the root cut rows still in the pool, never a
+                    // bound row; the reference tableau adds one explicit
+                    // row per finite upper bound.
                     prop_assert!(
                         r.stats.rows > b.stats.rows,
                         "reference must carry explicit bound rows"
                     );
                     prop_assert!(
-                        b.stats.rows <= model.num_constraints(),
-                        "bounded path emitted bound rows"
+                        b.stats.rows >= model.num_constraints()
+                            && b.stats.rows <= model.num_constraints() + b.stats.cuts_added,
+                        "bounded path: {} rows for {} constraints + {} root cuts",
+                        b.stats.rows, model.num_constraints(), b.stats.cuts_added
                     );
                     prop_assert!(model.check_feasible(&b.values, 1e-5).is_ok());
                 }

@@ -79,9 +79,9 @@ fn interrupted_resume_chain_matches_uninterrupted_on_rs_models() {
 #[test]
 fn resume_token_is_rejected_across_accelerator_config_changes() {
     // A checkpoint's frontier is only meaningful for the exact tree its
-    // config grows: the fingerprint covers the cut generator and the
-    // propagation pass, so a token minted under the default engine must
-    // cold-start — never splice — when either of them is flipped.
+    // config grows: the fingerprint covers the LP path and the
+    // integrality tolerance, so a token minted under the default engine
+    // must cold-start — never splice — when either of them changes.
     let ddg = kernel();
     let mut solver = RsIlp::new();
     solver.milp.node_limit = 2;
@@ -93,16 +93,11 @@ fn resume_token_is_rejected_across_accelerator_config_changes() {
     let full = RsIlp::new()
         .saturation(&ddg, RegType::FLOAT)
         .expect("model solves");
-    let variants: [(&str, Box<dyn Fn(&mut RsIlp)>); 2] = [
-        ("cuts off", Box::new(|s: &mut RsIlp| s.milp.cuts = false)),
-        (
-            "propagation off",
-            Box::new(|s: &mut RsIlp| s.milp.propagation = false),
-        ),
-    ];
-    for (name, tweak) in variants {
-        let mut fresh = RsIlp::new();
-        tweak(&mut fresh);
+    let mut reference = RsIlp::new();
+    reference.milp.reference_lp = true;
+    let mut tolerance = RsIlp::new();
+    tolerance.milp.int_tol = 1e-5;
+    for (name, fresh) in [("reference LP", reference), ("int_tol", tolerance)] {
         let run = fresh.saturation_resumable(&ddg, RegType::FLOAT, Some(&ck));
         let sol = run.result.expect("cold restart completes");
         assert!(
@@ -127,12 +122,14 @@ fn resume_token_is_rejected_across_accelerator_config_changes() {
 
 #[test]
 fn version_2_checkpoint_is_never_resumed() {
-    // Version-2 tokens were minted under a fingerprint that still covered
-    // the pricing and pseudocost switches, with a dive reinstall counter
-    // among their statistics. A real interrupted checkpoint relabelled
-    // that way — fingerprint untouched, so only the version gate stands
-    // between it and the search — must be rejected outright or cold-start
-    // to the uninterrupted answer; it must never be spliced in.
+    // Older tokens were minted under other fingerprints: version 2 still
+    // covered the pricing and pseudocost switches, with a dive reinstall
+    // counter among its statistics, and version 3 still covered the
+    // integral-objective, presolve, cuts and propagation switches. A real
+    // interrupted checkpoint relabelled either way — fingerprint
+    // untouched, so only the version gate stands between it and the
+    // search — must be rejected outright or cold-start to the
+    // uninterrupted answer; it must never be spliced in.
     let ddg = kernel();
     let mut solver = RsIlp::new();
     solver.milp.node_limit = 2;
@@ -140,39 +137,45 @@ fn version_2_checkpoint_is_never_resumed() {
         .saturation_resumable(&ddg, RegType::FLOAT, None)
         .checkpoint
         .expect("tiny budget interrupts");
-    assert_eq!(rs_lp::milp::CHECKPOINT_VERSION, 3);
+    assert_eq!(rs_lp::milp::CHECKPOINT_VERSION, 4);
     let json = ck.to_json();
-    let old = json
-        .replacen("\"version\":3,", "\"version\":2,", 1)
-        .replacen(
-            "\"pseudocost_branches\":",
-            "\"dive_reinstalls\":0,\"pseudocost_branches\":",
-            1,
-        );
+    let v3 = json.replacen("\"version\":4,", "\"version\":3,", 1);
+    let v2 = v3.replacen("\"version\":3,", "\"version\":2,", 1).replacen(
+        "\"pseudocost_branches\":",
+        "\"dive_reinstalls\":0,\"pseudocost_branches\":",
+        1,
+    );
     assert!(
-        old.contains("\"version\":2,") && old.contains("\"dive_reinstalls\":0,"),
+        v3.contains("\"version\":3,")
+            && v2.contains("\"version\":2,")
+            && v2.contains("\"dive_reinstalls\":0,"),
         "rewrite missed the wire layout: {json}"
     );
 
     let full = RsIlp::new()
         .saturation(&ddg, RegType::FLOAT)
         .expect("model solves");
-    if let Ok(stale) = SearchCheckpoint::from_json(&old) {
-        let mut fresh = RsIlp::new();
-        fresh.milp.node_limit = 100_000;
-        let sol = fresh
-            .saturation_resumable(&ddg, RegType::FLOAT, Some(&stale))
-            .result
-            .expect("cold restart completes");
-        assert!(!sol.milp_stats.resumed, "a version-2 token must cold-start");
-        assert!(sol.proven_optimal);
-        assert_eq!(sol.saturation, full.saturation);
-        assert_eq!(sol.milp_stats.nodes, full.milp_stats.nodes);
-        assert_eq!(sol.milp_stats.trace_digest, full.milp_stats.trace_digest);
+    for (version, old) in [(3, &v3), (2, &v2)] {
+        if let Ok(stale) = SearchCheckpoint::from_json(old) {
+            let mut fresh = RsIlp::new();
+            fresh.milp.node_limit = 100_000;
+            let sol = fresh
+                .saturation_resumable(&ddg, RegType::FLOAT, Some(&stale))
+                .result
+                .expect("cold restart completes");
+            assert!(
+                !sol.milp_stats.resumed,
+                "a version-{version} token must cold-start"
+            );
+            assert!(sol.proven_optimal);
+            assert_eq!(sol.saturation, full.saturation);
+            assert_eq!(sol.milp_stats.nodes, full.milp_stats.nodes);
+            assert_eq!(sol.milp_stats.trace_digest, full.milp_stats.trace_digest);
+        }
     }
 
     // Control: the same token at the current version resumes, so the
-    // version alone decided the cold start above.
+    // version alone decided the cold starts above.
     let current = SearchCheckpoint::from_json(&json).expect("token parses");
     let mut same = RsIlp::new();
     same.milp.node_limit = 100_000;
@@ -180,7 +183,7 @@ fn version_2_checkpoint_is_never_resumed() {
         .saturation_resumable(&ddg, RegType::FLOAT, Some(&current))
         .result
         .expect("resume completes");
-    assert!(sol.milp_stats.resumed, "control: a version-3 token resumes");
+    assert!(sol.milp_stats.resumed, "control: a version-4 token resumes");
 }
 
 #[test]

@@ -11,12 +11,14 @@
 //! saturation models built, and each is solved across the {1, 2, 4}
 //! thread grid with pseudocost branching; objectives, node counts, and
 //! trace digests must match exactly and every witness must be feasible.
+//! Kernel trees of both intLPs, Section 3's and Section 4's reduction,
+//! are pinned as constants.
 
 mod common;
 
 use common::budget_limited;
 use proptest::prelude::*;
-use rs_core::ilp::RsIlp;
+use rs_core::ilp::{ReduceIlp, RsIlp};
 use rs_core::model::{RegType, Target};
 use rs_kernels::random::{random_ddg, RandomDagConfig};
 use rs_lp::MilpConfig;
@@ -48,17 +50,12 @@ proptest! {
         // budget keeps the suite fast, and budget-limited runs are skipped
         // below (how far a search gets within a wall-clock budget is
         // legitimately thread-count- and machine-dependent — only *proven*
-        // optima carry the determinism guarantee).
+        // optima carry the determinism guarantee). The engine always runs
+        // root cutting planes, bound propagation, pseudocost branching and
+        // dual steepest-edge pricing, so the tree must stay identical
+        // across the thread grid with every tree-shaping feature active.
         let cfg = MilpConfig {
             time_limit: Some(std::time::Duration::from_secs(30)),
-            // The acceptance bar for the full accelerator stack: root/node
-            // cutting planes and bound propagation explicitly on, with the
-            // engine's unconditional pseudocost branching and dual
-            // steepest-edge pricing — the tree must stay identical across
-            // the whole thread grid with every tree-shaping feature
-            // active, not just in a stripped engine.
-            cuts: true,
-            propagation: true,
             ..MilpConfig::default()
         };
         let seq = rs_lp::solve(&model, &cfg);
@@ -124,9 +121,9 @@ fn bench_grid_trees_are_thread_invariant_with_cuts_and_dse() {
     // The exact instances the scaling bench pins, plus four kernel intLPs
     // covering branching with strong-branching probes (lll12, lll1 int),
     // root cut rounds that are kept (whet_p8) and a propagation fathom
-    // (tomcatv int), solved with the full accelerator stack at every
-    // thread count. This is the `nodes_invariant` / per-cell trace-digest
-    // acceptance check, runnable outside the bench harness.
+    // (tomcatv int), solved at every thread count. This is the
+    // `nodes_invariant` / per-cell trace-digest acceptance check, runnable
+    // outside the bench harness.
     let mut cases: Vec<(String, rs_lp::Model, Tree)> = Vec::new();
     for (size, seed, tree) in [
         (12usize, 1u64, (6.0, 17, 0x5ac2_8445_6af7_c949, 0, 0)),
@@ -166,16 +163,8 @@ fn bench_grid_trees_are_thread_invariant_with_cuts_and_dse() {
     }
     for (name, model, pinned) in cases {
         for threads in [1usize, 2, 4] {
-            let sol = rs_lp::solve(
-                &model,
-                &MilpConfig {
-                    threads,
-                    cuts: true,
-                    propagation: true,
-                    ..MilpConfig::default()
-                },
-            )
-            .expect("pinned instance solves");
+            let sol = rs_lp::solve(&model, &MilpConfig::with_threads(threads))
+                .expect("pinned instance solves");
             assert!(sol.stats.proven_optimal, "{name} threads {threads}");
             let tree = (
                 sol.objective,
@@ -185,6 +174,47 @@ fn bench_grid_trees_are_thread_invariant_with_cuts_and_dse() {
                 sol.stats.propagation_fathoms,
             );
             assert_eq!(tree, pinned, "{name}: threads {threads} changed the tree");
+        }
+    }
+}
+
+/// Pinned `(objective, nodes, trace_digest, rows)` of a Section-4
+/// reduction intLP.
+type ReduceTree = (f64, usize, u64, usize);
+
+#[test]
+fn reduce_ilp_trees_are_pinned_and_thread_invariant() {
+    // Two closed reduction trials on superscalar float kernels, at the
+    // first horizon `ReduceIlp::reduce` tries. `rows` is pinned too: the
+    // builder emits no independent-set row for the x_u columns it fixes
+    // at zero, and a row that comes back fails here.
+    for (name, r, pinned) in [
+        ("fppp", 4, (-36.0, 69, 0x10c6_f8a7_8b99_7147, 365)),
+        ("lll11", 4, (-17.0, 373, 0x5582_c26e_d6be_ffd1, 259)),
+    ] {
+        let kernel = rs_kernels::corpus()
+            .into_iter()
+            .find(|k| k.name == name)
+            .expect("corpus kernel");
+        let ddg = (kernel.build)(Target::superscalar());
+        let horizon = (2 * ddg.critical_path() + 8).min(ddg.horizon());
+        let model = ReduceIlp::new()
+            .build_model(&ddg, RegType::FLOAT, r, horizon)
+            .0;
+        for threads in [1usize, 4] {
+            let sol = rs_lp::solve(&model, &MilpConfig::with_threads(threads))
+                .expect("pinned reduction solves");
+            assert!(sol.stats.proven_optimal, "{name} R={r} threads {threads}");
+            let tree: ReduceTree = (
+                sol.objective,
+                sol.stats.nodes,
+                sol.stats.trace_digest,
+                sol.stats.rows,
+            );
+            assert_eq!(
+                tree, pinned,
+                "{name} R={r}: threads {threads} changed the tree"
+            );
         }
     }
 }
