@@ -15,19 +15,12 @@
 //!   not disturb any other response;
 //! - a cache hit is ≥ 5× faster than the cold computation of the same
 //!   request (server-side `millis`, cold mean vs hit mean).
-//!
-//! `--chaos` runs the fault-injection harness instead: the same pool is
-//! driven under injected panics, delays, and spurious errors plus tight
-//! per-request deadlines, and the run asserts that every request still
-//! gets exactly one well-typed answer (timeouts carrying their partial
-//! result), that the stats ledger balances, and that the pool shuts down
-//! cleanly (report in `results/serve_load_chaos.json`).
 
 use rs_bench::common::{random_cases, write_report};
 use rs_core::model::Target;
 use rs_core::parse::print_ddg;
-use rs_core::request::{codes, RsOp, RsRequest, RsResponse};
-use rs_serve::{Dispatcher, FaultPlan, Job, ResponseSink, ServeConfig, ServePool};
+use rs_core::request::{RsOp, RsRequest, RsResponse};
+use rs_serve::{Dispatcher, Job, ResponseSink, ServeConfig, ServePool};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -103,10 +96,6 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let bench_mode = args.iter().any(|a| a == "--bench") && !args.iter().any(|a| a == "--test");
-    if args.iter().any(|a| a == "--chaos") {
-        run_chaos(bench_mode);
-        return;
-    }
 
     let (sizes, count, passes, workers): (&[usize], usize, usize, usize) = if bench_mode {
         (&[16, 24, 32, 48], 4, 8, 4)
@@ -268,188 +257,5 @@ fn main() {
     println!(
         "report written to {}",
         out_dir.join("serve_load.json").display()
-    );
-}
-
-/// Collects every answer per sequence number (no reassembly): the chaos
-/// harness's core assertion is exactly-once delivery of a well-typed
-/// response for every submitted line, whatever faults were injected.
-#[derive(Default)]
-struct ChaosSink {
-    answers: Mutex<Vec<Vec<RsResponse>>>,
-}
-
-impl ResponseSink for ChaosSink {
-    fn emit(&self, seq: u64, response: &RsResponse, _json: &str) {
-        self.answers.lock().expect("answers")[seq as usize].push(response.clone());
-    }
-}
-
-#[derive(Serialize)]
-struct ChaosReport {
-    bench_mode: bool,
-    workers: usize,
-    requests: usize,
-    ok: u64,
-    failed: u64,
-    timeouts: u64,
-    shed: u64,
-    watchdog_cancels: u64,
-    engines_replaced: u64,
-    timeouts_with_partial_result: usize,
-    wall_millis: f64,
-}
-
-fn run_chaos(bench_mode: bool) {
-    let (sizes, count, passes, workers): (&[usize], usize, usize, usize) = if bench_mode {
-        (&[16, 24, 32], 3, 8, 4)
-    } else {
-        (&[12, 16], 2, 4, 2)
-    };
-    let cases = random_cases(sizes, count, Target::superscalar());
-    let lines: Vec<String> = cases
-        .iter()
-        .enumerate()
-        .map(|(i, case)| {
-            let mut req = RsRequest::new(RsOp::Analyze, print_ddg(&case.ddg));
-            req.id = Some(format!("c{i}"));
-            req.cache = false; // every request exercises the execution path
-            match i % 3 {
-                // A tight deadline over the exact solvers: deterministic
-                // timeout pressure on the deepest cancellation points.
-                0 => {
-                    req.exact = true;
-                    req.ilp = true;
-                    req.timeout_ms = Some(2);
-                }
-                // A deadline the injected 30 ms delays blow through:
-                // exercises shedding and the watchdog.
-                1 => req.timeout_ms = Some(25),
-                _ => {}
-            }
-            serde_json::to_string(&req).expect("requests serialize")
-        })
-        .collect();
-    let mut stream: Vec<String> = Vec::with_capacity(lines.len() * passes + 1);
-    for _ in 0..passes {
-        stream.extend(lines.iter().cloned());
-    }
-    stream.insert(stream.len() / 2, "{ not json".to_string());
-    let total = stream.len();
-
-    let plan = Arc::new(FaultPlan::from_spec("panic=7,delay=5:30,error=11").expect("spec"));
-    let cfg = ServeConfig {
-        workers,
-        queue: 16,
-        cache_capacity: 1024,
-        grace_ms: 10, // trip the watchdog inside injected delays
-        faults: Some(plan),
-    };
-    println!(
-        "serve_load --chaos: {total} requests ({} unique × {passes} passes + 1 malformed), \
-         {workers} workers, faults panic=7,delay=5:30,error=11",
-        lines.len()
-    );
-
-    let pool = ServePool::new(&cfg);
-    let sink = Arc::new(ChaosSink {
-        answers: Mutex::new((0..total).map(|_| Vec::new()).collect()),
-    });
-    let start = Instant::now();
-    for (seq, line) in stream.into_iter().enumerate() {
-        let accepted = pool.submit(Job::new(
-            seq as u64,
-            line,
-            Arc::clone(&sink) as Arc<dyn ResponseSink>,
-        ));
-        assert!(accepted, "pool rejected a submission");
-    }
-    let stats = pool.shutdown();
-    let wall_millis = start.elapsed().as_secs_f64() * 1e3;
-
-    // Exactly one well-typed answer per request, whatever was injected.
-    let known = [
-        codes::REQUEST,
-        codes::PARSE,
-        codes::TIMEOUT,
-        codes::OVERLOADED,
-        codes::PANIC,
-        codes::ENGINE,
-        codes::INFEASIBLE,
-    ];
-    let answers = sink.answers.lock().expect("answers");
-    let mut timeouts_with_partial = 0usize;
-    for (seq, got) in answers.iter().enumerate() {
-        assert_eq!(got.len(), 1, "request {seq} must be answered exactly once");
-        let resp = &got[0];
-        if resp.ok {
-            assert!(resp.result.is_some(), "ok answer {seq} carries a result");
-        } else {
-            let err = resp.error.as_ref().unwrap_or_else(|| {
-                panic!("failed answer {seq} must carry a typed error");
-            });
-            assert!(
-                known.contains(&err.code.as_str()),
-                "answer {seq} has unknown error code `{}`",
-                err.code
-            );
-            if err.code == codes::TIMEOUT {
-                assert!(
-                    resp.result.is_some(),
-                    "timeout answer {seq} must attach its partial result"
-                );
-                timeouts_with_partial += 1;
-            }
-        }
-    }
-
-    // The stats ledger balances: nothing lost, nothing double-counted.
-    assert_eq!(stats.requests, total as u64);
-    assert_eq!(stats.ok + stats.failed, stats.requests);
-    assert!(stats.timeouts + stats.shed <= stats.failed);
-    assert_eq!(timeouts_with_partial as u64, stats.timeouts);
-    assert!(stats.failed >= 1, "at least the malformed line fails");
-
-    println!(
-        "serve_load chaos: {} requests, {} ok, {} failed ({} timeout, {} shed), \
-         {} watchdog cancels, {} engines replaced — clean shutdown",
-        stats.requests,
-        stats.ok,
-        stats.failed,
-        stats.timeouts,
-        stats.shed,
-        stats.watchdog_cancels,
-        stats.engines_replaced
-    );
-
-    let report = ChaosReport {
-        bench_mode,
-        workers,
-        requests: total,
-        ok: stats.ok,
-        failed: stats.failed,
-        timeouts: stats.timeouts,
-        shed: stats.shed,
-        watchdog_cancels: stats.watchdog_cancels,
-        engines_replaced: stats.engines_replaced,
-        timeouts_with_partial_result: timeouts_with_partial,
-        wall_millis,
-    };
-    let out_dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"));
-    let text = format!(
-        "serve_load chaos: {} requests, {} ok, {} failed ({} timeout, {} shed), \
-         {} watchdog cancels, {} engines replaced\n",
-        report.requests,
-        report.ok,
-        report.failed,
-        report.timeouts,
-        report.shed,
-        report.watchdog_cancels,
-        report.engines_replaced
-    );
-    write_report(&out_dir, "serve_load_chaos", &text, &report);
-    println!(
-        "report written to {}",
-        out_dir.join("serve_load_chaos.json").display()
     );
 }

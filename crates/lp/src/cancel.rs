@@ -11,6 +11,12 @@
 //! scratch reusable, and the service layer turns the expiry into a typed
 //! `timeout` response.
 //!
+//! This module owns every deadline and is the only place the solver
+//! crates read the clock (rs-lint D-02). A solve's own time limit rides
+//! on a *child* token (`Cancel::child`): the child trips with its parent,
+//! but its own limit never trips the parent, so a caller can tell its own
+//! deadline from a solver-local budget.
+//!
 //! The token never expires by default ([`Cancel::new`]), so call sites can
 //! thread it unconditionally. For deterministic interruption in tests
 //! there is a poll-countdown mode ([`Cancel::after_polls`]) that trips
@@ -28,6 +34,9 @@ struct Inner {
     /// Remaining [`Cancel::cancelled`] polls before the token trips on its
     /// own; `u64::MAX` disables the countdown (the normal mode).
     polls_left: AtomicU64,
+    /// The token this one was derived from: its trips reach this token,
+    /// this token's own trips never reach it.
+    parent: Option<Cancel>,
 }
 
 /// A shared cancellation token: explicit flag + optional deadline.
@@ -55,12 +64,13 @@ impl Default for Cancel {
 }
 
 impl Cancel {
-    fn with_inner(deadline: Option<Instant>, polls: u64) -> Self {
+    fn with_inner(deadline: Option<Instant>, polls: u64, parent: Option<Cancel>) -> Self {
         Cancel {
             inner: Arc::new(Inner {
                 flag: AtomicBool::new(false),
                 deadline,
                 polls_left: AtomicU64::new(polls),
+                parent,
             }),
         }
     }
@@ -68,24 +78,29 @@ impl Cancel {
     /// A token that never cancels on its own (it can still be
     /// [`Cancel::cancel`]led explicitly).
     pub fn new() -> Self {
-        Self::with_inner(None, u64::MAX)
+        Self::with_inner(None, u64::MAX, None)
     }
 
     /// A token that trips once the wall clock passes `deadline`.
     pub fn with_deadline(deadline: Instant) -> Self {
-        Self::with_inner(Some(deadline), u64::MAX)
+        Self::with_inner(Some(deadline), u64::MAX, None)
     }
 
-    /// A token that trips `timeout` from now.
-    pub fn after(timeout: Duration) -> Self {
-        Self::with_deadline(Instant::now() + timeout)
+    /// A per-solve child token that also trips `limit` from now. Every
+    /// trip of `self` reaches the child — an explicit cancel, a deadline
+    /// (which latches `self` as usual), a poll countdown — but the child's
+    /// own limit latches only the child, so `self` keeps telling its
+    /// owner whether *its* deadline cut the work short.
+    pub(crate) fn child(&self, limit: Option<Duration>) -> Self {
+        let deadline = limit.map(|l| Instant::now() + l);
+        Self::with_inner(deadline, u64::MAX, Some(self.clone()))
     }
 
     /// A token that trips after `polls` calls to [`Cancel::cancelled`] —
     /// deterministic interruption for tests and the fault-injection
     /// harness, independent of machine speed.
     pub fn after_polls(polls: u64) -> Self {
-        Self::with_inner(None, polls)
+        Self::with_inner(None, polls, None)
     }
 
     /// Trips the token explicitly (idempotent).
@@ -93,24 +108,24 @@ impl Cancel {
         self.inner.flag.store(true, Ordering::Relaxed);
     }
 
-    /// The wall-clock deadline, when one was set.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.deadline
-    }
-
     /// Whether the token has been *observed* tripped: set explicitly, or
     /// latched by an earlier [`Cancel::cancelled`] poll that saw the
-    /// deadline pass. One relaxed atomic load — safe in per-iteration hot
-    /// loops.
+    /// deadline pass (a child also reports its parent's latch). One
+    /// relaxed atomic load per token — safe in per-iteration hot loops.
     pub fn is_set(&self) -> bool {
         self.inner.flag.load(Ordering::Relaxed)
+            || self.inner.parent.as_ref().is_some_and(Cancel::is_set)
     }
 
-    /// Full poll: flag, deadline, and the test-mode poll countdown. Once
-    /// any source trips, the flag latches so later [`Cancel::is_set`]
-    /// checks observe it without re-reading the clock.
+    /// Full poll: flag, parent, deadline, and the test-mode poll
+    /// countdown. Once any source trips, the flag latches so later
+    /// [`Cancel::is_set`] checks observe it without re-reading the clock.
     pub fn cancelled(&self) -> bool {
-        if self.is_set() {
+        if self.inner.flag.load(Ordering::Relaxed) {
+            return true;
+        }
+        if self.inner.parent.as_ref().is_some_and(Cancel::cancelled) {
+            self.cancel();
             return true;
         }
         if let Some(dl) = self.inner.deadline {
@@ -130,15 +145,6 @@ impl Cancel {
             }
         }
         false
-    }
-}
-
-/// The earlier of two optional deadlines — how callers merge a request
-/// deadline with a solver-local time limit.
-pub fn min_deadline(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (x, None) | (None, x) => x,
     }
 }
 
@@ -189,12 +195,47 @@ mod tests {
     }
 
     #[test]
-    fn min_deadline_picks_the_earlier() {
-        let now = Instant::now();
-        let a = now + Duration::from_secs(1);
-        let b = now + Duration::from_secs(2);
-        assert_eq!(min_deadline(Some(a), Some(b)), Some(a));
-        assert_eq!(min_deadline(None, Some(b)), Some(b));
-        assert_eq!(min_deadline(None, None), None);
+    fn parent_deadline_trips_the_child_and_latches_the_parent() {
+        let parent = Cancel::with_deadline(Instant::now() - Duration::from_millis(1));
+        let child = parent.child(None);
+        assert!(!parent.is_set() && !child.is_set(), "nothing polled yet");
+        assert!(child.cancelled());
+        assert!(
+            parent.is_set(),
+            "the parent's own deadline latches the parent"
+        );
+        assert!(child.is_set());
+    }
+
+    #[test]
+    fn child_limit_latches_the_child_only() {
+        let parent = Cancel::with_deadline(Instant::now() + Duration::from_secs(3600));
+        let child = parent.child(Some(Duration::ZERO));
+        assert!(child.cancelled());
+        assert!(child.is_set());
+        assert!(
+            !parent.is_set(),
+            "a solver-local limit is not the caller's deadline"
+        );
+        assert!(!parent.cancelled());
+    }
+
+    #[test]
+    fn explicit_parent_cancel_reaches_the_child() {
+        let parent = Cancel::new();
+        let child = parent.child(Some(Duration::from_secs(3600)));
+        assert!(!child.cancelled());
+        parent.cancel();
+        assert!(child.is_set(), "seen without a poll");
+        assert!(child.cancelled());
+    }
+
+    #[test]
+    fn parent_poll_countdown_reaches_the_child() {
+        let parent = Cancel::after_polls(2);
+        let child = parent.child(None);
+        assert!(!child.cancelled());
+        assert!(child.cancelled(), "second poll through the child trips");
+        assert!(parent.is_set() && child.is_set());
     }
 }

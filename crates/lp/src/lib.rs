@@ -52,7 +52,7 @@ pub mod reference;
 pub mod simplex;
 
 pub use audit::AuditError;
-pub use cancel::{min_deadline, Cancel};
+pub use cancel::Cancel;
 pub use cuts::Cut;
 pub use expr::LinExpr;
 pub use milp::{

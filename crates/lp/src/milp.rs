@@ -97,7 +97,7 @@
 //! That is read off the model, not configured — both register-saturation
 //! objectives qualify, and a fractional objective is never rounded.
 
-use crate::cancel::{min_deadline, Cancel};
+use crate::cancel::Cancel;
 use crate::cuts::Cut;
 use crate::model::{Model, Sense, VarKind};
 use crate::pool::{BranchStep, CutPool, Frontier, Incumbent, Node, PcStore};
@@ -106,15 +106,14 @@ use crate::{VarId, EPS};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Nodes per search round. A round is the atomic unit of commitment (and
 /// of parallelism): its nodes are processed against frozen round-start
 /// state and committed in batch order. The constant is independent of
 /// [`MilpConfig::threads`] — that is what makes node counts and traces
-/// thread-count invariant. Budget and cancellation are checked at round
+/// thread-count invariant. The node budget is checked at round
 /// boundaries, so stops can overshoot `node_limit` by up to `BATCH - 1`
-/// nodes.
+/// nodes; a cancellation that lands mid-round discards the round whole.
 const BATCH: usize = 8;
 
 /// A node dives from its subproblem when its global index falls on this
@@ -176,11 +175,11 @@ pub struct MilpConfig {
     /// chain**: a resumed solve counts the checkpoint's nodes against it,
     /// so resuming an exhausted search needs a larger limit.
     pub node_limit: usize,
-    /// Wall-clock budget; `None` disables the check. The deadline is
-    /// sampled once per round (a deliberate trade against per-node clock
-    /// reads), so the overshoot is one round of node-processing time —
-    /// negligible normally, but noticeable on models whose single LP
-    /// solves are slow. Pair with `node_limit` for a hard stop.
+    /// Wall-clock budget; `None` disables the check. It is polled
+    /// wherever [`MilpConfig::cancel`] is, down to the simplex pivot
+    /// loops, but unlike the token's own deadline it stops only this
+    /// solve: the caller's token is left untripped, so the caller sees an
+    /// unproven answer rather than its own timeout.
     pub time_limit: Option<std::time::Duration>,
     /// Integrality tolerance.
     pub int_tol: f64,
@@ -206,9 +205,10 @@ pub struct MilpConfig {
     /// never changes search semantics, so debug and release checkpoints
     /// stay interchangeable.
     pub audit: bool,
-    /// Cooperative cancellation token. Its flag is sampled before every
-    /// node and inside the simplex pivot loops; its deadline (if any)
-    /// merges with `time_limit`. A tripped token stops the search exactly
+    /// Cooperative cancellation token, polled in full (flag, deadline,
+    /// poll countdown) at every round and node start, every root cut
+    /// round, every few dive steps, and every 128 iterations of the
+    /// simplex pivot loops. A tripped token stops the search exactly
     /// like an exhausted budget: the best incumbent is returned with
     /// [`MilpStats::proven_optimal`] `false`, a valid
     /// [`MilpStats::dual_bound`], and a [`SearchCheckpoint`] (via
@@ -867,7 +867,9 @@ struct Ctx<'a> {
     /// Does the objective take integer values at every integer point?
     /// Only then may a dual bound be rounded.
     integral_objective: bool,
-    deadline: Option<Instant>,
+    /// The solve's stop token: a child of [`MilpConfig::cancel`] that also
+    /// trips at [`MilpConfig::time_limit`]. Every stop check polls it.
+    cancel: Cancel,
 }
 
 impl Ctx<'_> {
@@ -1035,15 +1037,6 @@ impl<'c, 'a> NodeRun<'c, 'a> {
     fn record(&mut self, v: VarId, up: bool, per_unit: f64) {
         self.pc.record(v, up, per_unit);
         self.records.push((v, up, per_unit));
-    }
-
-    /// Marks the node interrupted if the cancel flag is set — called at
-    /// every early-exit point whose timing depends on cancellation, so a
-    /// perturbed computation is never committed.
-    fn interrupt_if_cancelled(&mut self) {
-        if self.ctx.cfg.cancel.is_set() {
-            self.interrupted = true;
-        }
     }
 
     fn finish(self, kind: OutcomeKind) -> NodeOutcome {
@@ -1259,8 +1252,6 @@ impl SearchState {
 
 /// The round-based branch-and-bound search.
 fn search(model: &Model, cfg: &MilpConfig, fp: u64, resume: Option<&SearchCheckpoint>) -> MilpRun {
-    // lint:allow(D-02) anchors the merged deadline; sampled only at round boundaries, never fed to the digest
-    let start = Instant::now();
     let threads = cfg.threads.max(1);
     let n = model.num_vars();
     let ctx = Ctx {
@@ -1273,7 +1264,7 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, resume: Option<&SearchCheckp
         original_bounds: (0..n).map(|i| model.bounds(VarId(i as u32))).collect(),
         integral: (0..n).map(|i| model.is_integral(VarId(i as u32))).collect(),
         integral_objective: objective_is_integral(model),
-        deadline: min_deadline(cfg.time_limit.map(|tl| start + tl), cfg.cancel.deadline()),
+        cancel: cfg.cancel.child(cfg.time_limit),
     };
     let mut st = match resume {
         Some(ck) => SearchState::restore(ck, ctx.dir),
@@ -1379,13 +1370,12 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, resume: Option<&SearchCheckp
     let mut interrupted = false;
     let mut unbounded = false;
     'search: loop {
-        // Round-boundary checks: one full cancellation poll (flag,
-        // deadline, poll countdown) plus the merged wall-clock deadline
-        // and the node budget. Interruptions happen *only* here and
-        // between-round state is all-committed, which is what entitles
-        // the checkpoint to claim exact resumability.
-        // lint:allow(D-02) round-boundary deadline poll: interruptions discard the round whole, committed state never sees the clock
-        if cfg.cancel.cancelled() || ctx.deadline.is_some_and(|dl| Instant::now() >= dl) {
+        // Round-boundary checks: one full poll of the solve's token (flag,
+        // deadlines, poll countdown) and the node budget. A stop inside a
+        // round discards that round whole, so between-round state is
+        // all-committed, which is what entitles the checkpoint to claim
+        // exact resumability.
+        if ctx.cancel.cancelled() {
             interrupted = true;
             break;
         }
@@ -1515,7 +1505,7 @@ enum RootCuts {
     /// The root relaxation is infeasible — with only globally valid rows
     /// appended, that proves the MILP infeasible.
     Infeasible,
-    /// Cancellation or the deadline landed mid-loop. Everything is
+    /// Cancellation or a deadline landed mid-loop. Everything is
     /// discarded (cuts, counters, bounds); the resumed run re-runs the
     /// loop from scratch, so it commits the same cuts as an uninterrupted
     /// run.
@@ -1551,7 +1541,7 @@ fn root_cut_loop(ctx: &Ctx<'_>, base: &Model) -> RootCuts {
 
     let solve_root =
         |model: &Model, counters: &mut LocalCounters| -> (LpOutcome, Option<DiveTableau>) {
-            let (outcome, dt, st) = DiveTableau::new(model, Some(&ctx.cfg.cancel));
+            let (outcome, dt, st) = DiveTableau::new(model, Some(&ctx.cancel));
             counters.charge_lp(&st);
             (outcome, dt)
         };
@@ -1573,14 +1563,10 @@ fn root_cut_loop(ctx: &Ctx<'_>, base: &Model) -> RootCuts {
         // Unbounded root: leave it to the search (the depth-0 node
         // reports it); nothing to cut from.
         (LpOutcome::Unbounded, _) => return done_empty(counters, model),
-        (LpOutcome::PivotTooSmall, _) => {
-            if ctx.cfg.cancel.is_set() {
-                return RootCuts::Interrupted;
-            }
-            // Numerical trouble at the root — skip cutting, let the
-            // search's own node handling deal with it.
-            return done_empty(counters, model);
-        }
+        (LpOutcome::Cancelled, _) => return RootCuts::Interrupted,
+        // Numerical trouble at the root — skip cutting, let the search's
+        // own node handling deal with it.
+        (LpOutcome::PivotTooSmall, _) => return done_empty(counters, model),
     };
     let pre = ctx.dir * sol.objective;
     let mut post = pre;
@@ -1588,8 +1574,7 @@ fn root_cut_loop(ctx: &Ctx<'_>, base: &Model) -> RootCuts {
     // its own copy of this first one.
     let dive_seed = root_tab.clone().map(|dt| (sol.clone(), dt));
     for _ in 0..ROOT_CUT_ROUNDS {
-        // lint:allow(D-02) cut-round deadline poll: an interrupted loop is discarded whole and re-run on resume
-        if ctx.cfg.cancel.cancelled() || ctx.deadline.is_some_and(|dl| Instant::now() >= dl) {
+        if ctx.cancel.cancelled() {
             return RootCuts::Interrupted;
         }
         // Round snapshot: a round whose cuts fail to move the root bound
@@ -1655,9 +1640,7 @@ fn root_cut_loop(ctx: &Ctx<'_>, base: &Model) -> RootCuts {
                 Some((s, dt))
             }
             (LpOutcome::Infeasible, _) => return RootCuts::Infeasible,
-            (LpOutcome::PivotTooSmall, _) if ctx.cfg.cancel.is_set() => {
-                return RootCuts::Interrupted
-            }
+            (LpOutcome::Cancelled, _) => return RootCuts::Interrupted,
             _ => None,
         };
         let Some((new_sol, new_tab)) = improved else {
@@ -1778,7 +1761,7 @@ fn run_one(
     let mut run = NodeRun::new(ctx, inc_score, pc.clone());
     // A cancel that lands mid-round aborts the round before more work is
     // sunk; the node is pushed back and re-processed on resume.
-    if ctx.cfg.cancel.is_set() {
+    if ctx.cancel.cancelled() {
         run.interrupted = true;
         return run.finish(OutcomeKind::Pruned);
     }
@@ -1912,14 +1895,12 @@ fn process_node(
             }
             return OutcomeKind::Pruned;
         }
+        // An interruption, not numerical trouble: never committed.
+        LpOutcome::Cancelled => {
+            run.interrupted = true;
+            return OutcomeKind::Pruned;
+        }
         LpOutcome::PivotTooSmall => {
-            // A cancelled simplex aborts with this same outcome — that is
-            // an interruption, not numerical trouble, and must not taint
-            // the result as `Numerical` (nor be committed at all).
-            if ctx.cfg.cancel.is_set() {
-                run.interrupted = true;
-                return OutcomeKind::Pruned;
-            }
             // Soft numerical failure: skip the node, surrender the
             // optimality proof instead of crashing or silently mispruning.
             // The skipped subtree's bound still counts against the dual
@@ -2107,7 +2088,7 @@ fn solve_node_lp(
 /// One counted cold solve that keeps the tableau live (the bounded node
 /// path, the root probe, and the reference path's dive entry).
 fn cold_dive_tableau(run: &mut NodeRun<'_, '_>, model: &Model) -> (LpOutcome, Option<DiveTableau>) {
-    let (outcome, dt, lp_stats) = DiveTableau::new(model, Some(&run.ctx.cfg.cancel));
+    let (outcome, dt, lp_stats) = DiveTableau::new(model, Some(&run.ctx.cancel));
     run.counters.charge_lp(&lp_stats);
     (outcome, dt)
 }
@@ -2126,9 +2107,9 @@ fn dive_tighten(
     let step = dt.tighten(changes, work);
     run.counters.charge_dive_work(dt, before);
     // Both Optimal and Infeasible are *converged* warm outcomes (the dual
-    // repair finished — an infeasibility proof is a success); only a stall
-    // discards the tableau.
-    if !matches!(step, DiveStep::Stalled) {
+    // repair finished — an infeasibility proof is a success); a stall or a
+    // cancel discards the tableau.
+    if matches!(step, DiveStep::Optimal(_) | DiveStep::Infeasible) {
         run.counters.warm_hits += 1;
     }
     step
@@ -2161,7 +2142,7 @@ const DIVE_BATCH_TOL: f64 = 0.1;
 /// offered as an incumbent.
 ///
 /// The dive never prunes and never proves anything; it only feeds the
-/// incumbent bound. A dive cut short by cancellation or the deadline marks
+/// incumbent bound. A dive cut short by cancellation or a deadline marks
 /// the node interrupted — the driver then aborts the whole round, so a
 /// partially-run dive is never committed and determinism survives
 /// asynchronous cancellation.
@@ -2174,18 +2155,9 @@ fn dive_from(run: &mut NodeRun<'_, '_>, work: &Model, mut dt: DiveTableau, mut s
     // the dive tableau itself only supports tightenings).
     let mut snap = dt.clone();
     for step in 0..max_steps {
-        if step & 7 == 0 {
-            if ctx.cfg.cancel.is_set() {
-                run.interrupted = true;
-                return;
-            }
-            if let Some(dl) = ctx.deadline {
-                // lint:allow(D-02) dive deadline poll: an interrupted dive sets the flag and abandons the dive, committing nothing
-                if Instant::now() > dl {
-                    run.interrupted = true;
-                    return;
-                }
-            }
+        if step & 7 == 0 && ctx.cancel.cancelled() {
+            run.interrupted = true;
+            return;
         }
         // Most fractional integral variable of the current relaxation.
         let pick = select_most_fractional(ctx, &sol).map(|(v, x)| (v.index(), x));
@@ -2229,8 +2201,9 @@ fn dive_from(run: &mut NodeRun<'_, '_>, work: &Model, mut dt: DiveTableau, mut s
                 continue;
             }
             DiveStep::Infeasible => {}
-            DiveStep::Stalled => {
-                run.interrupt_if_cancelled();
+            DiveStep::Stalled => return,
+            DiveStep::Cancelled => {
+                run.interrupted = true;
                 return;
             }
         }
@@ -2250,8 +2223,9 @@ fn dive_from(run: &mut NodeRun<'_, '_>, work: &Model, mut dt: DiveTableau, mut s
                     continue;
                 }
                 DiveStep::Infeasible => dt.clone_from(&snap),
-                DiveStep::Stalled => {
-                    run.interrupt_if_cancelled();
+                DiveStep::Stalled => return,
+                DiveStep::Cancelled => {
+                    run.interrupted = true;
                     return;
                 }
             }
@@ -2261,9 +2235,9 @@ fn dive_from(run: &mut NodeRun<'_, '_>, work: &Model, mut dt: DiveTableau, mut s
         }
         match dive_tighten(run, &mut dt, &[(v, far, far)], work) {
             DiveStep::Optimal(s) => sol = s,
-            DiveStep::Infeasible => return,
-            DiveStep::Stalled => {
-                run.interrupt_if_cancelled();
+            DiveStep::Infeasible | DiveStep::Stalled => return,
+            DiveStep::Cancelled => {
+                run.interrupted = true;
                 return;
             }
         }
@@ -2285,7 +2259,7 @@ fn dive_probe(run: &mut NodeRun<'_, '_>, model: &Model, seed: Option<SolvedLp>) 
     };
     match solved {
         (LpOutcome::Optimal(sol), Some(dt)) => dive_from(run, model, dt, sol),
-        (LpOutcome::PivotTooSmall, _) => run.interrupt_if_cancelled(),
+        (LpOutcome::Cancelled, _) => run.interrupted = true,
         _ => {}
     }
 }
@@ -2366,14 +2340,17 @@ fn probe_dir(
             run.record(v, up, 8.0 * avg);
             f64::INFINITY
         }
+        // A cancelled probe would be nondeterministic: the round is
+        // aborted instead of committed.
+        DiveStep::Cancelled => {
+            run.interrupted = true;
+            f64::NAN
+        }
         DiveStep::Stalled => {
-            // A stall caused by cancellation would be nondeterministic —
-            // mark the node interrupted so the round is aborted instead
-            // of committed. A cap-induced stall is deterministic: a
-            // neutral observation (the store average) is recorded so the
-            // variable still converges to reliable — otherwise every
-            // subsequent node would re-probe it and pay the cap again.
-            run.interrupt_if_cancelled();
+            // A cap-induced stall is deterministic: a neutral observation
+            // (the store average) is recorded so the variable still
+            // converges to reliable — otherwise every subsequent node
+            // would re-probe it and pay the cap again.
             let avg = run.pc.global_avg();
             run.record(v, up, avg);
             f64::NAN

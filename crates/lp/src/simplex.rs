@@ -92,11 +92,15 @@ pub enum LpOutcome {
     Infeasible,
     /// The objective is unbounded in the optimization direction.
     Unbounded,
-    /// A pivot element fell below the numeric threshold and the solve was
-    /// abandoned rather than risk a garbage result. Degenerate models fail
-    /// soft with this outcome; callers treat it as "no answer", not as a
+    /// The solve stalled and was abandoned rather than risk a garbage
+    /// result: a pivot element fell below the numeric threshold, or the
+    /// pivot loop hit its hard iteration cap. Degenerate models fail soft
+    /// with this outcome; callers treat it as "no answer", not as a
     /// verdict about the model.
     PivotTooSmall,
+    /// The attached cancel token tripped mid-solve: "no answer" like a
+    /// stall, but caused by the caller, not by the model's numerics.
+    Cancelled,
 }
 
 /// Work counters of one cold solve. The cold path is primal only; the
@@ -121,8 +125,22 @@ enum ColStatus {
     Upper,
 }
 
-/// Internal soft error: a pivot element below [`PIVOT_MIN`].
-struct PivotStall;
+/// Why a pivot loop gave up without an answer.
+enum Abort {
+    /// A pivot element below [`PIVOT_MIN`], or the iteration hard cap.
+    Stall,
+    /// The attached cancel token tripped.
+    Cancelled,
+}
+
+impl Abort {
+    fn outcome(self) -> LpOutcome {
+        match self {
+            Abort::Stall => LpOutcome::PivotTooSmall,
+            Abort::Cancelled => LpOutcome::Cancelled,
+        }
+    }
+}
 
 /// Outcome of the dual simplex repair loop.
 enum DualStatus {
@@ -167,12 +185,12 @@ struct Tableau {
     scratch_row: Vec<f64>,
     /// Reused nonzero-column mask of the pivot row.
     scratch_nz: Vec<u32>,
-    /// Cooperative cancellation, sampled every [`CANCEL_CHECK_MASK`]+1
-    /// pivot-loop iterations. A tripped token aborts the optimization as
-    /// [`PivotStall`] (callers surface it as
-    /// [`LpOutcome::PivotTooSmall`]; the MILP driver disambiguates by
-    /// re-checking the token). `None` — the default — costs one branch per
-    /// check window.
+    /// Cooperative cancellation, polled in full (flag, deadline, poll
+    /// countdown) every [`CANCEL_CHECK_MASK`]+1 pivot-loop iterations. A
+    /// tripped token aborts the optimization as [`Abort::Cancelled`]
+    /// (callers surface it as [`LpOutcome::Cancelled`] /
+    /// [`DiveStep::Cancelled`]). `None` — the default — costs one branch
+    /// per check window.
     cancel: Option<crate::cancel::Cancel>,
 }
 
@@ -260,10 +278,10 @@ impl Tableau {
     }
 
     /// Has the attached cancel token (if any) tripped? Amortized: only
-    /// sampled when `iters` crosses a check-window boundary.
+    /// polled when `iters` crosses a check-window boundary.
     #[inline]
     fn cancelled_at(&self, iters: usize) -> bool {
-        iters & CANCEL_CHECK_MASK == 0 && self.cancel.as_ref().is_some_and(|c| c.is_set())
+        iters & CANCEL_CHECK_MASK == 0 && self.cancel.as_ref().is_some_and(|c| c.cancelled())
     }
 
     #[inline]
@@ -293,11 +311,11 @@ impl Tableau {
         self.allowed[j] && self.status[j] != ColStatus::Basic && self.range[j] > FIXED_TOL
     }
 
-    fn pivot(&mut self, row: usize, col: usize) -> Result<(), PivotStall> {
+    fn pivot(&mut self, row: usize, col: usize) -> Result<(), Abort> {
         let w = self.ncols + 1;
         let piv = self.at(row, col);
         if piv.abs() <= PIVOT_MIN {
-            return Err(PivotStall);
+            return Err(Abort::Stall);
         }
         self.pivots += 1;
         // Normalize pivot row.
@@ -445,7 +463,7 @@ impl Tableau {
         col: usize,
         from_upper: bool,
         leave_at_upper: bool,
-    ) -> Result<(), PivotStall> {
+    ) -> Result<(), Abort> {
         if from_upper {
             // Unfold the entering column: the elimination algebra assumes
             // it sits at its lower bound.
@@ -478,15 +496,18 @@ impl Tableau {
     /// finiteness proof for the bounded-variable simplex, and bound flips
     /// themselves move the objective strictly so they cannot cycle.) A
     /// hard cap backstops the floating-point tie windows either way,
-    /// failing soft via [`PivotStall`] rather than looping forever.
-    fn optimize(&mut self) -> Result<bool, PivotStall> {
+    /// failing soft via [`Abort::Stall`] rather than looping forever.
+    fn optimize(&mut self) -> Result<bool, Abort> {
         let iter_budget = 50 * (self.m + self.ncols) + 1000;
         let hard_cap = 4 * iter_budget;
         let mut iters = 0usize;
         loop {
             iters += 1;
-            if iters > hard_cap || self.cancelled_at(iters) {
-                return Err(PivotStall);
+            if iters > hard_cap {
+                return Err(Abort::Stall);
+            }
+            if self.cancelled_at(iters) {
+                return Err(Abort::Cancelled);
             }
             let bland = iters > iter_budget;
             // Entering column: at-lower columns improve with rc < -EPS,
@@ -626,11 +647,11 @@ impl Tableau {
     /// degenerate big-M relaxations this picks pivots that make real
     /// progress. The weights start exact and every pivot keeps them exact
     /// with the textbook recurrence fused into the elimination loop.
-    fn dual_optimize(&mut self, iter_budget: usize) -> Result<DualStatus, PivotStall> {
+    fn dual_optimize(&mut self, iter_budget: usize) -> Result<DualStatus, Abort> {
         self.ensure_dse();
         for it in 1..=iter_budget {
             if self.cancelled_at(it) {
-                return Err(PivotStall);
+                return Err(Abort::Cancelled);
             }
             // Ties break towards the smaller row index (strict `>`),
             // deterministically.
@@ -964,8 +985,8 @@ pub(crate) fn cold_solve(model: &Model, sf: &StdForm) -> (LpOutcome, LpStats) {
 /// optimal solve, so [`DiveTableau`] can keep it live across a chain of
 /// bound tightenings instead of rebuilding it per step. A `cancel` token,
 /// when given, rides on the tableau: both solve phases — and every later
-/// dual repair on the live tableau — abort as
-/// [`LpOutcome::PivotTooSmall`] once it trips.
+/// dual repair on the live tableau — poll it and abort as
+/// [`LpOutcome::Cancelled`] once it trips.
 fn cold_solve_tab(
     model: &Model,
     sf: &StdForm,
@@ -1021,7 +1042,8 @@ fn cold_solve_tab(
             // "unbounded" verdict can only mean numerical breakdown.
             // Surface it instead of running phase 2 on a corrupt tableau.
             Ok(true) => {}
-            Ok(false) | Err(PivotStall) => return (LpOutcome::PivotTooSmall, stats_of(&tab), None),
+            Ok(false) => return (LpOutcome::PivotTooSmall, stats_of(&tab), None),
+            Err(a) => return (a.outcome(), stats_of(&tab), None),
         }
         let art_sum = -tab.rhs(m);
         if art_sum > 1e-6 {
@@ -1062,7 +1084,7 @@ fn cold_solve_tab(
             (LpOutcome::Optimal(sol), stats, Some(tab))
         }
         Ok(false) => (LpOutcome::Unbounded, stats_of(&tab), None),
-        Err(PivotStall) => (LpOutcome::PivotTooSmall, stats_of(&tab), None),
+        Err(a) => (a.outcome(), stats_of(&tab), None),
     }
 }
 
@@ -1077,6 +1099,9 @@ pub enum DiveStep {
     /// the tableau state is unreliable and the caller should discard it
     /// (heuristic callers abort, exact callers rebuild cold).
     Stalled,
+    /// The attached cancel token tripped mid-repair; the tableau is
+    /// unreliable, as after a stall.
+    Cancelled,
 }
 
 /// An **incremental dive tableau**: the factorized tableau of an optimal
@@ -1143,7 +1168,7 @@ impl DiveTableau {
     ///
     /// An optional cancellation token stays attached to the live tableau:
     /// the cold solve and every later [`DiveTableau::tighten`] repair
-    /// abort as [`LpOutcome::PivotTooSmall`] / [`DiveStep::Stalled`] once
+    /// abort as [`LpOutcome::Cancelled`] / [`DiveStep::Cancelled`] once
     /// it trips. The steepest-edge weights of the dual repairs are
     /// initialized once and maintained exactly across the whole chain.
     pub fn new(
@@ -1499,7 +1524,8 @@ impl DiveTableau {
             match self.tab.dual_optimize(budget) {
                 Ok(DualStatus::Feasible) => {}
                 Ok(DualStatus::Infeasible) => return DiveStep::Infeasible,
-                Ok(DualStatus::Stalled) | Err(PivotStall) => return DiveStep::Stalled,
+                Ok(DualStatus::Stalled) | Err(Abort::Stall) => return DiveStep::Stalled,
+                Err(Abort::Cancelled) => return DiveStep::Cancelled,
             }
         }
         DiveStep::Optimal(extract(&self.tab, &self.lo, model))
@@ -1846,6 +1872,59 @@ mod tests {
         assert_eq!(dt.bounds(crate::VarId(0)), (0.0, 6.0));
     }
 
+    /// The Klee–Minty cube of dimension `n`: largest-coefficient pricing
+    /// visits all `2^n` vertices, so the cold solve takes `2^n − 1` pivots.
+    fn klee_minty(n: usize) -> Model {
+        let mut m = Model::new(Sense::Maximize);
+        let xs: Vec<_> = (0..n)
+            .map(|j| m.add_var(format!("x{j}"), VarKind::Continuous, 0.0, f64::INFINITY))
+            .collect();
+        for i in 0..n {
+            let mut row = LinExpr::from(xs[i]);
+            for (j, &x) in xs.iter().enumerate().take(i) {
+                row = row + (2f64.powi((i - j + 1) as i32), x);
+            }
+            m.add_constraint(row, Cmp::Le, 5f64.powi(i as i32 + 1));
+        }
+        let mut obj = LinExpr::new();
+        for (j, &x) in xs.iter().enumerate() {
+            obj = obj + (2f64.powi((n - 1 - j) as i32), x);
+        }
+        m.set_objective(obj);
+        m
+    }
+
+    #[test]
+    fn expired_deadline_stops_a_long_solve_within_one_check_window() {
+        let m = klee_minty(9);
+        let sf = std_form(&m, false);
+        let (control, control_stats, _) = cold_solve_tab(&m, &sf, None);
+        let LpOutcome::Optimal(opt) = control else {
+            panic!("Klee–Minty is feasible and bounded, got {control:?}");
+        };
+        assert!((opt.objective - 5f64.powi(9)).abs() < 1e-6);
+        assert!(
+            control_stats.pivots > CANCEL_CHECK_MASK + 1,
+            "the control must outlast one check window, took {} pivots",
+            control_stats.pivots
+        );
+        // Expired, but nobody has polled it yet: only the pivot loop's own
+        // poll can see the deadline.
+        let cancel = crate::cancel::Cancel::with_deadline(
+            std::time::Instant::now() - std::time::Duration::from_millis(1),
+        );
+        assert!(!cancel.is_set());
+        let (out, stats, tab) = cold_solve_tab(&m, &sf, Some(&cancel));
+        assert!(matches!(out, LpOutcome::Cancelled), "got {out:?}");
+        assert!(tab.is_none());
+        assert!(
+            stats.pivots <= CANCEL_CHECK_MASK + 1,
+            "stopped after {} pivots",
+            stats.pivots
+        );
+        assert!(cancel.is_set(), "the pivot loop's poll latches the token");
+    }
+
     use proptest::prelude::*;
 
     proptest! {
@@ -1990,7 +2069,7 @@ mod tests {
                             s.values.iter().map(|x| x.to_bits()).collect(),
                         ))),
                         DiveStep::Infeasible => (1, None),
-                        DiveStep::Stalled => (2, None),
+                        DiveStep::Stalled | DiveStep::Cancelled => (2, None),
                     };
                     trace.push((kind, bits, t.work()));
                     if kind != 0 {

@@ -1,24 +1,20 @@
 //! Bounded retention of interrupted-search checkpoints.
 //!
-//! When a solver inside a request is interrupted (deadline expiry, a
-//! watchdog force-cancel, or a node budget), it emits a
-//! [`rs_core::SearchCheckpoint`] alongside its partial result. The
-//! dispatcher parks those snapshots here, keyed by the request's cache
-//! key, so a **retry of the same request resumes the search node-for-node
-//! instead of restarting it** — the mirror image of the [`crate::cache`]
-//! memoization: the cache replays finished work, this store continues
-//! unfinished work.
+//! When a solver inside a request is interrupted (deadline expiry or a
+//! node budget), it emits a [`rs_core::SearchCheckpoint`] alongside its
+//! partial result. The dispatcher parks those snapshots here, keyed by the
+//! request's cache key, so a **retry of the same request resumes the
+//! search node-for-node instead of restarting it** — the mirror image of
+//! the [`crate::cache`] memoization: the cache replays finished work, this
+//! store continues unfinished work.
 //!
 //! A request can hold several checkpoints (one per register type whose
 //! intLP was interrupted), so the stored unit is a list of named slots.
 //! Entries are taken (removed) on resume — a checkpoint is a one-shot
 //! continuation; if the resumed solve is interrupted again it deposits a
 //! fresh, further-along snapshot under the same key. Eviction is FIFO,
-//! like the memo cache. The store is shared by every worker of a pool,
-//! which is what lets the watchdog's force-cancel *salvage* work: the
-//! cancelled worker still finishes its solve call cooperatively, its
-//! checkpoint lands here, and whichever worker picks up the retry
-//! continues from it.
+//! like the memo cache. The store is shared by every worker of a pool, so
+//! whichever worker picks up the retry continues from it.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};

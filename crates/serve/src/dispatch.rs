@@ -25,65 +25,8 @@ use rs_core::{Cancel, MilpError, SearchCheckpoint};
 use rs_sched::{ListScheduler, RegisterAllocator, Resources};
 use serde::Deserialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One worker's in-flight registration, shared with the pool watchdog.
-///
-/// While a deadline-carrying request executes, the dispatcher publishes
-/// its cancel token and hard deadline here. The watchdog (one thread per
-/// [`crate::pool::ServePool`]) sweeps all slots and force-cancels any
-/// entry stuck past `deadline + grace` — covering code paths whose own
-/// cooperative polls are too sparse (or an injected fault's sleep). A
-/// forced cancel latches; the worker observes it after the request ends
-/// and replaces its engine as a hygiene measure.
-#[derive(Clone, Default)]
-pub struct WatchSlot {
-    inner: Arc<Mutex<WatchState>>,
-}
-
-#[derive(Default)]
-struct WatchState {
-    inflight: Option<(Cancel, Instant)>,
-    forced: bool,
-}
-
-impl WatchSlot {
-    /// Registers an in-flight request (only deadline-carrying requests
-    /// are watchable; others pass `None` and are skipped).
-    pub fn begin(&self, cancel: &Cancel, deadline: Option<Instant>) {
-        if let Some(dl) = deadline {
-            let mut st = crate::lock_recover(&self.inner);
-            st.inflight = Some((cancel.clone(), dl));
-        }
-    }
-
-    /// Ends the in-flight window (the forced flag stays latched).
-    pub fn clear(&self) {
-        crate::lock_recover(&self.inner).inflight = None;
-    }
-
-    /// Watchdog sweep: force-cancels an entry stuck past `deadline +
-    /// grace`. Returns `true` when this sweep fired the cancel.
-    pub fn check(&self, now: Instant, grace: Duration) -> bool {
-        let mut st = crate::lock_recover(&self.inner);
-        match &st.inflight {
-            Some((cancel, dl)) if now > *dl + grace => {
-                cancel.cancel();
-                st.inflight = None; // fire once per request
-                st.forced = true;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Consumes the forced-cancel latch (worker side, after a request).
-    pub fn take_forced(&self) -> bool {
-        let mut st = crate::lock_recover(&self.inner);
-        std::mem::take(&mut st.forced)
-    }
-}
 
 /// One warm worker: engine + optional shared cache + optional shared
 /// checkpoint store.
@@ -93,7 +36,6 @@ pub struct Dispatcher {
     cache: Option<Arc<MemoCache>>,
     ckpts: Option<Arc<CheckpointStore>>,
     faults: Option<Arc<FaultPlan>>,
-    watch: Option<WatchSlot>,
 }
 
 impl Default for Dispatcher {
@@ -112,7 +54,6 @@ impl Dispatcher {
             cache: None,
             ckpts: None,
             faults: None,
-            watch: None,
         }
     }
 
@@ -128,16 +69,6 @@ impl Dispatcher {
     /// testing; see [`FaultPlan`]).
     pub fn set_faults(&mut self, plan: Arc<FaultPlan>) {
         self.faults = Some(plan);
-    }
-
-    /// Registers this dispatcher's in-flight window with a pool watchdog.
-    pub fn set_watch(&mut self, slot: WatchSlot) {
-        self.watch = Some(slot);
-    }
-
-    /// Discards the (possibly mid-mutation) engine for a fresh one.
-    pub fn replace_engine(&mut self) {
-        self.engine = RsEngine::with_params(self.params.clone());
     }
 
     /// A dispatcher answering from (and filling) a shared memoization
@@ -208,17 +139,11 @@ impl Dispatcher {
             _ => Vec::new(),
         };
         let mut harvested: Vec<CheckpointSlot> = Vec::new();
-        let deadline = req
-            .timeout_ms
-            .map(|ms| enqueued + Duration::from_millis(ms));
-        let cancel = match deadline {
-            Some(dl) => Cancel::with_deadline(dl),
+        let cancel = match req.timeout_ms {
+            Some(ms) => Cancel::with_deadline(enqueued + Duration::from_millis(ms)),
             None => Cancel::new(),
         };
         self.engine.set_cancel(cancel.clone());
-        if let Some(w) = &self.watch {
-            w.begin(&cancel, deadline);
-        }
         let fault = self.faults.as_ref().map_or(FaultAction::None, |p| p.next());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             match fault {
@@ -237,15 +162,10 @@ impl Dispatcher {
                 &mut harvested,
             )
         }));
-        if let Some(w) = &self.watch {
-            w.clear();
-        }
         self.engine.clear_cancel();
         // Park whatever the solvers left unfinished — on timeouts *and* on
         // `ok` answers whose search hit a node budget — so the next retry
-        // of this request continues instead of restarting. This is also
-        // the watchdog-salvage path: a force-cancelled solve still returns
-        // cooperatively, and its checkpoint lands here.
+        // of this request continues instead of restarting.
         if let (Some(store), Some(key)) = (&self.ckpts, &key) {
             if !harvested.is_empty() {
                 store.put(key.clone(), harvested);
@@ -284,7 +204,7 @@ impl Dispatcher {
             Err(payload) => {
                 // The engine scratch may be mid-mutation: replace it, keep
                 // serving.
-                self.replace_engine();
+                self.engine = RsEngine::with_params(self.params.clone());
                 let e = RsError::new(
                     codes::PANIC,
                     format!("engine panicked: {}", panic_message(&payload)),
@@ -908,26 +828,6 @@ mod tests {
         assert!(!resp.ok);
         assert_eq!(resp.error.unwrap().code, codes::OVERLOADED);
         assert!(resp.result.is_none(), "shed requests never execute");
-    }
-
-    #[test]
-    fn watchdog_slot_force_cancels_and_latches() {
-        let slot = WatchSlot::default();
-        let cancel = Cancel::new();
-        let deadline = Instant::now() - Duration::from_millis(5);
-        slot.begin(&cancel, Some(deadline));
-        assert!(
-            !slot.check(deadline, Duration::from_millis(100)),
-            "in grace"
-        );
-        assert!(slot.check(Instant::now(), Duration::ZERO));
-        assert!(cancel.is_set(), "watchdog forced the token");
-        assert!(!slot.check(Instant::now(), Duration::ZERO), "fires once");
-        assert!(slot.take_forced());
-        assert!(!slot.take_forced(), "latch is consumed");
-        // Requests without a deadline are not watchable.
-        slot.begin(&Cancel::new(), None);
-        assert!(!slot.check(Instant::now(), Duration::ZERO));
     }
 
     #[test]

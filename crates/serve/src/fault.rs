@@ -11,8 +11,7 @@
 //! - `error=N` — every Nth probed request returns a spurious engine
 //!   error (wire code `engine`) without executing,
 //! - `delay=N:MS` — every Nth probed request sleeps `MS` milliseconds
-//!   before executing (exercises deadline expiry, queue backlog, and the
-//!   watchdog).
+//!   before executing (exercises deadline expiry and queue backlog).
 //!
 //! Precedence when several fire on the same tick: panic > error > delay.
 //! The spec string (e.g. `"panic=7,delay=5:40,error=11"`) comes from

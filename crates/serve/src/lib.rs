@@ -13,8 +13,9 @@
 //!   retried request *resumes* its search node-for-node instead of
 //!   restarting (the continuation mirror of the memo cache);
 //! - [`pool::ServePool`] — a bounded work queue with backpressure feeding
-//!   per-worker dispatchers, plus queue-wait load shedding and a watchdog
-//!   that force-cancels work stuck past its deadline;
+//!   per-worker dispatchers, plus queue-wait load shedding (in flight, a
+//!   request's deadline is polled by the solvers themselves, down to the
+//!   simplex pivot loops);
 //! - [`fault::FaultPlan`] — deterministic fault injection (forced panics,
 //!   delays, spurious errors) for chaos testing the above;
 //! - [`server`] — newline-delimited JSON transports (stdio, Unix socket)
@@ -36,7 +37,7 @@ pub mod server;
 
 pub use cache::MemoCache;
 pub use checkpoint::{CheckpointSlot, CheckpointStore};
-pub use dispatch::{process_line, process_line_at, Dispatcher, WatchSlot};
+pub use dispatch::{process_line, process_line_at, Dispatcher};
 pub use fault::{FaultAction, FaultPlan};
 pub use pool::{Job, PoolHandle, ResponseSink, ServeConfig, ServePool, ServeStats};
 pub use server::{serve_io, InOrderSink, UnixServer};

@@ -6,14 +6,14 @@
 
 use crate::cache::MemoCache;
 use crate::checkpoint::CheckpointStore;
-use crate::dispatch::{process_line_at, Dispatcher, WatchSlot};
+use crate::dispatch::{process_line_at, Dispatcher};
 use crate::fault::FaultPlan;
 use rs_core::request::{codes, RsResponse};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A blocking bounded MPMC queue (mutex + condvars).
 pub struct Bounded<T> {
@@ -131,9 +131,6 @@ pub struct ServeConfig {
     pub queue: usize,
     /// Memoization cache capacity, in results.
     pub cache_capacity: usize,
-    /// Watchdog grace beyond a request's deadline before its token is
-    /// force-cancelled and the worker's engine marked for replacement.
-    pub grace_ms: u64,
     /// Fault injection plan (chaos testing); `None` in production.
     pub faults: Option<Arc<FaultPlan>>,
 }
@@ -144,7 +141,6 @@ impl Default for ServeConfig {
             workers: 0,
             queue: 64,
             cache_capacity: crate::cache::DEFAULT_CACHE_CAPACITY,
-            grace_ms: 1000,
             faults: None,
         }
     }
@@ -171,26 +167,16 @@ pub struct PoolCounters {
     failed: AtomicU64,
     timeouts: AtomicU64,
     shed: AtomicU64,
-    watchdog_cancels: AtomicU64,
-    engines_replaced: AtomicU64,
 }
 
-/// State shared between the pool owner, connection readers, and watchdog.
+/// State shared between the pool owner, connection readers, and workers.
 pub struct PoolShared {
     queue: Bounded<Job>,
     cache: Arc<MemoCache>,
     /// Interrupted-search checkpoints, shared by every worker so a retry
-    /// resumes no matter which worker picks it up. This is also how a
-    /// watchdog force-cancel *salvages* work: the cancelled solve still
-    /// returns cooperatively, its checkpoint lands here, and the retry
-    /// continues from it instead of paying for the lost nodes again.
+    /// resumes no matter which worker picks it up.
     ckpts: Arc<CheckpointStore>,
     counters: PoolCounters,
-    slots: Vec<WatchSlot>,
-    /// Set by [`ServePool::shutdown`], which then wakes the watchdog out of
-    /// its timed wait through `watchdog_wake`.
-    stop_watchdog: Mutex<bool>,
-    watchdog_wake: Condvar,
 }
 
 /// A cloneable submission handle (used by per-connection reader threads).
@@ -218,11 +204,6 @@ pub struct ServeStats {
     pub timeouts: u64,
     /// Requests shed before execution (code `overloaded`).
     pub shed: u64,
-    /// Watchdog force-cancels of work stuck past deadline + grace.
-    pub watchdog_cancels: u64,
-    /// Engines replaced after a forced cancel (panic replacements are
-    /// counted under `failed`, not here).
-    pub engines_replaced: u64,
     /// Memoization cache hits.
     pub cache_hits: u64,
     /// Memoization cache misses.
@@ -239,11 +220,10 @@ pub struct ServeStats {
 pub struct ServePool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
 }
 
 impl ServePool {
-    /// Spawns the workers and the watchdog.
+    /// Spawns the workers.
     pub fn new(cfg: &ServeConfig) -> Self {
         let n = cfg.effective_workers();
         let shared = Arc::new(PoolShared {
@@ -251,9 +231,6 @@ impl ServePool {
             cache: Arc::new(MemoCache::with_capacity(cfg.cache_capacity)),
             ckpts: Arc::new(CheckpointStore::default()),
             counters: PoolCounters::default(),
-            slots: (0..n).map(|_| WatchSlot::default()).collect(),
-            stop_watchdog: Mutex::new(false),
-            watchdog_wake: Condvar::new(),
         });
         let workers = (0..n)
             .map(|i| {
@@ -261,25 +238,12 @@ impl ServePool {
                 let faults = cfg.faults.clone();
                 std::thread::Builder::new()
                     .name(format!("rsat-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i, faults))
+                    .spawn(move || worker_loop(&shared, faults))
                     // lint:allow(S-01) pool construction is startup, not a request path; failing to spawn means the service never comes up
                     .expect("spawn worker")
             })
             .collect();
-        let watchdog = {
-            let shared = Arc::clone(&shared);
-            let grace = Duration::from_millis(cfg.grace_ms);
-            std::thread::Builder::new()
-                .name("rsat-watchdog".into())
-                .spawn(move || watchdog_loop(&shared, grace))
-                // lint:allow(S-01) pool construction is startup, not a request path; failing to spawn means the service never comes up
-                .expect("spawn watchdog")
-        };
-        ServePool {
-            shared,
-            workers,
-            watchdog: Some(watchdog),
-        }
+        ServePool { shared, workers }
     }
 
     /// A submission handle for reader threads.
@@ -302,16 +266,10 @@ impl ServePool {
         snapshot(&self.shared)
     }
 
-    /// Closes the queue, drains in-flight work, joins the workers and the
-    /// watchdog.
-    pub fn shutdown(mut self) -> ServeStats {
+    /// Closes the queue, drains in-flight work, joins the workers.
+    pub fn shutdown(self) -> ServeStats {
         self.shared.queue.close();
         for w in self.workers {
-            let _ = w.join();
-        }
-        *crate::lock_recover(&self.shared.stop_watchdog) = true;
-        self.shared.watchdog_wake.notify_all();
-        if let Some(w) = self.watchdog.take() {
             let _ = w.join();
         }
         snapshot(&self.shared)
@@ -327,8 +285,6 @@ fn snapshot(shared: &PoolShared) -> ServeStats {
         failed: shared.counters.failed.load(Ordering::Relaxed),
         timeouts: shared.counters.timeouts.load(Ordering::Relaxed),
         shed: shared.counters.shed.load(Ordering::Relaxed),
-        watchdog_cancels: shared.counters.watchdog_cancels.load(Ordering::Relaxed),
-        engines_replaced: shared.counters.engines_replaced.load(Ordering::Relaxed),
         cache_hits,
         cache_misses,
         checkpoints_stored,
@@ -336,26 +292,14 @@ fn snapshot(shared: &PoolShared) -> ServeStats {
     }
 }
 
-fn worker_loop(shared: &PoolShared, index: usize, faults: Option<Arc<FaultPlan>>) {
+fn worker_loop(shared: &PoolShared, faults: Option<Arc<FaultPlan>>) {
     let mut dispatcher = Dispatcher::with_cache(Arc::clone(&shared.cache));
     dispatcher.set_checkpoint_store(Arc::clone(&shared.ckpts));
-    let slot = shared.slots[index].clone();
-    dispatcher.set_watch(slot.clone());
     if let Some(plan) = faults {
         dispatcher.set_faults(plan);
     }
     while let Some(job) = shared.queue.pop() {
         let (response, json) = process_line_at(&mut dispatcher, &job.line, job.enqueued);
-        if slot.take_forced() {
-            // A watchdog had to force this request's cancel: the engine
-            // may have been interrupted somewhere its own polls never
-            // reach, so swap it out before the next request.
-            dispatcher.replace_engine();
-            shared
-                .counters
-                .engines_replaced
-                .fetch_add(1, Ordering::Relaxed);
-        }
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);
         if response.ok {
             shared.counters.ok.fetch_add(1, Ordering::Relaxed);
@@ -375,38 +319,10 @@ fn worker_loop(shared: &PoolShared, index: usize, faults: Option<Arc<FaultPlan>>
     }
 }
 
-/// Sweeps every worker's [`WatchSlot`] until shutdown, force-cancelling
-/// in-flight work stuck past its deadline plus `grace`. Between sweeps it
-/// waits on `watchdog_wake` rather than sleeping, so shutdown joins it at
-/// once instead of waiting out the rest of a sweep.
-fn watchdog_loop(shared: &PoolShared, grace: Duration) {
-    // Sweep often enough that a stuck request overshoots its grace by at
-    // most ~1/4 of it (bounded to keep an idle daemon cheap).
-    let sweep = (grace / 4).clamp(Duration::from_millis(5), Duration::from_millis(250));
-    loop {
-        let now = Instant::now();
-        for slot in &shared.slots {
-            if slot.check(now, grace) {
-                shared
-                    .counters
-                    .watchdog_cancels
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let stop = crate::lock_recover(&shared.stop_watchdog);
-        let (stop, _) = shared
-            .watchdog_wake
-            .wait_timeout_while(stop, sweep, |stop| !*stop)
-            .unwrap_or_else(|p| p.into_inner());
-        if *stop {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn bounded_queue_blocks_then_drains() {
@@ -429,10 +345,9 @@ mod tests {
 
     #[test]
     fn idle_pool_shuts_down_without_waiting_out_a_sweep() {
-        // At the default grace the watchdog sweeps every 250 ms; shutdown
-        // must wake it instead of waiting for the sweep to end.
+        // No background thread outlives the workers: an idle pool's
+        // shutdown only closes the queue and joins them.
         let cfg = ServeConfig::default();
-        assert_eq!(cfg.grace_ms, 1000);
         let pool = ServePool::new(&cfg);
         let start = Instant::now();
         pool.shutdown();

@@ -6,8 +6,7 @@
 //! rsat pipeline <file.ddg> --registers N [--issue 1|4|8] [--timeout-ms N]
 //! rsat corpus   <dir> [--jobs N] [--mode analyze|reduce|pipeline] [--registers N] [--ilp] [--out dir]
 //!               [--timeout-ms N] [--retries N] [--resume PATH] [--faults SPEC]
-//! rsat serve    [--workers N] [--queue N] [--cache-capacity N] [--socket PATH] [--grace-ms N]
-//!               [--faults SPEC]
+//! rsat serve    [--workers N] [--queue N] [--cache-capacity N] [--socket PATH] [--faults SPEC]
 //! rsat dot      <file.ddg>
 //! rsat lint     [--root DIR] [--out FILE] [--deny] [--list-rules] [--quiet]
 //! ```
@@ -88,7 +87,7 @@ fn main() -> ExitCode {
                 "  rsat corpus   <dir> [--jobs N] [--mode analyze|reduce|pipeline] [--registers N] [--ilp] [--out dir] [--timeout-ms N] [--retries N] [--resume PATH] [--faults SPEC]"
             );
             eprintln!(
-                "  rsat serve    [--workers N] [--queue N] [--cache-capacity N] [--socket PATH] [--grace-ms N] [--faults SPEC]"
+                "  rsat serve    [--workers N] [--queue N] [--cache-capacity N] [--socket PATH] [--faults SPEC]"
             );
             eprintln!("  rsat dot      <file.ddg>");
             eprintln!(
@@ -453,11 +452,6 @@ fn serve(args: &[String]) -> Result<(), RsError> {
             .parse::<usize>()
             .map_err(|_| RsError::usage("bad --cache-capacity value"))?;
     }
-    if let Some(v) = flag_value(args, "--grace-ms") {
-        cfg.grace_ms = v
-            .parse::<u64>()
-            .map_err(|_| RsError::usage("bad --grace-ms value"))?;
-    }
     cfg.faults = parse_faults(args)?;
     if cfg.faults.is_some() {
         eprintln!("rsat serve: CHAOS MODE — fault injection active");
@@ -488,15 +482,12 @@ fn serve(args: &[String]) -> Result<(), RsError> {
     };
     eprintln!(
         "rsat serve: {} requests, {} ok, {} failed ({} timeout, {} shed), \
-         {} watchdog cancels, {} engines replaced, cache {} hits / {} misses, \
-         {} checkpoints stored / {} resumed",
+         cache {} hits / {} misses, {} checkpoints stored / {} resumed",
         stats.requests,
         stats.ok,
         stats.failed,
         stats.timeouts,
         stats.shed,
-        stats.watchdog_cancels,
-        stats.engines_replaced,
         stats.cache_hits,
         stats.cache_misses,
         stats.checkpoints_stored,
