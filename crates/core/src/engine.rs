@@ -13,12 +13,18 @@
 //! - one topological order per DAG, shared by the longest-path table, the
 //!   transitive closure and the killer position table;
 //! - a pooled-row transitive closure ([`TransitiveClosure::build_into`]);
-//! - a single [`KilledScratch`] rebuilt in place (graph `clone_from`, Kahn
-//!   buffers, `LongestPaths::compute_into`) for every candidate killing
-//!   function — the dominant cost of the portfolio + hill-climbing search;
+//! - a single [`KilledScratch`] rebuilt in place for every candidate killing
+//!   function — the dominant cost of the portfolio + hill-climbing search.
+//!   It never copies the DDG: it lays the DDG's live arcs and the
+//!   enforcement arcs out as one flat arc list, runs Kahn's sort on it and
+//!   relaxes the longest-path table from it
+//!   ([`LongestPaths::compute_arcs_into`]);
 //! - flat `Vec`-indexed score arrays and [`FlatKilling`] killer tables in
 //!   place of the one-shot path's `BTreeMap`s;
-//! - reusable Dilworth machinery ([`rs_graph::antichain::max_antichain_into`]).
+//! - reusable Dilworth machinery ([`rs_graph::antichain::max_antichain_into`])
+//!   that asks the disjoint-value relation straight off the killed graph's
+//!   path table ([`killer_kills_before`]), instead of materializing the
+//!   one-shot path's sorted pair list.
 //!
 //! Only the returned [`RsAnalysis`] (witness vector + killing map) is
 //! allocated per call — it is the output. Engines are cheap to create and
@@ -66,7 +72,6 @@ pub struct AnalysisScratch {
     ambiguous: Vec<NodeId>,
     // Per-candidate evaluation structures.
     killed: KilledScratch,
-    before: Vec<(NodeId, NodeId)>,
     ac: AntichainScratch,
     antichain: Vec<NodeId>,
     best_antichain: Vec<NodeId>,
@@ -435,7 +440,6 @@ fn eval_current(ddg: &Ddg, s: &mut AnalysisScratch, killed_current: bool) -> Opt
         values,
         killer,
         killed,
-        before,
         ac,
         antichain,
         ..
@@ -443,19 +447,20 @@ fn eval_current(ddg: &Ddg, s: &mut AnalysisScratch, killed_current: bool) -> Opt
     if !killed_current && !killed.build(ddg, pk, killer) {
         return None;
     }
-    before.clear();
-    for &u in values.iter() {
-        let ku = killer.of(u);
-        for &w in values.iter() {
-            if u != w && killer_kills_before(ddg, &killed.lp, ku, w) {
-                before.push((u, w));
+    // `max_antichain_into` asks row by row (all `b` for one `a`), so the
+    // killer of `a` is looked up once per row.
+    let mut row: Option<(NodeId, NodeId)> = None;
+    let rel = |a: NodeId, b: NodeId| {
+        let ka = match row {
+            Some((r, ka)) if r == a => ka,
+            _ => {
+                let ka = killer.of(a);
+                row = Some((a, ka));
+                ka
             }
-        }
-    }
-    // `values` is ascending, so `before` came out sorted.
-    // lint:allow(D-04) sortedness follows from iterating `values` ascending; binary_search misuse is covered by the differential tests
-    debug_assert!(before.windows(2).all(|w| w[0] <= w[1]));
-    let rel = |a: NodeId, b: NodeId| before.binary_search(&(a, b)).is_ok();
+        };
+        killer_kills_before(ddg, &killed.lp, ka, b)
+    };
     Some(max_antichain_into(values, rel, ac, antichain))
 }
 

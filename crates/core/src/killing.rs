@@ -133,29 +133,21 @@ pub fn killed_graph(ddg: &Ddg, pk: &PKill, k: &KillingFunction) -> Option<Killed
     Some(KilledGraph { graph: g, lp })
 }
 
-/// Scratch for repeated killed-graph construction: the extended graph, its
-/// topological-sort buffers, and the longest-path table, all reused across
-/// candidate killing functions and across DAGs. One [`KilledScratch::build`]
-/// in the steady state performs no heap allocation.
-#[derive(Clone, Debug)]
+/// Scratch for repeated killed-graph construction: `G_{→k}` as a flat arc
+/// list (offsets plus `(dst, latency)` pairs), its topological-sort
+/// buffers, and the longest-path table, all reused across candidate
+/// killing functions and across DAGs. One [`KilledScratch::build`] in the
+/// steady state performs no heap allocation, and never copies the DDG:
+/// acyclicity and longest paths need only the arcs.
+#[derive(Clone, Debug, Default)]
 pub struct KilledScratch {
-    /// `G_{→k}` of the last successful build.
-    pub graph: DiGraph<Operation>,
-    /// All-pairs longest paths of `graph`.
+    /// All-pairs longest paths of `G_{→k}` of the last successful build.
     pub lp: LongestPaths,
+    // The arcs leaving node `u` are `arcs[offsets[u]..offsets[u + 1]]`.
+    offsets: Vec<usize>,
+    arcs: Vec<(NodeId, i64)>,
     order: Vec<NodeId>,
     indeg: Vec<usize>,
-}
-
-impl Default for KilledScratch {
-    fn default() -> Self {
-        KilledScratch {
-            graph: DiGraph::new(),
-            lp: LongestPaths::empty(),
-            order: Vec::new(),
-            indeg: Vec::new(),
-        }
-    }
 }
 
 impl KilledScratch {
@@ -167,26 +159,57 @@ impl KilledScratch {
     /// Rebuilds `G_{→k}` for the flat killing `k` in place. Returns `false`
     /// (without computing longest paths) when the enforcement arcs create a
     /// cycle — the killing function is invalid. Validity and the resulting
-    /// `lp` agree exactly with [`killed_graph`].
+    /// `lp` agree exactly with [`killed_graph`]: neither depends on the
+    /// order of the arcs.
     pub fn build(&mut self, ddg: &Ddg, pk: &PKill, k: &FlatKilling) -> bool {
-        self.graph.clone_from_graph(ddg.graph());
-        for (u, killers) in pk.iter() {
-            let ku = k.of(u);
-            // lint:allow(D-04) enumerators draw k(u) from pkill(u) by construction; cross-checked by the differential tests
-            debug_assert!(killers.contains(&ku), "killer not in pkill({u:?})");
-            for &v in killers {
-                if v == ku {
-                    continue;
-                }
-                let lat = ddg.delta_r(v) - ddg.delta_r(ku);
-                self.graph.add_edge(v, ku, lat);
-            }
+        let n = ddg.num_ops();
+        // Counting sort by source: after the prefix sums `offsets[s]` is
+        // the end of the run of `s`; placing each arc steps it back, so it
+        // ends at the start of the run.
+        let offsets = &mut self.offsets;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        for_each_killed_arc(ddg, pk, k, |src, _, _| offsets[src.index()] += 1);
+        for i in 1..=n {
+            offsets[i] += offsets[i - 1];
         }
-        if topo::topo_sort_into(&self.graph, &mut self.indeg, &mut self.order).is_err() {
+        let arcs = &mut self.arcs;
+        arcs.clear();
+        arcs.resize(offsets[n], (NodeId(0), 0));
+        for_each_killed_arc(ddg, pk, k, |src, dst, lat| {
+            offsets[src.index()] -= 1;
+            arcs[offsets[src.index()]] = (dst, lat);
+        });
+        if !topo::topo_sort_arcs_into(&self.offsets, &self.arcs, &mut self.indeg, &mut self.order) {
             return false;
         }
-        self.lp.compute_into(&self.graph, &self.order);
+        self.lp
+            .compute_arcs_into(&self.order, &self.offsets, &self.arcs);
         true
+    }
+}
+
+/// Calls `f(src, dst, latency)` on every arc of `G_{→k}`: the DDG's live
+/// arcs, then the enforcement arcs of [`killed_graph`].
+fn for_each_killed_arc(
+    ddg: &Ddg,
+    pk: &PKill,
+    k: &FlatKilling,
+    mut f: impl FnMut(NodeId, NodeId, i64),
+) {
+    let g = ddg.graph();
+    for e in g.edge_ids() {
+        f(g.src(e), g.dst(e), g.latency(e));
+    }
+    for (u, killers) in pk.iter() {
+        let ku = k.of(u);
+        // lint:allow(D-04) enumerators draw k(u) from pkill(u) by construction; cross-checked by the differential tests
+        debug_assert!(killers.contains(&ku), "killer not in pkill({u:?})");
+        for &v in killers {
+            if v != ku {
+                f(v, ku, ddg.delta_r(v) - ddg.delta_r(ku));
+            }
+        }
     }
 }
 

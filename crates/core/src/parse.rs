@@ -13,12 +13,16 @@
 //! serial a st 1                 # plain precedence
 //! ```
 //!
+//! Latencies are integers within ±(2^31 − 1) ([`rs_graph::MAX_LATENCY`]),
+//! which keeps every longest-path sum exact; a `flow` latency must also
+//! reach the target minimum `δw(src) − δr(dst)`.
+//!
 //! Node names are arbitrary identifiers (no whitespace). [`parse_ddg`]
 //! builds the closed DDG; [`print_ddg`] emits the same format (modulo the
 //! virtual `⊥`, which is never printed), and the two round-trip.
 
 use crate::model::{Ddg, DdgBuilder, EdgeKind, OpClass, RegType, Target};
-use rs_graph::NodeId;
+use rs_graph::{NodeId, MAX_LATENCY};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -44,6 +48,21 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
         line,
         message: message.into(),
     }
+}
+
+/// Parses a latency token: an integer within ±[`MAX_LATENCY`], so that
+/// every longest-path sum stays exact.
+fn latency(lineno: usize, kind: &str, token: &str) -> Result<i64, ParseError> {
+    let lat: i64 = token
+        .parse()
+        .map_err(|_| err(lineno, format!("bad latency `{token}`")))?;
+    if !(-MAX_LATENCY..=MAX_LATENCY).contains(&lat) {
+        return Err(err(
+            lineno,
+            format!("{kind} latency {lat} outside ±{MAX_LATENCY}"),
+        ));
+    }
+    Ok(lat)
 }
 
 fn class_of(s: &str) -> Option<OpClass> {
@@ -171,9 +190,7 @@ pub fn parse_ddg(input: &str) -> Result<Ddg, ParseError> {
                 let dst = *nodes
                     .get(tokens[2])
                     .ok_or_else(|| err(lineno, format!("unknown op `{}`", tokens[2])))?;
-                let lat: i64 = tokens[3]
-                    .parse()
-                    .map_err(|_| err(lineno, format!("bad latency `{}`", tokens[3])))?;
+                let lat = latency(lineno, "flow", tokens[3])?;
                 let ty = type_of(tokens[4])
                     .ok_or_else(|| err(lineno, format!("unknown register type `{}`", tokens[4])))?
                     .ok_or_else(|| err(lineno, "flow edges need a concrete type"))?;
@@ -211,9 +228,7 @@ pub fn parse_ddg(input: &str) -> Result<Ddg, ParseError> {
                 let dst = *nodes
                     .get(tokens[2])
                     .ok_or_else(|| err(lineno, format!("unknown op `{}`", tokens[2])))?;
-                let lat: i64 = tokens[3]
-                    .parse()
-                    .map_err(|_| err(lineno, format!("bad latency `{}`", tokens[3])))?;
+                let lat = latency(lineno, "serial", tokens[3])?;
                 if src == dst {
                     return Err(err(lineno, format!("self-loop on `{}`", tokens[1])));
                 }
@@ -356,6 +371,36 @@ serial l1 l2 1
         let e = parse_ddg("op a load int\nop b store none\nflow a b 1 float\n").unwrap_err();
         assert!(e.to_string().contains("does not write"), "{e}");
         assert_eq!(e.line, 3);
+    }
+
+    #[test]
+    fn latencies_beyond_the_bound_are_rejected() {
+        let ops = "op a load float\nop b store none\n";
+        let parse = |arc: &str| parse_ddg(&format!("{ops}{arc}\n"));
+        for arc in [
+            "flow a b 2147483648 float",
+            "serial a b 2147483648",
+            "serial a b -2147483648",
+        ] {
+            let e = parse(arc).unwrap_err();
+            assert_eq!(e.line, 3, "{arc}: {e}");
+            assert!(e.message.contains("outside ±2147483647"), "{arc}: {e}");
+        }
+        for arc in [
+            "flow a b 2147483647 float",
+            "serial a b 2147483647",
+            "serial a b -2147483647",
+        ] {
+            assert!(parse(arc).is_ok(), "{arc}");
+        }
+        // A flow latency that wraps the longest path of a chain: rejected
+        // where it enters, instead of reported as a wrapped critical path.
+        let e = parse_ddg(
+            "op a load float\nop b fadd float\nop s store none\n\
+             flow a b 9223372036854775000 float\nflow b s 4000 float\n",
+        )
+        .unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
     }
 
     #[test]

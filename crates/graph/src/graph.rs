@@ -6,6 +6,7 @@
 //! register-saturation passes routinely record edge ids while mutating the
 //! graph.
 
+use crate::MAX_LATENCY;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -115,9 +116,14 @@ impl<N> DiGraph<N> {
     /// Adds a directed edge `src -> dst` with the given latency.
     ///
     /// # Panics
-    /// Panics on self-loops or out-of-range node ids.
+    /// Panics on self-loops, out-of-range node ids, or a latency beyond
+    /// ±[`MAX_LATENCY`] (which keeps longest-path sums exact).
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, latency: i64) -> EdgeId {
         assert!(src != dst, "self-loop {:?} -> {:?} rejected", src, dst);
+        assert!(
+            (-MAX_LATENCY..=MAX_LATENCY).contains(&latency),
+            "latency {latency} of {src:?} -> {dst:?} beyond ±{MAX_LATENCY}"
+        );
         assert!(src.index() < self.nodes.len(), "src out of range");
         assert!(dst.index() < self.nodes.len(), "dst out of range");
         let id = EdgeId(self.edges.len() as u32);
@@ -168,7 +174,14 @@ impl<N> DiGraph<N> {
     }
 
     /// Overwrites the latency of an edge.
+    ///
+    /// # Panics
+    /// Panics on a latency beyond ±[`MAX_LATENCY`], as [`DiGraph::add_edge`].
     pub fn set_latency(&mut self, e: EdgeId, latency: i64) {
+        assert!(
+            (-MAX_LATENCY..=MAX_LATENCY).contains(&latency),
+            "latency {latency} of {e:?} beyond ±{MAX_LATENCY}"
+        );
         self.edges[e.index()].latency = latency;
     }
 
@@ -268,22 +281,6 @@ impl<N> DiGraph<N> {
         self.edge_ids().map(|e| self.latency(e).max(0)).sum()
     }
 
-    /// Clones `other` into `self`, reusing `self`'s allocations (top-level
-    /// vectors, adjacency rows, and payload buffers via `clone_from`). The
-    /// killed-graph construction of the saturation engine rebuilds a scratch
-    /// copy of the same DDG dozens of times per analysis; with this method
-    /// the steady state performs no heap allocation.
-    pub fn clone_from_graph(&mut self, other: &DiGraph<N>)
-    where
-        N: Clone,
-    {
-        self.nodes.clone_from(&other.nodes);
-        self.edges.clone_from(&other.edges);
-        self.out_adj.clone_from(&other.out_adj);
-        self.in_adj.clone_from(&other.in_adj);
-        self.live_edges = other.live_edges;
-    }
-
     /// Maps node payloads, preserving ids and edges.
     pub fn map_nodes<M>(&self, mut f: impl FnMut(NodeId, &N) -> M) -> DiGraph<M> {
         DiGraph {
@@ -374,6 +371,25 @@ mod tests {
     }
 
     #[test]
+    fn latency_bound_is_inclusive() {
+        let mut g = DiGraph::new();
+        let a = g.add_node(());
+        let b = g.add_node(());
+        g.add_edge(a, b, MAX_LATENCY);
+        g.add_edge(b, a, -MAX_LATENCY);
+        assert_eq!(g.edge_count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond")]
+    fn latency_beyond_bound_rejected() {
+        let mut g = DiGraph::new();
+        let a = g.add_node(());
+        let b = g.add_node(());
+        g.add_edge(a, b, i64::MIN);
+    }
+
+    #[test]
     fn sources_and_sinks() {
         let (g, [a, _, _, d]) = diamond();
         assert_eq!(g.sources(), vec![a]);
@@ -397,27 +413,6 @@ mod tests {
         assert_eq!(*h.node(a), 0);
         assert_eq!(*h.node(d), 30);
         assert_eq!(h.edge_count(), 4);
-    }
-
-    #[test]
-    fn clone_from_graph_matches_clone() {
-        let (g, [a, b, _, d]) = diamond();
-        let mut h: DiGraph<u32> = DiGraph::new();
-        h.add_node(99); // pre-existing state must be fully replaced
-        h.clone_from_graph(&g);
-        assert_eq!(h.node_count(), g.node_count());
-        assert_eq!(h.edge_count(), g.edge_count());
-        assert_eq!(*h.node(a), 0);
-        let succ: Vec<_> = h.successors(a).collect();
-        assert_eq!(succ, vec![b, NodeId(2)]);
-        // mutations on the copy don't leak back, and a re-clone resets them
-        let e = h.find_edge(a, b).unwrap();
-        h.remove_edge(e);
-        h.add_edge(a, d, 9);
-        h.clone_from_graph(&g);
-        assert_eq!(h.edge_count(), 4);
-        assert!(h.find_edge(a, b).is_some());
-        assert!(h.find_edge(a, d).is_none());
     }
 
     #[test]

@@ -64,5 +64,14 @@ pub use matching::{
 };
 pub use topo::{cycle_witness, is_acyclic, topo_sort, topo_sort_into, CycleError};
 
-/// Sentinel latency used in longest-path tables for "no path".
-pub const NO_PATH: i64 = i64::MIN;
+/// The sentinel a [`paths::LongestPaths`] table starts every cell at:
+/// `i64::MIN / 4`, far enough below every real path sum (inside ±2^60)
+/// that relaxing it with a plain `max` never lifts it into their range and
+/// never overflows. The table reads any value ≤ `NO_PATH / 2` as "no
+/// path".
+pub const NO_PATH: i64 = i64::MIN / 4;
+
+/// Largest edge latency magnitude, `2^31 − 1`: [`DiGraph::add_edge`] and
+/// the DDG parser reject anything beyond ±`MAX_LATENCY`, which keeps every
+/// longest-path sum of a graph with fewer than 2^29 nodes inside ±2^60.
+pub const MAX_LATENCY: i64 = (1 << 31) - 1;

@@ -10,6 +10,7 @@
 
 use crate::graph::{DiGraph, NodeId};
 use crate::topo::topo_sort;
+use crate::NO_PATH;
 
 /// Longest path lengths from `src` to every node (`None` if unreachable;
 /// `Some(0)` for `src` itself).
@@ -61,12 +62,25 @@ pub fn longest_to<N>(g: &DiGraph<N>, dst: NodeId) -> Vec<Option<i64>> {
 /// Memory is `O(n²)`; time is `O(n·m)`. DDGs in this framework are loop
 /// bodies (tens of nodes) so a dense table is the right trade-off — it is
 /// queried `O(n²)` times per saturation analysis.
+///
+/// Every cell starts at the one sentinel [`NO_PATH`] and relaxes with a
+/// plain `max`, so a cell without a path drifts to `NO_PATH` plus the sum
+/// of some real path. That is exact while every path sum stays inside
+/// ±2^60: real cells then stay above `NO_PATH / 2` and pathless cells below
+/// it, which holds for latencies within ±[`MAX_LATENCY`](crate::MAX_LATENCY)
+/// (what [`DiGraph::add_edge`] accepts) and fewer than 2^29 nodes
+/// (asserted).
 #[derive(Clone, Debug)]
 pub struct LongestPaths {
     n: usize,
-    // row-major; i64::MIN encodes "no path"
+    // row-major; any value ≤ NO_PATH / 2 encodes "no path"
     table: Vec<i64>,
 }
+
+/// Exclusive bound on the node count of a [`LongestPaths`] table: with
+/// latencies within ±`MAX_LATENCY`, a path of fewer than 2^29 arcs sums to
+/// less than 2^60 in magnitude.
+const MAX_NODES: usize = 1 << 29;
 
 impl Default for LongestPaths {
     fn default() -> Self {
@@ -96,20 +110,51 @@ impl LongestPaths {
     /// [`crate::topo::topo_sort_into`]); sharing it lets a caller pay for one
     /// topological sort per graph instead of one per table.
     pub fn compute_into<N>(&mut self, g: &DiGraph<N>, order: &[NodeId]) {
-        let n = g.node_count();
+        self.relax(g.node_count(), order, |u| {
+            g.out_edges(u).map(move |e| (g.dst(e), g.latency(e)))
+        });
+    }
+
+    /// [`LongestPaths::compute_into`] for a flat out-adjacency over
+    /// `offsets.len() − 1` nodes: the arcs of node `u` are
+    /// `arcs[offsets[u]..offsets[u + 1]]`, each a `(dst, latency)` pair with
+    /// `|latency| ≤` [`MAX_LATENCY`](crate::MAX_LATENCY). `order` must be a
+    /// topological order of those arcs (e.g. from
+    /// [`crate::topo::topo_sort_arcs_into`]).
+    pub fn compute_arcs_into(
+        &mut self,
+        order: &[NodeId],
+        offsets: &[usize],
+        arcs: &[(NodeId, i64)],
+    ) {
+        self.relax(offsets.len() - 1, order, |u| {
+            arcs[offsets[u.index()]..offsets[u.index() + 1]]
+                .iter()
+                .copied()
+        });
+    }
+
+    /// The one relaxation loop behind both entries: `out(u)` yields the
+    /// `(dst, latency)` arcs leaving `u`.
+    fn relax<I: Iterator<Item = (NodeId, i64)>>(
+        &mut self,
+        n: usize,
+        order: &[NodeId],
+        mut out: impl FnMut(NodeId) -> I,
+    ) {
+        assert!(n < MAX_NODES, "{n} nodes would let path sums pass ±2^60");
         debug_assert_eq!(order.len(), n, "order must cover the graph");
         self.n = n;
         self.table.clear();
-        self.table.resize(n * n, i64::MIN);
+        self.table.resize(n * n, NO_PATH);
         let table = &mut self.table[..];
         // Process nodes in reverse topological order: lp(u, v) =
-        // max over out-edges (u,w) of δ + lp(w, v), and lp(u, u) = 0.
+        // max over out-arcs (u,w) of δ + lp(w, v), and lp(u, u) = 0.
         for &u in order.iter().rev() {
             let ui = u.index();
             table[ui * n + ui] = 0;
-            for e in g.out_edges(u) {
-                let wi = g.dst(e).index();
-                let lat = g.latency(e);
+            for (w, lat) in out(u) {
+                let wi = w.index();
                 // Split borrows: row `u` mutable, row `w` shared (ui != wi
                 // because self-loops are rejected). Whole-row slices keep the
                 // inner loop free of index arithmetic so it vectorizes.
@@ -121,12 +166,7 @@ impl LongestPaths {
                     (&mut hi[..n], &lo[wi * n..wi * n + n])
                 };
                 for (cell, &via) in urow.iter_mut().zip(wrow) {
-                    if via != i64::MIN {
-                        let cand = via + lat;
-                        if *cell == i64::MIN || cand > *cell {
-                            *cell = cand;
-                        }
-                    }
+                    *cell = (*cell).max(via + lat);
                 }
             }
         }
@@ -136,13 +176,13 @@ impl LongestPaths {
     #[inline]
     pub fn lp(&self, u: NodeId, v: NodeId) -> Option<i64> {
         let x = self.table[u.index() * self.n + v.index()];
-        (x != i64::MIN).then_some(x)
+        (x > NO_PATH / 2).then_some(x)
     }
 
     /// Whether a (possibly empty) path `u ⇝ v` exists.
     #[inline]
     pub fn reaches(&self, u: NodeId, v: NodeId) -> bool {
-        self.table[u.index() * self.n + v.index()] != i64::MIN
+        self.table[u.index() * self.n + v.index()] > NO_PATH / 2
     }
 
     /// Number of nodes the table covers.
@@ -208,6 +248,7 @@ pub fn alap<N>(g: &DiGraph<N>, horizon: i64) -> Vec<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_LATENCY;
 
     fn chain_and_shortcut() -> (DiGraph<()>, [NodeId; 4]) {
         // a -1-> b -2-> c -3-> d, plus shortcut a -4-> d
@@ -336,6 +377,103 @@ mod tests {
         for u in g.node_ids() {
             for v in g.node_ids() {
                 assert_eq!(lp.lp(u, v), fresh.lp(u, v));
+            }
+        }
+    }
+
+    /// splitmix64: the seeded stream behind [`random_dag`].
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A DAG of `n` nodes whose topological order is a shuffle of the ids,
+    /// with sparse arcs (so many pairs are unreachable), some parallel arcs,
+    /// and latencies anywhere in ±`MAX_LATENCY`, both extremes included.
+    fn random_dag(n: usize, seed: u64) -> DiGraph<()> {
+        let mut state = seed;
+        let mut g = DiGraph::new();
+        let ids: Vec<NodeId> = (0..n).map(|_| g.add_node(())).collect();
+        let mut rank = ids.clone();
+        for i in (1..n).rev() {
+            rank.swap(i, next(&mut state) as usize % (i + 1));
+        }
+        let density = 1 + next(&mut state) % 4; // arcs per 16 pairs
+        for i in 0..n {
+            for j in i + 1..n {
+                if next(&mut state) % 16 >= density {
+                    continue;
+                }
+                let copies = if next(&mut state) % 8 == 0 { 2 } else { 1 };
+                for _ in 0..copies {
+                    let lat = match next(&mut state) % 6 {
+                        0 => MAX_LATENCY,
+                        1 => -MAX_LATENCY,
+                        2 => (next(&mut state) % 9) as i64 - 4,
+                        _ => (next(&mut state) % (2 * MAX_LATENCY as u64 + 1)) as i64 - MAX_LATENCY,
+                    };
+                    g.add_edge(rank[i], rank[j], lat);
+                }
+            }
+        }
+        g
+    }
+
+    /// The flat out-adjacency of `g` that [`LongestPaths::compute_arcs_into`]
+    /// reads.
+    fn arc_list(g: &DiGraph<()>) -> (Vec<usize>, Vec<(NodeId, i64)>) {
+        let mut offsets = vec![0];
+        let mut arcs = Vec::new();
+        for u in g.node_ids() {
+            arcs.extend(g.out_edges(u).map(|e| (g.dst(e), g.latency(e))));
+            offsets.push(arcs.len());
+        }
+        (offsets, arcs)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Both entries of the table equal the single-source oracle
+        /// `longest_from` (no sentinel, plain `Option` arithmetic) on every
+        /// pair, while one table is refilled at changing sizes.
+        #[test]
+        fn table_matches_single_source_oracle(
+            sizes in (1usize..=48, 1usize..=48),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut lp = LongestPaths::empty();
+            for (i, n) in [sizes.0, sizes.1, sizes.0].into_iter().enumerate() {
+                let g = random_dag(n, seed ^ i as u64);
+                let order = topo_sort(&g).unwrap();
+                let (offsets, arcs) = arc_list(&g);
+                let mut indeg = Vec::new();
+                let mut arc_order = Vec::new();
+                proptest::prop_assert!(crate::topo::topo_sort_arcs_into(
+                    &offsets, &arcs, &mut indeg, &mut arc_order
+                ));
+                proptest::prop_assert_eq!(&arc_order, &order);
+                for flat in [false, true] {
+                    if flat {
+                        lp.compute_arcs_into(&arc_order, &offsets, &arcs);
+                    } else {
+                        lp.compute_into(&g, &order);
+                    }
+                    proptest::prop_assert_eq!(lp.len(), n);
+                    for u in g.node_ids() {
+                        let oracle = longest_from(&g, u);
+                        for v in g.node_ids() {
+                            proptest::prop_assert_eq!(
+                                lp.lp(u, v), oracle[v.index()],
+                                "n={} flat={} lp({:?},{:?})", n, flat, u, v
+                            );
+                            proptest::prop_assert_eq!(lp.reaches(u, v), oracle[v.index()].is_some());
+                        }
+                    }
+                }
             }
         }
     }

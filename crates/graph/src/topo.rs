@@ -42,36 +42,66 @@ pub fn topo_sort_into<N>(
     indeg: &mut Vec<usize>,
     order: &mut Vec<NodeId>,
 ) -> Result<(), CycleError> {
-    let n = g.node_count();
-    indeg.clear();
-    indeg.resize(n, 0);
-    for e in g.edge_ids() {
-        indeg[g.dst(e).index()] += 1;
-    }
-    // `order` doubles as Kahn's FIFO work queue: popped-off prefix = emitted
-    // order.
-    order.clear();
-    order.reserve(n);
-    order.extend(g.node_ids().filter(|nid| indeg[nid.index()] == 0));
-    let mut head = 0;
-    while head < order.len() {
-        let u = order[head];
-        head += 1;
-        for e in g.out_edges(u) {
-            let v = g.dst(e);
-            indeg[v.index()] -= 1;
-            if indeg[v.index()] == 0 {
-                order.push(v);
-            }
-        }
-    }
-    if order.len() == n {
+    if kahn(g.node_count(), indeg, order, |u| g.successors(u)) {
         Ok(())
     } else {
         Err(CycleError {
             cycle: find_cycle(g).expect("Kahn detected a cycle but DFS found none"),
         })
     }
+}
+
+/// [`topo_sort_into`] over a flat out-adjacency: the arcs of node `u` are
+/// `arcs[offsets[u]..offsets[u + 1]]`, each a `(dst, latency)` pair, over
+/// `offsets.len() − 1` nodes. Returns `false` on a cycle, without a
+/// witness.
+pub fn topo_sort_arcs_into(
+    offsets: &[usize],
+    arcs: &[(NodeId, i64)],
+    indeg: &mut Vec<usize>,
+    order: &mut Vec<NodeId>,
+) -> bool {
+    kahn(offsets.len() - 1, indeg, order, |u| {
+        arcs[offsets[u.index()]..offsets[u.index() + 1]]
+            .iter()
+            .map(|&(v, _)| v)
+    })
+}
+
+/// Kahn's algorithm over the successor lists `succ`: fills `order` and
+/// returns whether it covers all `n` nodes. `order` doubles as the FIFO
+/// work queue (popped-off prefix = emitted order): sources enter it in id
+/// order, then each node's successors in list order as their in-degree
+/// drops to zero.
+fn kahn<I: Iterator<Item = NodeId>>(
+    n: usize,
+    indeg: &mut Vec<usize>,
+    order: &mut Vec<NodeId>,
+    mut succ: impl FnMut(NodeId) -> I,
+) -> bool {
+    indeg.clear();
+    indeg.resize(n, 0);
+    let nodes = (0..n as u32).map(NodeId);
+    for u in nodes.clone() {
+        for v in succ(u) {
+            indeg[v.index()] += 1;
+        }
+    }
+    order.clear();
+    order.reserve(n);
+    order.extend(nodes.filter(|nid| indeg[nid.index()] == 0));
+    let mut head = 0;
+    while head < order.len() {
+        let u = order[head];
+        head += 1;
+        for v in succ(u) {
+            indeg[v.index()] -= 1;
+            if indeg[v.index()] == 0 {
+                order.push(v);
+            }
+        }
+    }
+    order.len() == n
 }
 
 /// Whether the graph is acyclic.
@@ -231,6 +261,26 @@ mod tests {
         let x = g2.add_node(());
         topo_sort_into(&g2, &mut indeg, &mut order).unwrap();
         assert_eq!(order, vec![x]);
+    }
+
+    #[test]
+    fn cyclic_arc_list_is_rejected() {
+        // 0 -> 1 -> 2 -> 0, then the same arcs without 2 -> 0
+        let arcs = [(NodeId(1), 0), (NodeId(2), 0), (NodeId(0), 0)];
+        let (mut indeg, mut order) = (Vec::new(), Vec::new());
+        assert!(!topo_sort_arcs_into(
+            &[0, 1, 2, 3],
+            &arcs,
+            &mut indeg,
+            &mut order
+        ));
+        assert!(topo_sort_arcs_into(
+            &[0, 1, 2, 2],
+            &arcs,
+            &mut indeg,
+            &mut order
+        ));
+        assert_eq!(order, vec![NodeId(0), NodeId(1), NodeId(2)]);
     }
 
     #[test]

@@ -683,14 +683,21 @@ mod tests {
     #[test]
     fn parse_failures_carry_the_parse_code() {
         let mut d = Dispatcher::new();
-        let resp = d.dispatch(&RsRequest::new(
-            RsOp::Analyze,
-            "op a load float\nflow a ghost 1 float\n",
-        ));
-        assert!(!resp.ok);
-        let err = resp.error.unwrap();
-        assert_eq!(err.code, codes::PARSE);
-        assert!(err.message.contains("line 2"), "{}", err.message);
+        for (ddg, line) in [
+            ("op a load float\nflow a ghost 1 float\n", "line 2"),
+            // a latency beyond ±(2^31 − 1), whose path sums would wrap
+            (
+                "op a load float\nop b fadd float\nop s store none\n\
+                 flow a b 9223372036854775000 float\nflow b s 4000 float\n",
+                "line 4",
+            ),
+        ] {
+            let resp = d.dispatch(&RsRequest::new(RsOp::Analyze, ddg));
+            assert!(!resp.ok);
+            let err = resp.error.unwrap();
+            assert_eq!(err.code, codes::PARSE);
+            assert!(err.message.contains(line), "{}", err.message);
+        }
     }
 
     #[test]

@@ -105,6 +105,28 @@ fn bad_input_reports_line_numbers() {
 }
 
 #[test]
+fn out_of_range_latency_is_a_parse_error() {
+    // A latency whose path sum would wrap i64: rejected at its line
+    // instead of reported as a wrapped critical path.
+    let bad = std::env::temp_dir().join("rsat_test_wrapping_latency.ddg");
+    std::fs::write(
+        &bad,
+        "op a load float\nop b fadd float\nop s store none\n\
+         flow a b 9223372036854775000 float\nflow b s 4000 float\n",
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_rsat"))
+        .args(["analyze", bad.to_str().unwrap(), "--ilp"])
+        .output()
+        .expect("run rsat");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error[parse]"), "{stderr}");
+    assert!(stderr.contains("line 4"), "{stderr}");
+    let _ = std::fs::remove_file(bad);
+}
+
+#[test]
 fn unknown_command_fails_with_usage() {
     let (ok, _, stderr) = rsat(&["frobnicate", &data("expr.ddg")]);
     assert!(!ok);

@@ -4,10 +4,14 @@
 use proptest::prelude::*;
 use rs_core::exact::ExactRs;
 use rs_core::heuristic::GreedyK;
+use rs_core::killing::{killed_graph, FlatKilling, KilledScratch, KillingFunction};
 use rs_core::lifetime::{asap_schedule, is_valid_schedule, register_need};
 use rs_core::model::{RegType, Target};
+use rs_core::pkill::potential_killers;
 use rs_core::reduce::Reducer;
+use rs_graph::paths::LongestPaths;
 use rs_kernels::random::{random_ddg, RandomDagConfig};
+use std::collections::BTreeMap;
 
 fn arb_config() -> impl Strategy<Value = RandomDagConfig> {
     (
@@ -125,4 +129,74 @@ proptest! {
         let asap = asap_schedule(&ddg);
         prop_assert!(is_valid_schedule(&ddg, &asap));
     }
+}
+
+/// splitmix64: the seeded stream the killing-function draws come from.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The engine's flat killed graph (`KilledScratch`) agrees with the
+/// one-shot `killed_graph` on random DDGs of both targets, under killing
+/// functions drawn at random from pkill, cyclic ones included: the same
+/// validity, and on valid ones the same longest path for every pair. One
+/// scratch serves DAGs of every size, so stale state fails too.
+#[test]
+fn flat_killed_graph_matches_reference() {
+    let mut scratch = KilledScratch::new();
+    let mut flat = FlatKilling::default();
+    let (mut valid, mut cyclic) = (0, 0);
+    let mut state = 0x5eed;
+    for case in 0..64u64 {
+        let cfg = RandomDagConfig::sized(4 + (case as usize * 7) % 26, case);
+        for target in [Target::superscalar(), Target::vliw()] {
+            let ddg = random_ddg(&cfg, target);
+            let lp = LongestPaths::new(ddg.graph());
+            for t in ddg.reg_types() {
+                let pk = potential_killers(&ddg, t, &lp);
+                for _ in 0..4 {
+                    flat.reset(ddg.num_ops());
+                    let mut killer = BTreeMap::new();
+                    for (u, ks) in pk.iter() {
+                        let k = ks[(splitmix(&mut state) % ks.len() as u64) as usize];
+                        flat.set(u, k);
+                        killer.insert(u, k);
+                    }
+                    let k = KillingFunction {
+                        reg_type: t,
+                        killer,
+                    };
+                    let reference = killed_graph(&ddg, &pk, &k);
+                    assert_eq!(
+                        scratch.build(&ddg, &pk, &flat),
+                        reference.is_some(),
+                        "case {case} type {t:?}: validity of {k:?}"
+                    );
+                    let Some(reference) = reference else {
+                        cyclic += 1;
+                        continue;
+                    };
+                    valid += 1;
+                    assert_eq!(scratch.lp.len(), ddg.num_ops());
+                    for u in ddg.graph().node_ids() {
+                        for v in ddg.graph().node_ids() {
+                            assert_eq!(
+                                scratch.lp.lp(u, v),
+                                reference.lp.lp(u, v),
+                                "case {case} type {t:?}: lp({u:?}, {v:?})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        valid > 100 && cyclic > 100,
+        "draws covered {valid} valid and {cyclic} cyclic killing functions"
+    );
 }
