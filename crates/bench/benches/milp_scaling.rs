@@ -45,8 +45,7 @@ struct Cell {
     /// at every thread count (asserted below).
     trace_digest: u64,
     lp_solves: usize,
-    warm_solves: usize,
-    warm_hits: usize,
+    dive_steps: usize,
     /// Branching decisions taken from trusted accumulated pseudocosts.
     pseudocost_branches: usize,
     /// Strong-branching-lite probes spent initializing pseudocosts.
@@ -192,7 +191,7 @@ fn main() {
         "millis",
         "objective",
         "nodes",
-        "warm",
+        "dives",
         "pivots",
         "rows",
         "cuts",
@@ -287,7 +286,7 @@ fn main() {
             println!(
                 "{size:>6} {threads:>9} {millis:>12.1} {obj:>10} {:>8} {:>9} {:>10} {:>9} {:>6} {:>6}",
                 sol.stats.nodes,
-                sol.stats.warm_solves,
+                sol.stats.dive_steps,
                 sol.stats.pivots,
                 sol.stats.rows,
                 sol.stats.cuts_added,
@@ -304,8 +303,7 @@ fn main() {
                 nodes: sol.stats.nodes,
                 trace_digest: sol.stats.trace_digest,
                 lp_solves: sol.stats.lp_solves,
-                warm_solves: sol.stats.warm_solves,
-                warm_hits: sol.stats.warm_hits,
+                dive_steps: sol.stats.dive_steps,
                 pseudocost_branches: sol.stats.pseudocost_branches,
                 strong_branch_probes: sol.stats.strong_branch_probes,
                 pivots: sol.stats.pivots,

@@ -12,13 +12,13 @@
 //! independent of `jobs` (asserted by `tests/corpus_cli.rs`).
 
 use rs_core::request::{codes, reg_type_from_name, RsError, RsOp, RsRequest};
-use rs_serve::{CheckpointStore, Dispatcher, FaultPlan};
+use rs_serve::Dispatcher;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// What to run per file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,24 +66,15 @@ pub struct CorpusOptions {
     /// Per-file deadline; a file whose analysis exceeds it is recorded as
     /// a `timeout` entry (with the run continuing).
     pub timeout_ms: Option<u64>,
-    /// Extra attempts for failed files. Codes `panic` and `overloaded`
-    /// are transient (exponential backoff between attempts); `timeout` is
-    /// retried immediately because each attempt *resumes* the interrupted
-    /// branch-and-bound search from its checkpoint — attempts compose
-    /// into one larger budget instead of repeating the same prefix.
-    pub retries: usize,
     /// Also run the exact intLP saturation solver per file (analyze mode).
-    /// This is the resumable solver: with `retries` and a `timeout_ms`,
-    /// interrupted files pick their search back up on the next attempt.
     pub ilp: bool,
     /// Periodic run checkpoint file. Completed per-file entries are
     /// rewritten here (atomically, tmp + rename) after every file, and a
-    /// rerun pointed at the same path skips files it already covers — a
-    /// corpus run killed mid-way resumes instead of restarting. Removed
-    /// on successful completion.
+    /// rerun pointed at the same path with the same per-file settings
+    /// (`mode` with its budget, `ilp`, `timeout_ms`) skips files it
+    /// already covers — a corpus run killed mid-way resumes instead of
+    /// restarting. Removed on successful completion.
     pub resume_path: Option<PathBuf>,
-    /// Fault injection plan (chaos testing); `None` in production.
-    pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl Default for CorpusOptions {
@@ -92,22 +83,19 @@ impl Default for CorpusOptions {
             jobs: 1,
             mode: CorpusMode::Analyze,
             timeout_ms: None,
-            retries: 0,
             ilp: false,
             resume_path: None,
-            faults: None,
         }
     }
 }
 
-/// Whether a failed response is worth retrying *with backoff*:
-/// injected/contained panics and shed-on-overload answers are transient
-/// (the next attempt runs on a replaced engine or an idler queue).
-/// Timeouts are retried too, but immediately and via checkpoint resume
-/// (see [`run_file`]); every other code is deterministic for the same
-/// input and would just fail again.
-fn is_transient(code: &str) -> bool {
-    code == codes::PANIC || code == codes::OVERLOADED
+impl CorpusOptions {
+    /// The settings that decide each file's entry, as recorded in a
+    /// [`CorpusOptions::resume_path`] checkpoint: entries computed under
+    /// other settings are never restored.
+    fn per_file_settings(&self) -> String {
+        format!("{:?}", (self.mode, self.ilp, self.timeout_ms))
+    }
 }
 
 /// Per-type analysis outcome of one file.
@@ -166,14 +154,6 @@ pub struct CorpusFileSummary {
     /// Wall-clock milliseconds spent on this file (excluded from the
     /// `jobs`-independence guarantee).
     pub millis: f64,
-    /// Transient-failure retries this file needed (excluded from the
-    /// `jobs`-independence guarantee: the fault schedule depends on
-    /// cross-worker arrival order).
-    pub retries: usize,
-    /// How many of those retries *resumed* an interrupted search from a
-    /// parked checkpoint (as opposed to cold restarts). Also excluded
-    /// from the `jobs`-independence guarantee.
-    pub resumed: usize,
 }
 
 impl CorpusFileSummary {
@@ -260,6 +240,7 @@ pub fn run_corpus(dir: &Path, opts: &CorpusOptions) -> Result<CorpusSummary, RsE
     let jobs = opts.jobs.clamp(1, paths.len());
     let next = AtomicUsize::new(0);
     let mode_name = opts.mode.op().name().to_string();
+    let settings = opts.per_file_settings();
     let mut slots: Vec<Option<CorpusFileSummary>> = (0..paths.len()).map(|_| None).collect();
 
     // A rerun pointed at the same `--resume` file restores the entries an
@@ -267,7 +248,7 @@ pub fn run_corpus(dir: &Path, opts: &CorpusOptions) -> Result<CorpusSummary, RsE
     // empty slots, so the final summary covers every file exactly once.
     let mut restored = 0;
     if let Some(rp) = &opts.resume_path {
-        let mut prior = load_resume(rp, &mode_name);
+        let mut prior = load_resume(rp, &settings);
         for (i, path) in paths.iter().enumerate() {
             let name = path.strip_prefix(dir).unwrap_or(path).display().to_string();
             if let Some(entry) = prior.remove(&name) {
@@ -277,10 +258,6 @@ pub fn run_corpus(dir: &Path, opts: &CorpusOptions) -> Result<CorpusSummary, RsE
         }
     }
     let results = Mutex::new(&mut slots);
-    // One checkpoint store for the whole run: a file whose timed-out
-    // attempt parked a search checkpoint resumes it on the retry, no
-    // matter which worker runs it.
-    let ckpts = Arc::new(CheckpointStore::default());
 
     let start = Instant::now();
     std::thread::scope(|scope| {
@@ -290,17 +267,13 @@ pub fn run_corpus(dir: &Path, opts: &CorpusOptions) -> Result<CorpusSummary, RsE
                 // the same execution path as `rsat serve` (cache-less —
                 // every corpus file is distinct work).
                 let mut dispatcher = Dispatcher::new();
-                dispatcher.set_checkpoint_store(Arc::clone(&ckpts));
-                if let Some(plan) = &opts.faults {
-                    dispatcher.set_faults(Arc::clone(plan));
-                }
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(path) = paths.get(i) else { break };
                     if results.lock().unwrap()[i].is_some() {
                         continue; // restored from the resume checkpoint
                     }
-                    let summary = run_file(&mut dispatcher, dir, path, opts, &ckpts);
+                    let summary = run_file(&mut dispatcher, dir, path, opts);
                     let mut held = results.lock().unwrap();
                     held[i] = Some(summary);
                     if let Some(rp) = &opts.resume_path {
@@ -308,7 +281,7 @@ pub fn run_corpus(dir: &Path, opts: &CorpusOptions) -> Result<CorpusSummary, RsE
                         // (atomic: tmp + rename). Corpora are small; the
                         // simplicity is worth the quadratic rewrites.
                         let done: Vec<&CorpusFileSummary> = held.iter().flatten().collect();
-                        save_resume(rp, &mode_name, &done);
+                        save_resume(rp, &settings, &done);
                     }
                 }
             });
@@ -342,17 +315,20 @@ pub fn run_corpus(dir: &Path, opts: &CorpusOptions) -> Result<CorpusSummary, RsE
 #[derive(Serialize, Deserialize)]
 struct ResumeFile {
     version: u32,
-    mode: String,
+    /// [`CorpusOptions::per_file_settings`] of the run that wrote it.
+    settings: String,
     files: Vec<CorpusFileSummary>,
 }
 
-const RESUME_VERSION: u32 = 1;
+/// Bumped whenever the file's shape or key changes: a file written by
+/// another version is ignored, so the rerun starts cold.
+const RESUME_VERSION: u32 = 2;
 
 /// Loads a run checkpoint, keyed by file name. Unreadable, malformed, or
-/// mismatched (different mode/version) checkpoints are ignored — the run
-/// simply starts cold, mirroring how the solvers treat a checkpoint from
-/// a different model.
-fn load_resume(path: &Path, mode: &str) -> HashMap<String, CorpusFileSummary> {
+/// mismatched (different settings/version) checkpoints are ignored — the
+/// run simply starts cold, mirroring how the solvers treat a checkpoint
+/// from a different model.
+fn load_resume(path: &Path, settings: &str) -> HashMap<String, CorpusFileSummary> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return HashMap::new();
     };
@@ -360,7 +336,7 @@ fn load_resume(path: &Path, mode: &str) -> HashMap<String, CorpusFileSummary> {
         .ok()
         .and_then(|v| ResumeFile::from_value(&v).ok());
     match parsed {
-        Some(r) if r.version == RESUME_VERSION && r.mode == mode => {
+        Some(r) if r.version == RESUME_VERSION && r.settings == settings => {
             r.files.into_iter().map(|f| (f.file.clone(), f)).collect()
         }
         _ => HashMap::new(),
@@ -371,10 +347,10 @@ fn load_resume(path: &Path, mode: &str) -> HashMap<String, CorpusFileSummary> {
 /// any instant leaves either the old or the new checkpoint, never a torn
 /// one. Best-effort: IO errors are swallowed (checkpointing must never
 /// fail the run it protects).
-fn save_resume(path: &Path, mode: &str, files: &[&CorpusFileSummary]) {
+fn save_resume(path: &Path, settings: &str, files: &[&CorpusFileSummary]) {
     let snapshot = ResumeFile {
         version: RESUME_VERSION,
-        mode: mode.to_string(),
+        settings: settings.to_string(),
         files: files.iter().map(|f| (*f).clone()).collect(),
     };
     let Ok(json) = serde_json::to_string(&snapshot) else {
@@ -391,12 +367,11 @@ fn run_file(
     dir: &Path,
     path: &Path,
     opts: &CorpusOptions,
-    ckpts: &CheckpointStore,
 ) -> CorpusFileSummary {
     let mode = opts.mode;
     let name = path.strip_prefix(dir).unwrap_or(path).display().to_string();
     let start = Instant::now();
-    let fail = |error: RsError, start: Instant, retries: usize, resumed: usize| CorpusFileSummary {
+    let fail = |error: RsError| CorpusFileSummary {
         file: name.clone(),
         ok: false,
         error: Some(error),
@@ -406,20 +381,11 @@ fn run_file(
         makespan: None,
         types: Vec::new(),
         millis: start.elapsed().as_secs_f64() * 1e3,
-        retries,
-        resumed,
     };
 
     let input = match std::fs::read_to_string(path) {
         Ok(s) => s,
-        Err(e) => {
-            return fail(
-                RsError::new(codes::IO, format!("cannot read: {e}")),
-                start,
-                0,
-                0,
-            )
-        }
+        Err(e) => return fail(RsError::new(codes::IO, format!("cannot read: {e}"))),
     };
 
     let mut req = RsRequest::new(mode.op(), input);
@@ -427,37 +393,12 @@ fn run_file(
     req.cache = false;
     req.ilp = opts.ilp;
     req.timeout_ms = opts.timeout_ms;
-    let mut retries = 0;
-    let mut resumed = 0;
-    let resp = loop {
-        let resp = dispatcher.dispatch(&req);
-        if resp.ok || retries >= opts.retries {
-            break resp;
-        }
-        match resp.error.as_ref() {
-            Some(e) if is_transient(&e.code) => {
-                retries += 1;
-                // Exponential backoff: 10 ms, 20 ms, 40 ms, ... capped at
-                // half a second so a chaos run cannot stall the corpus.
-                let backoff = Duration::from_millis(10 << (retries - 1).min(6));
-                std::thread::sleep(backoff.min(Duration::from_millis(500)));
-            }
-            // A timed-out attempt is worth retrying *without* backoff:
-            // each attempt gets a fresh deadline, and when the interrupted
-            // search parked a checkpoint the next attempt resumes it
-            // node-for-node — attempts compose into one larger budget.
-            Some(e) if e.code == codes::TIMEOUT => retries += 1,
-            _ => break resp,
-        }
-        if ckpts.contains(&req.cache_key()) {
-            resumed += 1; // this retry continues a parked search
-        }
-    };
+    let resp = dispatcher.dispatch(&req);
     if !resp.ok {
         let error = resp
             .error
             .unwrap_or_else(|| RsError::new(codes::ENGINE, "missing error detail"));
-        return fail(error, start, retries, resumed);
+        return fail(error);
     }
     let result = resp.result.expect("ok response carries a result");
 
@@ -492,8 +433,6 @@ fn run_file(
         makespan: result.makespan,
         types,
         millis: start.elapsed().as_secs_f64() * 1e3,
-        retries,
-        resumed,
     }
 }
 
@@ -709,86 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_faults_are_retried_with_backoff() {
-        let dir = std::env::temp_dir().join("rsat_corpus_retry");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("a.ddg"), "op a load float\n").unwrap();
-        std::fs::write(dir.join("b.ddg"), "op b load float\n").unwrap();
-        // jobs=1 makes the fault schedule line up with file order:
-        // tick 1 (a.ddg) clean, tick 2 (b.ddg) panics, tick 3 (the retry
-        // of b.ddg) clean again.
-        let faulted = |retries| CorpusOptions {
-            jobs: 1,
-            retries,
-            faults: Some(Arc::new(FaultPlan::from_spec("panic=2").unwrap())),
-            ..Default::default()
-        };
-        let no_retry = run_corpus(&dir, &faulted(0)).unwrap();
-        assert_eq!(no_retry.analyzed, 1);
-        let b = no_retry.files.iter().find(|f| f.file == "b.ddg").unwrap();
-        assert_eq!(b.error.as_ref().unwrap().code, codes::PANIC);
-
-        let retried = run_corpus(&dir, &faulted(2)).unwrap();
-        assert_eq!(retried.analyzed, 2, "retry recovers the panicked file");
-        let b = retried.files.iter().find(|f| f.file == "b.ddg").unwrap();
-        assert!(b.ok);
-        assert_eq!(b.retries, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn non_transient_failures_are_not_retried() {
-        let dir = std::env::temp_dir().join("rsat_corpus_no_retry");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("bad.ddg"), "op a load float\nflow a g 1 float\n").unwrap();
-        let summary = run_corpus(
-            &dir,
-            &CorpusOptions {
-                retries: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let bad = summary.files.iter().find(|f| f.file == "bad.ddg").unwrap();
-        assert_eq!(bad.error.as_ref().unwrap().code, codes::PARSE);
-        assert_eq!(bad.retries, 0, "parse errors are deterministic");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn timed_out_ilp_retries_resume_from_checkpoints() {
-        let dir = std::env::temp_dir().join("rsat_corpus_resume_retry");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("chains.ddg"),
-            "op a load float\nop sa store none\nflow a sa 4 float\n\
-             op b load float\nop sb store none\nflow b sb 4 float\n",
-        )
-        .unwrap();
-        // A 0 ms deadline interrupts the intLP on every attempt, so each
-        // attempt parks a checkpoint and each retry finds one to resume.
-        let summary = run_corpus(
-            &dir,
-            &CorpusOptions {
-                ilp: true,
-                timeout_ms: Some(0),
-                retries: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let f = summary.files.first().unwrap();
-        assert!(!f.ok);
-        assert_eq!(f.error.as_ref().unwrap().code, codes::TIMEOUT);
-        assert_eq!(f.retries, 2);
-        assert_eq!(f.resumed, 2, "every retry continued the parked search");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn killed_run_resumes_from_checkpoint_file() {
         let dir = std::env::temp_dir().join("rsat_corpus_resume_file");
         let _ = std::fs::remove_dir_all(&dir);
@@ -808,7 +667,7 @@ mod tests {
         // a's entry. The rerun restores it and analyses only b.ddg.
         let partial = ResumeFile {
             version: RESUME_VERSION,
-            mode: "analyze".into(),
+            settings: with_resume().per_file_settings(),
             files: vec![full.files[0].clone()],
         };
         std::fs::write(&resume, serde_json::to_string(&partial).unwrap()).unwrap();
@@ -820,15 +679,38 @@ mod tests {
         }
         assert!(!resume.exists(), "rerun completed and cleaned up");
 
-        // A checkpoint from a different mode is ignored, not trusted.
-        let foreign = ResumeFile {
-            version: RESUME_VERSION,
-            mode: "reduce".into(),
-            files: vec![full.files[0].clone()],
+        // A checkpoint written under other per-file settings — another
+        // mode, another register budget, the intLP switched on — is
+        // ignored, not trusted.
+        let reduce = |registers| CorpusOptions {
+            mode: CorpusMode::Reduce { registers },
+            ..with_resume()
         };
-        std::fs::write(&resume, serde_json::to_string(&foreign).unwrap()).unwrap();
-        let cold = run_corpus(&dir, &with_resume()).unwrap();
-        assert_eq!(cold.restored, 0, "mismatched mode starts cold");
+        let with_ilp = CorpusOptions {
+            ilp: true,
+            ..with_resume()
+        };
+        for (writer, reader, restored) in [
+            (reduce(2), reduce(2), 1),
+            (reduce(2), reduce(3), 0),
+            (reduce(3), with_resume(), 0),
+            (with_ilp, with_resume(), 0),
+        ] {
+            let written = ResumeFile {
+                version: RESUME_VERSION,
+                settings: writer.per_file_settings(),
+                files: vec![full.files[0].clone()],
+            };
+            std::fs::write(&resume, serde_json::to_string(&written).unwrap()).unwrap();
+            let run = run_corpus(&dir, &reader).unwrap();
+            assert_eq!(
+                run.restored,
+                restored,
+                "written under {}, read under {}",
+                writer.per_file_settings(),
+                reader.per_file_settings()
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

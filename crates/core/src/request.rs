@@ -193,9 +193,8 @@ pub struct RsRequest {
     pub timeout_ms: Option<u64>,
     /// Override the solver's pre-solve static audit (`None` keeps the
     /// build default: on in debug, off in release). The audit rejects
-    /// incoherent models and corrupted resume checkpoints with
-    /// [`codes::REQUEST`] errors before any search runs; it never changes
-    /// the answer of a sound request.
+    /// incoherent models with [`codes::REQUEST`] errors before any search
+    /// runs; it never changes the answer of a sound request.
     pub audit: Option<bool>,
 }
 
@@ -352,18 +351,11 @@ pub struct SolveResult {
     /// interrupted (`saturation ≤ RS ≤ bound`); `None` when proven optimal
     /// (the bound would merely repeat `saturation`).
     pub bound: Option<usize>,
-    /// Opaque resume token, present when the solver was interrupted
-    /// (deadline, cancellation, or node budget) with open work left. The
-    /// serving dispatcher also retains the checkpoint behind this token in
-    /// a bounded store keyed by the request's cache key, so **retrying the
-    /// same request resumes the search** instead of restarting it; the
-    /// token itself lets clients persist the snapshot across server
-    /// restarts. Treat the contents as opaque: the format is a
-    /// solver-internal JSON document, versioned and fingerprinted against
-    /// the exact model and configuration that produced it.
-    pub resume: Option<String>,
     /// True when this result continued a previous interrupted search from
-    /// a retained checkpoint instead of solving from scratch.
+    /// a retained checkpoint instead of solving from scratch. The serving
+    /// dispatcher keeps the checkpoint of an interrupted search in a
+    /// bounded store keyed by the request's cache key, so **retrying the
+    /// same request resumes the search** instead of restarting it.
     pub resumed: bool,
 }
 
@@ -374,10 +366,8 @@ pub struct IlpStats {
     pub nodes: usize,
     /// LP relaxation solves.
     pub lp_solves: usize,
-    /// In-place re-solves on a live dive tableau (dive steps).
-    pub warm_solves: usize,
-    /// Dive steps whose dual repair converged.
-    pub warm_hits: usize,
+    /// Dive steps: in-place re-solves on a live dive tableau.
+    pub dive_steps: usize,
     /// Pseudocost-guided branching decisions.
     pub pseudocost_branches: usize,
     /// Strong-branching probes.
@@ -627,37 +617,6 @@ mod tests {
         .unwrap();
         let req = RsRequest::from_value(&v).expect("parses");
         assert_eq!(req.timeout_ms, Some(40));
-    }
-
-    #[test]
-    fn solve_result_resume_token_roundtrips() {
-        // The resume token is an embedded JSON document — every quote,
-        // backslash, and control character must survive the string-field
-        // escaping of the response wire format.
-        let sr = SolveResult {
-            saturation: 3,
-            proven_optimal: false,
-            bound: Some(5),
-            resume: Some(
-                "{\"version\":1,\"frontier\":[{\"path\":[0,1]}],\
-                 \"note\":\"quote \\\" backslash \\\\ newline \\n tab \\t\"}"
-                    .into(),
-            ),
-            resumed: true,
-        };
-        let json = serde_json::to_string(&sr).unwrap();
-        let back = SolveResult::from_value(&serde_json::from_str(&json).unwrap()).unwrap();
-        assert_eq!(back, sr);
-
-        // Absent token deserializes to None/false (wire compat with
-        // responses from servers predating resume support).
-        let v = serde_json::from_str(
-            r#"{"saturation":2,"proven_optimal":true,"bound":null,"resume":null,"resumed":false}"#,
-        )
-        .unwrap();
-        let back = SolveResult::from_value(&v).unwrap();
-        assert_eq!(back.resume, None);
-        assert!(!back.resumed);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! and soundness invariants of the register-saturation solver stack.
 //!
 //! The deterministic B&B (trace digests, round-committed batches,
-//! versioned checkpoints) relies on invariants that the compiler cannot
+//! fingerprinted checkpoints) relies on invariants that the compiler cannot
 //! check: no map-iteration-order or wall-clock dependence on committed
 //! paths, no raw float equality on solver values, no `debug_assert!`
 //! guarding release-mode correctness, no panicking paths in the serve

@@ -1,16 +1,15 @@
 //! Pre-solve static model auditor.
 //!
-//! The solver trusts its inputs structurally: a NaN coefficient, an
-//! inverted bound, or a tampered checkpoint does not fail fast — it
-//! steers pivots, prunes wrong subtrees, or splices an incoherent
-//! frontier, and the damage surfaces far from the cause (if at all).
+//! The solver trusts its inputs structurally: a NaN coefficient or an
+//! inverted bound does not fail fast — it steers pivots or prunes wrong
+//! subtrees, and the damage surfaces far from the cause (if at all).
 //! This module is the static layer in front of execution: with
 //! [`MilpConfig::audit`](crate::MilpConfig::audit) on (the default in
-//! debug builds and CI), every emitted model, every restored or
-//! separated cut-pool row, and every accepted checkpoint is checked
-//! *before* the search runs, and a violation returns a typed
-//! [`AuditError`] through [`MilpError::Audit`](crate::MilpError::Audit)
-//! instead of a silent wrong answer.
+//! debug builds and CI), every emitted model and every restored or
+//! separated cut-pool row is checked *before* the search runs, and a
+//! violation returns a typed [`AuditError`] through
+//! [`MilpError::Audit`](crate::MilpError::Audit) instead of a silent
+//! wrong answer.
 //!
 //! The cut check is the 512-case GMI property test promoted to a
 //! deterministic pass over the real pool: cheap per-row invariants
@@ -32,8 +31,8 @@ const TOL: f64 = 1e-6;
 /// checks only (still catching NaN/unsorted/box-excluding rows).
 const BOX_CAP: u128 = 4096;
 
-/// A static-audit violation: the model, cut pool, or checkpoint is
-/// incoherent and the solve refuses to start. Payloads are pre-rendered
+/// A static-audit violation: the model or its cut pool is incoherent and
+/// the solve refuses to start. Payloads are pre-rendered
 /// strings (not raw floats) so the error stays `Eq` and wire-friendly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AuditError {
@@ -48,9 +47,6 @@ pub enum AuditError {
     /// A pooled cut row is malformed or excludes an integer-feasible
     /// point (an invalid cut silently changes the optimum).
     Cut { index: usize, what: String },
-    /// An accepted (version- and fingerprint-matching) checkpoint has an
-    /// incoherent payload.
-    Checkpoint { what: String },
 }
 
 impl std::fmt::Display for AuditError {
@@ -60,7 +56,6 @@ impl std::fmt::Display for AuditError {
             AuditError::Row { row, what } => write!(f, "audit: constraint {row}: {what}"),
             AuditError::Objective { what } => write!(f, "audit: objective: {what}"),
             AuditError::Cut { index, what } => write!(f, "audit: cut {index}: {what}"),
-            AuditError::Checkpoint { what } => write!(f, "audit: checkpoint: {what}"),
         }
     }
 }

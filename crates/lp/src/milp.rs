@@ -17,11 +17,11 @@
 //! Because rounds commit atomically (an interrupted round is pushed back
 //! whole), the committed prefix of an interrupted search is always exactly
 //! the prefix of the uninterrupted search. That is what makes
-//! [`SearchCheckpoint`] sound: a snapshot of the frontier + incumbent +
-//! pseudocost store taken at a round boundary, from which
-//! [`solve_from`] resumes the search **node-for-node** — an interrupted-
-//! then-resumed run reports the same objective, node count, and trace
-//! digest as an uninterrupted one.
+//! [`SearchCheckpoint`] sound: the driver's own search state (frontier,
+//! incumbent, pseudocost store, cut pool) as it stood at a round boundary,
+//! from which [`solve_from`] resumes the search **node-for-node** — an
+//! interrupted-then-resumed run reports the same objective, node count,
+//! and trace digest as an uninterrupted one.
 //!
 //! ## Cold nodes, incremental dives
 //!
@@ -103,7 +103,6 @@ use crate::model::{Model, Sense, VarKind};
 use crate::pool::{BranchStep, CutPool, Frontier, Incumbent, Node, PcStore};
 use crate::simplex::{DiveStep, DiveTableau, LpOutcome, LpStats, Solution};
 use crate::{VarId, EPS};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -157,15 +156,6 @@ const ROOT_CUT_MIN_IMPROVE: f64 = 1e-6;
 /// A pooled cut slack for this many consecutive root re-solves is retired.
 const CUT_MAX_AGE: u32 = 2;
 
-/// Wire-format version of [`SearchCheckpoint`]; a checkpoint from a
-/// different version is silently ignored (the solve starts cold).
-/// Version 2 added the cut pool and the cut/pricing/propagation counters;
-/// version 3 dropped the pricing and pseudocost switches from the
-/// fingerprint and the always-zero dive reinstall counter; version 4
-/// dropped the integral-objective, presolve, cuts and propagation bytes
-/// from the fingerprint.
-pub const CHECKPOINT_VERSION: u32 = 4;
-
 /// Knobs for the branch-and-bound driver.
 #[derive(Clone, Debug)]
 pub struct MilpConfig {
@@ -196,14 +186,14 @@ pub struct MilpConfig {
     /// objective must not depend on this flag.
     pub reference_lp: bool,
     /// Run the [`crate::audit`] static pass before the search: the
-    /// emitted model, every restored or root-separated cut-pool row, and
-    /// any accepted checkpoint are validated up front, and a violation
-    /// returns [`MilpError::Audit`] instead of executing on incoherent
-    /// data. Defaults to on in debug builds (and CI, which sets it
-    /// explicitly); off in release where inputs come from the audited
-    /// emitters. **Not part of the checkpoint fingerprint** — audit
-    /// never changes search semantics, so debug and release checkpoints
-    /// stay interchangeable.
+    /// emitted model and every restored or root-separated cut-pool row
+    /// are validated up front, and a violation returns
+    /// [`MilpError::Audit`] instead of executing on incoherent data.
+    /// Defaults to on in debug builds (and CI, which sets it explicitly);
+    /// off in release where inputs come from the audited emitters. **Not
+    /// part of the checkpoint fingerprint** — audit never changes search
+    /// semantics, so audited and unaudited solves resume each other's
+    /// checkpoints.
     pub audit: bool,
     /// Cooperative cancellation token, polled in full (flag, deadline,
     /// poll countdown) at every round and node start, every root cut
@@ -255,7 +245,7 @@ pub enum MilpError {
     /// and no incumbent was found.
     Numerical,
     /// The pre-solve static audit ([`MilpConfig::audit`]) rejected the
-    /// model, cut pool, or resume checkpoint before the search started.
+    /// model or its cut pool before the search started.
     Audit(crate::audit::AuditError),
 }
 
@@ -285,14 +275,9 @@ pub struct MilpStats {
     /// chain resumed inside the root phase — which re-solves them —
     /// reports more than an uninterrupted run.
     pub lp_solves: usize,
-    /// Incremental warm re-solves on a live [`DiveTableau`] (the diving
-    /// heuristic's chain steps; tree nodes deliberately solve cold).
-    pub warm_solves: usize,
-    /// Warm re-solves whose dual repair converged — to an optimum *or* to
-    /// an infeasibility proof (both are successful warm outcomes; only a
-    /// stalled repair discards the tableau). Dive steps are pure bound
-    /// tightenings, so this normally equals [`MilpStats::warm_solves`].
-    pub warm_hits: usize,
+    /// Dive steps: incremental re-solves on a live [`DiveTableau`] (the
+    /// diving heuristic's chain steps; tree nodes deliberately solve cold).
+    pub dive_steps: usize,
     /// Branching decisions taken purely from trusted (reliable)
     /// accumulated pseudocosts — no strong-branching probe needed at that
     /// node.
@@ -379,15 +364,15 @@ impl From<MilpSolution> for Solution {
 }
 
 /// Outcome of a resumable solve: the solver result plus, when the search
-/// was interrupted (budget, deadline, or cancellation), a checkpoint that
-/// resumes it exactly where it stopped.
+/// was interrupted (budget, deadline, or cancellation), the interrupted
+/// search itself as a checkpoint that resumes it exactly where it stopped.
 #[derive(Clone, Debug)]
 pub struct MilpRun {
     /// The solver result, exactly as [`solve`] would report it.
     pub result: Result<MilpSolution, MilpError>,
     /// Present iff the search was interrupted. Feed it back through
-    /// [`solve_from`] (with a larger budget / fresh deadline) to continue
-    /// node-for-node.
+    /// [`solve_from`] (with a larger budget / fresh deadline) in the same
+    /// process to continue node-for-node.
     pub checkpoint: Option<SearchCheckpoint>,
 }
 
@@ -396,9 +381,9 @@ pub struct MilpRun {
 // ---------------------------------------------------------------------------
 
 /// Incremental 64-bit FNV-1a hasher. Used both for the explored-node trace
-/// digest (whose running state is persisted in checkpoints so a resumed
-/// run continues the same hash chain) and for the model/config
-/// fingerprint that guards checkpoint compatibility.
+/// digest (whose running state travels in checkpoints so a resumed run
+/// continues the same hash chain) and for the model/config fingerprint
+/// that guards checkpoint compatibility.
 #[derive(Clone, Copy, Debug)]
 struct Fnv(u64);
 
@@ -408,10 +393,6 @@ impl Fnv {
 
     fn new() -> Self {
         Fnv(Self::OFFSET)
-    }
-
-    fn from_state(state: u64) -> Self {
-        Fnv(state)
     }
 
     fn byte(&mut self, b: u8) {
@@ -485,298 +466,78 @@ fn fingerprint(model: &Model, cfg: &MilpConfig) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// SearchCheckpoint: the serializable snapshot.
+// SearchCheckpoint: the interrupted search, kept in memory.
 // ---------------------------------------------------------------------------
 
-/// A serializable snapshot of an interrupted branch-and-bound search: the
-/// open frontier, the incumbent, the pseudocost store, all statistics
-/// counters, and the running trace-digest state — everything needed for
-/// [`solve_from`] to continue **node-for-node** as if the search had
-/// never stopped.
+/// An interrupted branch-and-bound search, held in memory: the round
+/// driver's own state — open frontier, incumbent, pseudocost store, cut
+/// pool, statistics counters, and the running trace-digest state — as it
+/// stood when the search stopped, plus the fingerprint of the model and
+/// semantic configuration that grew it. [`solve_from`] resumes from a
+/// clone of that state and continues **node-for-node** as if the search
+/// had never stopped.
 ///
 /// Checkpoints are taken only at round boundaries (rounds commit
 /// atomically), which is what makes the resumed run bit-identical to the
-/// uninterrupted one. All floating-point payloads are stored as IEEE-754
-/// bit patterns (`u64`) because the JSON wire format cannot represent
-/// `±∞` and round-tripping through decimal could perturb bounds.
-///
-/// A checkpoint is bound to its model and semantic configuration by a
-/// fingerprint; [`solve_resumable`] silently ignores a checkpoint that
-/// does not match (the solve starts cold, flagged by
+/// uninterrupted one. [`solve_resumable`] silently ignores a checkpoint
+/// whose fingerprint does not match (the solve starts cold, flagged by
 /// [`MilpStats::resumed`] `false`) — robustness over strictness, since
 /// upper layers key checkpoints by request cache keys that could collide.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct SearchCheckpoint {
-    version: u32,
     fingerprint: u64,
-    nodes: usize,
-    digest: u64,
-    root_dive_done: bool,
-    /// Whether the root cut loop completed (it runs before the root dive;
-    /// an interrupted loop is discarded whole and re-run on resume).
-    root_cuts_done: bool,
-    /// Root relaxation score before/after cuts, as f64 bits (NaN bits when
-    /// the loop never ran).
-    root_bound_pre: u64,
-    root_bound_post: u64,
-    numerical: bool,
-    /// Max abandoned (numerical-skip) score, as f64 bits.
-    abandoned: u64,
-    /// How many resumes preceded this checkpoint (0 = first interruption).
-    resumed_chain: u32,
-    frontier: Vec<CkptNode>,
-    incumbent: Option<CkptIncumbent>,
-    /// The cut pool in insertion order — the resumed run appends these
-    /// rows to its search model before touching the frontier, so every
-    /// node re-solves against the identical relaxation.
-    cuts: Vec<CkptCut>,
-    pc: CkptPc,
-    counters: CkptCounters,
+    state: SearchState,
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct CkptCut {
-    /// `(var, coefficient bits)` pairs, sorted by var.
-    terms: Vec<(u32, u64)>,
-    /// Rhs as f64 bits.
-    rhs: u64,
-}
-
-impl CkptCut {
-    fn from_cut(c: &Cut) -> CkptCut {
-        CkptCut {
-            terms: c.terms.iter().map(|&(v, a)| (v.0, a.to_bits())).collect(),
-            rhs: c.rhs.to_bits(),
-        }
-    }
-
-    fn to_cut(&self) -> Cut {
-        Cut {
-            terms: self
-                .terms
-                .iter()
-                .map(|&(v, a)| (VarId(v), f64::from_bits(a)))
-                .collect(),
-            rhs: f64::from_bits(self.rhs),
-        }
-    }
-}
-
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct CkptNode {
-    path: Vec<u8>,
-    depth: usize,
-    /// Inherited dual bound, as f64 bits.
-    score: u64,
-    /// Bound overrides `(var, lo bits, hi bits)`.
-    bounds: Vec<(u32, u64, u64)>,
-    branch: Option<CkptBranch>,
-}
-
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct CkptBranch {
-    var: u32,
-    frac: u64,
-    parent_score: u64,
-    up: bool,
-}
-
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct CkptIncumbent {
-    /// Objective as f64 bits.
-    objective: u64,
-    /// Values as f64 bits.
-    values: Vec<u64>,
-}
-
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct CkptPc {
-    up_sum: Vec<u64>,
-    up_cnt: Vec<usize>,
-    down_sum: Vec<u64>,
-    down_cnt: Vec<usize>,
-    glob_sum: u64,
-    glob_cnt: usize,
-}
-
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-struct CkptCounters {
-    lp_solves: usize,
-    warm_solves: usize,
-    warm_hits: usize,
-    pseudocost_branches: usize,
-    strong_branch_probes: usize,
-    pivots: usize,
-    bound_flips: usize,
-    dse_pivots: usize,
-    cuts_added: usize,
-    cut_rounds: usize,
-    propagation_fathoms: usize,
-}
-
-impl CkptNode {
-    fn from_node(n: Node) -> CkptNode {
-        CkptNode {
-            path: n.path,
-            depth: n.depth,
-            score: n.score.to_bits(),
-            bounds: n
-                .bounds
-                .into_iter()
-                .map(|(v, lo, hi)| (v.0, lo.to_bits(), hi.to_bits()))
-                .collect(),
-            branch: n.branch.map(|b| CkptBranch {
-                var: b.var.0,
-                frac: b.frac.to_bits(),
-                parent_score: b.parent_score.to_bits(),
-                up: b.up,
-            }),
-        }
-    }
-
-    fn to_node(&self) -> Node {
-        Node {
-            bounds: self
-                .bounds
-                .iter()
-                .map(|&(v, lo, hi)| (VarId(v), f64::from_bits(lo), f64::from_bits(hi)))
-                .collect(),
-            depth: self.depth,
-            score: f64::from_bits(self.score),
-            branch: self.branch.as_ref().map(|b| BranchStep {
-                var: VarId(b.var),
-                frac: f64::from_bits(b.frac),
-                parent_score: f64::from_bits(b.parent_score),
-                up: b.up,
-            }),
-            path: self.path.clone(),
-        }
+impl std::fmt::Debug for SearchCheckpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SearchCheckpoint")
+            .field("fingerprint", &format_args!("{:016x}", self.fingerprint))
+            .field("nodes", &self.state.nodes)
+            .field("open", &self.state.frontier.len())
+            .field("resumed_chain", &self.state.resumed_chain)
+            .finish_non_exhaustive()
     }
 }
 
 impl SearchCheckpoint {
-    /// Serializes the checkpoint to its JSON wire format. The output is a
-    /// plain JSON object (no floats — every real is an integer bit
-    /// pattern), safe to embed as a string field in a larger document.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("checkpoint has no unserializable values")
-    }
-
-    /// Parses a checkpoint from its JSON wire format.
-    pub fn from_json(s: &str) -> Result<SearchCheckpoint, String> {
-        let v = serde_json::from_str(s).map_err(|e| format!("checkpoint parse: {e}"))?;
-        SearchCheckpoint::from_value(&v).map_err(|e| format!("checkpoint shape: {e}"))
-    }
-
     /// Whether this checkpoint belongs to the given model and semantic
-    /// configuration (and speaks the current wire version). A mismatched
-    /// checkpoint passed to [`solve_resumable`] is ignored, not an error.
+    /// configuration. A mismatched checkpoint passed to
+    /// [`solve_resumable`] is ignored, not an error.
     pub fn matches(&self, model: &Model, cfg: &MilpConfig) -> bool {
-        self.version == CHECKPOINT_VERSION && self.fingerprint == fingerprint(model, cfg)
+        self.fingerprint == fingerprint(model, cfg)
     }
 
     /// Committed nodes at the time of the snapshot.
     pub fn nodes(&self) -> usize {
-        self.nodes
+        self.state.nodes
     }
 
     /// How many interrupt/resume cycles preceded this checkpoint
     /// (0 = taken by a cold run's first interruption).
     pub fn resumed_chain(&self) -> u32 {
-        self.resumed_chain
+        self.state.resumed_chain
     }
 
     /// Structural sanity against the model's variable count: a
     /// fingerprint collision must not index out of bounds.
     fn structurally_valid(&self, n: usize) -> bool {
-        self.pc.up_sum.len() == n
-            && self.pc.up_cnt.len() == n
-            && self.pc.down_sum.len() == n
-            && self.pc.down_cnt.len() == n
-            && self.incumbent.as_ref().is_none_or(|i| i.values.len() == n)
-            && self.frontier.iter().all(|nd| {
-                nd.bounds.iter().all(|&(v, _, _)| (v as usize) < n)
-                    && nd.branch.as_ref().is_none_or(|b| (b.var as usize) < n)
+        let st = &self.state;
+        let in_range = |v: VarId| v.index() < n;
+        st.pc.num_vars() == n
+            && st
+                .incumbent
+                .peek()
+                .is_none_or(|(_, values)| values.len() == n)
+            && st.frontier.nodes().all(|nd| {
+                nd.bounds.iter().all(|&(v, _, _)| in_range(v))
+                    && nd.branch.is_none_or(|b| in_range(b.var))
             })
-            && self
-                .cuts
+            && st
+                .pool
+                .cuts()
                 .iter()
-                .all(|c| c.terms.iter().all(|&(v, _)| (v as usize) < n))
-    }
-
-    /// Full payload-coherence audit of an *accepted* (version- and
-    /// fingerprint-matching) checkpoint, run by [`solve_resumable`] when
-    /// [`MilpConfig::audit`] is on. Subsumes [`structurally_valid`] and
-    /// additionally decodes every stored bit pattern: NaN where a real
-    /// bound/score/coefficient belongs, inverted or non-finite node
-    /// domains, and malformed pooled cut rows are all typed errors —
-    /// a checkpoint this corrupt means persisted state was damaged, and
-    /// silently cold-starting would hide it.
-    ///
-    /// [`structurally_valid`]: SearchCheckpoint::structurally_valid
-    fn audit_coherence(&self, n: usize) -> Result<(), crate::audit::AuditError> {
-        use crate::audit::AuditError;
-        let ck = |what: String| Err(AuditError::Checkpoint { what });
-        if !self.structurally_valid(n) {
-            return ck(format!(
-                "shape does not match the model ({n} vars): pseudocost/incumbent/frontier arity"
-            ));
-        }
-        if let Some(inc) = &self.incumbent {
-            if !f64::from_bits(inc.objective).is_finite() {
-                return ck("incumbent objective is not finite".to_string());
-            }
-            if inc.values.iter().any(|&b| !f64::from_bits(b).is_finite()) {
-                return ck("incumbent carries a non-finite value".to_string());
-            }
-        }
-        for (i, nd) in self.frontier.iter().enumerate() {
-            if f64::from_bits(nd.score).is_nan() {
-                return ck(format!("frontier node {i}: score is NaN"));
-            }
-            // Bound overrides are half-open tightenings: ±∞ endpoints are
-            // by design ("unchanged side"), and an empty intersection
-            // prunes the node gracefully — only NaN is incoherent.
-            for &(v, lob, hib) in &nd.bounds {
-                let (lo, hi) = (f64::from_bits(lob), f64::from_bits(hib));
-                if lo.is_nan() || hi.is_nan() {
-                    return ck(format!("frontier node {i}: NaN bound override for x{v}"));
-                }
-            }
-            if let Some(b) = &nd.branch {
-                if !f64::from_bits(b.frac).is_finite() {
-                    return ck(format!("frontier node {i}: branch fraction is not finite"));
-                }
-            }
-        }
-        for (i, c) in self.cuts.iter().enumerate() {
-            if !f64::from_bits(c.rhs).is_finite() {
-                return ck(format!("cut {i}: rhs is not finite"));
-            }
-            let mut prev: Option<u32> = None;
-            for &(v, ab) in &c.terms {
-                if !f64::from_bits(ab).is_finite() {
-                    return ck(format!("cut {i}: coefficient on x{v} is not finite"));
-                }
-                if prev.is_some_and(|p| v <= p) {
-                    return ck(format!("cut {i}: terms not strictly sorted by variable"));
-                }
-                prev = Some(v);
-            }
-        }
-        let pc_sums = self
-            .pc
-            .up_sum
-            .iter()
-            .chain(&self.pc.down_sum)
-            .chain(std::iter::once(&self.pc.glob_sum));
-        if pc_sums.into_iter().any(|&b| !f64::from_bits(b).is_finite()) {
-            return ck("pseudocost store carries a non-finite sum".to_string());
-        }
-        if f64::from_bits(self.abandoned).is_nan() {
-            return ck("abandoned-score watermark is NaN".to_string());
-        }
-        Ok(())
+                .all(|c| c.terms.iter().all(|&(v, _)| in_range(v)))
     }
 }
 
@@ -798,12 +559,13 @@ pub fn solve(model: &Model, cfg: &MilpConfig) -> Result<MilpSolution, MilpError>
 /// [`solve`], but interruptions (budget, deadline, cancellation) also
 /// yield a [`SearchCheckpoint`] in the returned [`MilpRun`], and an
 /// accepted `resume` checkpoint continues a previous search node-for-node
-/// instead of starting cold.
+/// instead of starting cold. The checkpoint is cloned, so the same one
+/// can seed several solves.
 ///
-/// A `resume` checkpoint is **validated, not trusted**: it must speak the
-/// current wire version, fingerprint-match the model and semantic config,
-/// and be structurally sound — otherwise it is silently dropped and the
-/// solve starts cold ([`MilpStats::resumed`] reports which happened).
+/// A `resume` checkpoint is **validated, not trusted**: it must
+/// fingerprint-match the model and semantic config and fit the model's
+/// variable count — otherwise it is silently dropped and the solve starts
+/// cold ([`MilpStats::resumed`] reports which happened).
 pub fn solve_resumable(
     model: &Model,
     cfg: &MilpConfig,
@@ -818,27 +580,19 @@ pub fn solve_resumable(
         }
     }
     let fp = fingerprint(model, cfg);
-    // A checkpoint that does not speak the current wire version or does
-    // not fingerprint-match stays a *silent* cold start — collisions are
-    // expected (upper layers key checkpoints by cache keys). One that
-    // claims to match and then turns out incoherent is another matter:
-    // with the audit on it is a typed error, because executing it (or
-    // silently discarding it) would mask corruption of persisted state.
-    let resume = resume.filter(|ck| ck.version == CHECKPOINT_VERSION && ck.fingerprint == fp);
-    let resume = if cfg.audit {
-        if let Some(ck) = resume {
-            if let Err(e) = ck.audit_coherence(model.num_vars()) {
-                return MilpRun {
-                    result: Err(MilpError::Audit(e)),
-                    checkpoint: None,
-                };
-            }
+    // A checkpoint that does not match stays a *silent* cold start —
+    // collisions are expected (upper layers key checkpoints by cache keys).
+    let n = model.num_vars();
+    let st = match resume.filter(|ck| ck.fingerprint == fp && ck.structurally_valid(n)) {
+        Some(ck) => {
+            let mut st = ck.state.clone();
+            st.resumed_chain += 1;
+            st.resumed = true;
+            st
         }
-        resume
-    } else {
-        resume.filter(|ck| ck.structurally_valid(model.num_vars()))
+        None => SearchState::fresh(n),
     };
-    search(model, cfg, fp, resume)
+    search(model, cfg, fp, st)
 }
 
 /// Resumes a search from a checkpoint: shorthand for
@@ -914,8 +668,7 @@ fn objective_is_integral(model: &Model) -> bool {
 #[derive(Clone, Copy, Debug, Default)]
 struct LocalCounters {
     lp_solves: usize,
-    warm_solves: usize,
-    warm_hits: usize,
+    dive_steps: usize,
     pseudocost_branches: usize,
     strong_branch_probes: usize,
     pivots: usize,
@@ -929,8 +682,7 @@ struct LocalCounters {
 impl LocalCounters {
     fn add(&mut self, o: &LocalCounters) {
         self.lp_solves += o.lp_solves;
-        self.warm_solves += o.warm_solves;
-        self.warm_hits += o.warm_hits;
+        self.dive_steps += o.dive_steps;
         self.pseudocost_branches += o.pseudocost_branches;
         self.strong_branch_probes += o.strong_branch_probes;
         self.pivots += o.pivots;
@@ -1050,13 +802,14 @@ impl<'c, 'a> NodeRun<'c, 'a> {
     }
 }
 
-/// Driver-owned mutable search state: everything a checkpoint persists.
+/// Driver-owned mutable search state: everything a checkpoint carries.
+#[derive(Clone)]
 struct SearchState {
     frontier: Frontier,
     incumbent: Incumbent,
     pc: PcStore,
     /// The committed cut pool, in insertion order (part of the
-    /// deterministic search state — checkpointed and restored verbatim).
+    /// deterministic search state, carried verbatim by a checkpoint).
     pool: CutPool,
     nodes: usize,
     digest: Fnv,
@@ -1091,64 +844,6 @@ impl SearchState {
             root_bound_post: f64::NAN,
             resumed_chain: 0,
             resumed: false,
-        }
-    }
-
-    fn restore(ck: &SearchCheckpoint, dir: f64) -> SearchState {
-        let mut frontier = Frontier::new();
-        for nd in &ck.frontier {
-            frontier.push(nd.to_node());
-        }
-        let incumbent = match &ck.incumbent {
-            Some(i) => {
-                let objective = f64::from_bits(i.objective);
-                Incumbent::from_parts(
-                    objective,
-                    i.values.iter().map(|&b| f64::from_bits(b)).collect(),
-                    dir * objective,
-                )
-            }
-            None => Incumbent::new(),
-        };
-        let mut pool = CutPool::new();
-        for c in &ck.cuts {
-            pool.insert(c.to_cut());
-        }
-        SearchState {
-            frontier,
-            incumbent,
-            pool,
-            pc: PcStore::from_parts(
-                ck.pc.up_sum.iter().map(|&b| f64::from_bits(b)).collect(),
-                ck.pc.up_cnt.clone(),
-                ck.pc.down_sum.iter().map(|&b| f64::from_bits(b)).collect(),
-                ck.pc.down_cnt.clone(),
-                f64::from_bits(ck.pc.glob_sum),
-                ck.pc.glob_cnt,
-            ),
-            nodes: ck.nodes,
-            digest: Fnv::from_state(ck.digest),
-            counters: LocalCounters {
-                lp_solves: ck.counters.lp_solves,
-                warm_solves: ck.counters.warm_solves,
-                warm_hits: ck.counters.warm_hits,
-                pseudocost_branches: ck.counters.pseudocost_branches,
-                strong_branch_probes: ck.counters.strong_branch_probes,
-                pivots: ck.counters.pivots,
-                bound_flips: ck.counters.bound_flips,
-                dse_pivots: ck.counters.dse_pivots,
-                cuts_added: ck.counters.cuts_added,
-                cut_rounds: ck.counters.cut_rounds,
-                propagation_fathoms: ck.counters.propagation_fathoms,
-            },
-            numerical: ck.numerical,
-            abandoned: f64::from_bits(ck.abandoned),
-            root_dive_done: ck.root_dive_done,
-            root_cuts_done: ck.root_cuts_done,
-            root_bound_pre: f64::from_bits(ck.root_bound_pre),
-            root_bound_post: f64::from_bits(ck.root_bound_post),
-            resumed_chain: ck.resumed_chain + 1,
-            resumed: true,
         }
     }
 
@@ -1190,68 +885,14 @@ impl SearchState {
             OutcomeKind::Unbounded => true,
         }
     }
-
-    /// Snapshots the interrupted search (drains the frontier).
-    fn make_checkpoint(&mut self, fingerprint: u64) -> SearchCheckpoint {
-        let (up_sum, up_cnt, down_sum, down_cnt, glob_sum, glob_cnt) = self.pc.parts();
-        let pc = CkptPc {
-            up_sum: up_sum.iter().map(|x| x.to_bits()).collect(),
-            up_cnt: up_cnt.to_vec(),
-            down_sum: down_sum.iter().map(|x| x.to_bits()).collect(),
-            down_cnt: down_cnt.to_vec(),
-            glob_sum: glob_sum.to_bits(),
-            glob_cnt,
-        };
-        SearchCheckpoint {
-            version: CHECKPOINT_VERSION,
-            fingerprint,
-            nodes: self.nodes,
-            digest: self.digest.state(),
-            root_dive_done: self.root_dive_done,
-            root_cuts_done: self.root_cuts_done,
-            root_bound_pre: self.root_bound_pre.to_bits(),
-            root_bound_post: self.root_bound_post.to_bits(),
-            numerical: self.numerical,
-            abandoned: self.abandoned.to_bits(),
-            resumed_chain: self.resumed_chain,
-            frontier: self
-                .frontier
-                .drain_sorted()
-                .into_iter()
-                .map(CkptNode::from_node)
-                .collect(),
-            incumbent: self
-                .incumbent
-                .peek()
-                .map(|(objective, values)| CkptIncumbent {
-                    objective: objective.to_bits(),
-                    values: values.iter().map(|x| x.to_bits()).collect(),
-                }),
-            cuts: self.pool.cuts().iter().map(CkptCut::from_cut).collect(),
-            pc,
-            counters: CkptCounters {
-                lp_solves: self.counters.lp_solves,
-                warm_solves: self.counters.warm_solves,
-                warm_hits: self.counters.warm_hits,
-                pseudocost_branches: self.counters.pseudocost_branches,
-                strong_branch_probes: self.counters.strong_branch_probes,
-                pivots: self.counters.pivots,
-                bound_flips: self.counters.bound_flips,
-                dse_pivots: self.counters.dse_pivots,
-                cuts_added: self.counters.cuts_added,
-                cut_rounds: self.counters.cut_rounds,
-                propagation_fathoms: self.counters.propagation_fathoms,
-            },
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 // The round driver.
 // ---------------------------------------------------------------------------
 
-/// The round-based branch-and-bound search.
-fn search(model: &Model, cfg: &MilpConfig, fp: u64, resume: Option<&SearchCheckpoint>) -> MilpRun {
+/// The round-based branch-and-bound search, from a fresh or resumed state.
+fn search(model: &Model, cfg: &MilpConfig, fp: u64, mut st: SearchState) -> MilpRun {
     let threads = cfg.threads.max(1);
     let n = model.num_vars();
     let ctx = Ctx {
@@ -1265,10 +906,6 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, resume: Option<&SearchCheckp
         integral: (0..n).map(|i| model.is_integral(VarId(i as u32))).collect(),
         integral_objective: objective_is_integral(model),
         cancel: cfg.cancel.child(cfg.time_limit),
-    };
-    let mut st = match resume {
-        Some(ck) => SearchState::restore(ck, ctx.dir),
-        None => SearchState::fresh(n),
     };
 
     // Restored cut rows are validated against the base model before any
@@ -1285,7 +922,7 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, resume: Option<&SearchCheckp
 
     // The *search model*: the base model plus every committed cut row, in
     // pool insertion order. A resumed run rebuilds it from the
-    // checkpointed pool before touching the frontier, so every node
+    // checkpoint's pool before touching the frontier, so every node
     // re-solves against the identical relaxation.
     let mut search_model = model.clone();
     for cut in st.pool.cuts() {
@@ -1454,16 +1091,10 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, resume: Option<&SearchCheckp
     } else {
         inc_score
     };
-    let checkpoint = if interrupted {
-        Some(st.make_checkpoint(fp))
-    } else {
-        None
-    };
     let stats = MilpStats {
         nodes: st.nodes,
         lp_solves: st.counters.lp_solves,
-        warm_solves: st.counters.warm_solves,
-        warm_hits: st.counters.warm_hits,
+        dive_steps: st.counters.dive_steps,
         pseudocost_branches: st.counters.pseudocost_branches,
         strong_branch_probes: st.counters.strong_branch_probes,
         pivots: st.counters.pivots,
@@ -1482,17 +1113,21 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, resume: Option<&SearchCheckp
         resumed: st.resumed,
         audited: cfg.audit,
     };
-    let numerical = st.numerical;
-    let result = match st.incumbent.into_best() {
+    let result = match st.incumbent.peek() {
         Some((objective, values)) => Ok(MilpSolution {
-            values,
-            objective,
+            values: values.clone(),
+            objective: *objective,
             stats,
         }),
         None if interrupted => Err(MilpError::BudgetExhausted),
-        None if numerical => Err(MilpError::Numerical),
+        None if st.numerical => Err(MilpError::Numerical),
         None => Err(MilpError::Infeasible),
     };
+    // The interrupted search itself is the checkpoint.
+    let checkpoint = interrupted.then(|| SearchCheckpoint {
+        fingerprint: fp,
+        state: st,
+    });
     MilpRun { result, checkpoint }
 }
 
@@ -2102,16 +1737,10 @@ fn dive_tighten(
     work: &Model,
 ) -> DiveStep {
     run.counters.lp_solves += 1;
-    run.counters.warm_solves += 1;
+    run.counters.dive_steps += 1;
     let before = dt.work();
     let step = dt.tighten(changes, work);
     run.counters.charge_dive_work(dt, before);
-    // Both Optimal and Infeasible are *converged* warm outcomes (the dual
-    // repair finished — an infeasibility proof is a success); a stall or a
-    // cancel discards the tableau.
-    if matches!(step, DiveStep::Optimal(_) | DiveStep::Infeasible) {
-        run.counters.warm_hits += 1;
-    }
     step
 }
 
@@ -2746,7 +2375,7 @@ mod tests {
         let s = solve(&m, &MilpConfig::default()).unwrap();
         assert!(s.stats.proven_optimal);
         assert!(
-            s.stats.warm_solves > 0,
+            s.stats.dive_steps > 0,
             "expected warm-started child solves, stats: {:?}",
             s.stats
         );
@@ -3295,9 +2924,9 @@ mod tests {
             )
             .checkpoint
             .expect("node_limit 0 stops before node 0");
-            assert!(ck.root_cuts_done && ck.root_dive_done);
-            ck.root_dive_done = false;
-            ck.incumbent = None;
+            assert!(ck.state.root_cuts_done && ck.state.root_dive_done);
+            ck.state.root_dive_done = false;
+            ck.state.incumbent = Incumbent::new();
             for step in [1usize, 5] {
                 let (run, _) = resume_chain(&m, step, Some(ck.clone()));
                 let s = run.result.expect("resumed chain completes");
@@ -3310,32 +2939,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn checkpoint_survives_json_roundtrip() {
-        let m = wide_model();
-        let cfg = MilpConfig {
-            node_limit: 5,
-            ..MilpConfig::default()
-        };
-        let run = solve_resumable(&m, &cfg, None);
-        let ck = run.checkpoint.expect("node_limit 5 must interrupt");
-        let twin = SearchCheckpoint::from_json(&ck.to_json()).expect("round-trip");
-        assert!(twin.matches(&m, &cfg));
-        assert_eq!(twin.nodes(), ck.nodes());
-
-        // Resuming from the original and from its JSON round-trip twin
-        // must explore byte-identical trees.
-        let cfg2 = MilpConfig::default();
-        let a = solve_resumable(&m, &cfg2, Some(&ck));
-        let b = solve_resumable(&m, &cfg2, Some(&twin));
-        let (a, b) = (a.result.unwrap(), b.result.unwrap());
-        assert!(a.stats.resumed && b.stats.resumed);
-        assert_eq!(a.stats.nodes, b.stats.nodes);
-        assert_eq!(a.stats.trace_digest, b.stats.trace_digest);
-        assert_eq!(a.objective, b.objective);
-        assert_eq!(a.values, b.values);
     }
 
     #[test]

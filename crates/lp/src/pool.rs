@@ -6,9 +6,9 @@
 //! the batch is processed against *frozen* round-start state (possibly in
 //! parallel), and the results are committed sequentially in batch order.
 //! Nothing in this module is shared mutably between threads, so every
-//! structure here is plain data — which is exactly what makes the open
-//! frontier, the incumbent, and the pseudocost store serializable into a
-//! [`crate::milp::SearchCheckpoint`].
+//! structure here is plain data — which is exactly what lets a
+//! [`crate::milp::SearchCheckpoint`] carry the open frontier, the
+//! incumbent, and the pseudocost store as they are.
 //!
 //! Node identity is the **branch path**: the sequence of near/far child
 //! choices from the root. The frontier's total order — score, then depth,
@@ -68,6 +68,7 @@ impl Node {
     }
 }
 
+#[derive(Clone)]
 struct Entry(Node);
 
 impl PartialEq for Entry {
@@ -105,6 +106,7 @@ impl Ord for Entry {
 /// Deterministic best-bound frontier, owned by the round driver. Pop order
 /// depends only on the nodes it holds (score, then depth, then branch
 /// path) — never on insertion order or thread interleaving.
+#[derive(Clone)]
 pub(crate) struct Frontier {
     heap: BinaryHeap<Entry>,
 }
@@ -145,14 +147,9 @@ impl Frontier {
         self.heap.peek().map_or(f64::NEG_INFINITY, |e| e.0.score)
     }
 
-    /// Drains the frontier in pop order (best first) — the canonical node
-    /// sequence a checkpoint records.
-    pub fn drain_sorted(&mut self) -> Vec<Node> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(e) = self.heap.pop() {
-            out.push(e.0);
-        }
-        out
+    /// The open nodes, in no particular order.
+    pub fn nodes(&self) -> impl Iterator<Item = &Node> {
+        self.heap.iter().map(|e| &e.0)
     }
 }
 
@@ -161,6 +158,7 @@ impl Frontier {
 /// the incumbent only when it is strictly better, and ties on the objective
 /// are broken by lexicographic comparison of the value vectors, so the
 /// reported optimum never depends on the number of worker threads.
+#[derive(Clone)]
 pub(crate) struct Incumbent {
     /// `(objective, values)` of the best integer-feasible point.
     best: Option<(f64, Vec<f64>)>,
@@ -173,14 +171,6 @@ impl Incumbent {
         Incumbent {
             best: None,
             score: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Restores an incumbent from checkpointed parts.
-    pub fn from_parts(objective: f64, values: Vec<f64>, score: f64) -> Self {
-        Incumbent {
-            best: Some((objective, values)),
-            score,
         }
     }
 
@@ -216,11 +206,6 @@ impl Incumbent {
             self.best = Some((objective, values));
         }
     }
-
-    /// Takes the final incumbent.
-    pub fn into_best(self) -> Option<(f64, Vec<f64>)> {
-        self.best
-    }
 }
 
 /// Per-variable pseudocost estimates: the average objective degradation per
@@ -228,8 +213,8 @@ impl Incumbent {
 /// down. The store is plain data: workers read a frozen snapshot during a
 /// round and log their observations, which the driver replays in batch
 /// order at commit time — so the estimates (and therefore the branching
-/// decisions they steer) are identical at every thread count, and the
-/// whole store serializes into a checkpoint.
+/// decisions they steer) are identical at every thread count, and a
+/// checkpoint carries the whole store.
 #[derive(Clone)]
 pub(crate) struct PcStore {
     up_sum: Vec<f64>,
@@ -309,42 +294,7 @@ impl PcStore {
         }
     }
 
-    /// Checkpoint serialization parts (sums as `f64`, bit-converted by the
-    /// caller).
-    #[allow(clippy::type_complexity)]
-    pub fn parts(&self) -> (&[f64], &[usize], &[f64], &[usize], f64, usize) {
-        (
-            &self.up_sum,
-            &self.up_cnt,
-            &self.down_sum,
-            &self.down_cnt,
-            self.glob_sum,
-            self.glob_cnt,
-        )
-    }
-
-    /// Rebuilds a store from checkpointed parts.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        up_sum: Vec<f64>,
-        up_cnt: Vec<usize>,
-        down_sum: Vec<f64>,
-        down_cnt: Vec<usize>,
-        glob_sum: f64,
-        glob_cnt: usize,
-    ) -> Self {
-        PcStore {
-            up_sum,
-            up_cnt,
-            down_sum,
-            down_cnt,
-            glob_sum,
-            glob_cnt,
-        }
-    }
-
     /// Number of variables the store covers.
-    #[cfg(test)]
     pub fn num_vars(&self) -> usize {
         self.up_sum.len()
     }
@@ -354,10 +304,10 @@ impl PcStore {
 /// aging.
 ///
 /// The pool is part of the search's deterministic state: cuts are inserted
-/// in commit order, kept in insertion order, and serialized into the
-/// checkpoint in that order, so a resumed search rebuilds the identical row
-/// set. Workers read the pool (via [`CutPool::contains`]) against the
-/// frozen round-start snapshot; only the sequential commit loop mutates it.
+/// in commit order and kept in insertion order, and a checkpoint carries
+/// the pool as it is, so a resumed search rebuilds the identical row set.
+/// Workers read the pool (via [`CutPool::contains`]) against the frozen
+/// round-start snapshot; only the sequential commit loop mutates it.
 #[derive(Clone, Default)]
 pub(crate) struct CutPool {
     cuts: Vec<crate::cuts::Cut>,
@@ -501,18 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_sorted_yields_pop_order() {
-        let mut f = Frontier::new();
-        f.push(node(1.0));
-        f.push(node(9.0));
-        f.push(node(4.0));
-        assert_eq!(f.best_score(), 9.0);
-        let scores: Vec<f64> = f.drain_sorted().iter().map(|n| n.score).collect();
-        assert_eq!(scores, vec![9.0, 4.0, 1.0]);
-        assert_eq!(f.best_score(), f64::NEG_INFINITY);
-    }
-
-    #[test]
     fn pseudocosts_accumulate_per_direction() {
         let mut pc = PcStore::new(3);
         let v = VarId(1);
@@ -536,19 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn pseudocosts_roundtrip_through_parts() {
-        let mut pc = PcStore::new(2);
-        pc.record(VarId(0), true, 1.5);
-        pc.record(VarId(1), false, 0.25);
-        let (us, uc, ds, dc, gs, gc) = pc.parts();
-        let back = PcStore::from_parts(us.to_vec(), uc.to_vec(), ds.to_vec(), dc.to_vec(), gs, gc);
-        assert_eq!(back.count(VarId(0), true), 1);
-        assert_eq!(back.avg(VarId(1), false), Some(0.25));
-        assert_eq!(back.global_avg(), pc.global_avg());
-        assert_eq!(back.num_vars(), 2);
-    }
-
-    #[test]
     fn incumbent_keeps_strictly_better_and_lex_ties() {
         let mut inc = Incumbent::new();
         inc.offer(5.0, 5.0, vec![2.0, 1.0], 1e-7);
@@ -558,8 +483,8 @@ mod tests {
         assert_eq!(inc.score(), 5.0);
         // tie with lexicographically smaller values: replaces
         inc.offer(5.0, 5.0, vec![1.0, 2.0], 1e-7);
-        let (obj, vals) = inc.into_best().unwrap();
-        assert_eq!(obj, 5.0);
-        assert_eq!(vals, vec![1.0, 2.0]);
+        let (obj, vals) = inc.peek().unwrap();
+        assert_eq!(*obj, 5.0);
+        assert_eq!(*vals, vec![1.0, 2.0]);
     }
 }

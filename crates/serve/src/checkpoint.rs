@@ -1,8 +1,9 @@
 //! Bounded retention of interrupted-search checkpoints.
 //!
 //! When a solver inside a request is interrupted (deadline expiry or a
-//! node budget), it emits a [`rs_core::SearchCheckpoint`] alongside its
-//! partial result. The dispatcher parks those snapshots here, keyed by the
+//! node budget), it hands back the interrupted search as a
+//! [`rs_core::SearchCheckpoint`] alongside its partial result. The
+//! dispatcher parks those checkpoints here, in memory, keyed by the
 //! request's cache key, so a **retry of the same request resumes the
 //! search node-for-node instead of restarting it** — the mirror image of
 //! the [`crate::cache`] memoization: the cache replays finished work, this
@@ -16,6 +17,7 @@
 //! like the memo cache. The store is shared by every worker of a pool, so
 //! whichever worker picks up the retry continues from it.
 
+use rs_core::SearchCheckpoint;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -23,11 +25,11 @@ use std::sync::Mutex;
 /// Default number of retained checkpoint entries (requests, not slots).
 pub const DEFAULT_CHECKPOINT_CAPACITY: usize = 64;
 
-/// One interrupted solver within a request: `(slot, checkpoint_json)`.
-/// The slot names which solver the snapshot belongs to (e.g. the register
-/// type of an interrupted intLP), so a retry resumes each solver from its
-/// own frontier.
-pub type CheckpointSlot = (String, String);
+/// One interrupted solver within a request: `(slot, checkpoint)`. The slot
+/// names which solver the checkpoint belongs to (e.g. the register type of
+/// an interrupted intLP), so a retry resumes each solver from its own
+/// frontier.
+pub type CheckpointSlot = (String, SearchCheckpoint);
 
 struct Inner {
     map: HashMap<String, Vec<CheckpointSlot>>,
@@ -105,13 +107,6 @@ impl CheckpointStore {
         )
     }
 
-    /// Whether a checkpoint is parked for this key (without consuming it).
-    /// Batch clients use this to tell a *resumed* retry (the next attempt
-    /// continues a saved frontier) from a cold one.
-    pub fn contains(&self, key: &str) -> bool {
-        crate::lock_recover(&self.inner).map.contains_key(key)
-    }
-
     /// Entries currently retained.
     pub fn len(&self) -> usize {
         crate::lock_recover(&self.inner).map.len()
@@ -126,19 +121,35 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rs_core::ilp::RsIlp;
+    use rs_core::model::RegType;
 
-    fn slots(tag: &str) -> Vec<CheckpointSlot> {
-        vec![("float".to_string(), format!("{{\"ck\":\"{tag}\"}}"))]
+    /// One slot named `name`, holding a real checkpoint: the saturation
+    /// intLP of two load/store chains, stopped at node limit 0.
+    fn slots(name: &str) -> Vec<CheckpointSlot> {
+        let ddg = rs_core::parse::parse_ddg(
+            "op a load float\nop sa store none\nflow a sa 4 float\n\
+             op b load float\nop sb store none\nflow b sb 4 float\n",
+        )
+        .unwrap();
+        let mut solver = RsIlp::new();
+        solver.milp.node_limit = 0;
+        let ck = solver
+            .saturation_resumable(&ddg, RegType::FLOAT, None)
+            .checkpoint
+            .expect("node limit 0 interrupts the search");
+        vec![(name.to_string(), ck)]
     }
 
     #[test]
     fn take_is_one_shot_and_counts() {
         let store = CheckpointStore::with_capacity(8);
         assert!(store.take("a").is_none());
-        store.put("a".into(), slots("1"));
+        store.put("a".into(), slots("float"));
         assert_eq!(store.len(), 1);
         let got = store.take("a").expect("stored entry");
         assert_eq!(got[0].0, "float");
+        assert_eq!(got[0].1.nodes(), 0, "the stored checkpoint comes back");
         assert!(store.take("a").is_none(), "take consumes the entry");
         assert_eq!(store.counters(), (1, 1));
     }
@@ -150,7 +161,7 @@ mod tests {
         store.put("a".into(), slots("new"));
         assert_eq!(store.len(), 1);
         let got = store.take("a").unwrap();
-        assert!(got[0].1.contains("new"), "latest snapshot wins");
+        assert_eq!(got[0].0, "new", "latest snapshot wins");
     }
 
     #[test]

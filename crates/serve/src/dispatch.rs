@@ -21,7 +21,7 @@ use rs_core::request::{
 };
 use rs_core::spill::SpillPass;
 use rs_core::RsEngine;
-use rs_core::{Cancel, MilpError, SearchCheckpoint};
+use rs_core::{Cancel, MilpError};
 use rs_sched::{ListScheduler, RegisterAllocator, Resources};
 use serde::Deserialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -59,8 +59,7 @@ impl Dispatcher {
 
     /// Retains interrupted-search checkpoints in `store`, keyed by cache
     /// key, so retried requests resume instead of restarting (see
-    /// [`CheckpointStore`]). Works with or without a result cache — the
-    /// corpus runner uses a store on cache-less dispatchers.
+    /// [`CheckpointStore`]). Works with or without a result cache.
     pub fn set_checkpoint_store(&mut self, store: Arc<CheckpointStore>) {
         self.ckpts = Some(store);
     }
@@ -438,7 +437,6 @@ fn analyze_type(
             } else {
                 Some(e.upper_bound)
             },
-            resume: None,
             resumed: false,
         });
     }
@@ -453,16 +451,13 @@ fn analyze_type(
         let slot = reg_type_name(t);
         let prior = resume
             .iter()
-            .find(|(name, _)| name == &slot)
-            .and_then(|(_, json)| SearchCheckpoint::from_json(json).ok());
-        let run = solver.saturation_resumable(ddg, t, prior.as_ref());
-        // The resume token surfaced to clients is the checkpoint JSON
-        // itself — opaque to them, exact to us. The same snapshot is
-        // harvested into the dispatcher's store so a plain retry resumes
-        // even when the client dropped the token.
-        let token = run.checkpoint.as_ref().map(|ck| ck.to_json());
-        if let Some(json) = token.clone() {
-            harvest.push((slot, json));
+            .find(|(name, _)| *name == slot)
+            .map(|(_, ck)| ck);
+        let run = solver.saturation_resumable(ddg, t, prior);
+        // The interrupted search is harvested into the dispatcher's store,
+        // so a retry of this request continues it.
+        if let Some(ck) = run.checkpoint {
+            harvest.push((slot, ck));
         }
         match run.result {
             Ok(r) => {
@@ -474,7 +469,6 @@ fn analyze_type(
                     } else {
                         Some(r.upper_bound)
                     },
-                    resume: token,
                     resumed: r.milp_stats.resumed,
                 });
                 if req.stats {
@@ -482,8 +476,7 @@ fn analyze_type(
                     tr.ilp_stats = Some(IlpStats {
                         nodes: st.nodes,
                         lp_solves: st.lp_solves,
-                        warm_solves: st.warm_solves,
-                        warm_hits: st.warm_hits,
+                        dive_steps: st.dive_steps,
                         pseudocost_branches: st.pseudocost_branches,
                         strong_branch_probes: st.strong_branch_probes,
                         pivots: st.pivots,
@@ -509,9 +502,9 @@ fn analyze_type(
                     "intLP interrupted before any incumbent was found",
                 ));
             }
-            // Audit rejections are a property of the submitted model or
-            // resume state, not an engine fault: type them `request` so
-            // clients see *their* input (or retained checkpoint) was bad.
+            // Audit rejections are a property of the submitted model, not
+            // an engine fault: type them `request` so clients see *their*
+            // input was bad.
             Err(MilpError::Audit(a)) => {
                 tr.ilp_error = Some(RsError::new(
                     codes::REQUEST,
@@ -785,17 +778,26 @@ mod tests {
         let store = Arc::new(CheckpointStore::default());
         let mut d = Dispatcher::new();
         d.set_checkpoint_store(store.clone());
+        // `stats` is part of the cache key: the timed-out request, its
+        // retry and the cold reference all carry it.
         let mut req = RsRequest::new(RsOp::Analyze, CHAINS);
         req.ilp = true;
+        req.stats = true;
         req.timeout_ms = Some(0); // expired on arrival: intLP interrupted at once
         let first = d.dispatch(&req);
         assert!(!first.ok);
+        let line = serde_json::to_string(&first).unwrap();
+        assert!(
+            !line.contains("\"resume\""),
+            "no checkpoint on the wire: {line}"
+        );
         assert_eq!(first.error.unwrap().code, codes::TIMEOUT);
         assert_eq!(store.len(), 1, "interrupted intLP parked a checkpoint");
         // Same cache key (timeout_ms is excluded): the retry picks the
         // checkpoint up and finishes the search it started.
         let mut retry = RsRequest::new(RsOp::Analyze, CHAINS);
         retry.ilp = true;
+        retry.stats = true;
         let second = d.dispatch(&retry);
         assert!(second.ok, "{:?}", second.error);
         let result = second.result.unwrap();
@@ -804,9 +806,15 @@ mod tests {
         assert!(ilp.resumed, "retry continued from the parked checkpoint");
         assert!(ilp.proven_optimal);
         assert_eq!(ilp.saturation, 4);
-        assert!(ilp.resume.is_none(), "finished searches carry no token");
         assert!(store.is_empty(), "resume consumed the entry");
         assert_eq!(store.counters(), (1, 1));
+        // The resumed search grew the tree a cold solve grows.
+        let cold = Dispatcher::new().dispatch(&retry).result.unwrap();
+        let cold = cold.types.iter().find(|t| t.reg_type == "float").unwrap();
+        assert!(!cold.ilp.as_ref().unwrap().resumed);
+        let (resumed, cold) = (float.ilp_stats.unwrap(), cold.ilp_stats.unwrap());
+        assert_eq!(resumed.nodes, cold.nodes);
+        assert_eq!(resumed.trace_digest, cold.trace_digest);
     }
 
     #[test]
@@ -821,7 +829,6 @@ mod tests {
         let float = result.types.iter().find(|t| t.reg_type == "float").unwrap();
         let ilp = float.ilp.as_ref().unwrap();
         assert!(!ilp.resumed);
-        assert!(ilp.resume.is_none());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! rsat reduce   <file.ddg> --registers N [--type T] [--spill] [--output out.ddg] [--timeout-ms N]
 //! rsat pipeline <file.ddg> --registers N [--issue 1|4|8] [--timeout-ms N]
 //! rsat corpus   <dir> [--jobs N] [--mode analyze|reduce|pipeline] [--registers N] [--ilp] [--out dir]
-//!               [--timeout-ms N] [--retries N] [--resume PATH] [--faults SPEC]
+//!               [--timeout-ms N] [--resume PATH]
 //! rsat serve    [--workers N] [--queue N] [--cache-capacity N] [--socket PATH] [--faults SPEC]
 //! rsat dot      <file.ddg>
 //! rsat lint     [--root DIR] [--out FILE] [--deny] [--list-rules] [--quiet]
@@ -22,34 +22,34 @@
 //! `--ilp` intLP branch-and-bound) with `N` parallel workers; the reported
 //! saturations are identical for every thread count. `--stats` prints the
 //! branch-and-bound solve statistics of each `--ilp` run (nodes, LP
-//! solves, incremental dive-tableau solves and hits, pseudocost branch
-//! and strong-branching-probe counts, simplex pivots with the
-//! steepest-edge share, bound flips, cutting planes added with the root
-//! round count, propagation fathoms, and the relaxation tableau shape).
+//! solves, dive steps, pseudocost branch and strong-branching-probe
+//! counts, simplex pivots with the steepest-edge share, bound flips,
+//! cutting planes added with the root round count, propagation fathoms,
+//! and the relaxation tableau shape).
 //!
 //! `corpus` walks a directory of `.ddg` files with `--jobs` scoped-thread
 //! workers (each a warm dispatcher), prints a per-file summary, and writes
 //! `corpus.json`/`corpus.txt` under `--out` (default `results/`). Malformed
 //! files are reported in the summary and skipped — they do not abort the
 //! run or fail the exit code. The summary content is identical for every
-//! `--jobs` value. `--ilp` adds the exact intLP saturation per file; with
-//! `--timeout-ms N --retries K`, a timed-out intLP *resumes* from its
-//! checkpoint on the next attempt instead of restarting. `--resume PATH`
-//! keeps an atomically-rewritten run checkpoint so a killed corpus run,
-//! rerun with the same flag, skips the files it already completed.
+//! `--jobs` value. `--ilp` adds the exact intLP saturation per file, and
+//! `--timeout-ms N` caps each file's work. `--resume PATH` keeps an
+//! atomically-rewritten run checkpoint so a killed corpus run, rerun with
+//! the same flags, skips the files it already completed.
 //!
 //! `serve` is the persistent daemon: newline-delimited JSON requests on
 //! stdin (or a Unix socket with `--socket`), one response line per request
 //! in request order, warm engines across requests, and a content-keyed
 //! memoization cache shared by all workers. A malformed line answers
-//! `ok:false` and the daemon keeps serving. Run statistics go to stderr at
-//! shutdown (EOF).
+//! `ok:false` and the daemon keeps serving. A retried request whose intLP
+//! timed out resumes the interrupted search, which the daemon keeps in
+//! memory. Run statistics go to stderr at shutdown (EOF).
 //!
 //! `--audit` forces the solver's pre-solve static audit on (it defaults to
-//! on in debug builds only): models, cut pools, and resume checkpoints are
-//! statically checked before any search, and incoherent ones are rejected
-//! with a typed `request` error instead of corrupting a solve. `--stats`
-//! reports whether a solve was audited.
+//! on in debug builds only): models and cut pools are statically checked
+//! before any search, and incoherent ones are rejected with a typed
+//! `request` error instead of corrupting a solve. `--stats` reports
+//! whether a solve was audited.
 //!
 //! `lint` runs the workspace static-analysis pass (`rs-lint`) over the
 //! repository: determinism and soundness rules (no hash-ordered iteration
@@ -84,7 +84,7 @@ fn main() -> ExitCode {
             );
             eprintln!("  rsat pipeline <file.ddg> --registers N [--issue 1|4|8] [--timeout-ms N]");
             eprintln!(
-                "  rsat corpus   <dir> [--jobs N] [--mode analyze|reduce|pipeline] [--registers N] [--ilp] [--out dir] [--timeout-ms N] [--retries N] [--resume PATH] [--faults SPEC]"
+                "  rsat corpus   <dir> [--jobs N] [--mode analyze|reduce|pipeline] [--registers N] [--ilp] [--out dir] [--timeout-ms N] [--resume PATH]"
             );
             eprintln!(
                 "  rsat serve    [--workers N] [--queue N] [--cache-capacity N] [--socket PATH] [--faults SPEC]"
@@ -229,14 +229,13 @@ fn render_analyze(req: &RsRequest, result: &RsResult) {
         println!();
         if let (true, Some(st)) = (req.stats, &tr.ilp_stats) {
             println!(
-                "  intLP stats: {} nodes, {} LP solves ({} warm dives, {} warm hits), \
+                "  intLP stats: {} nodes, {} LP solves ({} dive steps), \
                  {} pseudocost branches, {} strong-branch probes, \
                  {} pivots ({} steepest-edge), {} bound flips, {} cuts in {} rounds, \
                  {} propagation fathoms, tableau {}x{}, trace digest {:016x}",
                 st.nodes,
                 st.lp_solves,
-                st.warm_solves,
-                st.warm_hits,
+                st.dive_steps,
                 st.pseudocost_branches,
                 st.strong_branch_probes,
                 st.pivots,
@@ -250,7 +249,7 @@ fn render_analyze(req: &RsRequest, result: &RsResult) {
                 st.trace_digest
             );
             if st.audited {
-                println!("  intLP audit: model, cut pool, and resume state statically checked");
+                println!("  intLP audit: model and cut pool statically checked");
             }
         }
         println!("  saturating values: {}", tr.saturating.join(", "));
@@ -397,15 +396,8 @@ fn corpus(args: &[String]) -> Result<(), RsError> {
     };
     let out_dir = flag_value(args, "--out").unwrap_or_else(|| "results".to_string());
     let timeout_ms = parse_timeout_ms(args)?;
-    let retries = match flag_value(args, "--retries") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| RsError::usage("bad --retries value"))?,
-        None => 0,
-    };
     let ilp = args.iter().any(|a| a == "--ilp");
     let resume_path = flag_value(args, "--resume").map(std::path::PathBuf::from);
-    let faults = parse_faults(args)?;
 
     let summary = run_corpus(
         std::path::Path::new(dir),
@@ -413,10 +405,8 @@ fn corpus(args: &[String]) -> Result<(), RsError> {
             jobs,
             mode,
             timeout_ms,
-            retries,
             ilp,
             resume_path,
-            faults,
         },
     )?;
     let text = render_text(&summary);

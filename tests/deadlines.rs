@@ -182,5 +182,10 @@ fn serve_answers_timeout_with_the_partial_result() {
     let code = resp.error.as_ref().map(|e| e.code.as_str());
     assert_eq!(code, Some(codes::TIMEOUT), "{answer}");
     assert!(resp.result.is_some(), "partial result attached: {answer}");
+    // The interrupted search stays in the daemon's checkpoint store.
+    assert!(
+        !answer.contains("\"resume\""),
+        "no checkpoint on the wire: {answer}"
+    );
     assert!(took < ANSWER_WITHIN, "answered after {took:?}");
 }
