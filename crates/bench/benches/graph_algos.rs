@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rs_core::model::Target;
-use rs_graph::antichain::max_antichain;
+use rs_graph::antichain::{max_antichain_into, AntichainScratch};
 use rs_graph::closure::TransitiveClosure;
 use rs_graph::paths::LongestPaths;
 use rs_kernels::random::{random_ddg, RandomDagConfig};
@@ -37,8 +37,17 @@ fn bench_antichain(c: &mut Criterion) {
         let ddg = random_ddg(&RandomDagConfig::sized(n, 13), Target::superscalar());
         let tc = TransitiveClosure::new(ddg.graph());
         let nodes: Vec<_> = ddg.graph().node_ids().collect();
+        let mut scratch = AntichainScratch::new();
+        let mut antichain = Vec::new();
         group.bench_with_input(BenchmarkId::from_parameter(n), &nodes, |b, nodes| {
-            b.iter(|| max_antichain(black_box(nodes), |u, v| tc.reaches(u, v)));
+            b.iter(|| {
+                max_antichain_into(
+                    black_box(nodes),
+                    |u, v| tc.reaches(u, v),
+                    &mut scratch,
+                    &mut antichain,
+                )
+            });
         });
     }
     group.finish();

@@ -1,10 +1,9 @@
 //! Load generator for the `rsat serve` warm-engine service: drives a
 //! [`ServePool`] with repeated passes over a corpus of unique random DAGs
 //! and reports request throughput, end-to-end latency percentiles, and the
-//! memoization-cache hit rate (JSON report in `results/serve_load.json`,
-//! beside `rs_throughput`).
+//! memoization-cache hit rate (JSON report in `results/serve_load.json`).
 //!
-//! Hand-rolled harness (same convention as `rs_throughput`: `--bench` runs
+//! Hand-rolled harness (same convention as `milp_scaling`: `--bench` runs
 //! the full grid, `--test` a smoke grid) because the quantities of interest
 //! are service-level — req/sec, p50/p99, hit rate — not per-iteration
 //! micro-times.

@@ -49,11 +49,7 @@ pub fn run(quick: bool) -> (String, Report) {
     let results: Vec<(bool, bool, u128, u128)> = par_map(cases, threads(), |case: Case| {
         let exact = ExactRs::new().saturation(&case.ddg, case.reg_type);
         let t0 = Instant::now();
-        let plain = GreedyK {
-            refine_passes: 0,
-            ..GreedyK::new()
-        }
-        .saturation(&case.ddg, case.reg_type);
+        let plain = GreedyK { refine_passes: 0 }.saturation(&case.ddg, case.reg_type);
         let plain_us = t0.elapsed().as_micros();
         let t1 = Instant::now();
         let refined = GreedyK::new().saturation(&case.ddg, case.reg_type);

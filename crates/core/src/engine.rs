@@ -1,14 +1,13 @@
-//! The batched register-saturation engine: [`GreedyK`]'s portfolio
-//! heuristic re-hosted on a reusable [`AnalysisScratch`] so that analysing a
+//! The register-saturation engine: the one implementation of Greedy-k
+//! ([`GreedyK`]), run on reusable working storage so that analysing a
 //! corpus of DAGs performs no steady-state heap allocation.
 //!
-//! [`crate::heuristic::GreedyK::saturation`] is the one-shot reference
-//! implementation: per call it allocates transitive-closure rows, topological
-//! buffers, longest-path tables and a fresh killed graph *per portfolio
-//! candidate*. [`RsEngine`] computes the **identical** analysis (same
-//! saturation, same witness antichain, same killing function — property-
-//! tested in `tests/engine_equiv.rs`) while drawing every intermediate
-//! structure from the scratch:
+//! An analysis builds a portfolio of greedy killing functions (two greedy
+//! orders plus the always-valid topological-max function), keeps the
+//! widest, and hill-climbs over the ambiguous killer choices. Every
+//! candidate is evaluated by [`KilledScratch::build`] and
+//! [`KilledScratch::dv_antichain_into`], the same two steps the exact
+//! search's leaves run. The working storage holds:
 //!
 //! - one topological order per DAG, shared by the longest-path table, the
 //!   transitive closure and the killer position table;
@@ -19,38 +18,38 @@
 //!   enforcement arcs out as one flat arc list, runs Kahn's sort on it and
 //!   relaxes the longest-path table from it
 //!   ([`LongestPaths::compute_arcs_into`]);
-//! - flat `Vec`-indexed score arrays and [`FlatKilling`] killer tables in
-//!   place of the one-shot path's `BTreeMap`s;
-//! - reusable Dilworth machinery ([`rs_graph::antichain::max_antichain_into`])
-//!   that asks the disjoint-value relation straight off the killed graph's
-//!   path table ([`killer_kills_before`]), instead of materializing the
-//!   one-shot path's sorted pair list.
+//! - flat `Vec`-indexed score arrays and [`FlatKilling`] killer tables;
+//! - reusable Dilworth machinery ([`AntichainScratch`]).
 //!
 //! Only the returned [`RsAnalysis`] (witness vector + killing map) is
-//! allocated per call — it is the output. Engines are cheap to create and
-//! intentionally not `Sync`; parallel drivers (`rsat corpus`, `rs-bench`)
-//! give each worker thread its own engine.
+//! allocated per call — it is the output. [`GreedyK::saturation`],
+//! `Reducer::reduce` and `Pipeline::run` run a fresh engine; corpus-scale
+//! drivers keep one warm engine per worker to reuse its storage. Engines
+//! are cheap to create and intentionally not `Sync`; parallel drivers
+//! (`rsat corpus`, `rsat serve`) give each worker thread its own engine.
 
 use crate::heuristic::{GreedyK, RsAnalysis};
-use crate::killing::{
-    killer_kills_before, topo_max_killing_into, FlatKilling, KilledScratch, KillingFunction,
-};
+use crate::killing::{topo_max_killing_into, FlatKilling, KilledScratch, KillingFunction};
 use crate::model::{Ddg, RegType};
 use crate::pipeline::{Pipeline, PipelineReport};
 use crate::pkill::{potential_killers_into, PKill};
 use crate::reduce::{ReduceOutcome, Reducer};
-use rs_graph::antichain::{max_antichain_into, AntichainScratch};
+use rs_graph::antichain::AntichainScratch;
 use rs_graph::bitset::BitSetPool;
 use rs_graph::closure::TransitiveClosure;
 use rs_graph::paths::LongestPaths;
 use rs_graph::{topo, NodeId};
 use std::collections::BTreeMap;
 
+/// Cycle-repair iterations before a greedy candidate falls back to the
+/// always-valid topological-max killing function.
+const MAX_REPAIRS: usize = 32;
+
 /// Reusable working storage for one analysis worker. All buffers grow to
 /// the corpus high-water mark and are then recycled; nothing is freed
 /// between DAGs.
 #[derive(Default)]
-pub struct AnalysisScratch {
+struct AnalysisScratch {
     // Base-graph structures (rebuilt once per DAG).
     order: Vec<NodeId>,
     indeg: Vec<usize>,
@@ -77,20 +76,14 @@ pub struct AnalysisScratch {
     best_antichain: Vec<NodeId>,
 }
 
-impl AnalysisScratch {
-    /// Fresh, empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Greedy orders of the portfolio — mirrors the (private) strategy list of
-/// the one-shot path; the proptest equivalence suite keeps them locked
-/// together.
+/// The candidates of the portfolio, in evaluation order.
 #[derive(Clone, Copy)]
 enum Strategy {
+    /// Coverage descending, then value-descendant count ascending.
     CoverageFirst,
+    /// Value-descendant count ascending, then coverage descending.
     DescendantsFirst,
+    /// Topological-max (always valid; also the repair fallback).
     TopoMax,
 }
 
@@ -100,8 +93,7 @@ const STRATEGIES: [Strategy; 3] = [
     Strategy::TopoMax,
 ];
 
-/// The batch analysis engine: [`GreedyK`] semantics, scratch-backed
-/// execution.
+/// The Greedy-k analysis engine.
 ///
 /// ```
 /// use rs_core::engine::RsEngine;
@@ -120,7 +112,7 @@ const STRATEGIES: [Strategy; 3] = [
 /// ```
 #[derive(Default)]
 pub struct RsEngine {
-    /// Heuristic parameters, shared with the one-shot path.
+    /// Heuristic parameters.
     pub params: GreedyK,
     /// Cooperative cancellation for the portfolio / hill-climb loops (see
     /// [`RsEngine::set_cancel`]). Default: never trips.
@@ -159,11 +151,9 @@ impl RsEngine {
         self.cancel = rs_lp::Cancel::new();
     }
 
-    /// Computes `RS*_t(ddg)` — identical to
-    /// [`GreedyK::saturation`] with the same parameters, reusing this
-    /// engine's scratch.
+    /// Computes `RS*_t(ddg)`, reusing this engine's scratch: a warm engine
+    /// answers exactly as a fresh one does.
     pub fn analyze(&mut self, ddg: &Ddg, t: RegType) -> RsAnalysis {
-        let max_repairs = self.params.max_repairs;
         let refine_passes = self.params.refine_passes;
         let cancel = self.cancel.clone();
         let s = &mut self.scratch;
@@ -213,13 +203,13 @@ impl RsEngine {
         s.value_desc.clear();
         s.value_desc.resize(n, u32::MAX);
 
-        // Portfolio: best-of-three greedy orders, strictly-better wins (the
-        // earliest strategy keeps ties) — exactly the one-shot policy.
+        // Portfolio: best of three candidates, strictly-better wins (the
+        // earliest strategy keeps ties).
         let mut best_width = usize::MAX;
         let mut have_best = false;
         let mut provably_optimal = false;
         for strategy in STRATEGIES {
-            let killed_current = build_killing(ddg, s, strategy, max_repairs);
+            let killed_current = build_killing(ddg, s, strategy);
             let Some(width) = eval_current(ddg, s, killed_current) else {
                 continue; // repair failed (cannot happen for TopoMax)
             };
@@ -297,26 +287,6 @@ impl RsEngine {
         }
     }
 
-    /// Analyses every register type present in the DAG, ascending.
-    pub fn analyze_all(&mut self, ddg: &Ddg) -> Vec<RsAnalysis> {
-        ddg.reg_types()
-            .into_iter()
-            .map(|t| self.analyze(ddg, t))
-            .collect()
-    }
-
-    /// Analyses a batch of DAGs with one shared scratch — the throughput
-    /// path of the corpus driver and the `rs_throughput` benchmark.
-    pub fn analyze_batch<'a, I>(&mut self, batch: I) -> Vec<RsAnalysis>
-    where
-        I: IntoIterator<Item = (&'a Ddg, RegType)>,
-    {
-        batch
-            .into_iter()
-            .map(|(ddg, t)| self.analyze(ddg, t))
-            .collect()
-    }
-
     /// Reduces `RS_t(ddg)` below `r` with default [`Reducer`] settings,
     /// measuring saturation through this engine. Identical outcome to
     /// `Reducer::new().reduce(..)` with the same heuristic parameters.
@@ -352,17 +322,11 @@ impl RsEngine {
 }
 
 /// Builds the greedy killing function for `strategy` into `s.killer`,
-/// repairing enforcement-arc cycles against the topological order — the
-/// scratch twin of the one-shot `GreedyK::build_killing`. Returns `true`
-/// when `s.killed` already holds the killed graph of the returned killer
-/// (the successful repair probe built it), so [`eval_current`] can skip an
-/// identical rebuild of the dominant structure.
-fn build_killing(
-    ddg: &Ddg,
-    s: &mut AnalysisScratch,
-    strategy: Strategy,
-    max_repairs: usize,
-) -> bool {
+/// repairing enforcement-arc cycles against the topological order. Returns
+/// `true` when `s.killed` already holds the killed graph of the returned
+/// killer (the successful repair probe built it), so [`eval_current`] can
+/// skip an identical rebuild of the dominant structure.
+fn build_killing(ddg: &Ddg, s: &mut AnalysisScratch, strategy: Strategy) -> bool {
     if matches!(strategy, Strategy::TopoMax) {
         s.killer.copy_from(&s.fallback);
         return false;
@@ -410,7 +374,7 @@ fn build_killing(
 
     // Cycle repair: re-point conflicting values at their topological-max
     // killer (arcs toward the topo-max killer always go forward).
-    for _ in 0..max_repairs {
+    for _ in 0..MAX_REPAIRS {
         if killed.build(ddg, pk, killer) {
             return true;
         }
@@ -431,9 +395,9 @@ fn build_killing(
 }
 
 /// Evaluates `s.killer`: rebuilds the killed graph (unless `killed_current`
-/// says `s.killed` already holds it), derives the disjoint-value order, and
-/// computes the maximum antichain into `s.antichain`. Returns `None` for an
-/// invalid (cyclic) killing function.
+/// says `s.killed` already holds it) and computes the width of `DV_k` with
+/// its maximum antichain into `s.antichain`. Returns `None` for an invalid
+/// (cyclic) killing function.
 fn eval_current(ddg: &Ddg, s: &mut AnalysisScratch, killed_current: bool) -> Option<usize> {
     let AnalysisScratch {
         pk,
@@ -447,27 +411,12 @@ fn eval_current(ddg: &Ddg, s: &mut AnalysisScratch, killed_current: bool) -> Opt
     if !killed_current && !killed.build(ddg, pk, killer) {
         return None;
     }
-    // `max_antichain_into` asks row by row (all `b` for one `a`), so the
-    // killer of `a` is looked up once per row.
-    let mut row: Option<(NodeId, NodeId)> = None;
-    let rel = |a: NodeId, b: NodeId| {
-        let ka = match row {
-            Some((r, ka)) if r == a => ka,
-            _ => {
-                let ka = killer.of(a);
-                row = Some((a, ka));
-                ka
-            }
-        };
-        killer_kills_before(ddg, &killed.lp, ka, b)
-    };
-    Some(max_antichain_into(values, rel, ac, antichain))
+    Some(killed.dv_antichain_into(ddg, killer, values, ac, antichain))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heuristic::GreedyK;
     use crate::model::{DdgBuilder, OpClass, Target};
 
     fn fanout_chain_ddg(k: usize) -> Ddg {
@@ -488,54 +437,17 @@ mod tests {
     }
 
     #[test]
-    fn matches_one_shot_on_small_ddgs() {
-        let mut engine = RsEngine::new();
-        let greedy = GreedyK::new();
-        for k in 1..6 {
-            let d = fanout_chain_ddg(k);
-            for t in [RegType::FLOAT, RegType::INT] {
-                assert_same(&engine.analyze(&d, t), &greedy.saturation(&d, t));
-            }
-        }
-    }
-
-    #[test]
     fn scratch_survives_size_changes() {
         // big → small → big: stale scratch state must never leak through
         let mut engine = RsEngine::new();
-        let greedy = GreedyK::new();
         for &k in &[7usize, 1, 5, 2, 7] {
             let d = fanout_chain_ddg(k);
-            let a = engine.analyze(&d, RegType::FLOAT);
-            assert_same(&a, &greedy.saturation(&d, RegType::FLOAT));
-            assert_eq!(a.saturation, k);
+            for t in [RegType::FLOAT, RegType::INT] {
+                let a = engine.analyze(&d, t);
+                assert_same(&a, &RsEngine::new().analyze(&d, t));
+                let want = if t == RegType::FLOAT { k } else { 0 };
+                assert_eq!(a.saturation, want);
+            }
         }
-    }
-
-    #[test]
-    fn engine_reduce_matches_reducer() {
-        for budget in [1usize, 2, 3] {
-            let mut d1 = fanout_chain_ddg(4);
-            let mut d2 = d1.clone();
-            let classic = Reducer::new().reduce(&mut d1, RegType::FLOAT, budget);
-            let engine = RsEngine::new().reduce(&mut d2, RegType::FLOAT, budget);
-            assert_eq!(classic.fits(), engine.fits());
-            assert_eq!(classic.added_arcs(), engine.added_arcs());
-            assert_eq!(d1.graph().edge_count(), d2.graph().edge_count());
-        }
-    }
-
-    #[test]
-    fn batch_api_covers_types() {
-        let mut engine = RsEngine::new();
-        let mut b = DdgBuilder::new(Target::superscalar());
-        b.op("i", OpClass::IntAlu, Some(RegType::INT));
-        b.op("f", OpClass::FloatAlu, Some(RegType::FLOAT));
-        let d = b.finish();
-        let all = engine.analyze_all(&d);
-        assert_eq!(all.len(), 2);
-        let batch = engine.analyze_batch([(&d, RegType::INT), (&d, RegType::FLOAT)]);
-        assert_eq!(batch[0].saturation, 1);
-        assert_eq!(batch[1].saturation, 1);
     }
 }

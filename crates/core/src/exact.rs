@@ -14,16 +14,20 @@
 //! - **Early exit:** the saturation can never exceed `|V_{R,t}|`; reaching
 //!   it stops the search.
 //!
+//! A leaf evaluates its killing function exactly as Greedy-k evaluates a
+//! candidate: [`KilledScratch::build`], then
+//! [`KilledScratch::dv_antichain_into`], on storage each job owns.
+//!
 //! This solver is exact when it terminates within its node budget (flagged
 //! in [`ExactRsResult::proven_optimal`]) and scales far beyond the intLP on
 //! the experiment corpus, which is how the optimality study (T1) covers
 //! hundreds of DAGs. The intLP of Section 3 ([`crate::ilp::RsIlp`])
 //! cross-checks it on small instances.
 
-use crate::killing::{rs_for_killing, KillingFunction};
+use crate::killing::{killer_kills_before, FlatKilling, KilledScratch, KillingFunction};
 use crate::model::{Ddg, RegType};
 use crate::pkill::{potential_killers, PKill};
-use rs_graph::antichain::max_antichain;
+use rs_graph::antichain::{max_antichain_into, AntichainScratch};
 use rs_graph::paths::LongestPaths;
 use rs_graph::NodeId;
 use rs_lp::Cancel;
@@ -145,7 +149,15 @@ impl ExactRs {
         // Root optimistic bound: an upper bound on every completion, hence
         // on the true saturation — what an interrupted run reports as its
         // proven gap.
-        let root_ub = optimistic_width(ddg, &lp, &pk, &values, &base_assignment);
+        let root_ub = optimistic_width(
+            ddg,
+            &lp,
+            &pk,
+            &values,
+            &base_assignment,
+            &mut AntichainScratch::new(),
+            &mut Vec::new(),
+        );
 
         // Shared search state: the incumbent width (pruning bound), the
         // global leaf budget, and diagnostic counters.
@@ -153,24 +165,30 @@ impl ExactRs {
         let leaves = AtomicUsize::new(0);
         let pruned = AtomicUsize::new(0);
 
+        // Each job owns its search state and working storage.
+        let new_search = || Search {
+            ddg,
+            t,
+            pk: &pk,
+            values: &values,
+            ambiguous: &ambiguous,
+            base_lp: &lp,
+            node_limit: self.node_limit,
+            leaves: &leaves,
+            best_global: &best_global,
+            cancel: &self.cancel,
+            ticks: 0,
+            pruned: 0,
+            exhausted: true,
+            killing: FlatKilling::default(),
+            killed: KilledScratch::new(),
+            ac: AntichainScratch::new(),
+            antichain: Vec::new(),
+        };
         let threads = self.threads.max(1);
         let mut job_results: Vec<(LocalBest, bool)>;
         if threads == 1 || ambiguous.is_empty() {
-            let mut search = Search {
-                ddg,
-                t,
-                pk: &pk,
-                values: &values,
-                ambiguous: &ambiguous,
-                base_lp: &lp,
-                node_limit: self.node_limit,
-                leaves: &leaves,
-                best_global: &best_global,
-                cancel: &self.cancel,
-                ticks: 0,
-                pruned: 0,
-                exhausted: true,
-            };
+            let mut search = new_search();
             let mut local = seed_best.clone();
             let mut assignment = base_assignment;
             search.recurse(0, &mut assignment, &mut local);
@@ -190,21 +208,7 @@ impl ExactRs {
                     s.spawn(|| loop {
                         let j = next_job.fetch_add(1, Ordering::Relaxed);
                         let Some(&cand) = cands.get(j) else { break };
-                        let mut search = Search {
-                            ddg,
-                            t,
-                            pk: &pk,
-                            values: &values,
-                            ambiguous: &ambiguous,
-                            base_lp: &lp,
-                            node_limit: self.node_limit,
-                            leaves: &leaves,
-                            best_global: &best_global,
-                            cancel: &self.cancel,
-                            ticks: 0,
-                            pruned: 0,
-                            exhausted: true,
-                        };
+                        let mut search = new_search();
                         let mut local = seed_best.clone();
                         let mut assignment = base_assignment.clone();
                         assignment.insert(u0, cand);
@@ -269,6 +273,11 @@ struct Search<'a> {
     ticks: usize,
     pruned: usize,
     exhausted: bool,
+    // Leaf evaluation and optimistic-bound storage, reused across steps.
+    killing: FlatKilling,
+    killed: KilledScratch,
+    ac: AntichainScratch,
+    antichain: Vec<NodeId>,
 }
 
 impl Search<'_> {
@@ -296,16 +305,23 @@ impl Search<'_> {
         }
         if depth == self.ambiguous.len() {
             self.leaves.fetch_add(1, Ordering::Relaxed);
-            let k = KillingFunction {
-                reg_type: self.t,
-                killer: assignment.clone(),
-            };
-            if let Some(dv) = rs_for_killing(self.ddg, self.t, self.pk, &k) {
-                if dv.width > local.width {
-                    local.width = dv.width;
-                    local.killing = k;
-                    local.saturating = dv.saturating;
-                    self.best_global.fetch_max(dv.width, Ordering::Relaxed);
+            self.killing.reset(self.ddg.num_ops());
+            for (&u, &ku) in assignment.iter() {
+                self.killing.set(u, ku);
+            }
+            if self.killed.build(self.ddg, self.pk, &self.killing) {
+                let width = self.killed.dv_antichain_into(
+                    self.ddg,
+                    &self.killing,
+                    self.values,
+                    &mut self.ac,
+                    &mut self.antichain,
+                );
+                if width > local.width {
+                    local.width = width;
+                    local.killing = self.killing.to_killing_function(self.t, self.pk);
+                    local.saturating.clone_from(&self.antichain);
+                    self.best_global.fetch_max(width, Ordering::Relaxed);
                 }
             }
             return;
@@ -335,8 +351,16 @@ impl Search<'_> {
     /// values, the usual criterion with the *base* lp (a subset of the
     /// extended graph's lp); for unassigned values, the intersection over
     /// all candidate killers.
-    fn optimistic_width(&self, assignment: &BTreeMap<NodeId, NodeId>) -> usize {
-        optimistic_width(self.ddg, self.base_lp, self.pk, self.values, assignment)
+    fn optimistic_width(&mut self, assignment: &BTreeMap<NodeId, NodeId>) -> usize {
+        optimistic_width(
+            self.ddg,
+            self.base_lp,
+            self.pk,
+            self.values,
+            assignment,
+            &mut self.ac,
+            &mut self.antichain,
+        )
     }
 }
 
@@ -348,19 +372,17 @@ fn optimistic_width(
     pk: &PKill,
     values: &[NodeId],
     assignment: &BTreeMap<NodeId, NodeId>,
+    ac: &mut AntichainScratch,
+    antichain: &mut Vec<NodeId>,
 ) -> usize {
     let forced_before = |u: NodeId, w: NodeId| -> bool {
-        if u == w {
-            return false;
-        }
-        let check =
-            |ku: NodeId| -> bool { crate::killing::killer_kills_before(ddg, base_lp, ku, w) };
+        let check = |ku: NodeId| -> bool { killer_kills_before(ddg, base_lp, ku, w) };
         match assignment.get(&u) {
             Some(&ku) => check(ku),
             None => pk.of(u).iter().all(|&ku| check(ku)),
         }
     };
-    max_antichain(values, forced_before).width()
+    max_antichain_into(values, forced_before, ac, antichain)
 }
 
 #[cfg(test)]

@@ -20,16 +20,14 @@
 //! result is always an achievable lower bound `RS* ≤ RS`). The reproduced
 //! experimental property (Section 5: error ≤ 1 register, rarely) is checked
 //! in the T1 experiment.
+//!
+//! [`GreedyK`] holds the heuristic's parameters; the algorithm itself runs
+//! on [`RsEngine`] ([`crate::engine`]), its one implementation.
 
-use crate::killing::{
-    killed_graph, rs_for_killing, topo_max_killing, FlatKilling, KillingFunction,
-};
+use crate::engine::RsEngine;
+use crate::killing::KillingFunction;
 use crate::model::{Ddg, RegType};
-use crate::pkill::{potential_killers, PKill};
-use rs_graph::closure::TransitiveClosure;
-use rs_graph::paths::LongestPaths;
-use rs_graph::{topo, NodeId};
-use std::collections::BTreeMap;
+use rs_graph::NodeId;
 
 /// Result of a saturation analysis.
 #[derive(Clone, Debug)]
@@ -66,9 +64,6 @@ pub struct RsAnalysis {
 /// ```
 #[derive(Clone, Debug)]
 pub struct GreedyK {
-    /// Maximum cycle-repair iterations before falling back to the
-    /// always-valid topological-max killing function.
-    pub max_repairs: usize,
     /// Hill-climbing passes over the killer choices after the greedy
     /// construction: each pass tries every alternative killer of every
     /// ambiguous value and keeps switches that widen the antichain.
@@ -78,21 +73,8 @@ pub struct GreedyK {
 
 impl Default for GreedyK {
     fn default() -> Self {
-        GreedyK {
-            max_repairs: 32,
-            refine_passes: 3,
-        }
+        GreedyK { refine_passes: 3 }
     }
-}
-
-#[derive(Clone, Copy, Debug)]
-enum Strategy {
-    /// coverage desc, then value-descendant count asc.
-    CoverageFirst,
-    /// value-descendant count asc, then coverage desc.
-    DescendantsFirst,
-    /// topological-max (always valid; also the repair fallback).
-    TopoMax,
 }
 
 impl GreedyK {
@@ -101,179 +83,11 @@ impl GreedyK {
         Self::default()
     }
 
-    /// Computes the register saturation estimate `RS*_t(G)`.
+    /// Computes the register saturation estimate `RS*_t(G)` on a fresh
+    /// [`RsEngine`]. Callers analysing many DAGs keep one engine alive
+    /// instead, to reuse its working storage.
     pub fn saturation(&self, ddg: &Ddg, t: RegType) -> RsAnalysis {
-        let values = ddg.values(t);
-        if values.is_empty() {
-            return RsAnalysis {
-                reg_type: t,
-                saturation: 0,
-                saturating_values: Vec::new(),
-                killing: KillingFunction {
-                    reg_type: t,
-                    killer: BTreeMap::new(),
-                },
-                provably_optimal: true,
-            };
-        }
-        let lp = LongestPaths::new(ddg.graph());
-        let pk = potential_killers(ddg, t, &lp);
-        let unique_killing = pk.killing_function_count() == 1;
-
-        let mut best: Option<RsAnalysis> = None;
-        for strategy in [
-            Strategy::CoverageFirst,
-            Strategy::DescendantsFirst,
-            Strategy::TopoMax,
-        ] {
-            let k = self.build_killing(ddg, t, &pk, strategy);
-            let Some(dv) = rs_for_killing(ddg, t, &pk, &k) else {
-                continue; // repair failed (cannot happen for TopoMax)
-            };
-            let cand = RsAnalysis {
-                reg_type: t,
-                saturation: dv.width,
-                saturating_values: dv.saturating,
-                killing: k,
-                provably_optimal: unique_killing || dv.width == values.len(),
-            };
-            let better = best.as_ref().is_none_or(|b| cand.saturation > b.saturation);
-            if better {
-                best = Some(cand);
-            }
-            if unique_killing {
-                break;
-            }
-        }
-        let mut best = best.expect("TopoMax strategy always yields a valid killing function");
-        if !unique_killing && best.saturation < values.len() {
-            self.refine(ddg, t, &pk, &mut best, values.len());
-        }
-        best
-    }
-
-    /// Hill-climbing over killer choices: try every alternative killer of
-    /// every ambiguous value, adopt switches that widen the antichain.
-    fn refine(&self, ddg: &Ddg, t: RegType, pk: &PKill, best: &mut RsAnalysis, max_width: usize) {
-        let ambiguous: Vec<(NodeId, &[NodeId])> =
-            pk.iter().filter(|(_, ks)| ks.len() > 1).collect();
-        for _pass in 0..self.refine_passes {
-            let mut improved = false;
-            for &(u, killers) in &ambiguous {
-                let current = best.killing.of(u);
-                for &alt in killers {
-                    if alt == current || best.saturation == max_width {
-                        continue;
-                    }
-                    let mut trial = best.killing.clone();
-                    trial.killer.insert(u, alt);
-                    if let Some(dv) = rs_for_killing(ddg, t, pk, &trial) {
-                        if dv.width > best.saturation {
-                            best.saturation = dv.width;
-                            best.saturating_values = dv.saturating;
-                            best.killing = trial;
-                            best.provably_optimal = dv.width == max_width;
-                            improved = true;
-                            break; // re-read `current` for this value
-                        }
-                    }
-                }
-            }
-            if !improved || best.saturation == max_width {
-                break;
-            }
-        }
-    }
-
-    /// Builds a killing function by the given greedy order, repairing
-    /// enforcement-arc cycles against the topological order.
-    fn build_killing(
-        &self,
-        ddg: &Ddg,
-        t: RegType,
-        pk: &PKill,
-        strategy: Strategy,
-    ) -> KillingFunction {
-        if matches!(strategy, Strategy::TopoMax) {
-            return topo_max_killing(ddg, t, pk);
-        }
-
-        // Killer statistics, in flat arrays indexed by (dense) node id: the
-        // scores are consulted per (value, candidate) pair, and the map
-        // variants dominated the one-shot profile. Iteration stays in
-        // ascending value order, so choices are as deterministic as before.
-        let tc = TransitiveClosure::new(ddg.graph());
-        let values = ddg.values(t);
-        let is_value: Vec<bool> = {
-            let mut v = vec![false; ddg.num_ops()];
-            for &x in &values {
-                v[x.index()] = true;
-            }
-            v
-        };
-        let mut coverage = vec![0u32; ddg.num_ops()];
-        for (_, ks) in pk.iter() {
-            for &k in ks {
-                coverage[k.index()] += 1;
-            }
-        }
-        let value_descendants = |killer: NodeId| -> usize {
-            tc.descendants(killer)
-                .iter()
-                .filter(|&i| is_value[i])
-                .count()
-        };
-
-        let order = topo::topo_sort(ddg.graph()).expect("DDG is acyclic");
-        let mut pos = vec![0usize; ddg.num_ops()];
-        for (i, n) in order.iter().enumerate() {
-            pos[n.index()] = i;
-        }
-
-        let score = |k: NodeId| -> (i64, i64, i64) {
-            let cov = coverage[k.index()] as i64;
-            let desc = value_descendants(k) as i64;
-            match strategy {
-                Strategy::CoverageFirst => (-cov, desc, -(pos[k.index()] as i64)),
-                Strategy::DescendantsFirst => (desc, -cov, -(pos[k.index()] as i64)),
-                Strategy::TopoMax => unreachable!(),
-            }
-        };
-
-        let mut killer = FlatKilling::default();
-        killer.reset(ddg.num_ops());
-        for (u, ks) in pk.iter() {
-            killer.set(
-                u,
-                *ks.iter()
-                    .min_by_key(|&&k| score(k))
-                    .expect("pkill sets are nonempty"),
-            );
-        }
-
-        // Cycle repair: re-point conflicting values at their topological-max
-        // killer (arcs toward the topo-max killer always go forward).
-        let fallback = topo_max_killing(ddg, t, pk);
-        for _ in 0..self.max_repairs {
-            let kf = killer.to_killing_function(t, pk);
-            if killed_graph(ddg, pk, &kf).is_some() {
-                return kf;
-            }
-            // Find one value whose greedy choice differs from the fallback
-            // and whose enforcement could participate in a cycle; flip it.
-            let mut flipped = false;
-            for (u, ks) in pk.iter() {
-                if ks.len() > 1 && killer.of(u) != fallback.of(u) {
-                    killer.set(u, fallback.of(u));
-                    flipped = true;
-                    break;
-                }
-            }
-            if !flipped {
-                break;
-            }
-        }
-        fallback
+        RsEngine::with_params(self.clone()).analyze(ddg, t)
     }
 }
 

@@ -6,19 +6,25 @@
 //! turns the NP-complete saturation problem into polynomial machinery:
 //!
 //! 1. enforce each choice with serial arcs `v → k(u)` of latency
-//!    `δr(v) − δr(k(u))` from every other potential killer `v`;
+//!    `δr(v) − δr(k(u))` from every other potential killer `v`
+//!    ([`KilledScratch::build`]; a cycle means `k` is invalid);
 //! 2. in the resulting graph, value `u` always dies before value `w` is
-//!    defined iff `lp(k(u), w) ≥ δr(k(u)) − δw(w)` — these pairs form the
-//!    strict partial order `DV_k`;
+//!    defined iff `lp(k(u), w) ≥ δr(k(u)) − δw(w)` ([`killer_kills_before`])
+//!    — these pairs form the strict partial order `DV_k`;
 //! 3. the values that *can* be simultaneously alive are exactly the
-//!    antichains of `DV_k`, so `RS_k = width(DV_k)` (computed by Dilworth /
-//!    Hopcroft–Karp in `rs-graph`).
+//!    antichains of `DV_k`, so `RS_k = width(DV_k)`
+//!    ([`KilledScratch::dv_antichain_into`], Dilworth / Hopcroft–Karp in
+//!    `rs-graph`).
+//!
+//! Both the Greedy-k engine ([`crate::engine::RsEngine`]) and the exact
+//! search ([`crate::exact::ExactRs`]) evaluate a killing function with
+//! these two calls, on storage they reuse across candidates.
 
-use crate::model::{Ddg, Operation, RegType};
+use crate::model::{Ddg, RegType};
 use crate::pkill::PKill;
-use rs_graph::antichain::max_antichain;
+use rs_graph::antichain::{max_antichain_into, AntichainScratch};
 use rs_graph::paths::LongestPaths;
-use rs_graph::{topo, DiGraph, NodeId};
+use rs_graph::{topo, NodeId};
 use std::collections::BTreeMap;
 
 /// A killing function for one register type: `k(u) ∈ pkill(u)` per value.
@@ -97,42 +103,6 @@ impl FlatKilling {
     }
 }
 
-/// The extended graph `G_{→k}` plus its longest-path table.
-#[derive(Clone, Debug)]
-pub struct KilledGraph {
-    /// `G` with the killing-enforcement arcs added.
-    pub graph: DiGraph<Operation>,
-    /// All-pairs longest paths of the extended graph.
-    pub lp: LongestPaths,
-}
-
-/// Builds `G_{→k}`: for each value `u` and each other potential killer
-/// `v ∈ pkill(u) ∖ {k(u)}`, adds `v → k(u)` with latency
-/// `δr(v) − δr(k(u))` (zero on superscalar), forcing `k(u)` to read last.
-///
-/// Returns `None` if the arcs create a cycle — the killing function is
-/// invalid.
-pub fn killed_graph(ddg: &Ddg, pk: &PKill, k: &KillingFunction) -> Option<KilledGraph> {
-    let mut g = ddg.graph().clone();
-    for (u, killers) in pk.iter() {
-        let ku = k.of(u);
-        // lint:allow(D-04) enumerators draw k(u) from pkill(u) by construction; cross-checked by the differential tests
-        debug_assert!(killers.contains(&ku), "killer not in pkill({u:?})");
-        for &v in killers {
-            if v == ku {
-                continue;
-            }
-            let lat = ddg.delta_r(v) - ddg.delta_r(ku);
-            g.add_edge(v, ku, lat);
-        }
-    }
-    if !topo::is_acyclic(&g) {
-        return None;
-    }
-    let lp = LongestPaths::new(&g);
-    Some(KilledGraph { graph: g, lp })
-}
-
 /// Scratch for repeated killed-graph construction: `G_{→k}` as a flat arc
 /// list (offsets plus `(dst, latency)` pairs), its topological-sort
 /// buffers, and the longest-path table, all reused across candidate
@@ -156,11 +126,12 @@ impl KilledScratch {
         Self::default()
     }
 
-    /// Rebuilds `G_{→k}` for the flat killing `k` in place. Returns `false`
-    /// (without computing longest paths) when the enforcement arcs create a
-    /// cycle — the killing function is invalid. Validity and the resulting
-    /// `lp` agree exactly with [`killed_graph`]: neither depends on the
-    /// order of the arcs.
+    /// Rebuilds `G_{→k}` for the flat killing `k` in place: the DDG plus,
+    /// for each value `u` and each other potential killer
+    /// `v ∈ pkill(u) ∖ {k(u)}`, an arc `v → k(u)` of latency
+    /// `δr(v) − δr(k(u))` (zero on superscalar), forcing `k(u)` to read
+    /// last. Returns `false` (without computing longest paths) when the
+    /// enforcement arcs create a cycle — the killing function is invalid.
     pub fn build(&mut self, ddg: &Ddg, pk: &PKill, k: &FlatKilling) -> bool {
         let n = ddg.num_ops();
         // Counting sort by source: after the prefix sums `offsets[s]` is
@@ -187,10 +158,45 @@ impl KilledScratch {
             .compute_arcs_into(&self.order, &self.offsets, &self.arcs);
         true
     }
+
+    /// `RS_k = width(DV_k)` for the killing function `k` of the last
+    /// successful [`KilledScratch::build`] (the caller passes that same
+    /// `k`), with a maximum antichain of `values` — a set of values some
+    /// schedule makes simultaneously alive — written into `antichain`.
+    ///
+    /// Value `u` precedes `w` in `DV_k` iff
+    /// [`killer_kills_before`]`(k(u), w)` on this graph's path table. The
+    /// relation is transitive (death precedes definition precedes death
+    /// along any chain), so Dilworth via bipartite matching applies
+    /// directly.
+    pub fn dv_antichain_into(
+        &self,
+        ddg: &Ddg,
+        k: &FlatKilling,
+        values: &[NodeId],
+        ac: &mut AntichainScratch,
+        antichain: &mut Vec<NodeId>,
+    ) -> usize {
+        // `max_antichain_into` asks row by row (all `b` for one `a`), so the
+        // killer of `a` is looked up once per row.
+        let mut row: Option<(NodeId, NodeId)> = None;
+        let rel = |a: NodeId, b: NodeId| {
+            let ka = match row {
+                Some((r, ka)) if r == a => ka,
+                _ => {
+                    let ka = k.of(a);
+                    row = Some((a, ka));
+                    ka
+                }
+            };
+            killer_kills_before(ddg, &self.lp, ka, b)
+        };
+        max_antichain_into(values, rel, ac, antichain)
+    }
 }
 
 /// Calls `f(src, dst, latency)` on every arc of `G_{→k}`: the DDG's live
-/// arcs, then the enforcement arcs of [`killed_graph`].
+/// arcs, then the enforcement arcs of [`KilledScratch::build`].
 fn for_each_killed_arc(
     ddg: &Ddg,
     pk: &PKill,
@@ -213,7 +219,8 @@ fn for_each_killed_arc(
     }
 }
 
-/// The kill-before-definition criterion shared by every DV construction:
+/// The kill-before-definition criterion behind `DV_k` and the exact
+/// search's optimistic bound:
 /// with `ku` the designated last reader of some value, that value is dead
 /// no later than `w`'s definition iff `lp(ku, w) ≥ δr(ku) − δw(w)` (with
 /// `ku = w` meaning `w` itself reads last, compared via the delays alone).
@@ -228,117 +235,17 @@ pub fn killer_kills_before(ddg: &Ddg, lp: &LongestPaths, ku: NodeId, w: NodeId) 
     }
 }
 
-/// The disjoint-value order: in `G_{→k}`, value `u` always dies no later
-/// than value `w` is defined iff
-/// `lp(k(u), w) ≥ δr(k(u)) − δw(w)` (with `k(u) = w` meaning `w` itself is
-/// the last reader, compared via the delays alone).
-pub fn dv_before(
-    ddg: &Ddg,
-    killed: &KilledGraph,
-    k: &KillingFunction,
-    u: NodeId,
-    w: NodeId,
-) -> bool {
-    u != w && killer_kills_before(ddg, &killed.lp, k.of(u), w)
-}
-
-/// The disjoint-value DAG of one killing function, with its maximum
-/// antichain (= saturating values) precomputed.
-#[derive(Clone, Debug)]
-pub struct DisjointValueDag {
-    /// The register type analysed.
-    pub reg_type: RegType,
-    /// The values (poset elements).
-    pub values: Vec<NodeId>,
-    /// Strict order pairs `u < w` (u dies before w is defined), dense.
-    pub before: Vec<(NodeId, NodeId)>,
-    /// A maximum antichain: a set of values that some schedule makes
-    /// simultaneously alive.
-    pub saturating: Vec<NodeId>,
-    /// `RS_k` = antichain width.
-    pub width: usize,
-}
-
-/// Builds `DV_k` and computes its width.
-///
-/// The `before` relation is transitive (death precedes definition precedes
-/// death along any chain), so Dilworth via bipartite matching applies
-/// directly.
-pub fn disjoint_value_dag(
-    ddg: &Ddg,
-    t: RegType,
-    killed: &KilledGraph,
-    k: &KillingFunction,
-) -> DisjointValueDag {
-    let values = ddg.values(t);
-    let mut before = Vec::new();
-    for &u in &values {
-        for &w in &values {
-            if u != w && dv_before(ddg, killed, k, u, w) {
-                before.push((u, w));
-            }
-        }
-    }
-    let rel = |a: NodeId, b: NodeId| before.binary_search(&(a, b)).is_ok();
-    // `before` was produced in sorted (u, w) order already because `values`
-    // is sorted; assert in debug builds.
-    // lint:allow(D-04) sortedness follows from iterating `values` ascending; an O(n) release re-check per antichain would dominate small instances
-    debug_assert!(before.windows(2).all(|w| w[0] <= w[1]));
-    let res = max_antichain(&values, rel);
-    DisjointValueDag {
-        reg_type: t,
-        values,
-        before,
-        width: res.width(),
-        saturating: res.antichain,
-    }
-}
-
-/// Register saturation under a fixed killing function, or `None` if `k` is
-/// invalid (cyclic enforcement arcs).
-pub fn rs_for_killing(
-    ddg: &Ddg,
-    t: RegType,
-    pk: &PKill,
-    k: &KillingFunction,
-) -> Option<DisjointValueDag> {
-    let killed = killed_graph(ddg, pk, k)?;
-    Some(disjoint_value_dag(ddg, t, &killed, k))
-}
-
 /// A killing function that is *always* valid: pick for every value the
-/// potential killer that comes last in one fixed topological order of `G`
-/// (enforcement arcs then all point forward in that order, so no cycle can
-/// appear). Used as the fallback of the greedy heuristic and as the root of
-/// the exact enumeration.
-pub fn topo_max_killing(ddg: &Ddg, t: RegType, pk: &PKill) -> KillingFunction {
-    let order = topo::topo_sort(ddg.graph()).expect("DDG is acyclic");
-    let mut pos = vec![0usize; ddg.num_ops()];
-    for (i, n) in order.iter().enumerate() {
-        pos[n.index()] = i;
-    }
-    KillingFunction {
-        reg_type: t,
-        killer: pk
-            .iter()
-            .map(|(u, ks)| (u, topo_max_choice(ks, &pos)))
-            .collect(),
-    }
-}
-
-/// Flat-array [`topo_max_killing`] against a precomputed topological
-/// position table (the engine computes one order per DAG and shares it).
+/// potential killer that comes last in the topological order whose
+/// positions `pos` holds (enforcement arcs then all point forward in that
+/// order, so no cycle can appear). Greedy-k's repair fallback and its
+/// third portfolio candidate.
 pub fn topo_max_killing_into(pk: &PKill, pos: &[usize], out: &mut FlatKilling) {
     out.reset(pos.len());
     for (u, ks) in pk.iter() {
-        out.set(u, topo_max_choice(ks, pos));
+        let k = ks.iter().max_by_key(|k| pos[k.index()]);
+        out.set(u, *k.expect("pkill sets are nonempty"));
     }
-}
-
-fn topo_max_choice(ks: &[NodeId], pos: &[usize]) -> NodeId {
-    *ks.iter()
-        .max_by_key(|k| pos[k.index()])
-        .expect("pkill sets are nonempty")
 }
 
 #[cfg(test)]
@@ -358,36 +265,64 @@ mod tests {
         b.finish()
     }
 
+    fn pkill(d: &Ddg) -> PKill {
+        potential_killers(d, RegType::INT, &LongestPaths::new(d.graph()))
+    }
+
+    fn topo_max(d: &Ddg, pk: &PKill) -> FlatKilling {
+        let order = topo::topo_sort(d.graph()).unwrap();
+        let mut pos = vec![0; d.num_ops()];
+        for (i, n) in order.iter().enumerate() {
+            pos[n.index()] = i;
+        }
+        let mut k = FlatKilling::default();
+        topo_max_killing_into(pk, &pos, &mut k);
+        k
+    }
+
+    fn flat(d: &Ddg, choices: &[(NodeId, NodeId)]) -> FlatKilling {
+        let mut k = FlatKilling::default();
+        k.reset(d.num_ops());
+        for &(u, ku) in choices {
+            k.set(u, ku);
+        }
+        k
+    }
+
+    /// `RS_k` and its antichain over the int values, `None` when `k` is
+    /// cyclic.
+    fn rs_k(d: &Ddg, pk: &PKill, k: &FlatKilling) -> Option<(usize, Vec<NodeId>)> {
+        let mut killed = KilledScratch::new();
+        if !killed.build(d, pk, k) {
+            return None;
+        }
+        let mut antichain = Vec::new();
+        let values = d.values(RegType::INT);
+        let width =
+            killed.dv_antichain_into(d, k, &values, &mut AntichainScratch::new(), &mut antichain);
+        Some((width, antichain))
+    }
+
     #[test]
     fn topo_max_killing_is_valid() {
         let d = fanout_ddg();
-        let lp = LongestPaths::new(d.graph());
-        let pk = potential_killers(&d, RegType::INT, &lp);
-        let k = topo_max_killing(&d, RegType::INT, &pk);
-        assert!(k.respects(&pk));
-        assert!(killed_graph(&d, &pk, &k).is_some());
+        let pk = pkill(&d);
+        let k = topo_max(&d, &pk);
+        assert!(k.to_killing_function(RegType::INT, &pk).respects(&pk));
+        assert!(KilledScratch::new().build(&d, &pk, &k));
     }
 
     #[test]
     fn killing_choice_adds_enforcement_arc() {
         let d = fanout_ddg();
-        let lp = LongestPaths::new(d.graph());
-        let pk = potential_killers(&d, RegType::INT, &lp);
-        let v = rs_graph::NodeId(0);
-        let s1 = rs_graph::NodeId(1);
-        let s2 = rs_graph::NodeId(2);
+        let pk = pkill(&d);
+        let (v, s1, s2) = (NodeId(0), NodeId(1), NodeId(2));
         assert_eq!(pk.of(v).len(), 2);
-        let mut killer = BTreeMap::new();
-        killer.insert(v, s1);
-        let k = KillingFunction {
-            reg_type: RegType::INT,
-            killer,
-        };
-        let killed = killed_graph(&d, &pk, &k).unwrap();
-        // an arc s2 -> s1 must now exist
-        assert!(killed.graph.find_edge(s2, s1).is_some());
-        // and lp reflects it
-        assert!(killed.lp.reaches(s2, s1));
+        assert!(!LongestPaths::new(d.graph()).reaches(s2, s1));
+        let mut killed = KilledScratch::new();
+        assert!(killed.build(&d, &pk, &flat(&d, &[(v, s1)])));
+        // the arc s2 -> s1 (latency δr(s2) − δr(s1) = 0) now orders them
+        assert_eq!(killed.lp.lp(s2, s1), Some(0));
     }
 
     #[test]
@@ -404,28 +339,15 @@ mod tests {
         bld.flow(u2, a, 1, RegType::INT);
         bld.flow(u2, b, 1, RegType::INT);
         let d = bld.finish();
-        let lp = LongestPaths::new(d.graph());
-        let pk = potential_killers(&d, RegType::INT, &lp);
-        let mut killer = BTreeMap::new();
-        killer.insert(u1, a);
-        killer.insert(u2, b);
-        let k = KillingFunction {
-            reg_type: RegType::INT,
-            killer,
-        };
+        let pk = pkill(&d);
+        let mut killed = KilledScratch::new();
         assert!(
-            killed_graph(&d, &pk, &k).is_none(),
+            !killed.build(&d, &pk, &flat(&d, &[(u1, a), (u2, b)])),
             "cyclic killing must be rejected"
         );
-        // but the consistent choice works
-        let mut killer = BTreeMap::new();
-        killer.insert(u1, a);
-        killer.insert(u2, a);
-        let k = KillingFunction {
-            reg_type: RegType::INT,
-            killer,
-        };
-        assert!(killed_graph(&d, &pk, &k).is_some());
+        assert!(rs_k(&d, &pk, &flat(&d, &[(u1, a), (u2, b)])).is_none());
+        // but the consistent choice works, on the same scratch
+        assert!(killed.build(&d, &pk, &flat(&d, &[(u1, a), (u2, a)])));
     }
 
     #[test]
@@ -434,14 +356,11 @@ mod tests {
         let mut b = DdgBuilder::new(Target::superscalar());
         let x = b.op("x", OpClass::IntAlu, Some(RegType::INT));
         let y = b.op("y", OpClass::IntAlu, Some(RegType::INT));
-        let _ = (x, y);
         let d = b.finish();
-        let lp = LongestPaths::new(d.graph());
-        let pk = potential_killers(&d, RegType::INT, &lp);
-        let k = topo_max_killing(&d, RegType::INT, &pk);
-        let dv = rs_for_killing(&d, RegType::INT, &pk, &k).unwrap();
-        assert_eq!(dv.width, 2);
-        assert_eq!(dv.saturating.len(), 2);
+        let pk = pkill(&d);
+        let (width, antichain) = rs_k(&d, &pk, &topo_max(&d, &pk)).unwrap();
+        assert_eq!(width, 2);
+        assert_eq!(antichain, vec![x, y]);
     }
 
     #[test]
@@ -452,22 +371,23 @@ mod tests {
         let c = b.op("c", OpClass::IntAlu, Some(RegType::INT));
         b.flow(u, c, 1, RegType::INT);
         let d = b.finish();
-        let lp = LongestPaths::new(d.graph());
-        let pk = potential_killers(&d, RegType::INT, &lp);
-        let k = topo_max_killing(&d, RegType::INT, &pk);
-        let dv = rs_for_killing(&d, RegType::INT, &pk, &k).unwrap();
-        // u < c in DV (u's killer is c itself; δr(c)=0 ≤ δw(c)=0)
-        assert!(dv.before.contains(&(u, c)));
-        assert_eq!(dv.width, 1);
+        let pk = pkill(&d);
+        let k = topo_max(&d, &pk);
+        // u < c in DV (u's killer is c itself; δr(c)=0 ≤ δw(c)=0) ...
+        assert_eq!(k.of(u), c);
+        let mut killed = KilledScratch::new();
+        assert!(killed.build(&d, &pk, &k));
+        assert!(killer_kills_before(&d, &killed.lp, k.of(u), c));
+        // ... so only one of them is alive at a time
+        assert_eq!(rs_k(&d, &pk, &k).unwrap().0, 1);
     }
 
     #[test]
     fn respects_rejects_foreign_killer() {
         let d = fanout_ddg();
-        let lp = LongestPaths::new(d.graph());
-        let pk = potential_killers(&d, RegType::INT, &lp);
+        let pk = pkill(&d);
         let mut killer = BTreeMap::new();
-        killer.insert(rs_graph::NodeId(0), d.bottom()); // ⊥ is not a consumer of v
+        killer.insert(NodeId(0), d.bottom()); // ⊥ is not a consumer of v
         let k = KillingFunction {
             reg_type: RegType::INT,
             killer,

@@ -18,14 +18,16 @@
 //!
 //! | problem | heuristic (from CC'01 \[14\]) | exact |
 //! |---|---|---|
-//! | compute `RS` (NP-complete) | [`heuristic::GreedyK`] | [`exact::ExactRs`] (combinatorial B&B), [`ilp::RsIlp`] (the paper's Section-3 intLP) |
+//! | compute `RS` (NP-complete) | [`heuristic::GreedyK`], run by [`engine::RsEngine`] | [`exact::ExactRs`] (combinatorial B&B), [`ilp::RsIlp`] (the paper's Section-3 intLP) |
 //! | reduce `RS ≤ R` (NP-hard, Thm 4.2) | [`reduce::Reducer`] | [`ilp::ReduceIlp`] (Section-4 intLP + Theorem-4.2 serialization arcs) |
 //!
 //! plus the supporting theory: lifetimes and register need
-//! ([`lifetime`]), the potential-killing framework ([`pkill`], [`killing`]),
-//! the register-*minimization* strawman of Section 6 ([`minimize`]), a
-//! time-indexed baseline intLP used for the model-size comparison
-//! ([`ilp_baseline`]), and the end-to-end pipeline ([`pipeline`]).
+//! ([`lifetime`]), the potential-killing framework ([`pkill`], and
+//! [`killing`] with the one `DV_k` evaluator that Greedy-k and the exact
+//! search share), the register-*minimization* strawman of Section 6
+//! ([`minimize`]), a time-indexed baseline intLP used for the model-size
+//! comparison ([`ilp_baseline`]), and the end-to-end pipeline
+//! ([`pipeline`]).
 
 #![forbid(unsafe_code)]
 
@@ -46,11 +48,11 @@ pub mod reduce;
 pub mod request;
 pub mod spill;
 
-pub use engine::{AnalysisScratch, RsEngine};
+pub use engine::RsEngine;
 pub use exact::ExactRs;
 pub use heuristic::GreedyK;
 pub use ilp::{IlpRun, ReduceIlp, RsIlp};
-pub use killing::{DisjointValueDag, KillingFunction};
+pub use killing::KillingFunction;
 pub use lifetime::{lifetime_intervals, register_need, saturating_values};
 pub use model::{Ddg, DdgBuilder, EdgeKind, OpClass, Operation, RegType, Target, TargetKind};
 pub use pipeline::{Pipeline, PipelineReport};

@@ -96,10 +96,8 @@ impl Pipeline {
         RsEngine::new().run_pipeline(self, ddg)
     }
 
-    /// Runs the pipeline through a batch [`RsEngine`]: identical report
-    /// (the engine analysis matches [`crate::heuristic::GreedyK`] exactly),
-    /// allocation-reusing execution. This is the engine hook behind
-    /// [`RsEngine::run_pipeline`].
+    /// Runs the pipeline through `engine`, reusing its working storage.
+    /// This is the engine hook behind [`RsEngine::run_pipeline`].
     pub(crate) fn run_with(&self, engine: &mut RsEngine, ddg: &mut Ddg) -> PipelineReport {
         let mut types = Vec::new();
         for &(t, budget) in &self.budgets {

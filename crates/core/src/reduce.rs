@@ -128,8 +128,8 @@ struct Candidate {
 }
 
 /// A saturation estimator: returns the estimate and its witness antichain,
-/// like [`GreedyK::saturation`]. The batch engine supplies a scratch-backed
-/// one to `Reducer::reduce_with`.
+/// like [`GreedyK::saturation`]. The engine supplies one backed by its
+/// working storage to `Reducer::reduce_with`.
 pub type RsEstimator<'a> = dyn FnMut(&Ddg, RegType) -> (usize, Vec<NodeId>) + 'a;
 
 impl Reducer {

@@ -1,4 +1,4 @@
-//! Maximum antichains and minimum chain covers of finite posets (Dilworth).
+//! Maximum antichains of finite posets (Dilworth).
 //!
 //! The register saturation of a DAG under a fixed killing function is the
 //! size of a maximum antichain of the *disjoint-value DAG* (Touati \[14\]).
@@ -14,78 +14,12 @@
 use crate::graph::NodeId;
 use crate::matching::{hopcroft_karp_into, BipartiteGraph, MatchingScratch};
 
-/// Output of [`max_antichain`]: a witness antichain and a matching-derived
-/// minimum chain cover (both optimal, with `antichain.len() == chains.len()`
-/// by Dilworth's theorem).
-#[derive(Clone, Debug)]
-pub struct AntichainResult {
-    /// A maximum antichain: pairwise incomparable elements.
-    pub antichain: Vec<NodeId>,
-    /// A minimum chain cover: disjoint chains covering every element, each
-    /// listed in increasing order.
-    pub chains: Vec<Vec<NodeId>>,
-}
-
-impl AntichainResult {
-    /// Size of the maximum antichain (== number of chains).
-    pub fn width(&self) -> usize {
-        self.antichain.len()
-    }
-}
-
-/// Computes a maximum antichain and minimum chain cover of the poset induced
-/// by `less` on `elements`.
-///
-/// `less(a, b)` must hold iff `a` strictly precedes `b`; it must be
-/// irreflexive and transitive. Complexity `O(k² + E√k)` for `k` elements.
-///
-/// ```
-/// use rs_graph::{antichain::max_antichain, NodeId};
-///
-/// // the divisibility poset on {1, 2, 3, 4}: width 2 (e.g. {2, 3})
-/// let els: Vec<NodeId> = (1..=4).map(NodeId).collect();
-/// let result = max_antichain(&els, |a, b| a.0 != b.0 && b.0 % a.0 == 0);
-/// assert_eq!(result.width(), 2);
-/// assert_eq!(result.chains.len(), 2); // Dilworth: chain cover of the same size
-/// ```
-pub fn max_antichain(
-    elements: &[NodeId],
-    less: impl FnMut(NodeId, NodeId) -> bool,
-) -> AntichainResult {
-    let mut scratch = AntichainScratch::new();
-    let mut antichain = Vec::new();
-    max_antichain_into(elements, less, &mut scratch, &mut antichain);
-    let k = elements.len();
-    let m = &scratch.matching;
-
-    // Chains: follow pair_left pointers from chain heads (unmatched on the
-    // right, i.e. nothing precedes them in the cover).
-    let mut chains = Vec::with_capacity(k - m.size);
-    for start in 0..k {
-        if m.pair_right[start].is_some() {
-            continue; // not a chain head
-        }
-        let mut chain = vec![elements[start]];
-        let mut cur = start;
-        while let Some(next) = m.pair_left[cur] {
-            chain.push(elements[next]);
-            cur = next;
-        }
-        chains.push(chain);
-    }
-    debug_assert_eq!(chains.len(), k - m.size, "chain cover count mismatch");
-
-    AntichainResult { antichain, chains }
-}
-
 /// Reusable working storage for [`max_antichain_into`]: the comparability
 /// bipartite graph and the matching buffers.
 #[derive(Clone, Debug, Default)]
 pub struct AntichainScratch {
     bg: BipartiteGraph,
-    /// The matching of the last call (exposed so [`max_antichain`] can derive
-    /// the chain cover from it).
-    pub matching: MatchingScratch,
+    matching: MatchingScratch,
 }
 
 impl AntichainScratch {
@@ -95,11 +29,29 @@ impl AntichainScratch {
     }
 }
 
-/// Allocation-reusing core of [`max_antichain`]: computes a maximum
-/// antichain into `antichain` and returns its width. Witness and width are
-/// identical to [`max_antichain`] (which delegates here); only the chain
-/// cover is skipped — hot-path callers of the saturation analysis never
-/// need it.
+/// Computes a maximum antichain of the poset induced by `less` on
+/// `elements` into `antichain` (in `elements` order) and returns its width.
+///
+/// `less(a, b)` must hold iff `a` strictly precedes `b`; it must be
+/// irreflexive and transitive, and it is only asked about distinct
+/// elements. Complexity `O(k² + E√k)` for `k` elements; `scratch` is
+/// reused across calls, so the steady state allocates nothing.
+///
+/// ```
+/// use rs_graph::{antichain::{max_antichain_into, AntichainScratch}, NodeId};
+///
+/// // the divisibility poset on {1, 2, 3, 4}: width 2 ({3, 4})
+/// let els: Vec<NodeId> = (1..=4).map(NodeId).collect();
+/// let mut antichain = Vec::new();
+/// let width = max_antichain_into(
+///     &els,
+///     |a, b| b.0 % a.0 == 0,
+///     &mut AntichainScratch::new(),
+///     &mut antichain,
+/// );
+/// assert_eq!(width, 2);
+/// assert_eq!(antichain, vec![NodeId(3), NodeId(4)]);
+/// ```
 pub fn max_antichain_into(
     elements: &[NodeId],
     mut less: impl FnMut(NodeId, NodeId) -> bool,
@@ -129,14 +81,6 @@ pub fn max_antichain_into(
     antichain.len()
 }
 
-/// Convenience wrapper returning only the minimum chain cover.
-pub fn min_chain_cover(
-    elements: &[NodeId],
-    less: impl FnMut(NodeId, NodeId) -> bool,
-) -> Vec<Vec<NodeId>> {
-    max_antichain(elements, less).chains
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,21 +90,23 @@ mod tests {
         v.iter().map(|&x| NodeId(x)).collect()
     }
 
+    fn antichain_of(els: &[NodeId], less: impl FnMut(NodeId, NodeId) -> bool) -> Vec<NodeId> {
+        let mut antichain = Vec::new();
+        let width = max_antichain_into(els, less, &mut AntichainScratch::new(), &mut antichain);
+        assert_eq!(width, antichain.len());
+        antichain
+    }
+
     #[test]
     fn total_order_has_width_one() {
         let els = ids(&[0, 1, 2, 3]);
-        let r = max_antichain(&els, |a, b| a.0 < b.0);
-        assert_eq!(r.width(), 1);
-        assert_eq!(r.chains.len(), 1);
-        assert_eq!(r.chains[0], els);
+        assert_eq!(antichain_of(&els, |a, b| a.0 < b.0).len(), 1);
     }
 
     #[test]
     fn empty_order_is_one_big_antichain() {
         let els = ids(&[0, 1, 2, 3, 4]);
-        let r = max_antichain(&els, |_, _| false);
-        assert_eq!(r.width(), 5);
-        assert_eq!(r.chains.len(), 5);
+        assert_eq!(antichain_of(&els, |_, _| false), els);
     }
 
     #[test]
@@ -168,38 +114,37 @@ mod tests {
         // poset: 0 < 1, 0 < 2, 1 < 3, 2 < 3 (and 0 < 3 by transitivity)
         let els = ids(&[0, 1, 2, 3]);
         let pairs = [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)];
-        let r = max_antichain(&els, |a, b| pairs.contains(&(a.0, b.0)));
-        assert_eq!(r.width(), 2);
-        let set: Vec<u32> = r.antichain.iter().map(|n| n.0).collect();
-        assert!(
-            set == vec![1, 2],
-            "expected the middle layer, got {:?}",
-            set
-        );
+        let r = antichain_of(&els, |a, b| pairs.contains(&(a.0, b.0)));
+        assert_eq!(r, ids(&[1, 2]), "expected the middle layer");
     }
 
     #[test]
     fn empty_elements() {
-        let r = max_antichain(&[], |_, _| true);
-        assert_eq!(r.width(), 0);
-        assert!(r.chains.is_empty());
+        assert!(antichain_of(&[], |_, _| true).is_empty());
     }
 
     #[test]
-    fn chains_partition_elements() {
-        let els = ids(&[0, 1, 2, 3, 4, 5]);
+    fn independent_chains() {
         // two independent chains: 0<1<2 and 3<4, plus isolated 5
+        let els = ids(&[0, 1, 2, 3, 4, 5]);
         let pairs = [(0, 1), (1, 2), (0, 2), (3, 4)];
-        let r = max_antichain(&els, |a, b| pairs.contains(&(a.0, b.0)));
-        assert_eq!(r.width(), 3);
-        let mut all: Vec<u32> = r.chains.iter().flatten().map(|n| n.0).collect();
-        all.sort();
-        assert_eq!(all, vec![0, 1, 2, 3, 4, 5]);
-        // each chain is increasing in the order
-        for chain in &r.chains {
-            for w in chain.windows(2) {
-                assert!(pairs.contains(&(w[0].0, w[1].0)));
-            }
+        let r = antichain_of(&els, |a, b| pairs.contains(&(a.0, b.0)));
+        assert_eq!(r.len(), 3);
+        assert!(r.contains(&NodeId(5)));
+    }
+
+    #[test]
+    fn scratch_survives_size_changes() {
+        // big → small → big on one scratch: nothing stale leaks through.
+        // The order is two chains, the evens and the odds.
+        let mut scratch = AntichainScratch::new();
+        let mut antichain = Vec::new();
+        let less = |a: NodeId, b: NodeId| a.0 % 2 == b.0 % 2 && a.0 < b.0;
+        for k in [6u32, 1, 4, 0, 6] {
+            let els: Vec<NodeId> = (0..k).map(NodeId).collect();
+            let width = max_antichain_into(&els, less, &mut scratch, &mut antichain);
+            assert_eq!(width, k.min(2) as usize);
+            assert_eq!(antichain, antichain_of(&els, less));
         }
     }
 
@@ -246,20 +191,15 @@ mod tests {
             }
             let els = ids(&[0, 1, 2, 3, 4, 5, 6, 7]);
             let less = |a: NodeId, b: NodeId| rel[a.index()][b.index()];
-            let r = max_antichain(&els, less);
+            let r = antichain_of(&els, less);
             // witness is a valid antichain
-            for &a in &r.antichain {
-                for &b in &r.antichain {
+            for &a in &r {
+                for &b in &r {
                     prop_assert!(a == b || (!less(a, b) && !less(b, a)));
                 }
             }
             // optimal
-            prop_assert_eq!(r.width(), brute_width(&els, &less));
-            // Dilworth: chains count equals width, chains partition
-            prop_assert_eq!(r.chains.len(), r.width());
-            let mut all: Vec<u32> = r.chains.iter().flatten().map(|n| n.0).collect();
-            all.sort();
-            prop_assert_eq!(all, (0u32..8).collect::<Vec<_>>());
+            prop_assert_eq!(r.len(), brute_width(&els, &less));
         }
     }
 }

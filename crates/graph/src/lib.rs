@@ -17,9 +17,8 @@
 //! - [`closure`]: bitset transitive closure / reachability.
 //! - [`matching`]: Hopcroft–Karp maximum bipartite matching with König
 //!   vertex-cover extraction.
-//! - [`antichain`]: maximum antichain and minimum chain cover of a poset
-//!   (Dilworth / Mirsky machinery used to evaluate `RS` for a fixed killing
-//!   function).
+//! - [`antichain`]: maximum antichain of a poset (Dilworth machinery used
+//!   to evaluate `RS` for a fixed killing function).
 //! - [`interval`]: half-open lifetime intervals `(a, b]` and the sweep that
 //!   computes the maximum number of simultaneously alive values.
 //! - [`dot`]: Graphviz export for debugging and documentation.
@@ -53,8 +52,7 @@ pub mod matching;
 pub mod paths;
 pub mod topo;
 
-pub use antichain::AntichainScratch;
-pub use antichain::{max_antichain, max_antichain_into, min_chain_cover, AntichainResult};
+pub use antichain::{max_antichain_into, AntichainScratch};
 pub use bitset::{BitSet, BitSetPool};
 pub use closure::TransitiveClosure;
 pub use graph::{DiGraph, EdgeId, NodeId};

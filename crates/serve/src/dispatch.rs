@@ -10,7 +10,6 @@ use crate::cache::MemoCache;
 use crate::checkpoint::{CheckpointSlot, CheckpointStore};
 use crate::fault::{FaultAction, FaultPlan};
 use rs_core::exact::ExactRs;
-use rs_core::heuristic::GreedyK;
 use rs_core::ilp::RsIlp;
 use rs_core::model::{Ddg, RegType};
 use rs_core::parse::{parse_ddg, print_ddg};
@@ -31,7 +30,6 @@ use std::time::{Duration, Instant};
 /// One warm worker: engine + optional shared cache + optional shared
 /// checkpoint store.
 pub struct Dispatcher {
-    params: GreedyK,
     engine: RsEngine,
     cache: Option<Arc<MemoCache>>,
     ckpts: Option<Arc<CheckpointStore>>,
@@ -49,7 +47,6 @@ impl Dispatcher {
     /// CLI and corpus workers use this: every request computes cold).
     pub fn new() -> Self {
         Dispatcher {
-            params: GreedyK::new(),
             engine: RsEngine::new(),
             cache: None,
             ckpts: None,
@@ -203,7 +200,7 @@ impl Dispatcher {
             Err(payload) => {
                 // The engine scratch may be mid-mutation: replace it, keep
                 // serving.
-                self.engine = RsEngine::with_params(self.params.clone());
+                self.engine = RsEngine::new();
                 let e = RsError::new(
                     codes::PANIC,
                     format!("engine panicked: {}", panic_message(&payload)),

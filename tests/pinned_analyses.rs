@@ -1,17 +1,22 @@
-//! Pinned Greedy-k analyses of the paper's kernel corpus.
+//! Pinned Greedy-k analyses of the paper's kernel corpus and of random
+//! DAGs.
 //!
-//! `tests/engine_equiv.rs` checks the batch engine against the one-shot
-//! reference, but both share the killing-function machinery and the
-//! longest-path table, so a change there can move them together. Every
-//! kernel on both targets and every register type pins its RS*, an FNV-1a
-//! digest of the witness antichain and killing map, and
-//! `Pipeline::uniform(6)`'s reduction outcome. A change that means to alter
-//! an analysis updates them and says why.
+//! Greedy-k has one implementation, so these pins are what catches a
+//! change that moves its answers. Every kernel on both targets and every
+//! register type pins its RS*, an FNV-1a digest of the witness antichain
+//! and killing map, and `Pipeline::uniform(6)`'s reduction outcome. 96
+//! random DAGs of 4–48 operations on both targets pin the same, one FNV-1a
+//! row per size and target, with the pipeline at a budget two below the
+//! largest RS* so that it reduces. One warm engine analyses everything, the
+//! random DAGs in mixed-size order, so stale working storage fails too. A
+//! change that means to alter an analysis updates the pins and says why.
 
 use rs_core::engine::RsEngine;
 use rs_core::heuristic::RsAnalysis;
 use rs_core::model::Target;
 use rs_core::pipeline::Pipeline;
+use rs_kernels::random::{random_ddg, RandomDagConfig};
+use std::collections::BTreeMap;
 
 /// `(kernel, target, register type, RS*, digest of witness + killing map,
 /// (rs_before, rs_after, arcs_added, cp_after, fits))` under
@@ -63,21 +68,72 @@ const PINS: &[Pin] = &[
     ("fppp", "vliw", 1, 6, 0xd547836527e489eb, (6, 6, 0, 36, true)),
 ];
 
-/// FNV-1a over the witness ids, then the `(value, killer)` pairs.
-fn digest(a: &RsAnalysis) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let words = a
-        .saturating_values
-        .iter()
-        .map(|v| v.0)
-        .chain(a.killing.killer.iter().flat_map(|(u, k)| [u.0, k.0]));
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
+/// `(ops, target, analyses, Σ RS*, Σ arcs added, digest)`: one row per
+/// random-DAG size and target.
+type RandomPin = (usize, &'static str, usize, usize, usize, u64);
+
+#[rustfmt::skip]
+const RANDOM_PINS: &[RandomPin] = &[
+    (4, "ss", 11, 23, 2, 0x8b64e68fa0e770fc),
+    (4, "vliw", 11, 23, 2, 0xebac8df802a28881),
+    (8, "ss", 15, 53, 22, 0x0b823e3696dcf3bf),
+    (8, "vliw", 15, 53, 21, 0xa855f02088aaaebe),
+    (12, "ss", 15, 74, 37, 0x91bb50356367b951),
+    (12, "vliw", 15, 74, 38, 0xe5095ee8afca1352),
+    (16, "ss", 16, 102, 26, 0x61553229f04b2192),
+    (16, "vliw", 16, 102, 24, 0x40cf1c6918dca971),
+    (20, "ss", 16, 124, 32, 0xa375cba6b751e1db),
+    (20, "vliw", 16, 124, 31, 0xa6850896ee9f2ee9),
+    (24, "ss", 16, 149, 39, 0xdcef56f6a63c32a7),
+    (24, "vliw", 16, 149, 33, 0x9b5aa09b4d059f1b),
+    (28, "ss", 16, 176, 31, 0x655ac04f4a0032bd),
+    (28, "vliw", 16, 176, 28, 0xa0607ce0ffe3e368),
+    (32, "ss", 16, 194, 33, 0xe7734f1beb381233),
+    (32, "vliw", 16, 194, 31, 0x5195543dae708d9b),
+    (36, "ss", 16, 225, 60, 0x3363be3e3d498dea),
+    (36, "vliw", 16, 225, 45, 0x70c51844cfd2086b),
+    (40, "ss", 16, 260, 37, 0x0afa22758d92f531),
+    (40, "vliw", 16, 260, 34, 0x1ffc94c626e4467e),
+    (44, "ss", 16, 279, 38, 0xee0fa4bd785c582b),
+    (44, "vliw", 16, 279, 36, 0x1ab435a6d7a029f5),
+    (48, "ss", 16, 303, 44, 0x552333ccbb63c9d5),
+    (48, "vliw", 16, 303, 39, 0x588b6f3f6e323e38),
+];
+
+/// Random-DAG sizes; seeds `0..SEEDS` of each, on both targets.
+const SIZES: [usize; 12] = [4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48];
+const SEEDS: usize = 8;
+
+/// FNV-1a over little-endian `u32` words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn words(&mut self, words: impl IntoIterator<Item = u32>) {
+        for w in words {
+            for b in w.to_le_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+            }
         }
     }
-    h
+}
+
+/// The witness ids, then the `(value, killer)` pairs.
+fn analysis_words(a: &RsAnalysis) -> impl Iterator<Item = u32> + '_ {
+    a.saturating_values
+        .iter()
+        .map(|v| v.0)
+        .chain(a.killing.killer.iter().flat_map(|(u, k)| [u.0, k.0]))
+}
+
+fn digest(a: &RsAnalysis) -> u64 {
+    let mut h = Fnv::new();
+    h.words(analysis_words(a));
+    h.0
 }
 
 fn analyses() -> Vec<Pin> {
@@ -107,6 +163,62 @@ fn analyses() -> Vec<Pin> {
         }
     }
     rows
+}
+
+fn random_analyses() -> Vec<RandomPin> {
+    let mut engine = RsEngine::new();
+    let mut rows: BTreeMap<(usize, &str), (usize, usize, usize, Fnv)> = BTreeMap::new();
+    for seed in 0..SEEDS {
+        // 5 is coprime to 12: every seed visits every size, in a new order
+        for i in 0..SIZES.len() {
+            let ops = SIZES[(i * 5 + seed) % SIZES.len()];
+            for (target_name, target) in [("ss", Target::superscalar()), ("vliw", Target::vliw())] {
+                let ddg = random_ddg(&RandomDagConfig::sized(ops, seed as u64), target);
+                let (count, rs_sum, arcs_sum, h) =
+                    rows.entry((ops, target_name))
+                        .or_insert((0, 0, 0, Fnv::new()));
+                let mut max_rs = 0;
+                for t in ddg.reg_types() {
+                    let a = engine.analyze(&ddg, t);
+                    *count += 1;
+                    *rs_sum += a.saturation;
+                    max_rs = max_rs.max(a.saturation);
+                    h.words([u32::from(t.0), a.saturation as u32]);
+                    h.words(analysis_words(&a));
+                }
+                let budget = max_rs.saturating_sub(2).max(1);
+                let mut reduced = ddg.clone();
+                let report = engine.run_pipeline(&Pipeline::uniform(budget), &mut reduced);
+                h.words([budget as u32]);
+                for r in &report.types {
+                    *arcs_sum += r.arcs_added;
+                    h.words([
+                        u32::from(r.reg_type),
+                        r.rs_before as u32,
+                        r.rs_after as u32,
+                        r.arcs_added as u32,
+                        r.cp_after as u32,
+                        u32::from(r.fits),
+                    ]);
+                }
+            }
+        }
+    }
+    rows.into_iter()
+        .map(|((ops, tg), (n, rs, arcs, h))| (ops, tg, n, rs, arcs, h.0))
+        .collect()
+}
+
+#[test]
+fn random_dag_analyses_match_pins() {
+    let rows = random_analyses();
+    let table: String = rows
+        .iter()
+        .map(|(ops, tg, n, rs, arcs, d)| {
+            format!("    ({ops}, {tg:?}, {n}, {rs}, {arcs}, {d:#018x}),\n")
+        })
+        .collect();
+    assert_eq!(rows, RANDOM_PINS, "analysis moved; actual table:\n{table}");
 }
 
 #[test]
