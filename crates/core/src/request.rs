@@ -191,11 +191,6 @@ pub struct RsRequest {
     /// [`codes::TIMEOUT`] *plus* the best partial result. Excluded from
     /// the cache key — degraded results are never cached.
     pub timeout_ms: Option<u64>,
-    /// Override the solver's pre-solve static audit (`None` keeps the
-    /// build default: on in debug, off in release). The audit rejects
-    /// incoherent models with [`codes::REQUEST`] errors before any search
-    /// runs; it never changes the answer of a sound request.
-    pub audit: Option<bool>,
 }
 
 impl RsRequest {
@@ -217,7 +212,6 @@ impl RsRequest {
             issue: None,
             cache: true,
             timeout_ms: None,
-            audit: None,
         }
     }
 
@@ -270,7 +264,7 @@ impl RsRequest {
     /// the deadline cannot affect what a cached entry holds.
     pub fn cache_key(&self) -> String {
         format!(
-            "v{};op={};type={:?};regs={:?};exact={};ilp={};stats={};spill={};emit={};issue={:?};audit={:?};ddg={}",
+            "v{};op={};type={:?};regs={:?};exact={};ilp={};stats={};spill={};emit={};issue={:?};ddg={}",
             self.v,
             self.op.name(),
             self.reg_type,
@@ -281,7 +275,6 @@ impl RsRequest {
             self.spill,
             self.emit_ddg,
             self.issue,
-            self.audit,
             self.ddg,
         )
     }
@@ -308,7 +301,6 @@ impl Deserialize for RsRequest {
         req.issue = opt_field(value, "issue")?;
         req.cache = opt_field(value, "cache")?.unwrap_or(true);
         req.timeout_ms = opt_field(value, "timeout_ms")?;
-        req.audit = opt_field(value, "audit")?;
         Ok(req)
     }
 }
@@ -394,9 +386,6 @@ pub struct IlpStats {
     /// or not) report identical digests — the observable the determinism
     /// smoke checks diff.
     pub trace_digest: u64,
-    /// Whether the pre-solve static audit ran for this solve. Advisory,
-    /// like the pivot counters: it never affects the reported answer.
-    pub audited: bool,
 }
 
 /// Outcome of reducing one register type below its budget.
@@ -589,6 +578,10 @@ mod tests {
         req.threads = 3;
         req.timeout_ms = Some(250);
         let json = serde_json::to_string(&req).unwrap();
+        let back = RsRequest::from_value(&serde_json::from_str(&json).unwrap()).unwrap();
+        assert_eq!(back, req);
+        // Unknown keys, such as an old client's `audit`, are ignored.
+        let json = json.replacen('{', r#"{"audit":true,"#, 1);
         let back = RsRequest::from_value(&serde_json::from_str(&json).unwrap()).unwrap();
         assert_eq!(back, req);
     }

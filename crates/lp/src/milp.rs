@@ -185,16 +185,6 @@ pub struct MilpConfig {
     /// branch most-fractional instead of by pseudocost. The optimal
     /// objective must not depend on this flag.
     pub reference_lp: bool,
-    /// Run the [`crate::audit`] static pass before the search: the
-    /// emitted model and every restored or root-separated cut-pool row
-    /// are validated up front, and a violation returns
-    /// [`MilpError::Audit`] instead of executing on incoherent data.
-    /// Defaults to on in debug builds (and CI, which sets it explicitly);
-    /// off in release where inputs come from the audited emitters. **Not
-    /// part of the checkpoint fingerprint** — audit never changes search
-    /// semantics, so audited and unaudited solves resume each other's
-    /// checkpoints.
-    pub audit: bool,
     /// Cooperative cancellation token, polled in full (flag, deadline,
     /// poll countdown) at every round and node start, every root cut
     /// round, every few dive steps, and every 128 iterations of the
@@ -215,7 +205,6 @@ impl Default for MilpConfig {
             int_tol: 1e-6,
             threads: 1,
             reference_lp: false,
-            audit: cfg!(debug_assertions),
             cancel: Cancel::new(),
         }
     }
@@ -244,8 +233,9 @@ pub enum MilpError {
     /// The simplex reported unrecoverable numerical trouble (tiny pivots)
     /// and no incumbent was found.
     Numerical,
-    /// The pre-solve static audit ([`MilpConfig::audit`]) rejected the
-    /// model or its cut pool before the search started.
+    /// The pre-solve static audit ([`crate::audit`]), which runs on every
+    /// solve, rejected the model or its cut pool before the search
+    /// started.
     Audit(crate::audit::AuditError),
 }
 
@@ -338,9 +328,6 @@ pub struct MilpStats {
     /// True when this solve resumed from an accepted [`SearchCheckpoint`]
     /// instead of starting cold.
     pub resumed: bool,
-    /// True when the pre-solve static audit ([`MilpConfig::audit`]) ran
-    /// on this solve's inputs.
-    pub audited: bool,
 }
 
 /// An integer-feasible solution plus solve statistics.
@@ -571,13 +558,11 @@ pub fn solve_resumable(
     cfg: &MilpConfig,
     resume: Option<&SearchCheckpoint>,
 ) -> MilpRun {
-    if cfg.audit {
-        if let Err(e) = crate::audit::check_model(model) {
-            return MilpRun {
-                result: Err(MilpError::Audit(e)),
-                checkpoint: None,
-            };
-        }
+    if let Err(e) = crate::audit::check_model(model) {
+        return MilpRun {
+            result: Err(MilpError::Audit(e)),
+            checkpoint: None,
+        };
     }
     let fp = fingerprint(model, cfg);
     // A checkpoint that does not match stays a *silent* cold start —
@@ -911,13 +896,11 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, mut st: SearchState) -> Milp
     // Restored cut rows are validated against the base model before any
     // node re-solves against them: a checkpointed cut that excludes an
     // integer-feasible point would corrupt the whole resumed search.
-    if cfg.audit && !st.pool.cuts().is_empty() {
-        if let Err(e) = crate::audit::check_cuts(model, st.pool.cuts()) {
-            return MilpRun {
-                result: Err(MilpError::Audit(e)),
-                checkpoint: None,
-            };
-        }
+    if let Err(e) = crate::audit::check_cuts(model, st.pool.cuts()) {
+        return MilpRun {
+            result: Err(MilpError::Audit(e)),
+            checkpoint: None,
+        };
     }
 
     // The *search model*: the base model plus every committed cut row, in
@@ -955,13 +938,11 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, mut st: SearchState) -> Milp
                 // root-separated cut may exclude an integer point of the
                 // base model (exhaustively when the box is small, cheap
                 // row invariants always).
-                if cfg.audit {
-                    if let Err(e) = crate::audit::check_cuts(model, st.pool.cuts()) {
-                        return MilpRun {
-                            result: Err(MilpError::Audit(e)),
-                            checkpoint: None,
-                        };
-                    }
+                if let Err(e) = crate::audit::check_cuts(model, st.pool.cuts()) {
+                    return MilpRun {
+                        result: Err(MilpError::Audit(e)),
+                        checkpoint: None,
+                    };
                 }
             }
             // LP infeasibility with (globally valid) cuts appended still
@@ -1111,7 +1092,6 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, mut st: SearchState) -> Milp
         dual_bound: ctx.dir * score_bound,
         trace_digest: st.digest.state(),
         resumed: st.resumed,
-        audited: cfg.audit,
     };
     let result = match st.incumbent.peek() {
         Some((objective, values)) => Ok(MilpSolution {

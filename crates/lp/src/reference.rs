@@ -10,10 +10,9 @@
 //! the same outcome class and the same objective on both paths.
 //!
 //! Nothing here is exercised by the production solvers. The entry points
-//! exist for differential tests and the `milp_scaling` bench's
-//! before/after comparison. Every LP here is a cold two-phase solve that
-//! keeps no live tableau, so the MILP driver's nodes on this path branch
-//! most-fractional instead of probing.
+//! exist for differential tests. Every LP here is a cold two-phase solve
+//! that keeps no live tableau, so the MILP driver's nodes on this path
+//! branch most-fractional instead of probing.
 
 use crate::milp::{MilpConfig, MilpError, MilpSolution};
 use crate::model::Model;

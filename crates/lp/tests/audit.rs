@@ -1,7 +1,8 @@
 //! Integration tests for the pre-solve static auditor
-//! ([`rs_lp::audit`]): typed rejection of incoherent inputs through the
-//! public solve API, and proof that auditing never perturbs the search
-//! itself (identical nodes, digest, and optimum with the audit on/off).
+//! ([`rs_lp::audit`]), which runs on every solve: typed rejection of
+//! incoherent inputs through the public solve API with the default
+//! configuration (so a release run shows the audit is on in release), and
+//! acceptance of every checkpoint the solver itself produces.
 
 use rs_lp::{
     solve, solve_resumable, AuditError, Cmp, LinExpr, MilpConfig, MilpError, Model,
@@ -30,18 +31,11 @@ fn wide_model() -> Model {
     m
 }
 
-fn audited(on: bool) -> MilpConfig {
-    MilpConfig {
-        audit: on,
-        ..MilpConfig::default()
-    }
-}
-
 #[test]
 fn nan_coefficient_model_is_rejected_with_typed_error() {
     let mut m = wide_model();
     m.add_constraint(LinExpr::new() + (f64::NAN, rs_lp::VarId(0)), Cmp::Le, 1.0);
-    match solve(&m, &audited(true)) {
+    match solve(&m, &MilpConfig::default()) {
         Err(MilpError::Audit(AuditError::Row { row, .. })) => assert_eq!(row, 6),
         other => panic!("expected a typed Row audit error, got {other:?}"),
     }
@@ -52,7 +46,7 @@ fn non_finite_rhs_is_rejected_before_any_search() {
     let mut m = wide_model();
     m.add_constraint(LinExpr::new() + rs_lp::VarId(1), Cmp::Ge, f64::NEG_INFINITY);
     assert!(matches!(
-        solve(&m, &audited(true)),
+        solve(&m, &MilpConfig::default()),
         Err(MilpError::Audit(AuditError::Row { .. }))
     ));
 }
@@ -69,14 +63,14 @@ fn fingerprint_mismatch_stays_a_silent_cold_start_even_with_audit_on() {
         &other,
         &MilpConfig {
             node_limit: 1,
-            ..audited(true)
+            ..MilpConfig::default()
         },
         None,
     )
     .checkpoint
     .expect("interrupt");
     let m = wide_model();
-    let s = solve_resumable(&m, &audited(true), Some(&ck))
+    let s = solve_resumable(&m, &MilpConfig::default(), Some(&ck))
         .result
         .expect("cold start solves");
     assert!(!s.stats.resumed);
@@ -84,29 +78,13 @@ fn fingerprint_mismatch_stays_a_silent_cold_start_even_with_audit_on() {
 }
 
 #[test]
-fn audit_never_perturbs_the_search() {
-    // nodes_invariant: the audited and unaudited solves must explore the
-    // identical tree — same committed nodes, same trace digest, same
-    // optimum — the audit is a pure pre-execution gate.
-    let m = wide_model();
-    let on = solve(&m, &audited(true)).expect("solvable");
-    let off = solve(&m, &audited(false)).expect("solvable");
-    assert!(on.stats.audited);
-    assert!(!off.stats.audited);
-    assert_eq!(on.stats.nodes, off.stats.nodes);
-    assert_eq!(on.stats.trace_digest, off.stats.trace_digest);
-    assert_eq!(on.objective, off.objective);
-    assert_eq!(on.values, off.values);
-}
-
-#[test]
 fn audited_resume_chain_still_matches_uninterrupted_run() {
     // The audit of a resumed solve (model and restored cut pool) must
     // accept every checkpoint the solver itself produces: chain
-    // interrupted solves to completion under audit and compare against
-    // the one-shot run.
+    // interrupted solves to completion and compare against the one-shot
+    // run.
     let m = wide_model();
-    let uninterrupted = solve(&m, &audited(true)).expect("solvable");
+    let uninterrupted = solve(&m, &MilpConfig::default()).expect("solvable");
     let mut resume: Option<SearchCheckpoint> = None;
     let mut final_sol = None;
     for _ in 0..50 {
@@ -114,7 +92,7 @@ fn audited_resume_chain_still_matches_uninterrupted_run() {
             &m,
             &MilpConfig {
                 node_limit: resume.as_ref().map_or(2, |ck| ck.nodes() + 2),
-                ..audited(true)
+                ..MilpConfig::default()
             },
             resume.as_ref(),
         );

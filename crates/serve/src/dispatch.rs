@@ -440,9 +440,6 @@ fn analyze_type(
     if req.ilp {
         let mut solver = RsIlp::with_threads(threads);
         solver.milp.cancel = cancel.clone();
-        if let Some(audit) = req.audit {
-            solver.milp.audit = audit;
-        }
         // The per-request checkpoint slot for this solver is the register
         // type name: each interrupted intLP resumes its own frontier.
         let slot = reg_type_name(t);
@@ -485,7 +482,6 @@ fn analyze_type(
                         rows: st.rows,
                         cols: st.cols,
                         trace_digest: st.trace_digest,
-                        audited: st.audited,
                     });
                 }
             }

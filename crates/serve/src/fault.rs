@@ -15,10 +15,9 @@
 //!
 //! Precedence when several fire on the same tick: panic > error > delay.
 //! The spec string (e.g. `"panic=7,delay=5:40,error=11"`) comes from
-//! `--faults` flags or the `RSAT_FAULTS` environment variable.
+//! `rsat serve --faults`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// What a probe point should do for the current request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,25 +71,6 @@ impl FaultPlan {
             }
         }
         Ok(plan)
-    }
-
-    /// Reads `RSAT_FAULTS`; `Ok(None)` when unset or empty. A malformed
-    /// value is a **startup error** — silently ignoring it would run the
-    /// daemon without the chaos schedule the operator asked for, which is
-    /// exactly the run where you cannot tell. Same contract as a malformed
-    /// `--faults` flag.
-    pub fn from_env() -> Result<Option<Arc<FaultPlan>>, String> {
-        let spec = match std::env::var("RSAT_FAULTS") {
-            Ok(s) => s,
-            Err(_) => return Ok(None),
-        };
-        if spec.trim().is_empty() {
-            return Ok(None);
-        }
-        match FaultPlan::from_spec(&spec) {
-            Ok(plan) => Ok(Some(Arc::new(plan))),
-            Err(e) => Err(format!("invalid RSAT_FAULTS: {e}")),
-        }
     }
 
     /// True when no clause can ever fire.

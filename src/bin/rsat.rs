@@ -1,14 +1,13 @@
 //! `rsat` — register-saturation command-line tool.
 //!
 //! ```text
-//! rsat analyze  <file.ddg> [--type float|int|branch] [--exact] [--ilp] [--stats] [--threads N] [--timeout-ms N] [--audit]
+//! rsat analyze  <file.ddg> [--type float|int|branch] [--exact] [--ilp] [--stats] [--threads N] [--timeout-ms N]
 //! rsat reduce   <file.ddg> --registers N [--type T] [--spill] [--output out.ddg] [--timeout-ms N]
 //! rsat pipeline <file.ddg> --registers N [--issue 1|4|8] [--timeout-ms N]
 //! rsat corpus   <dir> [--jobs N] [--mode analyze|reduce|pipeline] [--registers N] [--ilp] [--out dir]
 //!               [--timeout-ms N] [--resume PATH]
 //! rsat serve    [--workers N] [--queue N] [--cache-capacity N] [--socket PATH] [--faults SPEC]
 //! rsat dot      <file.ddg>
-//! rsat lint     [--root DIR] [--out FILE] [--deny] [--list-rules] [--quiet]
 //! ```
 //!
 //! Every subcommand except `dot` speaks the shared request/response schema
@@ -45,17 +44,9 @@
 //! timed out resumes the interrupted search, which the daemon keeps in
 //! memory. Run statistics go to stderr at shutdown (EOF).
 //!
-//! `--audit` forces the solver's pre-solve static audit on (it defaults to
-//! on in debug builds only): models and cut pools are statically checked
-//! before any search, and incoherent ones are rejected with a typed
-//! `request` error instead of corrupting a solve. `--stats` reports
-//! whether a solve was audited.
-//!
-//! `lint` runs the workspace static-analysis pass (`rs-lint`) over the
-//! repository: determinism and soundness rules (no hash-ordered iteration
-//! in search code, no wall-clock near committed state, no raw float
-//! equality on solver values, no panics on serve request paths, …) with
-//! findings written to `results/lint.json`.
+//! Every intLP solve runs the solver's pre-solve static audit: models and
+//! cut pools are statically checked before any search, and incoherent ones
+//! are rejected with a typed `request` error instead of corrupting a solve.
 //!
 //! The input format is documented in `rs_core::parse`. Examples live in
 //! `examples/data/*.ddg`.
@@ -90,9 +81,6 @@ fn main() -> ExitCode {
                 "  rsat serve    [--workers N] [--queue N] [--cache-capacity N] [--socket PATH] [--faults SPEC]"
             );
             eprintln!("  rsat dot      <file.ddg>");
-            eprintln!(
-                "  rsat lint     [--root DIR] [--out FILE] [--deny] [--list-rules] [--quiet]"
-            );
             ExitCode::FAILURE
         }
     }
@@ -107,7 +95,6 @@ fn run(args: &[String]) -> Result<(), RsError> {
         "corpus" => corpus(args),
         "serve" => serve(args),
         "dot" => dot(args),
-        "lint" => lint(args),
         other => Err(RsError::usage(format!("unknown command `{other}`"))),
     }
 }
@@ -189,9 +176,6 @@ fn build_request(cmd: &str, ddg: String, args: &[String]) -> Result<RsRequest, R
     req.spill = args.iter().any(|a| a == "--spill");
     req.emit_ddg = op == RsOp::Reduce && flag_value(args, "--output").is_some();
     req.timeout_ms = parse_timeout_ms(args)?;
-    if args.iter().any(|a| a == "--audit") {
-        req.audit = Some(true);
-    }
     Ok(req)
 }
 
@@ -248,9 +232,6 @@ fn render_analyze(req: &RsRequest, result: &RsResult) {
                 st.cols,
                 st.trace_digest
             );
-            if st.audited {
-                println!("  intLP audit: model and cut pool statically checked");
-            }
         }
         println!("  saturating values: {}", tr.saturating.join(", "));
     }
@@ -486,18 +467,19 @@ fn serve(args: &[String]) -> Result<(), RsError> {
     Ok(())
 }
 
-/// Fault injection plan from `--faults SPEC` (first) or the `RSAT_FAULTS`
-/// environment variable. Both fail fast at startup with a usage error —
-/// silently running *without* the chaos schedule the operator configured
-/// would invalidate exactly the experiment it was set up for
-/// ([`FaultPlan::from_env`]).
+/// Fault injection plan from `--faults SPEC`. A malformed spec fails fast
+/// at startup with a usage error — silently running *without* the chaos
+/// schedule the operator configured would invalidate exactly the
+/// experiment it was set up for. A plan no clause of which can fire
+/// (`panic=0`, an empty spec) is dropped: the daemon runs without fault
+/// probes.
 fn parse_faults(args: &[String]) -> Result<Option<std::sync::Arc<FaultPlan>>, RsError> {
-    match flag_value(args, "--faults") {
-        Some(spec) => FaultPlan::from_spec(&spec)
-            .map(|p| Some(std::sync::Arc::new(p)))
-            .map_err(|e| RsError::usage(format!("bad --faults value: {e}"))),
-        None => FaultPlan::from_env().map_err(RsError::usage),
-    }
+    let Some(spec) = flag_value(args, "--faults") else {
+        return Ok(None);
+    };
+    let plan = FaultPlan::from_spec(&spec)
+        .map_err(|e| RsError::usage(format!("bad --faults value: {e}")))?;
+    Ok((!plan.is_empty()).then(|| std::sync::Arc::new(plan)))
 }
 
 fn dot(args: &[String]) -> Result<(), RsError> {
@@ -508,66 +490,6 @@ fn dot(args: &[String]) -> Result<(), RsError> {
         .map_err(|e| RsError::new(codes::IO, format!("cannot read {file}: {e}")))?;
     let ddg = parse_ddg(&input).map_err(|e| RsError::new(codes::PARSE, format!("{file}: {e}")))?;
     println!("{}", ddg.to_dot("ddg", &[]));
-    Ok(())
-}
-
-/// `rsat lint`: the embedded `rs-lint` workspace pass. Equivalent to
-/// `cargo run -p rs-lint -- --workspace`, so the gate ships inside the
-/// installed CLI. Findings (errors, or warnings under `--deny`) fail the
-/// command after the report is printed and written.
-fn lint(args: &[String]) -> Result<(), RsError> {
-    if args.iter().any(|a| a == "--list-rules") {
-        println!("{:<6} {:<6} rule", "id", "level");
-        for r in rs_lint::RULES {
-            println!(
-                "{:<6} {:<6} {}  [{}]",
-                r.id,
-                r.severity.as_str(),
-                r.title,
-                r.scope
-            );
-        }
-        return Ok(());
-    }
-    let root = flag_value(args, "--root").unwrap_or_else(|| ".".to_string());
-    let report = rs_lint::scan_workspace(std::path::Path::new(&root))
-        .map_err(|e| RsError::new(codes::IO, format!("cannot scan {root}: {e}")))?;
-    let quiet = args.iter().any(|a| a == "--quiet");
-    if !quiet {
-        for f in &report.findings {
-            println!(
-                "{}:{}: {}[{}] {}",
-                f.file,
-                f.line,
-                f.severity.as_str(),
-                f.rule,
-                f.message
-            );
-            println!("    | {}", f.snippet);
-        }
-    }
-    let out = flag_value(args, "--out").unwrap_or_else(|| "results/lint.json".to_string());
-    let out_path = std::path::Path::new(&out);
-    if let Some(parent) = out_path.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    std::fs::write(out_path, report.to_json())
-        .map_err(|e| RsError::new(codes::IO, format!("cannot write {out}: {e}")))?;
-    let (errors, warnings) = (report.errors(), report.warnings());
-    eprintln!(
-        "rsat lint: {} files scanned, {errors} errors, {warnings} warnings, {} allows ({out})",
-        report.files_scanned,
-        report.allows.len(),
-    );
-    let deny = args.iter().any(|a| a == "--deny");
-    if errors > 0 || (deny && warnings > 0) {
-        return Err(RsError::new(
-            codes::ENGINE,
-            format!("lint failed: {errors} errors, {warnings} warnings (see {out})"),
-        ));
-    }
     Ok(())
 }
 

@@ -12,7 +12,7 @@ use rs_core::SearchCheckpoint;
 use rs_kernels::random::{random_ddg, RandomDagConfig};
 
 /// A seeded random kernel with a non-trivial float saturation model (the
-/// same instance family the scaling bench pins).
+/// size-12 instance `tests/parallel_milp.rs` pins).
 fn kernel() -> rs_core::model::Ddg {
     let cfg = RandomDagConfig::sized(12, 0xBEEF + 12 + 7919);
     let ddg = random_ddg(&cfg, Target::superscalar());

@@ -6,6 +6,7 @@ use rs_core::minimize::minimize_register_need;
 use rs_core::model::{RegType, Target};
 use rs_core::reduce::{ReduceOutcome, Reducer};
 use rs_kernels::figure2::figure2;
+use rs_sched::{ListScheduler, RegisterAllocator, Resources};
 
 const T: RegType = RegType::FLOAT;
 
@@ -58,6 +59,11 @@ fn part_c_reduction_to_three_beats_minimization() {
     assert_eq!(out.ilp_loss(), 0);
     let rs_after = ExactRs::new().saturation(&reduced, T).saturation;
     assert_eq!(rs_after, 3, "RS reduced from 4 to exactly 3");
+    // Any schedule of the reduced DAG now fits the budget: the four-issue
+    // list schedule allocates in 3 registers without a spill.
+    let sched = ListScheduler::new(Resources::four_issue()).schedule(&reduced);
+    let alloc = RegisterAllocator::new().allocate(&reduced, T, &sched.sigma, 3);
+    assert!(alloc.success(), "spilled {:?}", alloc.spilled);
 
     let (mut minimized, _) = figure2(Target::superscalar());
     let m = minimize_register_need(&mut minimized, T);

@@ -118,12 +118,14 @@ type Tree = (f64, usize, u64, usize, usize);
 
 #[test]
 fn bench_grid_trees_are_thread_invariant_with_cuts_and_dse() {
-    // The exact instances the scaling bench pins, plus four kernel intLPs
-    // covering branching with strong-branching probes (lll12, lll1 int),
-    // root cut rounds that are kept (whet_p8) and a propagation fathom
-    // (tomcatv int), solved at every thread count. This is the
-    // `nodes_invariant` / per-cell trace-digest acceptance check, runnable
-    // outside the bench harness.
+    // Three random-kernel intLPs (sizes 12, 14, 18 at seed
+    // `0xBEEF + size + seed·7919`), plus four kernel intLPs covering
+    // branching with strong-branching probes (lll12, lll1 int), root cut
+    // rounds that are kept (whet_p8) and a propagation fathom (tomcatv
+    // int), solved at every thread count. Besides the pinned tree, every
+    // solve keeps two invariants: the bounded tableau holds the model's
+    // rows plus at most the root cuts (no bound rows), and the root bounds
+    // order as `pre-cut ≥ post-cut ≥ optimum` (every model maximizes).
     let mut cases: Vec<(String, rs_lp::Model, Tree)> = Vec::new();
     for (size, seed, tree) in [
         (12usize, 1u64, (6.0, 17, 0x5ac2_8445_6af7_c949, 0, 0)),
@@ -161,19 +163,46 @@ fn bench_grid_trees_are_thread_invariant_with_cuts_and_dse() {
         let model = RsIlp::new().build_model(&ddg, ty).0;
         cases.push((format!("{name} {ty:?}"), model, tree));
     }
+    // The explicit-bound-row reference engine agrees on the size-12
+    // optimum; the larger grid instances keep their pinned objectives,
+    // because the reference search on them runs for seconds.
+    let reference = rs_lp::reference::solve_milp(&cases[0].1, &MilpConfig::default())
+        .expect("reference solves the size-12 instance");
+    assert!(reference.stats.proven_optimal, "reference hit the budget");
+    assert!(
+        (reference.objective - cases[0].2 .0).abs() < 1e-6,
+        "reference objective {}",
+        reference.objective
+    );
     for (name, model, pinned) in cases {
         for threads in [1usize, 2, 4] {
             let sol = rs_lp::solve(&model, &MilpConfig::with_threads(threads))
                 .expect("pinned instance solves");
-            assert!(sol.stats.proven_optimal, "{name} threads {threads}");
+            let st = sol.stats;
+            assert!(st.proven_optimal, "{name} threads {threads}");
             let tree = (
                 sol.objective,
-                sol.stats.nodes,
-                sol.stats.trace_digest,
-                sol.stats.cuts_added,
-                sol.stats.propagation_fathoms,
+                st.nodes,
+                st.trace_digest,
+                st.cuts_added,
+                st.propagation_fathoms,
             );
             assert_eq!(tree, pinned, "{name}: threads {threads} changed the tree");
+            let rows = model.num_constraints();
+            assert!(
+                (rows..=rows + st.cuts_added).contains(&st.rows),
+                "{name}: {} tableau rows for {rows} constraints + {} root cuts",
+                st.rows,
+                st.cuts_added
+            );
+            assert!(
+                st.root_bound_pre_cuts >= st.root_bound_post_cuts - 1e-6
+                    && st.root_bound_post_cuts >= sol.objective - 1e-6,
+                "{name}: root bound {} before cuts, {} after, optimum {}",
+                st.root_bound_pre_cuts,
+                st.root_bound_post_cuts,
+                sol.objective
+            );
         }
     }
 }

@@ -1,10 +1,11 @@
-//! Chaos test for the `rsat serve` worker pool: an in-process
+//! Stream tests for the `rsat serve` worker pool. An in-process
 //! [`ServePool`] is driven under injected panics, delays and spurious
-//! engine errors plus tight per-request deadlines. Whatever is injected,
+//! engine errors plus tight per-request deadlines: whatever is injected,
 //! every request must get exactly one well-typed answer (a timeout
 //! carrying its partial result), the stats ledger must balance, and the
 //! pool must shut down cleanly. Deadlines are honoured by the solvers' own
-//! polls alone.
+//! polls alone. A clean, cached stream must answer every line, fail only
+//! its malformed one, and report exactly the cache hits it served.
 //!
 //! Injected panics print their messages on stderr; containing them is
 //! what the test asserts.
@@ -13,7 +14,7 @@ use rs_bench::common::random_cases;
 use rs_core::model::Target;
 use rs_core::parse::print_ddg;
 use rs_core::request::{codes, RsOp, RsRequest, RsResponse};
-use rs_serve::{FaultPlan, Job, ResponseSink, ServeConfig, ServePool};
+use rs_serve::{FaultPlan, Job, ResponseSink, ServeConfig, ServePool, ServeStats};
 use std::sync::{Arc, Mutex};
 
 /// Collects every answer per sequence number (no reassembly): the core
@@ -27,6 +28,40 @@ impl ResponseSink for AnswerLog {
     fn emit(&self, seq: u64, response: &RsResponse, _json: &str) {
         self.answers.lock().expect("answer log")[seq as usize].push(response.clone());
     }
+}
+
+/// Sends `passes` passes over `lines`, with one malformed line inserted
+/// halfway, through a pool built from `cfg`. Returns every answer per
+/// sequence number, the shutdown stats, and the malformed line's sequence
+/// number.
+fn run_stream(
+    lines: &[String],
+    passes: usize,
+    cfg: &ServeConfig,
+) -> (Vec<Vec<RsResponse>>, ServeStats, usize) {
+    let mut stream: Vec<String> = Vec::with_capacity(lines.len() * passes + 1);
+    for _ in 0..passes {
+        stream.extend(lines.iter().cloned());
+    }
+    let malformed = stream.len() / 2;
+    stream.insert(malformed, "{ not json".to_string());
+    let total = stream.len();
+
+    let pool = ServePool::new(cfg);
+    let log = Arc::new(AnswerLog {
+        answers: Mutex::new((0..total).map(|_| Vec::new()).collect()),
+    });
+    for (seq, line) in stream.into_iter().enumerate() {
+        let accepted = pool.submit(Job::new(
+            seq as u64,
+            line,
+            Arc::clone(&log) as Arc<dyn ResponseSink>,
+        ));
+        assert!(accepted, "pool rejected a submission");
+    }
+    let stats = pool.shutdown();
+    let answers = std::mem::take(&mut *log.answers.lock().expect("answer log"));
+    (answers, stats, malformed)
 }
 
 #[test]
@@ -55,14 +90,6 @@ fn faulty_deadline_stream_answers_every_request_once_and_typed() {
             serde_json::to_string(&req).expect("requests serialize")
         })
         .collect();
-    let passes = 4;
-    let mut stream: Vec<String> = Vec::with_capacity(lines.len() * passes + 1);
-    for _ in 0..passes {
-        stream.extend(lines.iter().cloned());
-    }
-    stream.insert(stream.len() / 2, "{ not json".to_string());
-    let total = stream.len();
-
     let plan = FaultPlan::from_spec("panic=7,delay=5:30,error=11").expect("fault spec");
     let cfg = ServeConfig {
         workers: 2,
@@ -70,19 +97,8 @@ fn faulty_deadline_stream_answers_every_request_once_and_typed() {
         cache_capacity: 1024,
         faults: Some(Arc::new(plan)),
     };
-    let pool = ServePool::new(&cfg);
-    let log = Arc::new(AnswerLog {
-        answers: Mutex::new((0..total).map(|_| Vec::new()).collect()),
-    });
-    for (seq, line) in stream.into_iter().enumerate() {
-        let accepted = pool.submit(Job::new(
-            seq as u64,
-            line,
-            Arc::clone(&log) as Arc<dyn ResponseSink>,
-        ));
-        assert!(accepted, "pool rejected a submission");
-    }
-    let stats = pool.shutdown();
+    let (answers, stats, _) = run_stream(&lines, 4, &cfg);
+    let total = answers.len();
 
     // Exactly one well-typed answer per request, whatever was injected.
     let known = [
@@ -94,7 +110,6 @@ fn faulty_deadline_stream_answers_every_request_once_and_typed() {
         codes::ENGINE,
         codes::INFEASIBLE,
     ];
-    let answers = log.answers.lock().expect("answer log");
     let mut timeouts_with_partial = 0u64;
     for (seq, got) in answers.iter().enumerate() {
         assert_eq!(got.len(), 1, "request {seq} must be answered exactly once");
@@ -127,4 +142,40 @@ fn faulty_deadline_stream_answers_every_request_once_and_typed() {
     assert!(stats.timeouts + stats.shed <= stats.failed);
     assert_eq!(timeouts_with_partial, stats.timeouts);
     assert!(stats.failed >= 1, "at least the malformed line fails");
+}
+
+#[test]
+fn cached_stream_answers_every_line_and_counts_every_hit() {
+    // A clean stream of random DAGs over four passes, so every pass after
+    // the first can be answered from the cache.
+    let lines: Vec<String> = random_cases(&[12, 16, 24], 2, Target::superscalar())
+        .iter()
+        .enumerate()
+        .map(|(i, case)| {
+            let mut req = RsRequest::new(RsOp::Analyze, print_ddg(&case.ddg));
+            req.id = Some(format!("u{i}"));
+            serde_json::to_string(&req).expect("requests serialize")
+        })
+        .collect();
+    let cfg = ServeConfig {
+        workers: 2,
+        queue: 32,
+        cache_capacity: 4096,
+        faults: None,
+    };
+    let (answers, stats, malformed) = run_stream(&lines, 4, &cfg);
+    let total = answers.len();
+
+    for (seq, got) in answers.iter().enumerate() {
+        assert_eq!(got.len(), 1, "request {seq} must be answered exactly once");
+    }
+    let failed: Vec<usize> = (0..total).filter(|&seq| !answers[seq][0].ok).collect();
+    assert_eq!(failed, vec![malformed], "exactly the malformed line fails");
+    assert_eq!(stats.requests, total as u64);
+    assert_eq!((stats.ok, stats.failed), (total as u64 - 1, 1));
+
+    // The ledger's hits are exactly the answers served from the cache.
+    let hits = answers.iter().filter(|got| got[0].cache.hit).count() as u64;
+    assert_eq!(hits, stats.cache_hits, "answers marked as cache hits");
+    assert!(hits > 0, "repeat passes must hit the cache");
 }

@@ -235,3 +235,33 @@ fn daemon_unix_socket_round_trip() {
     assert!(status.success());
     assert!(!path.exists(), "socket file removed on clean shutdown");
 }
+
+/// A fault plan none of whose clauses can fire is dropped at the CLI: the
+/// daemon starts without the chaos banner or fault probes. A live plan
+/// still prints the banner, and a malformed spec is a usage error.
+#[test]
+fn inert_fault_spec_is_not_chaos_mode() {
+    let serve_with_faults = |spec: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_rsat"))
+            .args(["serve", "--faults", spec])
+            .stdin(Stdio::null())
+            .output()
+            .expect("run rsat serve");
+        (
+            out.status.success(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    for spec in ["panic=0", ""] {
+        let (ok, stderr) = serve_with_faults(spec);
+        assert!(ok, "--faults {spec:?}: {stderr}");
+        assert!(
+            !stderr.contains("CHAOS MODE"),
+            "--faults {spec:?}: {stderr}"
+        );
+    }
+    let (ok, stderr) = serve_with_faults("panic=2");
+    assert!(ok && stderr.contains("CHAOS MODE"), "{stderr}");
+    let (ok, stderr) = serve_with_faults("panic");
+    assert!(!ok && stderr.contains("error[usage]"), "{stderr}");
+}
