@@ -326,8 +326,7 @@ const RESUME_VERSION: u32 = 2;
 
 /// Loads a run checkpoint, keyed by file name. Unreadable, malformed, or
 /// mismatched (different settings/version) checkpoints are ignored — the
-/// run simply starts cold, mirroring how the solvers treat a checkpoint
-/// from a different model.
+/// run simply starts cold.
 fn load_resume(path: &Path, settings: &str) -> HashMap<String, CorpusFileSummary> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return HashMap::new();

@@ -33,8 +33,7 @@ use rs_graph::paths::{alap, asap, LongestPaths};
 use rs_graph::{topo, NodeId};
 use rs_lp::linearize::{iff_conjunction_ge, indicator_ge, max_of};
 use rs_lp::{
-    Cmp, LinExpr, MilpConfig, MilpError, MilpStats, Model, ModelStats, SearchCheckpoint, Sense,
-    VarId, VarKind,
+    Cmp, LinExpr, MilpConfig, MilpError, MilpStats, Model, ModelStats, Sense, VarId, VarKind,
 };
 use std::collections::BTreeMap;
 
@@ -118,20 +117,6 @@ pub struct RsIlpResult {
     /// Clamped to `|V_{R,t}|` (always a valid bound) when the search was
     /// interrupted before producing a finite dual bound.
     pub upper_bound: usize,
-}
-
-/// Outcome of a resumable saturation solve: the result plus, when the
-/// branch-and-bound search was interrupted (budget, deadline, or
-/// cancellation), a [`SearchCheckpoint`] that continues it exactly where
-/// it stopped.
-#[derive(Clone, Debug)]
-pub struct IlpRun {
-    /// The solver result, exactly as [`RsIlp::saturation`] reports it.
-    pub result: Result<RsIlpResult, MilpError>,
-    /// Present iff the search was interrupted; feed back through
-    /// [`RsIlp::saturation_resumable`] (with a larger budget) to continue
-    /// node-for-node.
-    pub checkpoint: Option<SearchCheckpoint>,
 }
 
 impl RsIlp {
@@ -281,48 +266,21 @@ impl RsIlp {
 
     /// Solves for `RS_t(G)`.
     pub fn saturation(&self, ddg: &Ddg, t: RegType) -> Result<RsIlpResult, MilpError> {
-        self.saturation_resumable(ddg, t, None).result
-    }
-
-    /// [`RsIlp::saturation`], but an interrupted branch-and-bound search
-    /// also yields a [`SearchCheckpoint`], and an accepted `resume`
-    /// checkpoint (from an earlier interrupted solve of the *same* DDG,
-    /// type, and configuration) continues that search node-for-node
-    /// instead of restarting. A mismatched checkpoint is silently ignored
-    /// ([`MilpStats::resumed`] reports which happened).
-    pub fn saturation_resumable(
-        &self,
-        ddg: &Ddg,
-        t: RegType,
-        resume: Option<&SearchCheckpoint>,
-    ) -> IlpRun {
         let values = ddg.values(t);
         if values.is_empty() {
-            return IlpRun {
-                result: Ok(RsIlpResult {
-                    saturation: 0,
-                    schedule: lifetime::asap_schedule(ddg),
-                    saturating_values: Vec::new(),
-                    model_stats: ModelStats::default(),
-                    milp_stats: MilpStats::default(),
-                    proven_optimal: true,
-                    upper_bound: 0,
-                }),
-                checkpoint: None,
-            };
+            return Ok(RsIlpResult {
+                saturation: 0,
+                schedule: lifetime::asap_schedule(ddg),
+                saturating_values: Vec::new(),
+                model_stats: ModelStats::default(),
+                milp_stats: MilpStats::default(),
+                proven_optimal: true,
+                upper_bound: 0,
+            });
         }
         let (model, vars) = self.build_model(ddg, t);
         let stats = model.stats();
-        let run = rs_lp::solve_resumable(&model, &self.milp, resume);
-        let sol = match run.result {
-            Ok(sol) => sol,
-            Err(e) => {
-                return IlpRun {
-                    result: Err(e),
-                    checkpoint: run.checkpoint,
-                }
-            }
-        };
+        let sol = rs_lp::solve(&model, &self.milp)?;
         let schedule: Vec<i64> = vars
             .sigma
             .iter()
@@ -338,10 +296,7 @@ impl RsIlp {
             // A rounded optimum violating precedence means numerical
             // breakdown upstream; surface it as a typed error instead of
             // returning a bogus saturation certificate.
-            return IlpRun {
-                result: Err(MilpError::Numerical),
-                checkpoint: run.checkpoint,
-            };
+            return Err(MilpError::Numerical);
         }
         let saturation = sol.objective.round() as usize;
         let upper_bound = if sol.stats.proven_optimal {
@@ -357,18 +312,15 @@ impl RsIlp {
                 values.len()
             }
         };
-        IlpRun {
-            result: Ok(RsIlpResult {
-                saturation,
-                schedule,
-                saturating_values: saturating,
-                model_stats: stats,
-                milp_stats: sol.stats,
-                proven_optimal: sol.stats.proven_optimal,
-                upper_bound,
-            }),
-            checkpoint: run.checkpoint,
-        }
+        Ok(RsIlpResult {
+            saturation,
+            schedule,
+            saturating_values: saturating,
+            model_stats: stats,
+            milp_stats: sol.stats,
+            proven_optimal: sol.stats.proven_optimal,
+            upper_bound,
+        })
     }
 }
 

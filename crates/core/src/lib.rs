@@ -51,12 +51,12 @@ pub mod spill;
 pub use engine::RsEngine;
 pub use exact::ExactRs;
 pub use heuristic::GreedyK;
-pub use ilp::{IlpRun, ReduceIlp, RsIlp};
+pub use ilp::{ReduceIlp, RsIlp};
 pub use killing::KillingFunction;
 pub use lifetime::{lifetime_intervals, register_need, saturating_values};
 pub use model::{Ddg, DdgBuilder, EdgeKind, OpClass, Operation, RegType, Target, TargetKind};
 pub use pipeline::{Pipeline, PipelineReport};
 pub use reduce::{ReduceOutcome, Reducer};
 pub use request::{RsError, RsOp, RsRequest, RsResponse, RsResult};
-pub use rs_lp::{Cancel, MilpError, SearchCheckpoint};
+pub use rs_lp::{Cancel, MilpError};
 pub use spill::{SpillPass, SpillResult};

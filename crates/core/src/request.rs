@@ -343,12 +343,6 @@ pub struct SolveResult {
     /// interrupted (`saturation ≤ RS ≤ bound`); `None` when proven optimal
     /// (the bound would merely repeat `saturation`).
     pub bound: Option<usize>,
-    /// True when this result continued a previous interrupted search from
-    /// a retained checkpoint instead of solving from scratch. The serving
-    /// dispatcher keeps the checkpoint of an interrupted search in a
-    /// bounded store keyed by the request's cache key, so **retrying the
-    /// same request resumes the search** instead of restarting it.
-    pub resumed: bool,
 }
 
 /// intLP branch-and-bound statistics (mirrors `rs_lp::milp::MilpStats`).
@@ -382,9 +376,8 @@ pub struct IlpStats {
     /// Relaxation tableau columns.
     pub cols: usize,
     /// Order-sensitive digest of the committed branch-and-bound node
-    /// trace. Identical runs (any thread count; interrupted-and-resumed
-    /// or not) report identical digests — the observable the determinism
-    /// smoke checks diff.
+    /// trace. Identical runs at any thread count report identical digests
+    /// — the observable the determinism smoke checks diff.
     pub trace_digest: u64,
 }
 

@@ -2,15 +2,15 @@
 //! `rs-lint` — workspace static-analysis pass enforcing the determinism
 //! and soundness invariants of the register-saturation solver stack.
 //!
-//! The deterministic B&B (trace digests, round-committed batches,
-//! fingerprinted checkpoints) relies on invariants that the compiler cannot
-//! check: no map-iteration-order or wall-clock dependence on committed
-//! paths, no raw float equality on solver values, no `debug_assert!`
-//! guarding release-mode correctness, no panicking paths in the serve
-//! request loop. This crate turns those reviewer-memory rules into a
-//! machine-checked gate: a token-level scan over the workspace with a
-//! stable rule catalog, structured JSON findings, and an explicit inline
-//! allowlist so every suppression is visible and justified.
+//! The deterministic B&B (trace digests, round-committed batches) relies
+//! on invariants that the compiler cannot check: no map-iteration-order
+//! or wall-clock dependence on committed paths, no raw float equality on
+//! solver values, no `debug_assert!` guarding release-mode correctness,
+//! no panicking paths in the serve request loop. This crate turns those
+//! reviewer-memory rules into a machine-checked gate: a token-level scan
+//! over the workspace with a stable rule catalog, structured JSON
+//! findings, and an explicit inline allowlist so every suppression is
+//! visible and justified.
 //!
 //! Suppression syntax (same line as the finding, or the line directly
 //! above it): a line comment containing the marker `lint:allow`

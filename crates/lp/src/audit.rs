@@ -4,8 +4,8 @@
 //! inverted bound does not fail fast — it steers pivots or prunes wrong
 //! subtrees, and the damage surfaces far from the cause (if at all).
 //! This module is the static layer in front of execution: on every solve,
-//! in debug and release builds alike, the emitted model and every restored
-//! or separated cut-pool row is checked *before* the search runs, and a
+//! in debug and release builds alike, the emitted model and every
+//! separated cut-pool row is checked *before* the search runs, and a
 //! violation returns a typed [`AuditError`] through
 //! [`MilpError::Audit`](crate::MilpError::Audit) instead of a silent
 //! wrong answer. The model check is linear in variables plus nonzeros.
@@ -120,8 +120,8 @@ pub fn check_model(model: &Model) -> Result<(), AuditError> {
 }
 
 /// Shared term-list invariants: finite coefficients, in-range variables,
-/// strictly sorted by variable (the normalized form every emitter and
-/// the fingerprint rely on).
+/// strictly sorted by variable (the normalized form every emitter relies
+/// on).
 fn check_terms(terms: &[(crate::VarId, f64)], n: usize) -> Result<(), String> {
     let mut prev: Option<u32> = None;
     for &(v, a) in terms {

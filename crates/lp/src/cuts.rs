@@ -8,8 +8,8 @@
 //! directly. Every cut produced here is **globally valid**: it is derived
 //! from one model row plus the *global* variable bounds only — never from
 //! a node's tightened bounds — so a cut separated at the root can be
-//! appended to every node's relaxation (and carried by a search
-//! checkpoint) without restricting the integer feasible set.
+//! appended to every node's relaxation without restricting the integer
+//! feasible set.
 //!
 //! ## Derivation
 //!

@@ -52,7 +52,7 @@ impl LinExpr {
     /// anything within the solver tolerance [`crate::EPS`] of zero is
     /// numerical noise (e.g. a coefficient that cancelled to `1e-16`
     /// instead of `0.0`) and would otherwise survive as a phantom term
-    /// that perturbs pivoting and fingerprints.
+    /// that perturbs pivoting.
     pub fn normalize(&mut self) {
         self.terms.sort_by_key(|(v, _)| *v);
         let mut out: Vec<(VarId, f64)> = Vec::with_capacity(self.terms.len());

@@ -55,9 +55,7 @@ pub use audit::AuditError;
 pub use cancel::Cancel;
 pub use cuts::Cut;
 pub use expr::LinExpr;
-pub use milp::{
-    solve, solve_from, solve_resumable, MilpConfig, MilpError, MilpRun, MilpStats, SearchCheckpoint,
-};
+pub use milp::{solve, MilpConfig, MilpError, MilpStats};
 pub use model::{Cmp, Model, ModelStats, Sense, VarId, VarKind};
 pub use propagate::{propagate, Propagation};
 pub use simplex::{

@@ -16,12 +16,10 @@
 //!
 //! Because rounds commit atomically (an interrupted round is pushed back
 //! whole), the committed prefix of an interrupted search is always exactly
-//! the prefix of the uninterrupted search. That is what makes
-//! [`SearchCheckpoint`] sound: the driver's own search state (frontier,
-//! incumbent, pseudocost store, cut pool) as it stood at a round boundary,
-//! from which [`solve_from`] resumes the search **node-for-node** — an
-//! interrupted-then-resumed run reports the same objective, node count,
-//! and trace digest as an uninterrupted one.
+//! the prefix of the uninterrupted search, and the open frontier still
+//! covers every node the search has not committed: an interrupted solve
+//! returns its incumbent with a dual bound that brackets the optimum. Its
+//! search state is then dropped; solving again starts from the root.
 //!
 //! ## Cold nodes, incremental dives
 //!
@@ -56,8 +54,7 @@
 //!   of the pre-cut model, seeds the root dive, and the tableau of the
 //!   committed cut-loop model serves the depth-0 node — after an exact
 //!   check that the node's rounded box and row count match it bit for bit
-//!   (otherwise the node cold-solves). A run resumed inside the root phase
-//!   no longer holds them and solves them again.
+//!   (otherwise the node cold-solves).
 //! - **Snapshot allocations.** Probe scratch and dive snapshots are
 //!   refilled by `clone_from`, which reuses the tableau's buffers instead
 //!   of reallocating them.
@@ -99,7 +96,7 @@
 
 use crate::cancel::Cancel;
 use crate::cuts::Cut;
-use crate::model::{Model, Sense, VarKind};
+use crate::model::{Model, Sense};
 use crate::pool::{BranchStep, CutPool, Frontier, Incumbent, Node, PcStore};
 use crate::simplex::{DiveStep, DiveTableau, LpOutcome, LpStats, Solution};
 use crate::{VarId, EPS};
@@ -156,14 +153,17 @@ const ROOT_CUT_MIN_IMPROVE: f64 = 1e-6;
 /// A pooled cut slack for this many consecutive root re-solves is retired.
 const CUT_MAX_AGE: u32 = 2;
 
+/// Integrality tolerance: an LP value within this distance of an integer
+/// counts as integral. It is also the feasibility tolerance an incumbent's
+/// rounding must meet.
+const INT_TOL: f64 = 1e-6;
+
 /// Knobs for the branch-and-bound driver.
 #[derive(Clone, Debug)]
 pub struct MilpConfig {
     /// Maximum number of branch-and-bound nodes before giving up. Checked
     /// at round boundaries, so an interrupted search may overshoot by up
-    /// to `BATCH - 1` nodes. The limit is **cumulative across a resume
-    /// chain**: a resumed solve counts the checkpoint's nodes against it,
-    /// so resuming an exhausted search needs a larger limit.
+    /// to `BATCH - 1` nodes.
     pub node_limit: usize,
     /// Wall-clock budget; `None` disables the check. It is polled
     /// wherever [`MilpConfig::cancel`] is, down to the simplex pivot
@@ -171,8 +171,6 @@ pub struct MilpConfig {
     /// solve: the caller's token is left untripped, so the caller sees an
     /// unproven answer rather than its own timeout.
     pub time_limit: Option<std::time::Duration>,
-    /// Integrality tolerance.
-    pub int_tol: f64,
     /// Worker threads processing each round's batch (clamped to ≥ 1).
     /// **Semantically inert**: node counts, traces, incumbents, and the
     /// reported optimum are identical for every value — threads only
@@ -190,10 +188,9 @@ pub struct MilpConfig {
     /// round, every few dive steps, and every 128 iterations of the
     /// simplex pivot loops. A tripped token stops the search exactly
     /// like an exhausted budget: the best incumbent is returned with
-    /// [`MilpStats::proven_optimal`] `false`, a valid
-    /// [`MilpStats::dual_bound`], and a [`SearchCheckpoint`] (via
-    /// [`solve_resumable`]) — or [`MilpError::BudgetExhausted`] when no
-    /// incumbent exists yet. The default token never trips.
+    /// [`MilpStats::proven_optimal`] `false` and a valid
+    /// [`MilpStats::dual_bound`] — or [`MilpError::BudgetExhausted`] when
+    /// no incumbent exists yet. The default token never trips.
     pub cancel: Cancel,
 }
 
@@ -202,7 +199,6 @@ impl Default for MilpConfig {
         MilpConfig {
             node_limit: 200_000,
             time_limit: Some(std::time::Duration::from_secs(120)),
-            int_tol: 1e-6,
             threads: 1,
             reference_lp: false,
             cancel: Cancel::new(),
@@ -261,9 +257,7 @@ pub struct MilpStats {
     /// LP relaxations solved (cold node solves plus every incremental
     /// re-solve on a dive tableau: dive steps and strong-branching
     /// probes). Counts solves actually performed: the root dive and the
-    /// depth-0 node reuse the root cut loop's relaxations uncharged, so a
-    /// chain resumed inside the root phase — which re-solves them —
-    /// reports more than an uninterrupted run.
+    /// depth-0 node reuse the root cut loop's relaxations uncharged.
     pub lp_solves: usize,
     /// Dive steps: incremental re-solves on a live [`DiveTableau`] (the
     /// diving heuristic's chain steps; tree nodes deliberately solve cold).
@@ -320,14 +314,10 @@ pub struct MilpStats {
     pub dual_bound: f64,
     /// FNV-1a content hash over the committed explored-node sequence
     /// (each node's depth and branch path, in commit order). Identical for
-    /// every thread count, and — across an interrupt/checkpoint/resume
-    /// chain — identical to the uninterrupted run's digest. Two solves of
-    /// the same model with the same semantic configuration that report
-    /// different digests explored different trees.
+    /// every thread count. Two solves of the same model with the same
+    /// semantic configuration that report different digests explored
+    /// different trees.
     pub trace_digest: u64,
-    /// True when this solve resumed from an accepted [`SearchCheckpoint`]
-    /// instead of starting cold.
-    pub resumed: bool,
 }
 
 /// An integer-feasible solution plus solve statistics.
@@ -350,27 +340,11 @@ impl From<MilpSolution> for Solution {
     }
 }
 
-/// Outcome of a resumable solve: the solver result plus, when the search
-/// was interrupted (budget, deadline, or cancellation), the interrupted
-/// search itself as a checkpoint that resumes it exactly where it stopped.
-#[derive(Clone, Debug)]
-pub struct MilpRun {
-    /// The solver result, exactly as [`solve`] would report it.
-    pub result: Result<MilpSolution, MilpError>,
-    /// Present iff the search was interrupted. Feed it back through
-    /// [`solve_from`] (with a larger budget / fresh deadline) in the same
-    /// process to continue node-for-node.
-    pub checkpoint: Option<SearchCheckpoint>,
-}
-
 // ---------------------------------------------------------------------------
-// FNV-1a hashing: the trace digest and the model/config fingerprint.
+// FNV-1a hashing: the trace digest.
 // ---------------------------------------------------------------------------
 
-/// Incremental 64-bit FNV-1a hasher. Used both for the explored-node trace
-/// digest (whose running state travels in checkpoints so a resumed run
-/// continues the same hash chain) and for the model/config fingerprint
-/// that guards checkpoint compatibility.
+/// Incremental 64-bit FNV-1a hasher over the explored-node trace.
 #[derive(Clone, Copy, Debug)]
 struct Fnv(u64);
 
@@ -396,140 +370,13 @@ impl Fnv {
         self.bytes(&v.to_le_bytes());
     }
 
-    fn f64v(&mut self, v: f64) {
-        self.u64v(v.to_bits());
-    }
-
     fn state(self) -> u64 {
         self.0
     }
 }
 
-/// Fingerprint of the model plus every configuration knob that affects
-/// search semantics (`int_tol`, `reference_lp`). Budget knobs
-/// (`node_limit`, `time_limit`), `threads`, and the cancel token are
-/// deliberately excluded — a checkpoint exists precisely to be resumed
-/// with a different budget, and threads are semantically inert.
-fn fingerprint(model: &Model, cfg: &MilpConfig) -> u64 {
-    let mut h = Fnv::new();
-    h.byte(match model.sense {
-        Sense::Maximize => 1,
-        Sense::Minimize => 2,
-    });
-    h.u64v(model.vars.len() as u64);
-    for v in &model.vars {
-        h.byte(match v.kind {
-            VarKind::Continuous => 0,
-            VarKind::Integer => 1,
-            VarKind::Binary => 2,
-        });
-        h.f64v(v.lo);
-        h.f64v(v.hi);
-    }
-    h.u64v(model.constraints.len() as u64);
-    for c in &model.constraints {
-        h.u64v(c.expr.terms.len() as u64);
-        for &(v, coef) in &c.expr.terms {
-            h.u64v(v.0 as u64);
-            h.f64v(coef);
-        }
-        h.f64v(c.expr.constant);
-        h.byte(match c.cmp {
-            crate::Cmp::Le => 0,
-            crate::Cmp::Ge => 1,
-            crate::Cmp::Eq => 2,
-        });
-        h.f64v(c.rhs);
-    }
-    h.u64v(model.objective.terms.len() as u64);
-    for &(v, coef) in &model.objective.terms {
-        h.u64v(v.0 as u64);
-        h.f64v(coef);
-    }
-    h.f64v(model.objective.constant);
-    h.f64v(cfg.int_tol);
-    h.byte(cfg.reference_lp as u8);
-    h.state()
-}
-
 // ---------------------------------------------------------------------------
-// SearchCheckpoint: the interrupted search, kept in memory.
-// ---------------------------------------------------------------------------
-
-/// An interrupted branch-and-bound search, held in memory: the round
-/// driver's own state — open frontier, incumbent, pseudocost store, cut
-/// pool, statistics counters, and the running trace-digest state — as it
-/// stood when the search stopped, plus the fingerprint of the model and
-/// semantic configuration that grew it. [`solve_from`] resumes from a
-/// clone of that state and continues **node-for-node** as if the search
-/// had never stopped.
-///
-/// Checkpoints are taken only at round boundaries (rounds commit
-/// atomically), which is what makes the resumed run bit-identical to the
-/// uninterrupted one. [`solve_resumable`] silently ignores a checkpoint
-/// whose fingerprint does not match (the solve starts cold, flagged by
-/// [`MilpStats::resumed`] `false`) — robustness over strictness, since
-/// upper layers key checkpoints by request cache keys that could collide.
-#[derive(Clone)]
-pub struct SearchCheckpoint {
-    fingerprint: u64,
-    state: SearchState,
-}
-
-impl std::fmt::Debug for SearchCheckpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SearchCheckpoint")
-            .field("fingerprint", &format_args!("{:016x}", self.fingerprint))
-            .field("nodes", &self.state.nodes)
-            .field("open", &self.state.frontier.len())
-            .field("resumed_chain", &self.state.resumed_chain)
-            .finish_non_exhaustive()
-    }
-}
-
-impl SearchCheckpoint {
-    /// Whether this checkpoint belongs to the given model and semantic
-    /// configuration. A mismatched checkpoint passed to
-    /// [`solve_resumable`] is ignored, not an error.
-    pub fn matches(&self, model: &Model, cfg: &MilpConfig) -> bool {
-        self.fingerprint == fingerprint(model, cfg)
-    }
-
-    /// Committed nodes at the time of the snapshot.
-    pub fn nodes(&self) -> usize {
-        self.state.nodes
-    }
-
-    /// How many interrupt/resume cycles preceded this checkpoint
-    /// (0 = taken by a cold run's first interruption).
-    pub fn resumed_chain(&self) -> u32 {
-        self.state.resumed_chain
-    }
-
-    /// Structural sanity against the model's variable count: a
-    /// fingerprint collision must not index out of bounds.
-    fn structurally_valid(&self, n: usize) -> bool {
-        let st = &self.state;
-        let in_range = |v: VarId| v.index() < n;
-        st.pc.num_vars() == n
-            && st
-                .incumbent
-                .peek()
-                .is_none_or(|(_, values)| values.len() == n)
-            && st.frontier.nodes().all(|nd| {
-                nd.bounds.iter().all(|&(v, _, _)| in_range(v))
-                    && nd.branch.is_none_or(|b| in_range(b.var))
-            })
-            && st
-                .pool
-                .cuts()
-                .iter()
-                .all(|c| c.terms.iter().all(|&(v, _)| in_range(v)))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Entry points.
+// Entry point.
 // ---------------------------------------------------------------------------
 
 /// Solves the mixed-integer program. Returns the optimal solution, or the
@@ -540,53 +387,8 @@ impl SearchCheckpoint {
 /// rows into bounds themselves (`Model::add_bound_or_constraint`), and the
 /// only rows the search appends are the root cut loop's.
 pub fn solve(model: &Model, cfg: &MilpConfig) -> Result<MilpSolution, MilpError> {
-    solve_resumable(model, cfg, None).result
-}
-
-/// [`solve`], but interruptions (budget, deadline, cancellation) also
-/// yield a [`SearchCheckpoint`] in the returned [`MilpRun`], and an
-/// accepted `resume` checkpoint continues a previous search node-for-node
-/// instead of starting cold. The checkpoint is cloned, so the same one
-/// can seed several solves.
-///
-/// A `resume` checkpoint is **validated, not trusted**: it must
-/// fingerprint-match the model and semantic config and fit the model's
-/// variable count — otherwise it is silently dropped and the solve starts
-/// cold ([`MilpStats::resumed`] reports which happened).
-pub fn solve_resumable(
-    model: &Model,
-    cfg: &MilpConfig,
-    resume: Option<&SearchCheckpoint>,
-) -> MilpRun {
-    if let Err(e) = crate::audit::check_model(model) {
-        return MilpRun {
-            result: Err(MilpError::Audit(e)),
-            checkpoint: None,
-        };
-    }
-    let fp = fingerprint(model, cfg);
-    // A checkpoint that does not match stays a *silent* cold start —
-    // collisions are expected (upper layers key checkpoints by cache keys).
-    let n = model.num_vars();
-    let st = match resume.filter(|ck| ck.fingerprint == fp && ck.structurally_valid(n)) {
-        Some(ck) => {
-            let mut st = ck.state.clone();
-            st.resumed_chain += 1;
-            st.resumed = true;
-            st
-        }
-        None => SearchState::fresh(n),
-    };
-    search(model, cfg, fp, st)
-}
-
-/// Resumes a search from a checkpoint: shorthand for
-/// [`solve_resumable`]`(model, cfg, Some(checkpoint))`. The model and the
-/// semantic configuration must match the ones that produced the
-/// checkpoint (budget knobs and `threads` may differ); a mismatch falls
-/// back to a cold solve.
-pub fn solve_from(model: &Model, cfg: &MilpConfig, checkpoint: &SearchCheckpoint) -> MilpRun {
-    solve_resumable(model, cfg, Some(checkpoint))
+    crate::audit::check_model(model).map_err(MilpError::Audit)?;
+    search(model, cfg)
 }
 
 // ---------------------------------------------------------------------------
@@ -618,20 +420,10 @@ impl Ctx<'_> {
             // score = dir·obj; maximizing the score, the valid integral
             // tightening is always floor (it is ceil in minimize objective
             // space, which is floor after negation).
-            (score + self.cfg.int_tol).floor()
+            (score + INT_TOL).floor()
         } else {
             score
         }
-    }
-
-    /// Feasibility tolerance for offering an incumbent. Deliberately
-    /// *capped* below the integrality tolerance: `int_tol` governs which
-    /// LP values count as integral, but a rounding that violates a
-    /// constraint by up to `int_tol` must never be reported as an optimum
-    /// — with a loose `int_tol` the gate would otherwise whitewash exactly
-    /// the violations the rounding introduced.
-    fn feas_tol(&self) -> f64 {
-        self.cfg.int_tol.min(1e-5)
     }
 }
 
@@ -787,28 +579,20 @@ impl<'c, 'a> NodeRun<'c, 'a> {
     }
 }
 
-/// Driver-owned mutable search state: everything a checkpoint carries.
-#[derive(Clone)]
+/// Driver-owned mutable search state, updated only at commit time.
 struct SearchState {
     frontier: Frontier,
     incumbent: Incumbent,
     pc: PcStore,
-    /// The committed cut pool, in insertion order (part of the
-    /// deterministic search state, carried verbatim by a checkpoint).
-    pool: CutPool,
     nodes: usize,
     digest: Fnv,
     counters: LocalCounters,
     numerical: bool,
     /// Max score over numerically abandoned subproblems, `-∞` when none.
     abandoned: f64,
-    root_dive_done: bool,
-    root_cuts_done: bool,
     /// Root relaxation score before/after cuts (NaN = loop never ran).
     root_bound_pre: f64,
     root_bound_post: f64,
-    resumed_chain: u32,
-    resumed: bool,
 }
 
 impl SearchState {
@@ -817,18 +601,13 @@ impl SearchState {
             frontier: Frontier::seeded(),
             incumbent: Incumbent::new(),
             pc: PcStore::new(num_vars),
-            pool: CutPool::new(),
             nodes: 0,
             digest: Fnv::new(),
             counters: LocalCounters::default(),
             numerical: false,
             abandoned: f64::NEG_INFINITY,
-            root_dive_done: false,
-            root_cuts_done: false,
             root_bound_pre: f64::NAN,
             root_bound_post: f64::NAN,
-            resumed_chain: 0,
-            resumed: false,
         }
     }
 
@@ -876,8 +655,9 @@ impl SearchState {
 // The round driver.
 // ---------------------------------------------------------------------------
 
-/// The round-based branch-and-bound search, from a fresh or resumed state.
-fn search(model: &Model, cfg: &MilpConfig, fp: u64, mut st: SearchState) -> MilpRun {
+/// The round-based branch-and-bound search: root cut loop, root dive, then
+/// rounds over the frontier until it empties or the search is stopped.
+fn search(model: &Model, cfg: &MilpConfig) -> Result<MilpSolution, MilpError> {
     let threads = cfg.threads.max(1);
     let n = model.num_vars();
     let ctx = Ctx {
@@ -892,91 +672,55 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, mut st: SearchState) -> Milp
         integral_objective: objective_is_integral(model),
         cancel: cfg.cancel.child(cfg.time_limit),
     };
-
-    // Restored cut rows are validated against the base model before any
-    // node re-solves against them: a checkpointed cut that excludes an
-    // integer-feasible point would corrupt the whole resumed search.
-    if let Err(e) = crate::audit::check_cuts(model, st.pool.cuts()) {
-        return MilpRun {
-            result: Err(MilpError::Audit(e)),
-            checkpoint: None,
-        };
-    }
-
-    // The *search model*: the base model plus every committed cut row, in
-    // pool insertion order. A resumed run rebuilds it from the
-    // checkpoint's pool before touching the frontier, so every node
-    // re-solves against the identical relaxation.
-    let mut search_model = model.clone();
-    for cut in st.pool.cuts() {
-        cut.append_to(&mut search_model);
-    }
+    let mut st = SearchState::fresh(n);
 
     // Root cut loop: rounds of separate → append → re-solve on the root
-    // relaxation, before the root dive. Committed atomically like the
-    // dive — an interrupted loop discards its cuts *and* its counters
-    // whole and is re-run on resume, so the resumed search commits the
-    // same cuts and the same tree. The work counters count work actually
-    // done: a chain resumed inside the root phase has lost the relaxations
-    // the loop hands on below, re-solves them, and reports more LP solves
-    // and pivots than an uninterrupted run.
+    // relaxation, before the root dive. Committed atomically like the dive:
+    // an interrupted loop discards its cuts and its counters whole, and the
+    // search stops at its first round boundary. The loop's model — the base
+    // model plus every kept cut row, in pool insertion order — is the
+    // *search model* every node relaxation solves against.
     let mut root_interrupted = false;
-    let mut dive_seed = None;
-    let mut root_lp = None;
-    if !st.root_cuts_done {
-        match root_cut_loop(&ctx, model) {
-            RootCuts::Done(res) => {
-                st.counters.add(&res.counters);
-                st.root_bound_pre = res.pre;
-                st.root_bound_post = res.post;
-                st.pool = res.pool;
-                st.root_cuts_done = true;
-                search_model = res.model;
-                dive_seed = res.dive_seed;
-                root_lp = res.root_lp;
-                // The 512-case GMI proptest's oracle, run for real: no
-                // root-separated cut may exclude an integer point of the
-                // base model (exhaustively when the box is small, cheap
-                // row invariants always).
-                if let Err(e) = crate::audit::check_cuts(model, st.pool.cuts()) {
-                    return MilpRun {
-                        result: Err(MilpError::Audit(e)),
-                        checkpoint: None,
-                    };
-                }
-            }
-            // LP infeasibility with (globally valid) cuts appended still
-            // proves MILP infeasibility: every integer-feasible point
-            // satisfies every cut.
-            RootCuts::Infeasible => {
-                return MilpRun {
-                    result: Err(MilpError::Infeasible),
-                    checkpoint: None,
-                }
-            }
-            RootCuts::Interrupted => root_interrupted = true,
+    let (search_model, dive_seed, mut root_lp) = match root_cut_loop(&ctx, model) {
+        RootCuts::Done(res) => {
+            // The 512-case GMI proptest's oracle, run for real: no
+            // root-separated cut may exclude an integer point of the base
+            // model (exhaustively when the box is small, cheap row
+            // invariants always).
+            crate::audit::check_cuts(model, res.pool.cuts()).map_err(MilpError::Audit)?;
+            st.counters.add(&res.counters);
+            st.root_bound_pre = res.pre;
+            st.root_bound_post = res.post;
+            (res.model, res.dive_seed, res.root_lp)
         }
-    }
+        // LP infeasibility with (globally valid) cuts appended still proves
+        // MILP infeasibility: every integer-feasible point satisfies every
+        // cut.
+        RootCuts::Infeasible => return Err(MilpError::Infeasible),
+        RootCuts::Interrupted => {
+            root_interrupted = true;
+            (model.clone(), None, None)
+        }
+    };
 
     // Deterministic root dive: seeds the incumbent before the tree search
     // so every run starts from the same incumbent floor. Committed
-    // atomically — an interrupted dive is discarded whole (and re-run on
-    // resume, `root_dive_done` stays false), so its offers never make a
-    // committed prefix diverge from the uninterrupted run. The dive runs
-    // on the **pre-cut** model: cut rows reshape the relaxation's face
-    // structure in ways that strand the rounding heuristic short of any
-    // integer point (observed on the saturation corpus — the cut-augmented
-    // dive finds nothing where the plain one lands an incumbent
-    // immediately), and every offer is re-validated against the original
-    // model at commit time regardless. That pre-cut relaxation is the cut
-    // loop's first solve, whose tableau the dive starts from.
-    if !root_interrupted && !st.root_dive_done {
+    // atomically — an interrupted dive is discarded whole, so its offers
+    // never make a committed prefix diverge from the uninterrupted run.
+    // The dive runs on the **pre-cut** model: cut rows reshape the
+    // relaxation's face structure in ways that strand the rounding
+    // heuristic short of any integer point (observed on the saturation
+    // corpus — the cut-augmented dive finds nothing where the plain one
+    // lands an incumbent immediately), and every offer is re-validated
+    // against the original model at commit time regardless. That pre-cut
+    // relaxation is the cut loop's first solve, whose tableau the dive
+    // starts from.
+    if !root_interrupted {
         let mut run = NodeRun::new(&ctx, st.incumbent.score(), st.pc.clone());
         dive_probe(&mut run, model, dive_seed);
         if !run.interrupted {
             let out = run.finish(OutcomeKind::Pruned);
             st.absorb_effects(out);
-            st.root_dive_done = true;
         }
     }
 
@@ -991,8 +735,7 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, mut st: SearchState) -> Milp
         // Round-boundary checks: one full poll of the solve's token (flag,
         // deadlines, poll countdown) and the node budget. A stop inside a
         // round discards that round whole, so between-round state is
-        // all-committed, which is what entitles the checkpoint to claim
-        // exact resumability.
+        // all-committed.
         if ctx.cancel.cancelled() {
             interrupted = true;
             break;
@@ -1033,7 +776,7 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, mut st: SearchState) -> Milp
         );
         if outcomes.iter().any(|o| o.interrupted) {
             // Abort the round whole: push the batch back so the frontier
-            // (and hence the checkpoint) covers exactly the uncommitted
+            // (and hence the dual bound) covers exactly the uncommitted
             // work, and nothing half-processed leaks into the state.
             for node in batch {
                 st.frontier.push(node);
@@ -1050,10 +793,7 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, mut st: SearchState) -> Milp
     }
 
     if unbounded {
-        return MilpRun {
-            result: Err(MilpError::Unbounded),
-            checkpoint: None,
-        };
+        return Err(MilpError::Unbounded);
     }
 
     let (rows, cols) = if cfg.reference_lp {
@@ -1063,9 +803,9 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, mut st: SearchState) -> Milp
     };
     let inc_score = st.incumbent.score();
     let score_bound = if interrupted {
-        // Open nodes are not abandoned — they are checkpointed — but
-        // their bounds still cap what the unexplored remainder could
-        // reach, so the reported dual bound folds the best open score.
+        // Open nodes are not abandoned, but their bounds still cap what
+        // the unexplored remainder could reach, so the reported dual bound
+        // folds the best open score.
         inc_score.max(st.abandoned).max(st.frontier.best_score())
     } else if st.numerical {
         inc_score.max(st.abandoned)
@@ -1091,9 +831,8 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, mut st: SearchState) -> Milp
         proven_optimal: !interrupted && !st.numerical,
         dual_bound: ctx.dir * score_bound,
         trace_digest: st.digest.state(),
-        resumed: st.resumed,
     };
-    let result = match st.incumbent.peek() {
+    match st.incumbent.peek() {
         Some((objective, values)) => Ok(MilpSolution {
             values: values.clone(),
             objective: *objective,
@@ -1102,13 +841,7 @@ fn search(model: &Model, cfg: &MilpConfig, fp: u64, mut st: SearchState) -> Milp
         None if interrupted => Err(MilpError::BudgetExhausted),
         None if st.numerical => Err(MilpError::Numerical),
         None => Err(MilpError::Infeasible),
-    };
-    // The interrupted search itself is the checkpoint.
-    let checkpoint = interrupted.then(|| SearchCheckpoint {
-        fingerprint: fp,
-        state: st,
-    });
-    MilpRun { result, checkpoint }
+    }
 }
 
 /// Outcome of the root cut loop.
@@ -1121,9 +854,7 @@ enum RootCuts {
     /// appended, that proves the MILP infeasible.
     Infeasible,
     /// Cancellation or a deadline landed mid-loop. Everything is
-    /// discarded (cuts, counters, bounds); the resumed run re-runs the
-    /// loop from scratch, so it commits the same cuts as an uninterrupted
-    /// run.
+    /// discarded (cuts, counters, bounds).
     Interrupted,
 }
 
@@ -1298,8 +1029,8 @@ fn root_cut_loop(ctx: &Ctx<'_>, base: &Model) -> RootCuts {
 /// time, nothing else.
 ///
 /// `root_lp`, the cut loop's relaxation of the committed root model, goes
-/// to the depth-0 node. Only a cold run's first round carries it, and that
-/// round holds the root alone, so it always takes the sequential path.
+/// to the depth-0 node. Only the first round carries it, and that round
+/// holds the root alone, so it always takes the sequential path.
 #[allow(clippy::too_many_arguments)]
 fn process_batch(
     ctx: &Ctx<'_>,
@@ -1375,7 +1106,7 @@ fn run_one(
 ) -> NodeOutcome {
     let mut run = NodeRun::new(ctx, inc_score, pc.clone());
     // A cancel that lands mid-round aborts the round before more work is
-    // sunk; the node is pushed back and re-processed on resume.
+    // sunk; the node goes back onto the frontier uncommitted.
     if ctx.cancel.cancelled() {
         run.interrupted = true;
         return run.finish(OutcomeKind::Pruned);
@@ -1421,12 +1152,12 @@ fn process_node(
         let v = VarId(i as u32);
         let (lo, hi) = work.bounds(v);
         let tlo = if lo.is_finite() {
-            (lo - ctx.cfg.int_tol).ceil()
+            (lo - INT_TOL).ceil()
         } else {
             lo
         };
         let thi = if hi.is_finite() {
-            (hi + ctx.cfg.int_tol).floor()
+            (hi + INT_TOL).floor()
         } else {
             hi
         };
@@ -1457,7 +1188,7 @@ fn process_node(
         let cutoff = run.inc_score.is_finite();
         if cutoff {
             let target = if ctx.integral_objective {
-                (run.inc_score + ctx.cfg.int_tol).floor() + 1.0
+                (run.inc_score + INT_TOL).floor() + 1.0
             } else {
                 run.inc_score + EPS
             };
@@ -1475,7 +1206,7 @@ fn process_node(
         let saved: Vec<(f64, f64)> = (0..work.num_vars())
             .map(|i| work.bounds(VarId(i as u32)))
             .collect();
-        let res = crate::propagate::propagate(work, ctx.cfg.int_tol, 3);
+        let res = crate::propagate::propagate(work, INT_TOL, 3);
         for (i, &(lo, hi)) in saved.iter().enumerate() {
             work.set_bounds(VarId(i as u32), lo, hi);
         }
@@ -1575,7 +1306,7 @@ fn process_node(
                     *val = val.round();
                 }
             }
-            if ctx.model.check_feasible(&values, ctx.feas_tol()).is_ok() {
+            if ctx.model.check_feasible(&values, INT_TOL).is_ok() {
                 let objective = ctx.model.objective.eval(&values);
                 run.offer(objective, values);
                 OutcomeKind::Pruned
@@ -1598,7 +1329,7 @@ fn process_node(
             }
             let objective = ctx.model.objective.eval(&rounded);
             if run.improves(ctx.dir * objective)
-                && ctx.model.check_feasible(&rounded, ctx.feas_tol()).is_ok()
+                && ctx.model.check_feasible(&rounded, INT_TOL).is_ok()
             {
                 run.offer(objective, rounded);
             }
@@ -1778,7 +1509,7 @@ fn dive_from(run: &mut NodeRun<'_, '_>, work: &Model, mut dt: DiveTableau, mut s
                     *val = val.round();
                 }
             }
-            if ctx.model.check_feasible(&values, ctx.feas_tol()).is_ok() {
+            if ctx.model.check_feasible(&values, INT_TOL).is_ok() {
                 let objective = ctx.model.objective.eval(&values);
                 run.offer(objective, values);
             }
@@ -1795,7 +1526,7 @@ fn dive_from(run: &mut NodeRun<'_, '_>, work: &Model, mut dt: DiveTableau, mut s
             }
             let xj = sol.values[j];
             let frac = (xj - xj.round()).abs();
-            if frac <= ctx.cfg.int_tol || (frac > DIVE_BATCH_TOL && j != i) {
+            if frac <= INT_TOL || (frac > DIVE_BATCH_TOL && j != i) {
                 continue;
             }
             let v = VarId(j as u32);
@@ -1888,7 +1619,7 @@ fn select_most_fractional(ctx: &Ctx<'_>, sol: &Solution) -> Option<(VarId, f64)>
             continue;
         }
         let x = sol.values[i];
-        if (x - x.round()).abs() <= ctx.cfg.int_tol {
+        if (x - x.round()).abs() <= INT_TOL {
             continue;
         }
         let dist_half = (x - x.floor() - 0.5).abs();
@@ -1932,7 +1663,7 @@ fn probe_dir(
     match step {
         DiveStep::Optimal(s) => {
             let deg = (raw_score - run.ctx.dir * s.objective).max(0.0);
-            run.record(v, up, deg / frac.max(run.ctx.cfg.int_tol));
+            run.record(v, up, deg / frac.max(INT_TOL));
             deg
         }
         // An infeasible child is the strongest possible branching signal
@@ -1995,14 +1726,13 @@ fn select_branch_pseudocost(
     raw_score: f64,
 ) -> Option<(VarId, f64)> {
     // Fractional candidates: (var index, value, down fraction, up fraction).
-    let int_tol = run.ctx.cfg.int_tol;
     let mut cands: Vec<(usize, f64, f64, f64)> = Vec::new();
     for (i, &int) in run.ctx.integral.iter().enumerate() {
         if !int {
             continue;
         }
         let x = sol.values[i];
-        if (x - x.round()).abs() <= int_tol {
+        if (x - x.round()).abs() <= INT_TOL {
             continue;
         }
         let fd = x - x.floor();
@@ -2365,43 +2095,26 @@ mod tests {
     fn infeasible_rounding_leaf_is_rejected() {
         // Regression: the integral-leaf incumbent path was guarded only by
         // a `debug_assert!` — in release builds an infeasible rounding
-        // became the reported optimum. With a loose integrality tolerance
-        // the LP optimum x = 0.6 of `10x ≤ 6` counts as integral, and its
-        // rounding x = 1 violates the row by 4. The leaf must be rejected
-        // (surrendering the proof), never offered.
+        // became the reported optimum. The LP optimum x = 0.9999995 of
+        // `10⁷·x ≤ 10⁷ − 5` lies within the integrality tolerance of 1, so
+        // the root dive and node 0 both take it as integral; its rounding
+        // x = 1 breaks the scaled row by 5. x is a general integer, not a
+        // binary, so no cover cut applies, and a Gomory cut skips a value
+        // this close to an integer: the relaxation reaches the leaf as is.
+        // Both gates must reject the rounding, and with nothing fractional
+        // left to branch on the search surrenders the proof.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", VarKind::Integer, 0.0, 1.0);
-        m.add_constraint(LinExpr::from(x) * 10.0, Cmp::Le, 6.0);
+        let x = m.add_var("x", VarKind::Integer, 0.0, 5.0);
+        m.add_constraint(LinExpr::from(x) * 1e7, Cmp::Le, 1e7 - 5.0);
         m.set_objective(LinExpr::from(x));
-        let cfg = MilpConfig {
-            int_tol: 0.45,
-            ..MilpConfig::default()
-        };
-        // Surrendering with an error is sound; claiming the infeasible
-        // rounding as the optimum is the bug.
-        if let Ok(s) = solve(&m, &cfg) {
-            assert!(
-                m.check_feasible(&s.values, 1e-6).is_ok(),
-                "reported optimum is infeasible: {:?}",
-                s.values
-            );
-        }
-
-        // The subtler variant: the rounding violates the row by *less*
-        // than int_tol (x ≤ 0.6 violated by 0.4 < 0.45). The feasibility
-        // gate is capped below int_tol precisely so a loose integrality
-        // tolerance cannot whitewash the violation its own rounding
-        // introduced.
-        let mut m2 = Model::new(Sense::Maximize);
-        let x2 = m2.add_var("x", VarKind::Integer, 0.0, 1.0);
-        m2.add_constraint(LinExpr::from(x2), Cmp::Le, 0.6);
-        m2.set_objective(LinExpr::from(x2));
-        if let Ok(s) = solve(&m2, &cfg) {
-            assert!(
-                m2.check_feasible(&s.values, 1e-6).is_ok(),
-                "reported optimum is infeasible: {:?}",
-                s.values
-            );
+        match solve(&m, &MilpConfig::default()) {
+            Err(MilpError::Numerical) => {}
+            Ok(s) => panic!(
+                "reported x = {:?} (feasible: {:?})",
+                s.values,
+                m.check_feasible(&s.values, 1e-6)
+            ),
+            Err(e) => panic!("expected the leaf to surrender the proof, got {e}"),
         }
     }
 
@@ -2446,7 +2159,7 @@ mod tests {
     }
 
     /// A 10-variable, 6-constraint model whose search tree has plenty of
-    /// nodes — the workhorse for thread-invariance and resume tests.
+    /// nodes — the workhorse for thread-invariance tests.
     fn wide_model() -> Model {
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..10)
@@ -2594,58 +2307,6 @@ mod tests {
                 }
             }
         }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(32))]
-
-            #[test]
-            fn interrupt_resume_is_equivalent(
-                cons in proptest::collection::vec(
-                    (proptest::array::uniform3(-3i64..=3), -5i64..=20), 1..4),
-                obj in proptest::array::uniform3(-4i64..=4),
-                maximize in any::<bool>(),
-                step in 1usize..=6,
-            ) {
-                let sense = if maximize { Sense::Maximize } else { Sense::Minimize };
-                let mut m = Model::new(sense);
-                let vars: Vec<_> = (0..3)
-                    .map(|i| m.add_var(format!("x{i}"), VarKind::Integer, 0.0, 4.0))
-                    .collect();
-                for (coefs, rhs) in &cons {
-                    let mut e = LinExpr::new();
-                    for (i, &c) in coefs.iter().enumerate() {
-                        e = e + (c as f64, vars[i]);
-                    }
-                    m.add_constraint(e, Cmp::Le, *rhs as f64);
-                }
-                let mut o = LinExpr::new();
-                for (i, &c) in obj.iter().enumerate() {
-                    o = o + (c as f64, vars[i]);
-                }
-                m.set_objective(o);
-
-                // Interrupt every `step` nodes, checkpoint, resume —
-                // the chain must land on exactly the uninterrupted
-                // run's result, tree, and trace.
-                let full = solve(&m, &MilpConfig::default());
-                let (run, _) = super::run_resume_chain(&m, step);
-                match (full, run.result) {
-                    (Ok(f), Ok(r)) => {
-                        prop_assert_eq!(f.objective, r.objective);
-                        prop_assert_eq!(f.stats.nodes, r.stats.nodes);
-                        prop_assert_eq!(f.stats.trace_digest, r.stats.trace_digest);
-                        prop_assert_eq!(f.values, r.values);
-                    }
-                    (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                    (f, r) => prop_assert!(
-                        false,
-                        "uninterrupted {:?} vs resumed chain {:?}",
-                        f.map(|s| s.objective),
-                        r.map(|s| s.objective)
-                    ),
-                }
-            }
-        }
     }
 
     #[test]
@@ -2752,67 +2413,6 @@ mod tests {
         }
     }
 
-    /// Drives a solve of `m` to completion in slices of `step` nodes,
-    /// checkpointing at every interruption and resuming, and returns the
-    /// final run plus the number of resumes it took.
-    fn run_resume_chain(m: &Model, step: usize) -> (MilpRun, usize) {
-        resume_chain(m, step, None)
-    }
-
-    /// [`run_resume_chain`] continuing from checkpoint `start` (the
-    /// number of resumes counts the slices after it).
-    fn resume_chain(m: &Model, step: usize, start: Option<SearchCheckpoint>) -> (MilpRun, usize) {
-        let first_chain = start.as_ref().map_or(0, |c| c.resumed_chain() as usize + 1);
-        let mut limit = start.as_ref().map_or(0, |c| c.nodes()) + step;
-        let mut ck = start;
-        let mut resumes = 0usize;
-        loop {
-            let cfg = MilpConfig {
-                node_limit: limit,
-                ..MilpConfig::default()
-            };
-            let run = solve_resumable(m, &cfg, ck.as_ref());
-            match run.checkpoint {
-                Some(c) => {
-                    assert!(c.matches(m, &cfg), "checkpoint must match its own solve");
-                    assert_eq!(c.resumed_chain() as usize, first_chain + resumes);
-                    ck = Some(c);
-                    // The node budget is cumulative across the chain.
-                    limit += step;
-                    resumes += 1;
-                    assert!(resumes < 10_000, "resume chain does not converge");
-                }
-                None => return (run, resumes),
-            }
-        }
-    }
-
-    #[test]
-    fn interrupted_resume_chain_matches_uninterrupted() {
-        let m = wide_model();
-        let full = solve(&m, &MilpConfig::default()).unwrap();
-        assert!(full.stats.proven_optimal);
-        for step in [1usize, 3, 8, 17] {
-            let (run, resumes) = run_resume_chain(&m, step);
-            let s = run.result.expect("chain must finish like the full solve");
-            assert!(resumes > 0, "step {step} never interrupted");
-            assert!(s.stats.resumed, "final slice must report resumed");
-            assert!(s.stats.proven_optimal);
-            assert_eq!(s.objective, full.objective, "step {step}");
-            assert_eq!(s.values, full.values, "step {step}");
-            assert_eq!(s.stats.nodes, full.stats.nodes, "step {step}");
-            assert_eq!(
-                s.stats.trace_digest, full.stats.trace_digest,
-                "step {step}: resumed chain explored a different tree"
-            );
-            assert_eq!(s.stats.lp_solves, full.stats.lp_solves, "step {step}");
-            assert_eq!(
-                s.stats.strong_branch_probes, full.stats.strong_branch_probes,
-                "step {step}"
-            );
-        }
-    }
-
     /// Two binary pairs, each capped at one: the root LP lands on an
     /// integral vertex (objective 2), so there is nothing to cut, and the
     /// cutoff row `Σx ≥ 3` is beyond what activity propagation can refute,
@@ -2855,8 +2455,7 @@ mod tests {
         let y = m.add_var("y", VarKind::Integer, 0.0, 3.0);
         m.add_constraint(LinExpr::from(x) + (2.0, y), Cmp::Le, 10.0);
         m.set_objective(LinExpr::from(x) + y);
-        let cfg = MilpConfig::default();
-        let s = solve(&m, &cfg).unwrap();
+        let s = solve(&m, &MilpConfig::default()).unwrap();
         let brute = (0..=2)
             .flat_map(|x| (0..=3).map(move |y| (x, y)))
             .filter(|&(x, y)| x + 2 * y <= 10)
@@ -2866,103 +2465,6 @@ mod tests {
         assert!(s.stats.proven_optimal);
         assert_eq!(s.objective, brute as f64);
         assert_eq!(s.stats.nodes, 1, "node 0 solved the unrounded box");
-        // A run whose node 0 is resumed, and hence cold-solved, explores
-        // the same tree.
-        let ck = solve_resumable(
-            &m,
-            &MilpConfig {
-                node_limit: 0,
-                ..cfg.clone()
-            },
-            None,
-        )
-        .checkpoint
-        .expect("node_limit 0 stops before node 0");
-        let resumed = solve_from(&m, &cfg, &ck).result.unwrap();
-        assert_eq!(resumed.stats.nodes, s.stats.nodes);
-        assert_eq!(resumed.stats.trace_digest, s.stats.trace_digest);
-        assert_eq!(resumed.objective, s.objective);
-    }
-
-    #[test]
-    fn resume_between_root_cuts_and_root_dive_matches_uninterrupted() {
-        // A node-limit-0 checkpoint stops after the root phase. Undoing
-        // the dive's commitment — its incumbent; it records no
-        // pseudocosts — leaves the state an interrupted root dive
-        // checkpoints: cut loop committed, dive to be re-run. The resumed
-        // dive and node 0 have lost the cut loop's relaxations and
-        // cold-solve them; the tree must not notice.
-        for m in [wide_model(), knapsack_model(), integral_root_model()] {
-            let full = solve(&m, &MilpConfig::default()).unwrap();
-            let mut ck = solve_resumable(
-                &m,
-                &MilpConfig {
-                    node_limit: 0,
-                    ..MilpConfig::default()
-                },
-                None,
-            )
-            .checkpoint
-            .expect("node_limit 0 stops before node 0");
-            assert!(ck.state.root_cuts_done && ck.state.root_dive_done);
-            ck.state.root_dive_done = false;
-            ck.state.incumbent = Incumbent::new();
-            for step in [1usize, 5] {
-                let (run, _) = resume_chain(&m, step, Some(ck.clone()));
-                let s = run.result.expect("resumed chain completes");
-                assert!(s.stats.resumed && s.stats.proven_optimal);
-                assert_eq!(s.objective, full.objective, "step {step}");
-                assert_eq!(s.stats.nodes, full.stats.nodes, "step {step}");
-                assert_eq!(
-                    s.stats.trace_digest, full.stats.trace_digest,
-                    "step {step}: resumed chain explored a different tree"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mismatched_checkpoint_is_ignored() {
-        // A checkpoint from one model fed into another's solve must be
-        // silently dropped: cold start, correct optimum, resumed=false.
-        let k = knapsack_model();
-        let ck = solve_resumable(
-            &k,
-            &MilpConfig {
-                node_limit: 1,
-                ..MilpConfig::default()
-            },
-            None,
-        )
-        .checkpoint
-        .expect("node_limit 1 must interrupt the knapsack");
-        let m = wide_model();
-        let run = solve_resumable(&m, &MilpConfig::default(), Some(&ck));
-        let s = run.result.unwrap();
-        assert!(!s.stats.resumed, "foreign checkpoint must not resume");
-        assert!(s.stats.proven_optimal);
-        let cold = solve(&m, &MilpConfig::default()).unwrap();
-        assert_eq!(s.objective, cold.objective);
-        assert_eq!(s.stats.trace_digest, cold.stats.trace_digest);
-
-        // Same story for a config whose *semantics* differ (int_tol).
-        let cfg = MilpConfig {
-            int_tol: 1e-5,
-            ..MilpConfig::default()
-        };
-        let ck2 = solve_resumable(
-            &m,
-            &MilpConfig {
-                node_limit: 1,
-                ..MilpConfig::default()
-            },
-            None,
-        )
-        .checkpoint
-        .unwrap();
-        assert!(!ck2.matches(&m, &cfg));
-        let s2 = solve_resumable(&m, &cfg, Some(&ck2)).result.unwrap();
-        assert!(!s2.stats.resumed);
     }
 
     #[test]
@@ -2997,47 +2499,5 @@ mod tests {
             "a child must die in propagation, got {:?}",
             s.stats
         );
-    }
-
-    #[test]
-    fn checkpoint_rejects_accelerator_config_drift() {
-        // The fingerprint must cover every knob that shapes the tree:
-        // resuming a default-config checkpoint under the reference LP path
-        // or another integrality tolerance would splice incompatible
-        // search frontiers, so each mismatch has to force a cold start
-        // instead.
-        let m = wide_model();
-        let ck = solve_resumable(
-            &m,
-            &MilpConfig {
-                node_limit: 1,
-                ..MilpConfig::default()
-            },
-            None,
-        )
-        .checkpoint
-        .expect("node_limit 1 must interrupt the wide model");
-        for cfg in [
-            MilpConfig {
-                reference_lp: true,
-                ..MilpConfig::default()
-            },
-            MilpConfig {
-                int_tol: 1e-5,
-                ..MilpConfig::default()
-            },
-        ] {
-            assert!(
-                !ck.matches(&m, &cfg),
-                "fingerprint must reject drift in {cfg:?}"
-            );
-            let run = solve_resumable(&m, &cfg, Some(&ck));
-            let s = run.result.unwrap();
-            assert!(!s.stats.resumed, "drifted config must cold-start");
-            assert!(s.stats.proven_optimal);
-            assert_eq!(s.objective, solve(&m, &cfg).unwrap().objective);
-        }
-        // Sanity: the unchanged config still resumes.
-        assert!(ck.matches(&m, &MilpConfig::default()));
     }
 }

@@ -6,9 +6,7 @@
 //! the batch is processed against *frozen* round-start state (possibly in
 //! parallel), and the results are committed sequentially in batch order.
 //! Nothing in this module is shared mutably between threads, so every
-//! structure here is plain data — which is exactly what lets a
-//! [`crate::milp::SearchCheckpoint`] carry the open frontier, the
-//! incumbent, and the pseudocost store as they are.
+//! structure here is plain data.
 //!
 //! Node identity is the **branch path**: the sequence of near/far child
 //! choices from the root. The frontier's total order — score, then depth,
@@ -68,7 +66,6 @@ impl Node {
     }
 }
 
-#[derive(Clone)]
 struct Entry(Node);
 
 impl PartialEq for Entry {
@@ -106,7 +103,6 @@ impl Ord for Entry {
 /// Deterministic best-bound frontier, owned by the round driver. Pop order
 /// depends only on the nodes it holds (score, then depth, then branch
 /// path) — never on insertion order or thread interleaving.
-#[derive(Clone)]
 pub(crate) struct Frontier {
     heap: BinaryHeap<Entry>,
 }
@@ -146,11 +142,6 @@ impl Frontier {
     pub fn best_score(&self) -> f64 {
         self.heap.peek().map_or(f64::NEG_INFINITY, |e| e.0.score)
     }
-
-    /// The open nodes, in no particular order.
-    pub fn nodes(&self) -> impl Iterator<Item = &Node> {
-        self.heap.iter().map(|e| &e.0)
-    }
 }
 
 /// The incumbent store, owned by the round driver and updated only at
@@ -158,7 +149,6 @@ impl Frontier {
 /// the incumbent only when it is strictly better, and ties on the objective
 /// are broken by lexicographic comparison of the value vectors, so the
 /// reported optimum never depends on the number of worker threads.
-#[derive(Clone)]
 pub(crate) struct Incumbent {
     /// `(objective, values)` of the best integer-feasible point.
     best: Option<(f64, Vec<f64>)>,
@@ -213,8 +203,7 @@ impl Incumbent {
 /// down. The store is plain data: workers read a frozen snapshot during a
 /// round and log their observations, which the driver replays in batch
 /// order at commit time — so the estimates (and therefore the branching
-/// decisions they steer) are identical at every thread count, and a
-/// checkpoint carries the whole store.
+/// decisions they steer) are identical at every thread count.
 #[derive(Clone)]
 pub(crate) struct PcStore {
     up_sum: Vec<f64>,
@@ -293,21 +282,13 @@ impl PcStore {
             1.0
         }
     }
-
-    /// Number of variables the store covers.
-    pub fn num_vars(&self) -> usize {
-        self.up_sum.len()
-    }
 }
 
 /// Deduplicating pool of globally valid cutting planes with activity-based
 /// aging.
 ///
-/// The pool is part of the search's deterministic state: cuts are inserted
-/// in commit order and kept in insertion order, and a checkpoint carries
-/// the pool as it is, so a resumed search rebuilds the identical row set.
-/// Workers read the pool (via [`CutPool::contains`]) against the frozen
-/// round-start snapshot; only the sequential commit loop mutates it.
+/// The root cut loop owns the pool: cuts are kept in insertion order, so
+/// the search model it appends them to is the same row set on every run.
 #[derive(Clone, Default)]
 pub(crate) struct CutPool {
     cuts: Vec<crate::cuts::Cut>,

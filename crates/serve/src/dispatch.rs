@@ -7,7 +7,6 @@
 //! `panic`.
 
 use crate::cache::MemoCache;
-use crate::checkpoint::{CheckpointSlot, CheckpointStore};
 use crate::fault::{FaultAction, FaultPlan};
 use rs_core::exact::ExactRs;
 use rs_core::ilp::RsIlp;
@@ -27,12 +26,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One warm worker: engine + optional shared cache + optional shared
-/// checkpoint store.
+/// One warm worker: engine + optional shared cache.
 pub struct Dispatcher {
     engine: RsEngine,
     cache: Option<Arc<MemoCache>>,
-    ckpts: Option<Arc<CheckpointStore>>,
     faults: Option<Arc<FaultPlan>>,
 }
 
@@ -49,16 +46,8 @@ impl Dispatcher {
         Dispatcher {
             engine: RsEngine::new(),
             cache: None,
-            ckpts: None,
             faults: None,
         }
-    }
-
-    /// Retains interrupted-search checkpoints in `store`, keyed by cache
-    /// key, so retried requests resume instead of restarting (see
-    /// [`CheckpointStore`]). Works with or without a result cache.
-    pub fn set_checkpoint_store(&mut self, store: Arc<CheckpointStore>) {
-        self.ckpts = Some(store);
     }
 
     /// Injects faults per `plan` at this dispatcher's probe point (chaos
@@ -104,37 +93,14 @@ impl Dispatcher {
         if let Err(e) = req.validate() {
             return RsResponse::failure(id, e, self.cache_info(false), millis_since(start));
         }
-        // The canonical key does double duty: memoization (only when the
-        // request allows caching) and checkpoint retention (whenever a
-        // store is attached — also for cache-disabled requests, since
-        // resuming never replays a stale result, it only continues exact
-        // work from a saved frontier).
-        let memo = self.cache.is_some() && req.cache;
-        let key = if memo || self.ckpts.is_some() {
-            Some(req.cache_key())
-        } else {
-            None
-        };
-        if memo {
-            if let (Some(cache), Some(key)) = (&self.cache, &key) {
-                if let Some(result) = cache.lookup(key) {
-                    return RsResponse::success(
-                        id,
-                        result,
-                        self.cache_info(true),
-                        millis_since(start),
-                    );
-                }
+        // The canonical key is built only when the cache is consulted: a
+        // dispatcher with a cache, and a request that allows caching.
+        let key = (self.cache.is_some() && req.cache).then(|| req.cache_key());
+        if let (Some(cache), Some(key)) = (&self.cache, &key) {
+            if let Some(result) = cache.lookup(key) {
+                return RsResponse::success(id, result, self.cache_info(true), millis_since(start));
             }
         }
-        // A retried request takes its predecessor's interrupted-search
-        // snapshots before executing; the solvers below continue from
-        // them node-for-node.
-        let resume_slots = match (&self.ckpts, &key) {
-            (Some(store), Some(key)) => store.take(key).unwrap_or_default(),
-            _ => Vec::new(),
-        };
-        let mut harvested: Vec<CheckpointSlot> = Vec::new();
         let cancel = match req.timeout_ms {
             Some(ms) => Cancel::with_deadline(enqueued + Duration::from_millis(ms)),
             None => Cancel::new(),
@@ -150,23 +116,9 @@ impl Dispatcher {
                 }
                 FaultAction::Delay(ms) => std::thread::sleep(Duration::from_millis(ms)),
             }
-            execute(
-                &mut self.engine,
-                req,
-                &cancel,
-                &resume_slots,
-                &mut harvested,
-            )
+            execute(&mut self.engine, req, &cancel)
         }));
         self.engine.clear_cancel();
-        // Park whatever the solvers left unfinished — on timeouts *and* on
-        // `ok` answers whose search hit a node budget — so the next retry
-        // of this request continues instead of restarting.
-        if let (Some(store), Some(key)) = (&self.ckpts, &key) {
-            if !harvested.is_empty() {
-                store.put(key.clone(), harvested);
-            }
-        }
         match outcome {
             Ok(Ok(result)) => {
                 // Timeout is decided by the token, not the wall clock: the
@@ -189,10 +141,8 @@ impl Dispatcher {
                         millis_since(start),
                     );
                 }
-                if memo {
-                    if let (Some(cache), Some(key)) = (&self.cache, key) {
-                        cache.insert(key, &result);
-                    }
+                if let (Some(cache), Some(key)) = (&self.cache, key) {
+                    cache.insert(key, &result);
                 }
                 RsResponse::success(id, result, self.cache_info(false), millis_since(start))
             }
@@ -299,17 +249,7 @@ pub fn process_line_at(
 }
 
 /// Runs the validated request against the engine.
-///
-/// `resume` carries named checkpoints from an earlier interrupted attempt
-/// of this request; solvers that find their slot continue from it.
-/// Interrupted solves deposit fresh checkpoints into `harvest`.
-fn execute(
-    engine: &mut RsEngine,
-    req: &RsRequest,
-    cancel: &Cancel,
-    resume: &[CheckpointSlot],
-    harvest: &mut Vec<CheckpointSlot>,
-) -> Result<RsResult, RsError> {
+fn execute(engine: &mut RsEngine, req: &RsRequest, cancel: &Cancel) -> Result<RsResult, RsError> {
     let mut ddg = parse_ddg(&req.ddg).map_err(|e| RsError::new(codes::PARSE, e.to_string()))?;
     let types: Vec<RegType> = match req.reg_type.as_deref() {
         Some(name) => vec![reg_type_from_name(name).ok_or_else(|| {
@@ -330,7 +270,7 @@ fn execute(
             for &t in &types {
                 result
                     .types
-                    .push(analyze_type(engine, &ddg, t, req, cancel, resume, harvest));
+                    .push(analyze_type(engine, &ddg, t, req, cancel));
             }
         }
         RsOp::Reduce => {
@@ -392,15 +332,12 @@ fn missing_budget() -> RsError {
     RsError::new(codes::REQUEST, "reduce requires a register budget")
 }
 
-#[allow(clippy::too_many_arguments)]
 fn analyze_type(
     engine: &mut RsEngine,
     ddg: &Ddg,
     t: RegType,
     req: &RsRequest,
     cancel: &Cancel,
-    resume: &[CheckpointSlot],
-    harvest: &mut Vec<CheckpointSlot>,
 ) -> TypeResult {
     let threads = req.threads.max(1);
     let a = engine.analyze(ddg, t);
@@ -434,26 +371,12 @@ fn analyze_type(
             } else {
                 Some(e.upper_bound)
             },
-            resumed: false,
         });
     }
     if req.ilp {
         let mut solver = RsIlp::with_threads(threads);
         solver.milp.cancel = cancel.clone();
-        // The per-request checkpoint slot for this solver is the register
-        // type name: each interrupted intLP resumes its own frontier.
-        let slot = reg_type_name(t);
-        let prior = resume
-            .iter()
-            .find(|(name, _)| *name == slot)
-            .map(|(_, ck)| ck);
-        let run = solver.saturation_resumable(ddg, t, prior);
-        // The interrupted search is harvested into the dispatcher's store,
-        // so a retry of this request continues it.
-        if let Some(ck) = run.checkpoint {
-            harvest.push((slot, ck));
-        }
-        match run.result {
+        match solver.saturation(ddg, t) {
             Ok(r) => {
                 tr.ilp = Some(SolveResult {
                     saturation: r.saturation,
@@ -463,7 +386,6 @@ fn analyze_type(
                     } else {
                         Some(r.upper_bound)
                     },
-                    resumed: r.milp_stats.resumed,
                 });
                 if req.stats {
                     let st = &r.milp_stats;
@@ -766,62 +688,38 @@ mod tests {
     }
 
     #[test]
-    fn retried_timeout_request_resumes_from_checkpoint() {
-        use crate::checkpoint::CheckpointStore;
-        let store = Arc::new(CheckpointStore::default());
-        let mut d = Dispatcher::new();
-        d.set_checkpoint_store(store.clone());
-        // `stats` is part of the cache key: the timed-out request, its
-        // retry and the cold reference all carry it.
+    fn retried_timeout_request_recomputes() {
+        // A cache-bypassing intLP request, as a client sends it to the
+        // daemon: timed out, then retried without a deadline.
+        let float = |r: RsResult| r.types.into_iter().find(|t| t.reg_type == "float").unwrap();
+        let mut d = Dispatcher::with_cache(Arc::new(MemoCache::with_capacity(16)));
         let mut req = RsRequest::new(RsOp::Analyze, CHAINS);
         req.ilp = true;
         req.stats = true;
+        req.cache = false;
         req.timeout_ms = Some(0); // expired on arrival: intLP interrupted at once
         let first = d.dispatch(&req);
-        assert!(!first.ok);
-        let line = serde_json::to_string(&first).unwrap();
-        assert!(
-            !line.contains("\"resume\""),
-            "no checkpoint on the wire: {line}"
-        );
-        assert_eq!(first.error.unwrap().code, codes::TIMEOUT);
-        assert_eq!(store.len(), 1, "interrupted intLP parked a checkpoint");
-        // Same cache key (timeout_ms is excluded): the retry picks the
-        // checkpoint up and finishes the search it started.
-        let mut retry = RsRequest::new(RsOp::Analyze, CHAINS);
-        retry.ilp = true;
-        retry.stats = true;
-        let second = d.dispatch(&retry);
+        let first_line = serde_json::to_string(&first).unwrap();
+        assert_eq!(first.error.as_ref().unwrap().code, codes::TIMEOUT);
+        let partial = float(first.result.expect("timeout keeps the partial result"));
+        assert_eq!(partial.ilp_error.unwrap().code, codes::TIMEOUT);
+        // The retry on the same dispatcher solves from the root: the same
+        // answer, tree and work as a dispatcher that never saw the request.
+        req.timeout_ms = None;
+        let second = d.dispatch(&req);
+        let second_line = serde_json::to_string(&second).unwrap();
         assert!(second.ok, "{:?}", second.error);
-        let result = second.result.unwrap();
-        let float = result.types.iter().find(|t| t.reg_type == "float").unwrap();
-        let ilp = float.ilp.as_ref().expect("resumed intLP completed");
-        assert!(ilp.resumed, "retry continued from the parked checkpoint");
+        let retried = float(second.result.unwrap());
+        let fresh = float(Dispatcher::new().dispatch(&req).result.unwrap());
+        let ilp = retried.ilp.as_ref().expect("retried intLP completed");
         assert!(ilp.proven_optimal);
         assert_eq!(ilp.saturation, 4);
-        assert!(store.is_empty(), "resume consumed the entry");
-        assert_eq!(store.counters(), (1, 1));
-        // The resumed search grew the tree a cold solve grows.
-        let cold = Dispatcher::new().dispatch(&retry).result.unwrap();
-        let cold = cold.types.iter().find(|t| t.reg_type == "float").unwrap();
-        assert!(!cold.ilp.as_ref().unwrap().resumed);
-        let (resumed, cold) = (float.ilp_stats.unwrap(), cold.ilp_stats.unwrap());
-        assert_eq!(resumed.nodes, cold.nodes);
-        assert_eq!(resumed.trace_digest, cold.trace_digest);
-    }
-
-    #[test]
-    fn cold_requests_without_checkpoints_report_resumed_false() {
-        let mut d = Dispatcher::new();
-        d.set_checkpoint_store(Arc::new(crate::checkpoint::CheckpointStore::default()));
-        let mut req = RsRequest::new(RsOp::Analyze, CHAINS);
-        req.ilp = true;
-        let resp = d.dispatch(&req);
-        assert!(resp.ok, "{:?}", resp.error);
-        let result = resp.result.unwrap();
-        let float = result.types.iter().find(|t| t.reg_type == "float").unwrap();
-        let ilp = float.ilp.as_ref().unwrap();
-        assert!(!ilp.resumed);
+        assert_eq!(retried.ilp, fresh.ilp);
+        // Nodes, trace digest and every work counter.
+        assert_eq!(retried.ilp_stats.unwrap(), fresh.ilp_stats.unwrap());
+        for line in [first_line, second_line] {
+            assert!(!line.contains("\"resumed\""), "{line}");
+        }
     }
 
     #[test]
@@ -859,17 +757,16 @@ mod tests {
         // Reaching execute() without validate() must not panic the worker.
         let cancel = Cancel::new();
         let mut engine = RsEngine::new();
-        let mut hv = Vec::new();
         let mut req = RsRequest::new(RsOp::Reduce, CHAINS);
-        let err = execute(&mut engine, &req, &cancel, &[], &mut hv).unwrap_err();
+        let err = execute(&mut engine, &req, &cancel).unwrap_err();
         assert_eq!(err.code, codes::REQUEST);
         req.reg_type = Some("flux".into());
-        let err = execute(&mut engine, &req, &cancel, &[], &mut hv).unwrap_err();
+        let err = execute(&mut engine, &req, &cancel).unwrap_err();
         assert_eq!(err.code, codes::REQUEST);
         let mut req = RsRequest::new(RsOp::Pipeline, CHAINS);
         req.registers = Some(4);
         req.issue = Some(3);
-        let err = execute(&mut engine, &req, &cancel, &[], &mut hv).unwrap_err();
+        let err = execute(&mut engine, &req, &cancel).unwrap_err();
         assert_eq!(err.code, codes::REQUEST);
         assert!(err.message.contains("issue width"), "{err}");
     }

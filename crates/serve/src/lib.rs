@@ -8,10 +8,6 @@
 //!   `ok:false`, never kill the process), optional memoization;
 //! - [`cache::MemoCache`] — content-keyed result cache (DAG bytes + op +
 //!   params) with hit/miss counters surfaced in every response;
-//! - [`checkpoint::CheckpointStore`] — bounded retention of interrupted
-//!   branch-and-bound checkpoints keyed by the same cache key, so a
-//!   retried request *resumes* its search node-for-node instead of
-//!   restarting (the continuation mirror of the memo cache);
 //! - [`pool::ServePool`] — a bounded work queue with backpressure feeding
 //!   per-worker dispatchers, plus queue-wait load shedding (in flight, a
 //!   request's deadline is polled by the solvers themselves, down to the
@@ -29,14 +25,12 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod checkpoint;
 pub mod dispatch;
 pub mod fault;
 pub mod pool;
 pub mod server;
 
 pub use cache::MemoCache;
-pub use checkpoint::{CheckpointSlot, CheckpointStore};
 pub use dispatch::{process_line, process_line_at, Dispatcher};
 pub use fault::{FaultAction, FaultPlan};
 pub use pool::{Job, PoolHandle, ResponseSink, ServeConfig, ServePool, ServeStats};
@@ -48,7 +42,7 @@ pub use server::{serve_io, InOrderSink, UnixServer};
 /// already been isolated and answered `ok:false` by the dispatcher's
 /// panic boundary; propagating the poison would turn that one contained
 /// failure into a process-wide outage on the next lock. Every structure
-/// guarded this way (memo cache, checkpoint store, connection list,
+/// guarded this way (memo cache, connection list,
 /// in-order sink, bounded queue) is consistent after any partial update,
 /// so continuing with the recovered state is sound.
 pub(crate) fn lock_recover<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {

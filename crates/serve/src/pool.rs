@@ -5,7 +5,6 @@
 //! consumer throttles intake instead of growing memory without bound.
 
 use crate::cache::MemoCache;
-use crate::checkpoint::CheckpointStore;
 use crate::dispatch::{process_line_at, Dispatcher};
 use crate::fault::FaultPlan;
 use rs_core::request::{codes, RsResponse};
@@ -173,9 +172,6 @@ pub struct PoolCounters {
 pub struct PoolShared {
     queue: Bounded<Job>,
     cache: Arc<MemoCache>,
-    /// Interrupted-search checkpoints, shared by every worker so a retry
-    /// resumes no matter which worker picks it up.
-    ckpts: Arc<CheckpointStore>,
     counters: PoolCounters,
 }
 
@@ -208,11 +204,6 @@ pub struct ServeStats {
     pub cache_hits: u64,
     /// Memoization cache misses.
     pub cache_misses: u64,
-    /// Interrupted-search checkpoints deposited for later resume.
-    pub checkpoints_stored: u64,
-    /// Retried requests that resumed a parked checkpoint instead of
-    /// restarting their search.
-    pub resumed: u64,
 }
 
 /// A pool of worker threads, each owning a warm [`Dispatcher`] over one
@@ -229,7 +220,6 @@ impl ServePool {
         let shared = Arc::new(PoolShared {
             queue: Bounded::new(cfg.queue),
             cache: Arc::new(MemoCache::with_capacity(cfg.cache_capacity)),
-            ckpts: Arc::new(CheckpointStore::default()),
             counters: PoolCounters::default(),
         });
         let workers = (0..n)
@@ -278,7 +268,6 @@ impl ServePool {
 
 fn snapshot(shared: &PoolShared) -> ServeStats {
     let (cache_hits, cache_misses) = shared.cache.counters();
-    let (checkpoints_stored, resumed) = shared.ckpts.counters();
     ServeStats {
         requests: shared.counters.requests.load(Ordering::Relaxed),
         ok: shared.counters.ok.load(Ordering::Relaxed),
@@ -287,14 +276,11 @@ fn snapshot(shared: &PoolShared) -> ServeStats {
         shed: shared.counters.shed.load(Ordering::Relaxed),
         cache_hits,
         cache_misses,
-        checkpoints_stored,
-        resumed,
     }
 }
 
 fn worker_loop(shared: &PoolShared, faults: Option<Arc<FaultPlan>>) {
     let mut dispatcher = Dispatcher::with_cache(Arc::clone(&shared.cache));
-    dispatcher.set_checkpoint_store(Arc::clone(&shared.ckpts));
     if let Some(plan) = faults {
         dispatcher.set_faults(plan);
     }

@@ -40,9 +40,8 @@
 //! stdin (or a Unix socket with `--socket`), one response line per request
 //! in request order, warm engines across requests, and a content-keyed
 //! memoization cache shared by all workers. A malformed line answers
-//! `ok:false` and the daemon keeps serving. A retried request whose intLP
-//! timed out resumes the interrupted search, which the daemon keeps in
-//! memory. Run statistics go to stderr at shutdown (EOF).
+//! `ok:false` and the daemon keeps serving. Run statistics go to stderr at
+//! shutdown (EOF).
 //!
 //! Every intLP solve runs the solver's pre-solve static audit: models and
 //! cut pools are statically checked before any search, and incoherent ones
@@ -132,7 +131,7 @@ fn one_shot(cmd: &str, args: &[String]) -> Result<(), RsError> {
     let interrupted = timed_out.is_some();
     match req.op {
         RsOp::Analyze => render_analyze(&req, &result),
-        RsOp::Reduce => render_reduce(&req, &result, flag_value(args, "--output"), interrupted)?,
+        RsOp::Reduce => render_reduce(&req, &result, flag_value(args, "--output")?, interrupted)?,
         RsOp::Pipeline => render_pipeline(&req, &result, interrupted)?,
     }
     if let Some(e) = timed_out {
@@ -148,22 +147,22 @@ fn build_request(cmd: &str, ddg: String, args: &[String]) -> Result<RsRequest, R
     let op = RsOp::from_name(cmd).expect("caller routes known subcommands");
     let mut req = RsRequest::new(op, ddg);
     req.cache = false; // one-shot process: nothing to warm
-    req.reg_type = flag_value(args, "--type");
-    req.threads = match flag_value(args, "--threads") {
+    req.reg_type = flag_value(args, "--type")?;
+    req.threads = match flag_value(args, "--threads")? {
         Some(v) => v
             .parse::<usize>()
             .map_err(|_| RsError::usage("bad --threads value"))?
             .max(1),
         None => 1,
     };
-    req.registers = match flag_value(args, "--registers") {
+    req.registers = match flag_value(args, "--registers")? {
         Some(v) => Some(
             v.parse::<usize>()
                 .map_err(|_| RsError::usage("bad --registers value"))?,
         ),
         None => None,
     };
-    req.issue = match flag_value(args, "--issue") {
+    req.issue = match flag_value(args, "--issue")? {
         Some(v) => Some(
             v.parse::<u64>()
                 .map_err(|_| RsError::usage(format!("unknown issue width `{v}`")))?,
@@ -174,13 +173,13 @@ fn build_request(cmd: &str, ddg: String, args: &[String]) -> Result<RsRequest, R
     req.ilp = args.iter().any(|a| a == "--ilp");
     req.stats = args.iter().any(|a| a == "--stats");
     req.spill = args.iter().any(|a| a == "--spill");
-    req.emit_ddg = op == RsOp::Reduce && flag_value(args, "--output").is_some();
+    req.emit_ddg = op == RsOp::Reduce && flag_value(args, "--output")?.is_some();
     req.timeout_ms = parse_timeout_ms(args)?;
     Ok(req)
 }
 
 fn parse_timeout_ms(args: &[String]) -> Result<Option<u64>, RsError> {
-    match flag_value(args, "--timeout-ms") {
+    match flag_value(args, "--timeout-ms")? {
         Some(v) => Ok(Some(
             v.parse::<u64>()
                 .map_err(|_| RsError::usage("bad --timeout-ms value"))?,
@@ -349,21 +348,21 @@ fn corpus(args: &[String]) -> Result<(), RsError> {
     let dir = args
         .get(1)
         .ok_or_else(|| RsError::usage("missing corpus directory"))?;
-    let jobs = match flag_value(args, "--jobs") {
+    let jobs = match flag_value(args, "--jobs")? {
         Some(v) => v
             .parse::<usize>()
             .map_err(|_| RsError::usage("bad --jobs value"))?
             .max(1),
         None => 1,
     };
-    let registers = match flag_value(args, "--registers") {
+    let registers = match flag_value(args, "--registers")? {
         Some(v) => Some(
             v.parse::<usize>()
                 .map_err(|_| RsError::usage("bad --registers value"))?,
         ),
         None => None,
     };
-    let mode = match flag_value(args, "--mode").as_deref() {
+    let mode = match flag_value(args, "--mode")?.as_deref() {
         None | Some("analyze") => CorpusMode::Analyze,
         Some("reduce") => CorpusMode::Reduce {
             registers: registers
@@ -375,10 +374,10 @@ fn corpus(args: &[String]) -> Result<(), RsError> {
         },
         Some(other) => return Err(RsError::usage(format!("unknown corpus mode `{other}`"))),
     };
-    let out_dir = flag_value(args, "--out").unwrap_or_else(|| "results".to_string());
+    let out_dir = flag_value(args, "--out")?.unwrap_or_else(|| "results".to_string());
     let timeout_ms = parse_timeout_ms(args)?;
     let ilp = args.iter().any(|a| a == "--ilp");
-    let resume_path = flag_value(args, "--resume").map(std::path::PathBuf::from);
+    let resume_path = flag_value(args, "--resume")?.map(std::path::PathBuf::from);
 
     let summary = run_corpus(
         std::path::Path::new(dir),
@@ -407,18 +406,18 @@ fn corpus(args: &[String]) -> Result<(), RsError> {
 /// carries nothing but response JSON.
 fn serve(args: &[String]) -> Result<(), RsError> {
     let mut cfg = ServeConfig::default();
-    if let Some(v) = flag_value(args, "--workers") {
+    if let Some(v) = flag_value(args, "--workers")? {
         cfg.workers = v
             .parse::<usize>()
             .map_err(|_| RsError::usage("bad --workers value"))?;
     }
-    if let Some(v) = flag_value(args, "--queue") {
+    if let Some(v) = flag_value(args, "--queue")? {
         cfg.queue = v
             .parse::<usize>()
             .map_err(|_| RsError::usage("bad --queue value"))?
             .max(1);
     }
-    if let Some(v) = flag_value(args, "--cache-capacity") {
+    if let Some(v) = flag_value(args, "--cache-capacity")? {
         cfg.cache_capacity = v
             .parse::<usize>()
             .map_err(|_| RsError::usage("bad --cache-capacity value"))?;
@@ -428,7 +427,7 @@ fn serve(args: &[String]) -> Result<(), RsError> {
         eprintln!("rsat serve: CHAOS MODE — fault injection active");
     }
 
-    let stats = match flag_value(args, "--socket") {
+    let stats = match flag_value(args, "--socket")? {
         Some(path) => {
             let server = UnixServer::bind(std::path::Path::new(&path), &cfg)
                 .map_err(|e| RsError::new(codes::IO, format!("cannot bind {path}: {e}")))?;
@@ -453,16 +452,14 @@ fn serve(args: &[String]) -> Result<(), RsError> {
     };
     eprintln!(
         "rsat serve: {} requests, {} ok, {} failed ({} timeout, {} shed), \
-         cache {} hits / {} misses, {} checkpoints stored / {} resumed",
+         cache {} hits / {} misses",
         stats.requests,
         stats.ok,
         stats.failed,
         stats.timeouts,
         stats.shed,
         stats.cache_hits,
-        stats.cache_misses,
-        stats.checkpoints_stored,
-        stats.resumed
+        stats.cache_misses
     );
     Ok(())
 }
@@ -474,7 +471,7 @@ fn serve(args: &[String]) -> Result<(), RsError> {
 /// (`panic=0`, an empty spec) is dropped: the daemon runs without fault
 /// probes.
 fn parse_faults(args: &[String]) -> Result<Option<std::sync::Arc<FaultPlan>>, RsError> {
-    let Some(spec) = flag_value(args, "--faults") else {
+    let Some(spec) = flag_value(args, "--faults")? else {
         return Ok(None);
     };
     let plan = FaultPlan::from_spec(&spec)
@@ -493,9 +490,15 @@ fn dot(args: &[String]) -> Result<(), RsError> {
     Ok(())
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The value of a value-taking flag: the argument after it. A flag given
+/// last, or followed by another `--` flag, is a usage error rather than
+/// silently dropped; an empty value (`--faults ""`) is still a value.
+fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, RsError> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+        _ => Err(RsError::usage(format!("missing value for {flag}"))),
+    }
 }

@@ -132,3 +132,37 @@ fn unknown_command_fails_with_usage() {
     assert!(!ok);
     assert!(stderr.contains("usage"), "{stderr}");
 }
+
+#[test]
+fn flag_without_value_is_a_usage_error() {
+    // A value flag given last, or followed by another flag, must fail
+    // before anything runs: no daemon starts, no solve runs at a default,
+    // and no file is written (not even one named after the next flag).
+    let cwd = std::env::temp_dir().join(format!("rsat-missing-value-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).unwrap();
+    let expr = data("expr.ddg");
+    let reduce = ["reduce", &expr, "--registers", "3", "--output"];
+    let cases: [(&[&str], &str); 4] = [
+        (&["analyze", &expr, "--threads"], "--threads"),
+        (&reduce, "--output"),
+        (&[&reduce[..], &["--spill"]].concat(), "--output"),
+        (&["serve", "--faults"], "--faults"),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_rsat"))
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("run rsat");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error[usage]: missing value for {flag}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    let written: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+    assert!(written.is_empty(), "files written: {written:?}");
+    let _ = std::fs::remove_dir(&cwd);
+}

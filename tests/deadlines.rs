@@ -182,10 +182,11 @@ fn serve_answers_timeout_with_the_partial_result() {
     let code = resp.error.as_ref().map(|e| e.code.as_str());
     assert_eq!(code, Some(codes::TIMEOUT), "{answer}");
     assert!(resp.result.is_some(), "partial result attached: {answer}");
-    // The interrupted search stays in the daemon's checkpoint store.
+    // The answer carries the partial result and its bound; the
+    // interrupted search itself is dropped, never sent.
     assert!(
         !answer.contains("\"resume\""),
-        "no checkpoint on the wire: {answer}"
+        "no search state on the wire: {answer}"
     );
     assert!(took < ANSWER_WITHIN, "answered after {took:?}");
 }

@@ -95,7 +95,6 @@ proptest! {
                         saturation: 3,
                         proven_optimal: true,
                         bound: (seed % 8 == 4).then_some(5),
-                        resumed: seed % 16 == 0,
                     }),
                     ilp: None,
                     ilp_stats: None,
@@ -122,7 +121,7 @@ fn spawn_serve(extra: &[&str]) -> Child {
         .args(extra)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn rsat serve")
 }
@@ -164,7 +163,8 @@ fn daemon_stdio_contains_malformed_requests() {
 }
 
 /// The same request twice through the daemon: the second answer must come
-/// from the cache and carry a bit-identical `result`.
+/// from the cache and carry a bit-identical `result`, and the shutdown line
+/// on stderr counts the hit and the miss.
 #[test]
 fn daemon_cache_hit_is_bit_identical() {
     let mut child = spawn_serve(&["--workers", "1"]);
@@ -196,6 +196,17 @@ fn daemon_cache_hit_is_bit_identical() {
         result_json(&values[0]),
         result_json(&values[1]),
         "cache hit must replay the cold result bit-identically"
+    );
+    // perfbench reads the counters with `rsat serve: .* cache (\d+) hits /
+    // (\d+) misses`; the line ends there.
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let shutdown = stderr
+        .lines()
+        .find(|l| l.starts_with("rsat serve: ") && l.contains(" cache "))
+        .unwrap_or_else(|| panic!("no shutdown line: {stderr}"));
+    assert!(
+        shutdown.ends_with(" cache 1 hits / 1 misses"),
+        "shutdown line: {shutdown}"
     );
 }
 
