@@ -3,15 +3,16 @@
 //! powers `rsat serve` and the one-shot subcommands — one dispatcher (and
 //! therefore one warm [`rs_core::engine::RsEngine`]) per worker thread —
 //! then fold the [`rs_core::request::RsResponse`]s into a
-//! JSON-serializable summary. The corpus runner is a batch *client* of the
-//! service dispatch path, not a third execution stack.
+//! JSON-serializable summary whose per-type entries are the dispatcher's
+//! own [`TypeResult`]s, proof status and all. The corpus runner is a batch
+//! *client* of the service dispatch path, not a third execution stack.
 //!
 //! Error containment is per file: a malformed `.ddg` becomes an `ok: false`
 //! entry carrying the structured [`RsError`] and the run continues.
 //! Summaries are deterministic in everything except wall-clock fields,
 //! independent of `jobs` (asserted by `tests/corpus_cli.rs`).
 
-use rs_core::request::{codes, reg_type_from_name, RsError, RsOp, RsRequest};
+use rs_core::request::{codes, RsError, RsOp, RsRequest, TypeResult};
 use rs_serve::Dispatcher;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -98,40 +99,6 @@ impl CorpusOptions {
     }
 }
 
-/// Per-type analysis outcome of one file.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CorpusTypeSummary {
-    /// Register type (index form, as in `rs_core::pipeline::TypeReport`).
-    pub reg_type: u8,
-    /// Number of values of this type.
-    pub values: usize,
-    /// Greedy-k saturation estimate `RS*` (in reduce/pipeline modes: the
-    /// estimate immediately before this type's reduction).
-    pub saturation: usize,
-    /// Exact intLP saturation ([`CorpusOptions::ilp`]); `None` when the
-    /// solver was not run or was interrupted before finding an incumbent.
-    pub ilp_saturation: Option<usize>,
-    /// Reduction outcome (reduce/pipeline modes only).
-    pub reduce: Option<CorpusReduceSummary>,
-}
-
-/// Reduction outcome of one (file, type) pair.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CorpusReduceSummary {
-    /// Register budget applied.
-    pub budget: usize,
-    /// Saturation after reduction (best reached when `fits` is false).
-    pub rs_after: usize,
-    /// Serialization arcs added.
-    pub arcs_added: usize,
-    /// Critical path before reduction.
-    pub cp_before: i64,
-    /// Critical path after reduction.
-    pub cp_after: i64,
-    /// Whether the budget was met.
-    pub fits: bool,
-}
-
 /// Outcome of one corpus file.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CorpusFileSummary {
@@ -149,8 +116,10 @@ pub struct CorpusFileSummary {
     pub critical_path: i64,
     /// List-schedule makespan (pipeline mode with every budget met).
     pub makespan: Option<i64>,
-    /// Per-type outcomes, ascending register type.
-    pub types: Vec<CorpusTypeSummary>,
+    /// Per-type results exactly as the dispatcher returned them, ascending
+    /// register type (in reduce/pipeline modes `saturation` is the
+    /// estimate immediately before that type's reduction).
+    pub types: Vec<TypeResult>,
     /// Wall-clock milliseconds spent on this file (excluded from the
     /// `jobs`-independence guarantee).
     pub millis: f64,
@@ -170,7 +139,7 @@ impl CorpusFileSummary {
         usize,
         i64,
         Option<i64>,
-        &[CorpusTypeSummary],
+        &[TypeResult],
     ) {
         (
             &self.file,
@@ -322,7 +291,7 @@ struct ResumeFile {
 
 /// Bumped whenever the file's shape or key changes: a file written by
 /// another version is ignored, so the rerun starts cold.
-const RESUME_VERSION: u32 = 2;
+const RESUME_VERSION: u32 = 3;
 
 /// Loads a run checkpoint, keyed by file name. Unreadable, malformed, or
 /// mismatched (different settings/version) checkpoints are ignored — the
@@ -400,28 +369,6 @@ fn run_file(
         return fail(error);
     }
     let result = resp.result.expect("ok response carries a result");
-
-    let types = result
-        .types
-        .iter()
-        .map(|tr| CorpusTypeSummary {
-            reg_type: reg_type_from_name(&tr.reg_type)
-                .map(|t| t.0)
-                .expect("dispatcher emits known type names"),
-            values: tr.values,
-            saturation: tr.saturation,
-            ilp_saturation: tr.ilp.as_ref().map(|s| s.saturation),
-            reduce: tr.reduce.as_ref().map(|r| CorpusReduceSummary {
-                budget: r.budget,
-                rs_after: r.rs_after,
-                arcs_added: r.arcs_added,
-                cp_before: r.cp_before,
-                cp_after: r.cp_after,
-                fits: r.fits,
-            }),
-        })
-        .collect();
-
     CorpusFileSummary {
         file: name,
         ok: true,
@@ -430,7 +377,7 @@ fn run_file(
         edges: result.edges,
         critical_path: result.critical_path,
         makespan: result.makespan,
-        types,
+        types: result.types,
         millis: start.elapsed().as_secs_f64() * 1e3,
     }
 }
@@ -438,7 +385,6 @@ fn run_file(
 /// Renders the human-readable run summary printed by `rsat corpus` and
 /// stored as the `.txt` sidecar.
 pub fn render_text(summary: &CorpusSummary) -> String {
-    use rs_core::model::RegType;
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(
@@ -458,7 +404,7 @@ pub fn render_text(summary: &CorpusSummary) -> String {
                 .types
                 .iter()
                 .map(|t| {
-                    let mut s = format!("{:?}: RS* = {}", RegType(t.reg_type), t.saturation);
+                    let mut s = format!("{}: RS* = {}", t.reg_type, t.saturation);
                     if let Some(r) = &t.reduce {
                         let _ = write!(
                             s,
@@ -617,7 +563,7 @@ mod tests {
         )
         .unwrap();
         let expr = summary.files.iter().find(|f| f.file == "expr.ddg").unwrap();
-        let float = expr.types.iter().find(|t| t.reg_type == 1).unwrap();
+        let float = expr.types.iter().find(|t| t.reg_type == "float").unwrap();
         assert_eq!(float.saturation, 4);
         let r = float.reduce.as_ref().unwrap();
         assert!(r.fits && r.rs_after <= 3 && r.arcs_added >= 1);

@@ -1,6 +1,7 @@
-//! # rs-bench — experiment regenerators and benchmark support
+//! # rs-bench — experiment regenerators and the corpus driver
 //!
-//! One module per paper artifact (see DESIGN.md's experiment index):
+//! One module per paper artifact, plus the batch driver behind
+//! `rsat corpus`:
 //!
 //! | module | artifact |
 //! |---|---|
@@ -8,10 +9,13 @@
 //! | [`t2_reduce_optimality`] | Section 5 category table (72.22 % / 18.5 % / 4.63 % / <1 % / 3.7 %) |
 //! | [`t3_model_size`] | Section 3 size claim: `O(n²)` vars, `O(m+n²)` constraints vs a time-indexed baseline |
 //! | [`t4_min_vs_saturate`] | Section 6 discussion: saturation reduction vs register minimization |
+//! | [`t5_ablation`] | Ablations of the reproduction's own choices: Greedy-k refinement, the Section-3 pair pre-filter, ReduceIlp horizon escalation |
 //! | [`figure2`] | Figure 2 worked example |
+//! | [`corpus`] | `rsat corpus`: a directory of `.ddg` files through the service dispatcher, one warm dispatcher per worker |
 //!
-//! The `experiments` binary drives them and writes `results/*.txt` and
-//! `results/*.json`.
+//! The `experiments` binary drives the artifact modules and, like
+//! `rsat corpus`, writes `results/*.txt` and `results/*.json` through
+//! [`common`].
 
 #![forbid(unsafe_code)]
 

@@ -22,16 +22,17 @@
 //! - reusable Dilworth machinery ([`AntichainScratch`]).
 //!
 //! Only the returned [`RsAnalysis`] (witness vector + killing map) is
-//! allocated per call — it is the output. [`GreedyK::saturation`],
-//! `Reducer::reduce` and `Pipeline::run` run a fresh engine; corpus-scale
-//! drivers keep one warm engine per worker to reuse its storage. Engines
-//! are cheap to create and intentionally not `Sync`; parallel drivers
-//! (`rsat corpus`, `rsat serve`) give each worker thread its own engine.
+//! allocated per call — it is the output. [`GreedyK::saturation`] and
+//! `Reducer::reduce` run a fresh engine; the `rs-serve` dispatcher behind
+//! every `rsat` front end keeps one warm engine per worker and runs the
+//! Figure-1 flow through [`RsEngine::reduce`], one register type at a
+//! time. Engines are cheap to create and intentionally not `Sync`;
+//! parallel drivers (`rsat corpus`, `rsat serve`) give each worker thread
+//! its own engine.
 
 use crate::heuristic::{GreedyK, RsAnalysis};
 use crate::killing::{topo_max_killing_into, FlatKilling, KilledScratch, KillingFunction};
 use crate::model::{Ddg, RegType};
-use crate::pipeline::{Pipeline, PipelineReport};
 use crate::pkill::{potential_killers_into, PKill};
 use crate::reduce::{ReduceOutcome, Reducer};
 use rs_graph::antichain::AntichainScratch;
@@ -313,11 +314,6 @@ impl RsEngine {
             (a.saturation, a.saturating_values)
         };
         reducer.reduce_with(ddg, t, r, &mut estimate, &cancel)
-    }
-
-    /// Runs a [`Pipeline`] through this engine (see `Pipeline::run_with`).
-    pub fn run_pipeline(&mut self, pipeline: &Pipeline, ddg: &mut Ddg) -> PipelineReport {
-        pipeline.run_with(self, ddg)
     }
 }
 

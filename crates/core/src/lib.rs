@@ -26,8 +26,11 @@
 //! [`killing`] with the one `DV_k` evaluator that Greedy-k and the exact
 //! search share), the register-*minimization* strawman of Section 6
 //! ([`minimize`]), a time-indexed baseline intLP used for the model-size
-//! comparison ([`ilp_baseline`]), and the end-to-end pipeline
-//! ([`pipeline`]).
+//! comparison ([`ilp_baseline`]), and the DDG text format ([`parse`]) and
+//! wire schema ([`request`]) that every front end shares. The Figure-1
+//! flow itself — [`RsEngine::reduce`] on each register type, then
+//! scheduling and allocation — runs in the `rs-serve` dispatcher, the one
+//! path behind `rsat`, `rsat corpus` and `rsat serve`.
 
 #![forbid(unsafe_code)]
 
@@ -42,7 +45,6 @@ pub mod lifetime;
 pub mod minimize;
 pub mod model;
 pub mod parse;
-pub mod pipeline;
 pub mod pkill;
 pub mod reduce;
 pub mod request;
@@ -55,8 +57,7 @@ pub use ilp::{ReduceIlp, RsIlp};
 pub use killing::KillingFunction;
 pub use lifetime::{lifetime_intervals, register_need, saturating_values};
 pub use model::{Ddg, DdgBuilder, EdgeKind, OpClass, Operation, RegType, Target, TargetKind};
-pub use pipeline::{Pipeline, PipelineReport};
 pub use reduce::{ReduceOutcome, Reducer};
 pub use request::{RsError, RsOp, RsRequest, RsResponse, RsResult};
 pub use rs_lp::{Cancel, MilpError};
-pub use spill::{SpillPass, SpillResult};
+pub use spill::{spill_to_fit, SpillResult};

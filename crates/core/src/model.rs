@@ -37,15 +37,33 @@ impl RegType {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The lowercase name that the `.ddg` format, the wire schema and the
+    /// reports spell this type with — `"int"`, `"float"` or `"branch"` —
+    /// or `None` for an unnamed index.
+    pub fn name(self) -> Option<&'static str> {
+        match self {
+            RegType::INT => Some("int"),
+            RegType::FLOAT => Some("float"),
+            RegType::BRANCH => Some("branch"),
+            _ => None,
+        }
+    }
+
+    /// The named type spelled `name`: the inverse of [`RegType::name`].
+    pub fn from_name(name: &str) -> Option<RegType> {
+        [RegType::INT, RegType::FLOAT, RegType::BRANCH]
+            .into_iter()
+            .find(|t| t.name() == Some(name))
+    }
 }
 
+/// The type's [`RegType::name`], or `t<index>` for an unnamed one.
 impl fmt::Debug for RegType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            RegType::INT => write!(f, "int"),
-            RegType::FLOAT => write!(f, "float"),
-            RegType::BRANCH => write!(f, "branch"),
-            RegType(other) => write!(f, "t{}", other),
+        match self.name() {
+            Some(name) => f.write_str(name),
+            None => write!(f, "t{}", self.0),
         }
     }
 }
@@ -172,16 +190,6 @@ impl Target {
     /// Read delay `δr` for a class.
     pub fn delta_r(&self, class: OpClass) -> i64 {
         self.delta_r[class.table_index()]
-    }
-
-    /// Overrides the latency of a class (builder convenience for kernels
-    /// that model unusual units).
-    pub fn with_latency(mut self, class: OpClass, latency: i64) -> Self {
-        self.latency[class.table_index()] = latency;
-        if matches!(self.kind, TargetKind::Vliw) {
-            self.delta_w[class.table_index()] = (latency - 1).max(0);
-        }
-        self
     }
 }
 
@@ -610,8 +618,6 @@ mod tests {
         assert_eq!(t.delta_w(OpClass::Load), 3);
         assert_eq!(t.delta_r(OpClass::Load), 0);
         assert_eq!(t.delta_w(OpClass::Store), 0);
-        let t2 = t.with_latency(OpClass::Load, 10);
-        assert_eq!(t2.delta_w(OpClass::Load), 9);
     }
 
     #[test]

@@ -96,22 +96,12 @@ fn class_name(c: OpClass) -> &'static str {
     }
 }
 
+/// A register-type column: a [`RegType::name`], or `none`/`-` for an
+/// operation that writes no value.
 fn type_of(s: &str) -> Option<Option<RegType>> {
-    Some(match s {
-        "int" => Some(RegType::INT),
-        "float" => Some(RegType::FLOAT),
-        "branch" => Some(RegType::BRANCH),
-        "none" | "-" => None,
-        _ => return None,
-    })
-}
-
-fn type_name(t: RegType) -> &'static str {
-    match t {
-        RegType::INT => "int",
-        RegType::FLOAT => "float",
-        RegType::BRANCH => "branch",
-        _ => "int",
+    match s {
+        "none" | "-" => Some(None),
+        _ => RegType::from_name(s).map(Some),
     }
 }
 
@@ -291,7 +281,10 @@ pub fn print_ddg(ddg: &Ddg) -> String {
             continue;
         }
         let op = ddg.graph().node(n);
-        let ty = op.writes.first().map_or("none", |&t| type_name(t));
+        let ty = op
+            .writes
+            .first()
+            .map_or_else(|| "none".to_string(), |t| format!("{t:?}"));
         let _ = writeln!(out, "op {} {} {}", name_of(n), class_name(op.class), ty);
     }
     for e in ddg.graph().edge_ids() {
@@ -303,11 +296,10 @@ pub fn print_ddg(ddg: &Ddg) -> String {
             EdgeKind::Flow(t) => {
                 let _ = writeln!(
                     out,
-                    "flow {} {} {} {}",
+                    "flow {} {} {} {t:?}",
                     name_of(src),
                     name_of(dst),
                     ddg.graph().latency(e),
-                    type_name(t)
                 );
             }
             EdgeKind::Serial => {

@@ -41,8 +41,6 @@ use rs_graph::NodeId;
 pub struct Reducer {
     /// The saturation estimator used between steps.
     pub heuristic: GreedyK,
-    /// Hard bound on serialization steps (0 = `4·n²`).
-    pub max_steps: usize,
     /// Confirm every "fits" verdict with the exact solver and keep reducing
     /// on its witness antichain when the heuristic under-estimated. With
     /// this on, a [`ReduceOutcome::Reduced`] result guarantees the *exact*
@@ -92,6 +90,26 @@ impl ReduceOutcome {
     /// Whether the budget was met.
     pub fn fits(&self) -> bool {
         !matches!(self, ReduceOutcome::Failed { .. })
+    }
+
+    /// The saturation measured before any arc was added.
+    pub fn rs_before(&self) -> usize {
+        match self {
+            ReduceOutcome::AlreadyFits { rs } => *rs,
+            ReduceOutcome::Reduced { rs_before, .. } | ReduceOutcome::Failed { rs_before, .. } => {
+                *rs_before
+            }
+        }
+    }
+
+    /// The saturation reached: [`ReduceOutcome::rs_before`] when
+    /// untouched, the best one reached when the budget was missed.
+    pub fn rs_after(&self) -> usize {
+        match self {
+            ReduceOutcome::AlreadyFits { rs } => *rs,
+            ReduceOutcome::Reduced { rs_after, .. } => *rs_after,
+            ReduceOutcome::Failed { best_rs, .. } => *best_rs,
+        }
     }
 
     /// The ILP loss (critical-path increase), 0 when untouched.
@@ -188,11 +206,8 @@ impl Reducer {
         }
         let rs_before = rs_first;
         let cp_before = ddg.critical_path();
-        let max_steps = if self.max_steps == 0 {
-            4 * ddg.num_ops() * ddg.num_ops()
-        } else {
-            self.max_steps
-        };
+        // Hard bound on serialization steps.
+        let max_steps = 4 * ddg.num_ops() * ddg.num_ops();
 
         let mut added: Vec<(NodeId, NodeId, i64)> = Vec::new();
         let mut best_rs = rs_before;

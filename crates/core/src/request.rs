@@ -132,21 +132,6 @@ impl Deserialize for RsOp {
     }
 }
 
-/// Lowercase wire name of a register type (`"int"`/`"float"`/`"branch"`).
-pub fn reg_type_name(t: RegType) -> String {
-    format!("{t:?}")
-}
-
-/// Parses a lowercase register-type name.
-pub fn reg_type_from_name(name: &str) -> Option<RegType> {
-    match name {
-        "int" => Some(RegType::INT),
-        "float" => Some(RegType::FLOAT),
-        "branch" => Some(RegType::BRANCH),
-        _ => None,
-    }
-}
-
 /// One unit of analysis work, as submitted by any front end.
 ///
 /// Serialization emits every field; deserialization fills absent optional
@@ -228,7 +213,7 @@ impl RsRequest {
             ));
         }
         if let Some(name) = &self.reg_type {
-            if reg_type_from_name(name).is_none() {
+            if RegType::from_name(name).is_none() {
                 return Err(RsError::usage(format!("unknown register type `{name}`")));
             }
         }
@@ -412,7 +397,7 @@ pub struct AllocResult {
 /// Per-register-type results.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TypeResult {
-    /// Lowercase register-type name ([`reg_type_name`]).
+    /// Lowercase register-type name ([`RegType::name`]).
     pub reg_type: String,
     /// Values of this type in the submitted DAG.
     pub values: usize,

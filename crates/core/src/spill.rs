@@ -34,24 +34,28 @@ use rs_graph::NodeId;
 pub struct SpillResult {
     /// The rebuilt DDG (spill code inserted, saturation reduced to budget).
     pub ddg: Ddg,
-    /// Names of the spilled values, in insertion order.
+    /// Names of the spilled values, in insertion order. Each spill adds
+    /// one store and one reload.
     pub spilled_values: Vec<String>,
-    /// Store operations inserted.
-    pub stores_added: usize,
-    /// Reload operations inserted.
-    pub loads_added: usize,
     /// Serialization arcs added by the final reduction.
     pub reduction_arcs: usize,
     /// Exact saturation of the final DDG (when the exact search stayed in
-    /// budget), else the heuristic estimate.
+    /// budget).
     pub rs_after: usize,
 }
 
-/// The DDG-level spill pass.
+/// Values spilled before [`spill_to_fit`] gives up.
+const MAX_SPILLS: usize = 16;
+
+/// Brings `RS_t(ddg) ≤ r`, inserting spill code when serialization alone
+/// cannot. Every saturation is verified exactly: the budgets here are the
+/// hard cases where the heuristic may under-estimate. Returns `None` when
+/// even 16 spills do not suffice (e.g. `r` is below the DAG's inherent
+/// operand width).
 ///
 /// ```
 /// use rs_core::model::{DdgBuilder, OpClass, RegType, Target};
-/// use rs_core::spill::SpillPass;
+/// use rs_core::spill::spill_to_fit;
 ///
 /// // a reducible DAG needs no memory traffic at all
 /// let mut b = DdgBuilder::new(Target::superscalar());
@@ -62,104 +66,66 @@ pub struct SpillResult {
 /// }
 /// let ddg = b.finish();
 ///
-/// let res = SpillPass::new().spill_to_fit(&ddg, RegType::FLOAT, 2).unwrap();
-/// assert_eq!(res.stores_added, 0);
+/// let res = spill_to_fit(&ddg, RegType::FLOAT, 2).unwrap();
+/// assert!(res.spilled_values.is_empty());
 /// assert!(res.rs_after <= 2);
 /// ```
-#[derive(Clone, Debug)]
-pub struct SpillPass {
-    /// Maximum number of values to spill before giving up.
-    pub max_spills: usize,
-    /// Verify saturations exactly (recommended; the budgets here are the
-    /// hard cases where the heuristic may under-estimate).
-    pub verify_exact: bool,
+pub fn spill_to_fit(ddg: &Ddg, t: RegType, r: usize) -> Option<SpillResult> {
+    let mut current = ddg.clone();
+    let mut spilled_values = Vec::new();
+    let reducer = Reducer {
+        verify_exact: true,
+        ..Reducer::new()
+    };
+
+    for _round in 0..=MAX_SPILLS {
+        let mut attempt = current.clone();
+        let outcome = reducer.reduce(&mut attempt, t, r);
+        if outcome.fits() {
+            let rs_after = ExactRs::new().saturation(&attempt, t).saturation;
+            if rs_after <= r {
+                return Some(SpillResult {
+                    ddg: attempt,
+                    spilled_values,
+                    reduction_arcs: outcome.added_arcs().len(),
+                    rs_after,
+                });
+            }
+        }
+        if spilled_values.len() == MAX_SPILLS {
+            break;
+        }
+        // Reduction failed: spill the unspilled saturating value with
+        // the most consumers (ties: longest potential lifetime).
+        let candidate = pick_spill_candidate(&current, t, &spilled_values)?;
+        let name = current.graph().node(candidate).name.clone();
+        current = spill_value(&current, t, candidate);
+        spilled_values.push(name);
+    }
+    None
 }
 
-impl Default for SpillPass {
-    fn default() -> Self {
-        SpillPass {
-            max_spills: 16,
-            verify_exact: true,
-        }
-    }
-}
-
-impl SpillPass {
-    /// Creates the pass with defaults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Brings `RS_t(ddg) ≤ r`, inserting spill code when serialization
-    /// alone cannot. Returns `None` when even `max_spills` spills do not
-    /// suffice (e.g. `r` is below the DAG's inherent operand width).
-    pub fn spill_to_fit(&self, ddg: &Ddg, t: RegType, r: usize) -> Option<SpillResult> {
-        let mut current = ddg.clone();
-        let mut spilled_values = Vec::new();
-        let reducer = Reducer {
-            verify_exact: self.verify_exact,
-            ..Reducer::new()
-        };
-
-        for _round in 0..=self.max_spills {
-            let mut attempt = current.clone();
-            let outcome = reducer.reduce(&mut attempt, t, r);
-            if outcome.fits() {
-                let rs_after = self.measure(&attempt, t);
-                if rs_after <= r {
-                    return Some(SpillResult {
-                        ddg: attempt,
-                        stores_added: spilled_values.len(),
-                        loads_added: spilled_values.len(),
-                        spilled_values,
-                        reduction_arcs: outcome.added_arcs().len(),
-                        rs_after,
-                    });
-                }
-            }
-            if spilled_values.len() == self.max_spills {
-                break;
-            }
-            // Reduction failed: spill the unspilled saturating value with
-            // the most consumers (ties: longest potential lifetime).
-            let candidate = self.pick_spill_candidate(&current, t, &spilled_values)?;
-            let name = current.graph().node(candidate).name.clone();
-            current = spill_value(&current, t, candidate);
-            spilled_values.push(name);
-        }
-        None
-    }
-
-    fn measure(&self, ddg: &Ddg, t: RegType) -> usize {
-        if self.verify_exact {
-            ExactRs::new().saturation(ddg, t).saturation
-        } else {
-            GreedyK::new().saturation(ddg, t).saturation
-        }
-    }
-
-    fn pick_spill_candidate(&self, ddg: &Ddg, t: RegType, already: &[String]) -> Option<NodeId> {
-        let analysis = GreedyK::new().saturation(ddg, t);
-        let lp = rs_graph::paths::LongestPaths::new(ddg.graph());
-        analysis
-            .saturating_values
-            .iter()
-            .copied()
-            // don't re-spill reload values or already-spilled ones
-            .filter(|&v| {
-                let op = ddg.graph().node(v);
-                !op.name.starts_with("reload ") && !already.contains(&op.name)
-            })
-            .max_by_key(|&v| {
-                let consumers = ddg.consumers(v, t);
-                let span: i64 = consumers
-                    .iter()
-                    .filter_map(|&c| lp.lp(v, c))
-                    .max()
-                    .unwrap_or(0);
-                (consumers.len(), span, std::cmp::Reverse(v))
-            })
-    }
+fn pick_spill_candidate(ddg: &Ddg, t: RegType, already: &[String]) -> Option<NodeId> {
+    let analysis = GreedyK::new().saturation(ddg, t);
+    let lp = rs_graph::paths::LongestPaths::new(ddg.graph());
+    analysis
+        .saturating_values
+        .iter()
+        .copied()
+        // don't re-spill reload values or already-spilled ones
+        .filter(|&v| {
+            let op = ddg.graph().node(v);
+            !op.name.starts_with("reload ") && !already.contains(&op.name)
+        })
+        .max_by_key(|&v| {
+            let consumers = ddg.consumers(v, t);
+            let span: i64 = consumers
+                .iter()
+                .filter_map(|&c| lp.lp(v, c))
+                .max()
+                .unwrap_or(0);
+            (consumers.len(), span, std::cmp::Reverse(v))
+        })
 }
 
 /// Rebuilds the DDG with value `victim` (of type `t`) spilled: a store
@@ -305,12 +271,11 @@ mod tests {
         .reduce(&mut plain, RegType::FLOAT, 1);
         assert!(!plain_out.fits(), "serialization alone must fail at R=1");
 
-        let res = SpillPass::new()
-            .spill_to_fit(&d, RegType::FLOAT, 1)
-            .expect("spilling L must succeed at R=1");
-        assert!(res.stores_added >= 1);
-        assert_eq!(res.stores_added, res.loads_added);
+        let res = spill_to_fit(&d, RegType::FLOAT, 1).expect("spilling L must succeed at R=1");
         assert!(res.spilled_values.iter().any(|n| n == "L"));
+        // one store and one reload per spilled value
+        let added = res.ddg.num_ops() - d.num_ops();
+        assert_eq!(added, 2 * res.spilled_values.len());
         assert!(res.rs_after <= 1, "rs_after = {}", res.rs_after);
         assert!(res.ddg.is_acyclic());
     }
@@ -325,10 +290,11 @@ mod tests {
             b.flow(v, s, 4, RegType::FLOAT);
         }
         let d = b.finish();
-        let res = SpillPass::new()
-            .spill_to_fit(&d, RegType::FLOAT, 2)
-            .unwrap();
-        assert_eq!(res.stores_added, 0, "no spill code for a reducible DAG");
+        let res = spill_to_fit(&d, RegType::FLOAT, 2).unwrap();
+        assert!(
+            res.spilled_values.is_empty(),
+            "no spill code for a reducible DAG"
+        );
         assert!(res.rs_after <= 2);
     }
 
@@ -337,18 +303,14 @@ mod tests {
         // a binary combiner needs both operands alive at its read: R = 1 is
         // impossible for ANY transformation (spill reloads are values too)
         let d = combiner_ddg(2);
-        assert!(SpillPass::new()
-            .spill_to_fit(&d, RegType::FLOAT, 1)
-            .is_none());
+        assert!(spill_to_fit(&d, RegType::FLOAT, 1).is_none());
     }
 
     #[test]
     fn spilled_dag_register_need_is_bounded_by_saturation() {
         let d = long_lived_ddg(4);
         let budget = 2;
-        let res = SpillPass::new()
-            .spill_to_fit(&d, RegType::FLOAT, budget)
-            .expect("R=2 must be reachable");
+        let res = spill_to_fit(&d, RegType::FLOAT, budget).expect("R=2 must be reachable");
         // any schedule of the final DAG needs at most rs_after registers
         let sigma = lifetime::asap_schedule(&res.ddg);
         let rn = lifetime::register_need(&res.ddg, RegType::FLOAT, &sigma);

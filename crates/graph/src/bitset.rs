@@ -58,29 +58,6 @@ impl BitSet {
         }
     }
 
-    /// `self &= other`. Both sets must share capacity.
-    #[inline]
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        debug_assert_eq!(self.len, other.len);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= *b;
-        }
-    }
-
-    /// `self -= other` (set difference).
-    #[inline]
-    pub fn difference_with(&mut self, other: &BitSet) {
-        debug_assert_eq!(self.len, other.len);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !*b;
-        }
-    }
-
-    /// Whether the intersection with `other` is nonempty.
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
     /// Number of members.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -220,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn union_intersect_difference() {
+    fn union_with_merges_members() {
         let mut a = BitSet::new(100);
         let mut b = BitSet::new(100);
         a.insert(1);
@@ -230,14 +207,6 @@ mod tests {
         let mut u = a.clone();
         u.union_with(&b);
         assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 50, 99]);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![50]);
-        let mut d = a.clone();
-        d.difference_with(&b);
-        assert_eq!(d.iter().collect::<Vec<_>>(), vec![1]);
-        assert!(a.intersects(&b));
-        assert!(!i.intersects(&d));
     }
 
     #[test]

@@ -79,12 +79,6 @@ impl TransitiveClosure {
         self.rows[u.index()].contains(v.index())
     }
 
-    /// Reflexive-or-strict reachability.
-    #[inline]
-    pub fn reaches_eq(&self, u: NodeId, v: NodeId) -> bool {
-        u == v || self.reaches(u, v)
-    }
-
     /// Whether `u` and `v` are incomparable (no path either way, and distinct).
     #[inline]
     pub fn incomparable(&self, u: NodeId, v: NodeId) -> bool {
@@ -95,11 +89,6 @@ impl TransitiveClosure {
     #[inline]
     pub fn descendants(&self, u: NodeId) -> &BitSet {
         &self.rows[u.index()]
-    }
-
-    /// Number of strict descendants of `u`.
-    pub fn descendant_count(&self, u: NodeId) -> usize {
-        self.rows[u.index()].count()
     }
 
     /// Manually asserts reachability `u ⇝ v` (used by callers that overlay
@@ -143,9 +132,8 @@ mod tests {
         assert!(tc.incomparable(b, c));
         assert!(!tc.incomparable(a, d));
         assert!(!tc.reaches(a, a));
-        assert!(tc.reaches_eq(a, a));
-        assert_eq!(tc.descendant_count(a), 3);
-        assert_eq!(tc.descendant_count(d), 0);
+        assert_eq!(tc.descendants(a).count(), 3);
+        assert_eq!(tc.descendants(d).count(), 0);
     }
 
     #[test]

@@ -173,28 +173,10 @@ impl<N> DiGraph<N> {
         self.edges[e.index()].latency
     }
 
-    /// Overwrites the latency of an edge.
-    ///
-    /// # Panics
-    /// Panics on a latency beyond ±[`MAX_LATENCY`], as [`DiGraph::add_edge`].
-    pub fn set_latency(&mut self, e: EdgeId, latency: i64) {
-        assert!(
-            (-MAX_LATENCY..=MAX_LATENCY).contains(&latency),
-            "latency {latency} of {e:?} beyond ±{MAX_LATENCY}"
-        );
-        self.edges[e.index()].latency = latency;
-    }
-
     /// Immutable access to a node payload.
     #[inline]
     pub fn node(&self, n: NodeId) -> &N {
         &self.nodes[n.index()]
-    }
-
-    /// Mutable access to a node payload.
-    #[inline]
-    pub fn node_mut(&mut self, n: NodeId) -> &mut N {
-        &mut self.nodes[n.index()]
     }
 
     /// Iterator over all node ids.
@@ -252,13 +234,6 @@ impl<N> DiGraph<N> {
         self.out_edges(src).find(|&e| self.dst(e) == dst)
     }
 
-    /// Returns the live edge `src -> dst` of maximum latency, if any.
-    pub fn find_max_latency_edge(&self, src: NodeId, dst: NodeId) -> Option<EdgeId> {
-        self.out_edges(src)
-            .filter(|&e| self.dst(e) == dst)
-            .max_by_key(|&e| self.latency(e))
-    }
-
     /// Nodes with no live in-edges.
     pub fn sources(&self) -> Vec<NodeId> {
         self.node_ids()
@@ -279,22 +254,6 @@ impl<N> DiGraph<N> {
     /// VLIW arcs do not shrink the horizon).
     pub fn total_latency(&self) -> i64 {
         self.edge_ids().map(|e| self.latency(e).max(0)).sum()
-    }
-
-    /// Maps node payloads, preserving ids and edges.
-    pub fn map_nodes<M>(&self, mut f: impl FnMut(NodeId, &N) -> M) -> DiGraph<M> {
-        DiGraph {
-            nodes: self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| f(NodeId(i as u32), n))
-                .collect(),
-            edges: self.edges.clone(),
-            out_adj: self.out_adj.clone(),
-            in_adj: self.in_adj.clone(),
-            live_edges: self.live_edges,
-        }
     }
 }
 
@@ -358,8 +317,8 @@ mod tests {
         g.add_edge(a, b, 1);
         g.add_edge(a, b, 5);
         assert_eq!(g.edge_count(), 2);
-        let e = g.find_max_latency_edge(a, b).unwrap();
-        assert_eq!(g.latency(e), 5);
+        let latencies: Vec<i64> = g.out_edges(a).map(|e| g.latency(e)).collect();
+        assert_eq!(latencies, [1, 5]);
     }
 
     #[test]
@@ -404,22 +363,5 @@ mod tests {
         g.add_edge(a, b, 3);
         g.add_edge(a, b, -7);
         assert_eq!(g.total_latency(), 3);
-    }
-
-    #[test]
-    fn map_nodes_preserves_structure() {
-        let (g, [a, _, _, d]) = diamond();
-        let h = g.map_nodes(|_, &v| v * 10);
-        assert_eq!(*h.node(a), 0);
-        assert_eq!(*h.node(d), 30);
-        assert_eq!(h.edge_count(), 4);
-    }
-
-    #[test]
-    fn set_latency_roundtrip() {
-        let (mut g, [a, b, _, _]) = diamond();
-        let e = g.find_edge(a, b).unwrap();
-        g.set_latency(e, 42);
-        assert_eq!(g.latency(e), 42);
     }
 }

@@ -75,12 +75,6 @@ impl LinExpr {
                 .map(|&(v, c)| c * values[v.index()])
                 .sum::<f64>()
     }
-
-    /// Whether the expression has no variable terms (after normalization it
-    /// is constant).
-    pub fn is_constant(&self) -> bool {
-        self.terms.iter().all(|&(_, c)| crate::approx_zero(c))
-    }
 }
 
 impl From<VarId> for LinExpr {
@@ -192,7 +186,6 @@ mod tests {
         let mut e = LinExpr::from(v(1)) + v(0) + (2.0, v(1)) + (-1.0, v(0));
         e.normalize();
         assert_eq!(e.terms, vec![(v(1), 3.0)]);
-        assert!(!e.is_constant());
     }
 
     #[test]
@@ -222,7 +215,6 @@ mod tests {
         assert_eq!(e.terms, vec![(v(1), 1e-6)]);
         let mut z = LinExpr::term(v(2), 1e-12);
         z.normalize();
-        assert!(z.is_constant());
         assert!(z.terms.is_empty());
     }
 
@@ -230,7 +222,7 @@ mod tests {
     fn constant_expression() {
         let mut e = LinExpr::constant(7.0) + (0.0, v(3));
         e.normalize();
-        assert!(e.is_constant());
+        assert!(e.terms.is_empty());
         assert_eq!(e.eval(&[0.0; 4]), 7.0);
     }
 }

@@ -116,56 +116,6 @@ pub fn indicator_le(m: &mut Model, guard: VarId, expr: &LinExpr, rhs: f64) {
     buf.emit(m, Cmp::Le, rhs + big_m - c0);
 }
 
-/// `expr ≥ rhs ⟹ guard = 1`, i.e. `guard = 0 ⟹ expr ≤ rhs − strict_step`.
-pub fn reverse_indicator_ge(
-    m: &mut Model,
-    guard: VarId,
-    expr: &LinExpr,
-    rhs: f64,
-    strict_step: f64,
-) {
-    indicator_le_on_zero(m, guard, expr, rhs - strict_step);
-}
-
-/// `guard = 0 ⟹ expr ≤ rhs`.
-pub fn indicator_le_on_zero(m: &mut Model, guard: VarId, expr: &LinExpr, rhs: f64) {
-    let (_, hi) = m.expr_bounds(expr);
-    assert!(
-        hi.is_finite(),
-        "indicator_le_on_zero requires a finite upper bound"
-    );
-    let big_m = (hi - rhs).max(0.0);
-    // expr <= rhs + M g
-    let mut buf = RowBuf::default();
-    let c0 = buf.start().push_expr(expr, 1.0);
-    buf.push(guard, -big_m);
-    buf.emit(m, Cmp::Le, rhs - c0);
-}
-
-/// Adds the disjunction `(a ≥ ra) ∨ (b ≥ rb)` with a fresh selector binary,
-/// which is returned (`1` selects the first disjunct).
-pub fn disjunction_ge(
-    m: &mut Model,
-    name: &str,
-    a: &LinExpr,
-    ra: f64,
-    b: &LinExpr,
-    rb: f64,
-) -> VarId {
-    let d = m.add_named_var(name, VarKind::Binary, 0.0, 1.0);
-    // d = 1 -> a >= ra
-    indicator_ge(m, d, a, ra);
-    // d = 0 -> b >= rb: b >= rb - M d  <=>  b + M d >= rb
-    let (lo_b, _) = m.expr_bounds(b);
-    assert!(lo_b.is_finite());
-    let big_m = (rb - lo_b).max(0.0);
-    let mut buf = RowBuf::default();
-    let c0 = buf.start().push_expr(b, 1.0);
-    buf.push(d, big_m);
-    buf.emit(m, Cmp::Ge, rb - c0);
-    d
-}
-
 /// Full equivalence `s = 1 ⟺ ⋀ᵢ (exprᵢ ≥ rhsᵢ)`.
 ///
 /// Forward direction: `s = 1 ⟹ exprᵢ ≥ rhsᵢ` via [`indicator_ge`].
@@ -257,40 +207,6 @@ mod tests {
         // g=1 would force x <= 2, impossible with x >= 4
         assert_eq!(s.values[g.index()].round() as i64, 0);
         assert_eq!(s.values[x.index()].round() as i64, 10);
-    }
-
-    #[test]
-    fn reverse_indicator_forces_guard() {
-        // x fixed at 8, rhs 5: x >= 5 so guard must be 1 even if we minimize it.
-        let mut m = Model::new(Sense::Minimize);
-        let g = m.add_var("g", VarKind::Binary, 0.0, 1.0);
-        let x = m.add_var("x", VarKind::Integer, 8.0, 8.0);
-        reverse_indicator_ge(&mut m, g, &LinExpr::from(x), 5.0, 1.0);
-        m.set_objective(LinExpr::from(g));
-        let s = solve(&m, &MilpConfig::default()).unwrap();
-        assert_eq!(s.values[g.index()].round() as i64, 1);
-
-        // x fixed at 4 < 5: guard free, minimized to 0.
-        let mut m = Model::new(Sense::Minimize);
-        let g = m.add_var("g", VarKind::Binary, 0.0, 1.0);
-        let x = m.add_var("x", VarKind::Integer, 4.0, 4.0);
-        reverse_indicator_ge(&mut m, g, &LinExpr::from(x), 5.0, 1.0);
-        m.set_objective(LinExpr::from(g));
-        let s = solve(&m, &MilpConfig::default()).unwrap();
-        assert_eq!(s.values[g.index()].round() as i64, 0);
-    }
-
-    #[test]
-    fn disjunction_requires_one_side() {
-        // (x >= 6) ∨ (y >= 6) with x,y ∈ [0,10]; minimize x + y -> 6.
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", VarKind::Integer, 0.0, 10.0);
-        let y = m.add_var("y", VarKind::Integer, 0.0, 10.0);
-        disjunction_ge(&mut m, "d", &LinExpr::from(x), 6.0, &LinExpr::from(y), 6.0);
-        m.set_objective(LinExpr::from(x) + y);
-        let s = solve(&m, &MilpConfig::default()).unwrap();
-        assert_eq!(s.objective.round() as i64, 6);
-        assert!(s.values[x.index()] >= 6.0 - 1e-6 || s.values[y.index()] >= 6.0 - 1e-6);
     }
 
     #[test]

@@ -12,12 +12,11 @@ use rs_core::exact::ExactRs;
 use rs_core::ilp::RsIlp;
 use rs_core::model::{Ddg, RegType};
 use rs_core::parse::{parse_ddg, print_ddg};
-use rs_core::reduce::ReduceOutcome;
 use rs_core::request::{
-    codes, reg_type_from_name, reg_type_name, AllocResult, CacheInfo, IlpStats, ReduceResult,
-    RsError, RsOp, RsRequest, RsResponse, RsResult, SolveResult, TypeResult,
+    codes, AllocResult, CacheInfo, IlpStats, ReduceResult, RsError, RsOp, RsRequest, RsResponse,
+    RsResult, SolveResult, TypeResult,
 };
-use rs_core::spill::SpillPass;
+use rs_core::spill::spill_to_fit;
 use rs_core::RsEngine;
 use rs_core::{Cancel, MilpError};
 use rs_sched::{ListScheduler, RegisterAllocator, Resources};
@@ -252,7 +251,7 @@ pub fn process_line_at(
 fn execute(engine: &mut RsEngine, req: &RsRequest, cancel: &Cancel) -> Result<RsResult, RsError> {
     let mut ddg = parse_ddg(&req.ddg).map_err(|e| RsError::new(codes::PARSE, e.to_string()))?;
     let types: Vec<RegType> = match req.reg_type.as_deref() {
-        Some(name) => vec![reg_type_from_name(name).ok_or_else(|| {
+        Some(name) => vec![RegType::from_name(name).ok_or_else(|| {
             RsError::new(codes::REQUEST, format!("unknown register type `{name}`"))
         })?],
         None => ddg.reg_types(),
@@ -347,7 +346,7 @@ fn analyze_type(
         .map(|&v| ddg.graph().node(v).name.clone())
         .collect();
     let mut tr = TypeResult {
-        reg_type: reg_type_name(t),
+        reg_type: format!("{t:?}"),
         values: ddg.values(t).len(),
         saturation: a.saturation,
         saturating,
@@ -446,84 +445,32 @@ fn reduce_type(
     let values = ddg.values(t).len();
     let cp_before = ddg.critical_path();
     let out = engine.reduce(ddg, t, budget);
-    let (saturation, reduce) = match out {
-        ReduceOutcome::AlreadyFits { rs } => (
-            rs,
-            ReduceResult {
-                budget,
-                rs_after: rs,
-                arcs_added: 0,
-                cp_before,
-                cp_after: cp_before,
-                fits: true,
-                spilled: Vec::new(),
-            },
-        ),
-        ReduceOutcome::Reduced {
-            rs_before,
-            rs_after,
-            cp_before,
-            cp_after,
-            added_arcs,
-            ..
-        } => (
-            rs_before,
-            ReduceResult {
-                budget,
-                rs_after,
-                arcs_added: added_arcs.len(),
-                cp_before,
-                cp_after,
-                fits: true,
-                spilled: Vec::new(),
-            },
-        ),
-        ReduceOutcome::Failed {
-            rs_before,
-            best_rs,
-            cp_after,
-            added_arcs,
-        } => {
-            let spilled = if spill {
-                SpillPass::new().spill_to_fit(ddg, t, budget)
-            } else {
-                None
-            };
-            match spilled {
-                Some(res) => {
-                    *ddg = res.ddg;
-                    (
-                        rs_before,
-                        ReduceResult {
-                            budget,
-                            rs_after: res.rs_after,
-                            arcs_added: res.reduction_arcs,
-                            cp_before,
-                            cp_after: ddg.critical_path(),
-                            fits: true,
-                            spilled: res.spilled_values,
-                        },
-                    )
-                }
-                None => (
-                    rs_before,
-                    ReduceResult {
-                        budget,
-                        rs_after: best_rs,
-                        arcs_added: added_arcs.len(),
-                        cp_before,
-                        cp_after,
-                        fits: false,
-                        spilled: Vec::new(),
-                    },
-                ),
-            }
-        }
+    let mut reduce = ReduceResult {
+        budget,
+        rs_after: out.rs_after(),
+        arcs_added: out.added_arcs().len(),
+        cp_before,
+        cp_after: ddg.critical_path(),
+        fits: out.fits(),
+        spilled: Vec::new(),
     };
+    if !reduce.fits && spill {
+        if let Some(res) = spill_to_fit(ddg, t, budget) {
+            *ddg = res.ddg;
+            reduce = ReduceResult {
+                rs_after: res.rs_after,
+                arcs_added: res.reduction_arcs,
+                cp_after: ddg.critical_path(),
+                fits: true,
+                spilled: res.spilled_values,
+                ..reduce
+            };
+        }
+    }
     Ok(TypeResult {
-        reg_type: reg_type_name(t),
+        reg_type: format!("{t:?}"),
         values,
-        saturation,
+        saturation: out.rs_before(),
         saturating: Vec::new(),
         optimal: false,
         exact: None,

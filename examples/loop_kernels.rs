@@ -6,9 +6,9 @@
 //! cargo run --example loop_kernels [-- <registers>]
 //! ```
 
+use rs_core::engine::RsEngine;
 use rs_core::heuristic::GreedyK;
 use rs_core::model::{RegType, Target};
-use rs_core::pipeline::Pipeline;
 use rs_sched::{ListScheduler, RegisterAllocator, Resources};
 
 fn main() {
@@ -22,17 +22,25 @@ fn main() {
         "kernel", "ops", "RS0", "RSf", "arcs", "CP0", "CPf", "span", "spills"
     );
 
+    let mut engine = RsEngine::new();
     for k in rs_kernels::corpus() {
         let mut ddg = (k.build)(Target::superscalar());
         let cp0 = ddg.critical_path();
         let rs0 = GreedyK::new().saturation(&ddg, RegType::FLOAT).saturation;
 
         // Figure 1: saturation analysis + reduction, per type.
-        let report = Pipeline {
-            budgets: vec![(RegType::INT, budget), (RegType::FLOAT, budget)],
-            verify_exact: false,
+        let (mut rs_f, mut arcs, mut all_fit) = (rs0, 0, true);
+        for t in [RegType::INT, RegType::FLOAT] {
+            if ddg.values(t).is_empty() {
+                continue;
+            }
+            let outcome = engine.reduce(&mut ddg, t, budget);
+            arcs += outcome.added_arcs().len();
+            all_fit &= outcome.fits();
+            if t == RegType::FLOAT {
+                rs_f = outcome.rs_after();
+            }
         }
-        .run(&mut ddg);
 
         // Downstream: register-oblivious scheduling, then allocation.
         let sched = ListScheduler::new(Resources::four_issue()).schedule(&ddg);
@@ -45,19 +53,18 @@ fn main() {
                 .len();
         }
 
-        let float = report.types.iter().find(|t| t.reg_type == RegType::FLOAT.0);
         println!(
             "{:<10} {:>6} {:>6} {:>5} {:>5} {:>6} {:>6} {:>7} {:>6}{}",
             k.name,
             ddg.num_ops(),
             rs0,
-            float.map_or(rs0, |f| f.rs_after),
-            report.total_arcs_added(),
+            rs_f,
+            arcs,
             cp0,
             ddg.critical_path(),
             sched.makespan,
             spills,
-            if report.all_fit() {
+            if all_fit {
                 ""
             } else {
                 "  (budget infeasible: spill code required)"

@@ -10,7 +10,7 @@
 use rs_core::exact::ExactRs;
 use rs_core::model::{DdgBuilder, OpClass, RegType, Target};
 use rs_core::reduce::Reducer;
-use rs_core::spill::SpillPass;
+use rs_core::spill::spill_to_fit;
 
 fn main() {
     // One long-lived value L spanning three short chains.
@@ -45,12 +45,14 @@ fn main() {
 
     // The spill pass splits L's lifetime through memory.
     println!("\nDDG-level spill pass at R=1:");
-    match SpillPass::new().spill_to_fit(&ddg, RegType::FLOAT, 1) {
+    match spill_to_fit(&ddg, RegType::FLOAT, 1) {
         Some(res) => {
             println!("  spilled values: {:?}", res.spilled_values);
+            // every spilled value gets one store and one reload
+            let spills = res.spilled_values.len();
             println!(
-                "  +{} store(s), +{} reload(s), {} serialization arcs, final exact RS = {}",
-                res.stores_added, res.loads_added, res.reduction_arcs, res.rs_after
+                "  +{spills} store(s), +{spills} reload(s), {} serialization arcs, final exact RS = {}",
+                res.reduction_arcs, res.rs_after
             );
             println!(
                 "  transformed DDG has {} ops (was {})",

@@ -3,7 +3,7 @@
 //! ```text
 //! rsat analyze  <file.ddg> [--type float|int|branch] [--exact] [--ilp] [--stats] [--threads N] [--timeout-ms N]
 //! rsat reduce   <file.ddg> --registers N [--type T] [--spill] [--output out.ddg] [--timeout-ms N]
-//! rsat pipeline <file.ddg> --registers N [--issue 1|4|8] [--timeout-ms N]
+//! rsat pipeline <file.ddg> --registers N [--type T] [--issue 1|4|8] [--timeout-ms N]
 //! rsat corpus   <dir> [--jobs N] [--mode analyze|reduce|pipeline] [--registers N] [--ilp] [--out dir]
 //!               [--timeout-ms N] [--resume PATH]
 //! rsat serve    [--workers N] [--queue N] [--cache-capacity N] [--socket PATH] [--faults SPEC]
@@ -15,7 +15,9 @@
 //! by the same [`rs_serve::Dispatcher`] that powers `rsat serve` and
 //! `rsat corpus`, and the [`rs_core::request::RsResponse`] is rendered for
 //! humans here. Errors carry the unified `{code, message}` shape and print
-//! as `rsat: error[code]: message`.
+//! as `rsat: error[code]: message`. An argument that is neither one of the
+//! subcommand's flags nor the value of its value flag is a usage error,
+//! reported before any work starts.
 //!
 //! `--threads N` runs the exact solvers (`--exact` combinatorial search,
 //! `--ilp` intLP branch-and-bound) with `N` parallel workers; the reported
@@ -31,7 +33,8 @@
 //! `corpus.json`/`corpus.txt` under `--out` (default `results/`). Malformed
 //! files are reported in the summary and skipped — they do not abort the
 //! run or fail the exit code. The summary content is identical for every
-//! `--jobs` value. `--ilp` adds the exact intLP saturation per file, and
+//! `--jobs` value. `--ilp` adds each type's intLP answer per file (its
+//! saturation, whether it is proven, and its bound when it is not), and
 //! `--timeout-ms N` caps each file's work. `--resume PATH` keeps an
 //! atomically-rewritten run checkpoint so a killed corpus run, rerun with
 //! the same flags, skips the files it already completed.
@@ -58,6 +61,46 @@ use rs_serve::{serve_io, Dispatcher, FaultPlan, ServeConfig, UnixServer};
 use std::io::Read;
 use std::process::ExitCode;
 
+/// Every subcommand with its usage: the operand, if any, then its flags as
+/// `[--flag VALUE]` (optional), `--flag VALUE` (required) or `[--flag]` (a
+/// switch). The usage text and the argument check both read this table.
+const SUBCOMMANDS: [(&str, &str); 6] = [
+    ("analyze", "<file.ddg> [--type float|int|branch] [--exact] [--ilp] [--stats] [--threads N] [--timeout-ms N]"),
+    ("reduce", "<file.ddg> --registers N [--type T] [--spill] [--output out.ddg] [--timeout-ms N]"),
+    ("pipeline", "<file.ddg> --registers N [--type T] [--issue 1|4|8] [--timeout-ms N]"),
+    ("corpus", "<dir> [--jobs N] [--mode analyze|reduce|pipeline] [--registers N] [--ilp] [--out dir] [--timeout-ms N] [--resume PATH]"),
+    ("serve", "[--workers N] [--queue N] [--cache-capacity N] [--socket PATH] [--faults SPEC]"),
+    ("dot", "<file.ddg>"),
+];
+
+/// Rejects every argument after the subcommand's operand that is neither
+/// a flag of its `usage` nor the value after one of its value flags (a
+/// value is what [`flag_value`] reads: the next argument, unless that is a
+/// `--` flag).
+fn check_args(cmd: &str, usage: &str, args: &[String]) -> Result<(), RsError> {
+    let takes_value = |arg: &str| {
+        let mut words = usage.split_whitespace().map(|w| w.trim_matches(['[', ']']));
+        words.position(|w| w == arg && w.starts_with("--"))?;
+        Some(words.next().is_some_and(|w| !w.starts_with("--")))
+    };
+    let operands = 1 + usize::from(usage.starts_with('<'));
+    let mut rest = args.iter().skip(operands).peekable();
+    while let Some(arg) = rest.next() {
+        match takes_value(arg) {
+            Some(true) => {
+                rest.next_if(|v| !v.starts_with("--"));
+            }
+            Some(false) => {}
+            None => {
+                return Err(RsError::usage(format!(
+                    "unexpected argument `{arg}` for `rsat {cmd}`"
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -66,20 +109,9 @@ fn main() -> ExitCode {
             eprintln!("rsat: error[{}]: {}", e.code, e.message);
             eprintln!();
             eprintln!("usage:");
-            eprintln!(
-                "  rsat analyze  <file.ddg> [--type float|int|branch] [--exact] [--ilp] [--stats] [--threads N] [--timeout-ms N]"
-            );
-            eprintln!(
-                "  rsat reduce   <file.ddg> --registers N [--type T] [--spill] [--output out.ddg] [--timeout-ms N]"
-            );
-            eprintln!("  rsat pipeline <file.ddg> --registers N [--issue 1|4|8] [--timeout-ms N]");
-            eprintln!(
-                "  rsat corpus   <dir> [--jobs N] [--mode analyze|reduce|pipeline] [--registers N] [--ilp] [--out dir] [--timeout-ms N] [--resume PATH]"
-            );
-            eprintln!(
-                "  rsat serve    [--workers N] [--queue N] [--cache-capacity N] [--socket PATH] [--faults SPEC]"
-            );
-            eprintln!("  rsat dot      <file.ddg>");
+            for (cmd, usage) in SUBCOMMANDS {
+                eprintln!("  rsat {cmd:<8} {usage}");
+            }
             ExitCode::FAILURE
         }
     }
@@ -89,12 +121,18 @@ fn run(args: &[String]) -> Result<(), RsError> {
     let cmd = args
         .first()
         .ok_or_else(|| RsError::usage("missing command"))?;
+    let unknown = || RsError::usage(format!("unknown command `{cmd}`"));
+    let (_, usage) = SUBCOMMANDS
+        .iter()
+        .find(|(name, _)| name == cmd)
+        .ok_or_else(unknown)?;
+    check_args(cmd, usage, args)?;
     match cmd.as_str() {
         "analyze" | "reduce" | "pipeline" => one_shot(cmd, args),
         "corpus" => corpus(args),
         "serve" => serve(args),
         "dot" => dot(args),
-        other => Err(RsError::usage(format!("unknown command `{other}`"))),
+        _ => Err(unknown()),
     }
 }
 

@@ -23,7 +23,10 @@
 //!   killing, Greedy-k heuristic, exact RS (combinatorial and intLP), and
 //!   RS reduction (heuristic and exact intLP).
 //! - [`sched`] (`rs-sched`): downstream list scheduler and register
-//!   allocator used to validate the pipeline end to end.
+//!   allocator that the Figure-1 flow hands the reduced DAG to. The flow
+//!   itself (reduce each type with `RsEngine::reduce`, then schedule and
+//!   allocate) runs in `rs-serve`'s dispatcher behind every `rsat` front
+//!   end; `tests/pipeline.rs` drives it end to end from the library.
 //! - [`kernels`] (`rs-kernels`): the experiment corpus (Livermore, LINPACK,
 //!   whetstone, SpecFP-like loop bodies) and random-DAG generators.
 //!
@@ -63,7 +66,6 @@ pub mod prelude {
     pub use rs_core::ilp::{ReduceIlp, RsIlp};
     pub use rs_core::lifetime::{lifetime_intervals, register_need};
     pub use rs_core::model::{Ddg, DdgBuilder, OpClass, RegType, Target};
-    pub use rs_core::pipeline::{Pipeline, PipelineReport};
     pub use rs_core::reduce::{ReduceOutcome, Reducer};
     pub use rs_graph::{DiGraph, NodeId};
     pub use rs_sched::{ListScheduler, RegisterAllocator, Resources};

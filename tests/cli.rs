@@ -166,3 +166,47 @@ fn flag_without_value_is_a_usage_error() {
     assert!(written.is_empty(), "files written: {written:?}");
     let _ = std::fs::remove_dir(&cwd);
 }
+
+#[test]
+fn unknown_argument_is_a_usage_error() {
+    // A misspelt flag, a flag of another subcommand, or a stray operand
+    // must fail before anything runs instead of being ignored: no output,
+    // no report written, and the argument named in the error.
+    let cwd = std::env::temp_dir().join(format!("rsat-unknown-arg-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).unwrap();
+    let (expr, daxpy, fixtures) = (data("expr.ddg"), data("daxpy.ddg"), data(""));
+    let cases: [(&[&str], &str); 6] = [
+        (&["analyze", &expr, "--exactt"], "--exactt"),
+        (&["analyze", &expr, "--thread", "4"], "--thread"),
+        (
+            &["pipeline", &daxpy, "--registers", "4", "--spill"],
+            "--spill",
+        ),
+        (&["reduce", &expr, "--registers", "3", "--exact"], "--exact"),
+        (&["corpus", &fixtures, "--threads", "2"], "--threads"),
+        (&["analyze", &expr, "extra.ddg"], "extra.ddg"),
+    ];
+    for (args, arg) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_rsat"))
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("run rsat");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error[usage]: unexpected argument `{arg}`")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    let written: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+    assert!(written.is_empty(), "files written: {written:?}");
+    let _ = std::fs::remove_dir(&cwd);
+
+    // `pipeline` restricts its types like the other one-shots
+    let (ok, stdout, stderr) = rsat(&["pipeline", &daxpy, "--registers", "4", "--type", "float"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("type float:"), "{stdout}");
+    assert!(!stdout.contains("type int:"), "{stdout}");
+}

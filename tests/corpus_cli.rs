@@ -3,6 +3,8 @@
 //! `--jobs` independence of the summary.
 
 use rs_bench::corpus::{run_corpus, CorpusMode, CorpusOptions};
+use rs_core::request::{RsOp, RsRequest};
+use rs_serve::Dispatcher;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -170,4 +172,51 @@ fn pipeline_mode_reports_reductions() {
     assert!(stdout.contains("budget 3"), "{stdout}");
     // expr needs one serialization arc to fit 3 registers
     assert!(stdout.contains("RS* = 4 -> 3"), "{stdout}");
+}
+
+#[test]
+fn corpus_entries_are_the_dispatchers_results() {
+    // An `ok` entry holds the per-type results the dispatcher returns for
+    // the request corpus builds, unchanged: intLP proof status, bound and
+    // error, reduction, spills and allocation alike.
+    let dir = PathBuf::from(fixtures());
+    for (mode, op, registers, ilp) in [
+        (CorpusMode::Analyze, RsOp::Analyze, None, true),
+        (
+            CorpusMode::Reduce { registers: 3 },
+            RsOp::Reduce,
+            Some(3),
+            false,
+        ),
+        (
+            CorpusMode::Pipeline { registers: 3 },
+            RsOp::Pipeline,
+            Some(3),
+            false,
+        ),
+    ] {
+        let opts = CorpusOptions {
+            jobs: 2,
+            mode,
+            ilp,
+            ..Default::default()
+        };
+        let summary = run_corpus(&dir, &opts).unwrap();
+        assert_eq!(summary.failed, 0, "{mode:?}");
+        for entry in &summary.files {
+            let mut req =
+                RsRequest::new(op, std::fs::read_to_string(dir.join(&entry.file)).unwrap());
+            req.registers = registers;
+            req.cache = false;
+            req.ilp = ilp;
+            let resp = Dispatcher::new().dispatch(&req);
+            let expected = resp.result.expect("the fixtures analyse").types;
+            assert_eq!(
+                serde_json::to_string(&entry.types).unwrap(),
+                serde_json::to_string(&expected).unwrap(),
+                "{mode:?}: {}",
+                entry.file
+            );
+        }
+    }
 }

@@ -6,7 +6,7 @@ use rs_core::cfg::{Cfg, CfgBuilder};
 use rs_core::exact::ExactRs;
 use rs_core::model::{OpClass, RegType, Target};
 use rs_core::parse::{parse_ddg, print_ddg};
-use rs_core::spill::SpillPass;
+use rs_core::spill::spill_to_fit;
 use rs_sched::{ListScheduler, RegisterAllocator, Resources};
 
 /// Spill → schedule → allocate: the transformed DAG must allocate within
@@ -28,9 +28,7 @@ fn spilled_dag_flows_through_the_whole_pipeline() {
     }
     let ddg = b.finish();
 
-    let res = SpillPass::new()
-        .spill_to_fit(&ddg, RegType::FLOAT, 1)
-        .expect("spilling must reach R=1");
+    let res = spill_to_fit(&ddg, RegType::FLOAT, 1).expect("spilling must reach R=1");
     assert!(res.rs_after <= 1);
 
     let sched = ListScheduler::new(Resources::four_issue()).schedule(&res.ddg);

@@ -4,23 +4,24 @@
 //! Greedy-k has one implementation, so these pins are what catches a
 //! change that moves its answers. Every kernel on both targets and every
 //! register type pins its RS*, an FNV-1a digest of the witness antichain
-//! and killing map, and `Pipeline::uniform(6)`'s reduction outcome. 96
+//! and killing map, and the outcome of reducing it to 6 registers. 96
 //! random DAGs of 4–48 operations on both targets pin the same, one FNV-1a
-//! row per size and target, with the pipeline at a budget two below the
-//! largest RS* so that it reduces. One warm engine analyses everything, the
-//! random DAGs in mixed-size order, so stale working storage fails too. A
-//! change that means to alter an analysis updates the pins and says why.
+//! row per size and target, reduced to a budget two below the largest RS*
+//! so that they do reduce. The reduction is the dispatcher's: one
+//! [`RsEngine::reduce`] per register type, in `reg_types()` order, on one
+//! DDG that each type's arcs accumulate in. One warm engine analyses
+//! everything, the random DAGs in mixed-size order, so stale working
+//! storage fails too. A change that means to alter an analysis updates the
+//! pins and says why.
 
 use rs_core::engine::RsEngine;
 use rs_core::heuristic::RsAnalysis;
-use rs_core::model::Target;
-use rs_core::pipeline::Pipeline;
+use rs_core::model::{Ddg, RegType, Target};
 use rs_kernels::random::{random_ddg, RandomDagConfig};
 use std::collections::BTreeMap;
 
 /// `(kernel, target, register type, RS*, digest of witness + killing map,
-/// (rs_before, rs_after, arcs_added, cp_after, fits))` under
-/// `Pipeline::uniform(6)`.
+/// (rs_before, rs_after, arcs_added, cp_after, fits))` at 6 registers.
 type Pin = (&'static str, &'static str, u8, usize, u64, Reduction);
 type Reduction = (usize, usize, usize, i64, bool);
 
@@ -136,28 +137,43 @@ fn digest(a: &RsAnalysis) -> u64 {
     h.0
 }
 
+/// Reduces every register type of `ddg` to `budget` in place, as the
+/// dispatcher's `reduce_type` does, and returns each type's outcome.
+fn reduce_all(engine: &mut RsEngine, ddg: &mut Ddg, budget: usize) -> Vec<(RegType, Reduction)> {
+    let mut rows = Vec::new();
+    for t in ddg.reg_types() {
+        let o = engine.reduce(ddg, t, budget);
+        let arcs = o.added_arcs().len();
+        rows.push((
+            t,
+            (
+                o.rs_before(),
+                o.rs_after(),
+                arcs,
+                ddg.critical_path(),
+                o.fits(),
+            ),
+        ));
+    }
+    rows
+}
+
 fn analyses() -> Vec<Pin> {
     let mut engine = RsEngine::new();
     let mut rows = Vec::new();
     for kernel in rs_kernels::corpus() {
         for (target_name, target) in [("ss", Target::superscalar()), ("vliw", Target::vliw())] {
             let ddg = (kernel.build)(target);
-            let mut reduced = ddg.clone();
-            let report = engine.run_pipeline(&Pipeline::uniform(6), &mut reduced);
-            for t in ddg.reg_types() {
+            let reductions = reduce_all(&mut engine, &mut ddg.clone(), 6);
+            for (t, reduction) in reductions {
                 let a = engine.analyze(&ddg, t);
-                let r = report
-                    .types
-                    .iter()
-                    .find(|r| r.reg_type == t.0)
-                    .expect("the pipeline reports every register type");
                 rows.push((
                     kernel.name,
                     target_name,
                     t.0,
                     a.saturation,
                     digest(&a),
-                    (r.rs_before, r.rs_after, r.arcs_added, r.cp_after, r.fits),
+                    reduction,
                 ));
             }
         }
@@ -187,18 +203,18 @@ fn random_analyses() -> Vec<RandomPin> {
                     h.words(analysis_words(&a));
                 }
                 let budget = max_rs.saturating_sub(2).max(1);
-                let mut reduced = ddg.clone();
-                let report = engine.run_pipeline(&Pipeline::uniform(budget), &mut reduced);
                 h.words([budget as u32]);
-                for r in &report.types {
-                    *arcs_sum += r.arcs_added;
+                for (t, (rs_before, rs_after, arcs, cp_after, fits)) in
+                    reduce_all(&mut engine, &mut ddg.clone(), budget)
+                {
+                    *arcs_sum += arcs;
                     h.words([
-                        u32::from(r.reg_type),
-                        r.rs_before as u32,
-                        r.rs_after as u32,
-                        r.arcs_added as u32,
-                        r.cp_after as u32,
-                        u32::from(r.fits),
+                        u32::from(t.0),
+                        rs_before as u32,
+                        rs_after as u32,
+                        arcs as u32,
+                        cp_after as u32,
+                        u32::from(fits),
                     ]);
                 }
             }

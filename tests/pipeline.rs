@@ -4,28 +4,32 @@
 //! the reduction succeeded.
 
 use register_saturation::prelude::*;
+use rs_core::engine::RsEngine;
 use rs_core::model::Target;
 use rs_kernels::random::{random_ddg, RandomDagConfig};
 
 fn full_pipeline(mut ddg: Ddg, budget: usize) -> (bool, usize) {
-    let report = Pipeline {
-        budgets: vec![(RegType::INT, budget), (RegType::FLOAT, budget)],
+    let reducer = Reducer {
         verify_exact: true,
-    }
-    .run(&mut ddg);
-    // verified saturations must agree with the fit claim
-    for t in &report.types {
-        if t.fits {
-            assert!(
-                t.verified_rs.unwrap() <= t.budget,
-                "type {} claims fit but exact RS = {:?} > {}",
-                t.reg_type,
-                t.verified_rs,
-                t.budget
-            );
+        ..Reducer::new()
+    };
+    let mut all_fit = true;
+    for t in [RegType::INT, RegType::FLOAT] {
+        if ddg.values(t).is_empty() {
+            continue;
         }
+        if !reducer.reduce(&mut ddg, t, budget).fits() {
+            all_fit = false;
+            continue;
+        }
+        // the exact saturation must agree with the fit claim
+        let rs = ExactRs::new().saturation(&ddg, t).saturation;
+        assert!(
+            rs <= budget,
+            "type {t:?} claims fit but exact RS = {rs} > {budget}"
+        );
     }
-    if !report.all_fit() {
+    if !all_fit {
         return (false, 0);
     }
     let sched = ListScheduler::new(Resources::four_issue()).schedule(&ddg);
@@ -82,16 +86,26 @@ fn vliw_pipeline_no_spills() {
 
 #[test]
 fn pipeline_is_idempotent_when_fitting() {
-    // running the pipeline twice must not add more arcs the second time
+    // reducing every type twice must not add more arcs the second time
     let k = rs_kernels::corpus()
         .into_iter()
         .find(|k| k.name == "ddot")
         .unwrap();
     let mut ddg = (k.build)(Target::superscalar());
-    let r1 = Pipeline::uniform(6).run(&mut ddg);
+    let mut engine = RsEngine::new();
+    let mut reduce_all = |ddg: &mut Ddg| {
+        ddg.reg_types()
+            .into_iter()
+            .map(|t| engine.reduce(ddg, t, 6))
+            .collect::<Vec<_>>()
+    };
+    let first = reduce_all(&mut ddg);
     let edges_after_first = ddg.graph().edge_count();
-    let r2 = Pipeline::uniform(6).run(&mut ddg);
-    assert!(r1.all_fit() && r2.all_fit());
-    assert_eq!(r2.total_arcs_added(), 0, "second run must be a no-op");
+    let second = reduce_all(&mut ddg);
+    assert!(first.iter().chain(&second).all(ReduceOutcome::fits));
+    assert!(
+        second.iter().all(|o| o.added_arcs().is_empty()),
+        "second run must be a no-op"
+    );
     assert_eq!(ddg.graph().edge_count(), edges_after_first);
 }
