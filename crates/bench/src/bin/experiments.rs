@@ -7,17 +7,30 @@
 //! ```
 //!
 //! Reports land in `results/*.txt` (human-readable) and `results/*.json`
-//! (machine-readable).
+//! (machine-readable); a report that cannot be written stops the run with
+//! `error[io]` and exit status 1.
 
 #![forbid(unsafe_code)]
 
 use rs_bench::{
-    common, figure2, t1_rs_optimality, t2_reduce_optimality, t3_model_size, t4_min_vs_saturate,
-    t5_ablation,
+    figure2, t1_rs_optimality, t2_reduce_optimality, t3_model_size, t4_min_vs_saturate, t5_ablation,
 };
+use rs_core::request::RsError;
+use rs_serve::write_report;
 use std::path::PathBuf;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("experiments: error[{}]: {}", e.code, e.message);
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), RsError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let exp = args
@@ -45,41 +58,42 @@ fn main() {
         banner("Figure 2");
         let (text, report) = figure2::run();
         println!("{text}");
-        common::write_report(&out_dir, "figure2", &text, &report);
+        write_report(&out_dir, "figure2", &text, &report)?;
     }
     if run_t1 {
         banner("T1 — RS computation optimality");
         let (text, report) = t1_rs_optimality::run(quick);
         println!("{text}");
-        common::write_report(&out_dir, "t1_rs_optimality", &text, &report);
+        write_report(&out_dir, "t1_rs_optimality", &text, &report)?;
     }
     if run_t2 {
         banner("T2 — RS reduction optimality");
         let (text, report) = t2_reduce_optimality::run(quick);
         println!("{text}");
-        common::write_report(&out_dir, "t2_reduce_optimality", &text, &report);
+        write_report(&out_dir, "t2_reduce_optimality", &text, &report)?;
     }
     if run_t3 {
         banner("T3 — intLP model sizes");
         let (text, report) = t3_model_size::run(quick);
         println!("{text}");
-        common::write_report(&out_dir, "t3_model_size", &text, &report);
+        write_report(&out_dir, "t3_model_size", &text, &report)?;
     }
     if run_t4 {
         banner("T4 — minimize vs saturate");
         let (text, report) = t4_min_vs_saturate::run(quick);
         println!("{text}");
-        common::write_report(&out_dir, "t4_min_vs_saturate", &text, &report);
+        write_report(&out_dir, "t4_min_vs_saturate", &text, &report)?;
     }
 
     if run_t5 {
         banner("T5b — ablations");
         let (text, report) = t5_ablation::run(quick);
         println!("{text}");
-        common::write_report(&out_dir, "t5_ablation", &text, &report);
+        write_report(&out_dir, "t5_ablation", &text, &report)?;
     }
 
     println!("reports written to {}", out_dir.display());
+    Ok(())
 }
 
 fn banner(title: &str) {

@@ -1,11 +1,8 @@
-//! Shared experiment plumbing: the evaluation corpus, a deterministic
-//! parallel map, and result output.
+//! Shared experiment plumbing: the evaluation corpus and a deterministic
+//! parallel map. Reports are written by `rs_serve::write_report`.
 
 use rs_core::model::{Ddg, RegType, Target};
 use rs_kernels::random::{random_ddg, RandomDagConfig};
-use serde::Serialize;
-use std::io::Write;
-use std::path::Path;
 
 /// A DAG under evaluation: name + register type to analyse.
 pub struct Case {
@@ -87,17 +84,6 @@ pub fn par_map<T: Send, O: Send>(
     });
 
     slots.into_iter().map(|s| s.expect("slot filled")).collect()
-}
-
-/// Writes a text report and a JSON sidecar under `results/`.
-pub fn write_report<S: Serialize>(dir: &Path, name: &str, text: &str, data: &S) {
-    std::fs::create_dir_all(dir).expect("create results dir");
-    let txt_path = dir.join(format!("{name}.txt"));
-    let mut f = std::fs::File::create(&txt_path).expect("create report");
-    f.write_all(text.as_bytes()).expect("write report");
-    let json_path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(data).expect("serialize");
-    std::fs::write(json_path, json).expect("write json");
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
-//! # rs-bench — experiment regenerators and the corpus driver
+//! # rs-bench — experiment regenerators
 //!
-//! One module per paper artifact, plus the batch driver behind
-//! `rsat corpus`:
+//! One module per paper artifact:
 //!
 //! | module | artifact |
 //! |---|---|
@@ -11,16 +10,15 @@
 //! | [`t4_min_vs_saturate`] | Section 6 discussion: saturation reduction vs register minimization |
 //! | [`t5_ablation`] | Ablations of the reproduction's own choices: Greedy-k refinement, the Section-3 pair pre-filter, ReduceIlp horizon escalation |
 //! | [`figure2`] | Figure 2 worked example |
-//! | [`corpus`] | `rsat corpus`: a directory of `.ddg` files through the service dispatcher, one warm dispatcher per worker |
 //!
 //! The `experiments` binary drives the artifact modules and, like
 //! `rsat corpus`, writes `results/*.txt` and `results/*.json` through
-//! [`common`].
+//! [`rs_serve::write_report`]. The corpus runner behind `rsat corpus`
+//! lives in [`rs_serve::corpus`], next to the dispatcher it drives.
 
 #![forbid(unsafe_code)]
 
 pub mod common;
-pub mod corpus;
 pub mod figure2;
 pub mod t1_rs_optimality;
 pub mod t2_reduce_optimality;

@@ -68,14 +68,6 @@ pub struct RsIlp {
     pub full_iff: bool,
     /// Apply the Section-3 pair pre-filter (`never simultaneously alive`).
     pub prefilter_pairs: bool,
-    /// Drop scheduling constraints of redundant arcs (Section-3
-    /// optimization: an arc is redundant when another path already enforces
-    /// at least its latency).
-    pub eliminate_redundant_arcs: bool,
-    /// Override the schedule horizon `T` (defaults to the paper's
-    /// `Σ_e δ(e)`). Smaller horizons shrink big-M constants; the result is
-    /// the saturation restricted to schedules of that makespan.
-    pub horizon_override: Option<i64>,
     /// Branch-and-bound budget, worker threads and tolerance (see
     /// [`MilpConfig`]).
     pub milp: MilpConfig,
@@ -86,8 +78,6 @@ impl Default for RsIlp {
         RsIlp {
             full_iff: false,
             prefilter_pairs: true,
-            eliminate_redundant_arcs: false,
-            horizon_override: None,
             milp: MilpConfig::default(),
         }
     }
@@ -136,7 +126,7 @@ impl RsIlp {
 
     /// Builds the Section-3 model without solving it.
     pub fn build_model(&self, ddg: &Ddg, t: RegType) -> (Model, RsIlpVars) {
-        let (mut m, vars) = self.build_cast(ddg, t);
+        let (mut m, vars) = self.build_cast(ddg, t, ddg.horizon());
 
         // Independent-set constraints:
         // s_{u,v} = 0 ⟹ x_u + x_v ≤ 1, linearly: x_u + x_v ≤ 1 + s_{u,v}.
@@ -159,10 +149,11 @@ impl RsIlp {
 
     /// The variable cast both intLPs share: `σ_u` with its precedence
     /// rows, `k_u`, `s_{u,v}` with its interference rows, and the `x_u`
-    /// columns — but no independent-set row and no objective.
-    fn build_cast(&self, ddg: &Ddg, t: RegType) -> (Model, RsIlpVars) {
+    /// columns — but no independent-set row and no objective. `σ_u` ranges
+    /// over `[asap, alap(horizon)]`: the paper's `T = Σ_e δ(e)` for
+    /// [`RsIlp`], the escalating horizon for [`ReduceIlp`].
+    fn build_cast(&self, ddg: &Ddg, t: RegType, horizon: i64) -> (Model, RsIlpVars) {
         let n = ddg.num_ops();
-        let horizon = self.horizon_override.unwrap_or_else(|| ddg.horizon());
         let asap_v = asap(ddg.graph());
         let alap_v = alap(ddg.graph(), horizon);
 
@@ -180,14 +171,11 @@ impl RsIlp {
             })
             .collect();
 
-        // Precedence constraints (skipping redundant arcs if requested).
+        // Precedence constraints.
         for e in ddg.graph().edge_ids() {
             let u = ddg.graph().src(e);
             let v = ddg.graph().dst(e);
             let lat = ddg.graph().latency(e);
-            if self.eliminate_redundant_arcs && edge_redundant(ddg, e) {
-                continue;
-            }
             m.add_constraint(
                 LinExpr::from(sigma[v.index()]) - sigma[u.index()],
                 Cmp::Ge,
@@ -324,20 +312,6 @@ impl RsIlp {
     }
 }
 
-/// An arc is redundant for the scheduling constraints when the rest of the
-/// graph already enforces at least its latency (Section-3 optimization).
-fn edge_redundant(ddg: &Ddg, e: rs_graph::EdgeId) -> bool {
-    let u = ddg.graph().src(e);
-    let v = ddg.graph().dst(e);
-    let lat = ddg.graph().latency(e);
-    let mut g = ddg.graph().clone();
-    g.remove_edge(e);
-    matches!(
-        rs_graph::paths::longest_from(&g, u)[v.index()],
-        Some(d) if d >= lat
-    )
-}
-
 /// Section-4 exact register-saturation reduction.
 #[derive(Clone, Debug)]
 pub struct ReduceIlp {
@@ -437,10 +411,9 @@ impl ReduceIlp {
         // sharing, so it must imply real lifetime disjointness).
         let rs = RsIlp {
             full_iff: true,
-            horizon_override: Some(horizon),
             ..RsIlp::default()
         };
-        let (mut m, vars) = rs.build_cast(ddg, t);
+        let (mut m, vars) = rs.build_cast(ddg, t, horizon);
 
         // No independent set here: the x_u columns stay, fixed at 0, so
         // the column order matches the Section-3 model's, but none of
@@ -691,36 +664,6 @@ mod tests {
             st.constraints,
             m_edges + n * n
         );
-    }
-
-    #[test]
-    fn redundant_arc_elimination_shrinks_model() {
-        let mut b = DdgBuilder::new(Target::superscalar());
-        let a = b.op("a", OpClass::IntAlu, Some(RegType::INT));
-        let c = b.op("c", OpClass::IntAlu, Some(RegType::INT));
-        let e = b.op("e", OpClass::Store, None);
-        b.flow(a, c, 1, RegType::INT);
-        b.flow(c, e, 1, RegType::INT);
-        b.serial(a, e, 1); // redundant: path a -> c -> e has latency 2 >= 1
-        let d = b.finish();
-        let base = RsIlp::new().build_model(&d, RegType::INT).0.stats();
-        let opt = RsIlp {
-            eliminate_redundant_arcs: true,
-            ..RsIlp::new()
-        }
-        .build_model(&d, RegType::INT)
-        .0
-        .stats();
-        assert!(opt.constraints < base.constraints);
-        // and the answer is unchanged
-        let s1 = RsIlp::new().saturation(&d, RegType::INT).unwrap();
-        let s2 = RsIlp {
-            eliminate_redundant_arcs: true,
-            ..RsIlp::new()
-        }
-        .saturation(&d, RegType::INT)
-        .unwrap();
-        assert_eq!(s1.saturation, s2.saturation);
     }
 
     #[test]

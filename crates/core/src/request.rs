@@ -152,11 +152,14 @@ pub struct RsRequest {
     pub reg_type: Option<String>,
     /// Register budget; required by `reduce` and `pipeline`.
     pub registers: Option<usize>,
-    /// Also run the exact combinatorial search (`analyze`).
+    /// Also run the exact combinatorial search (`analyze` only; another
+    /// op rejects it).
     pub exact: bool,
-    /// Also run the Section-3 intLP (`analyze`).
+    /// Also run the Section-3 intLP (`analyze` only; another op rejects
+    /// it).
     pub ilp: bool,
-    /// Report intLP branch-and-bound statistics (`analyze`, with `ilp`).
+    /// Report intLP branch-and-bound statistics (`analyze` only, and only
+    /// with `ilp`).
     pub stats: bool,
     /// Worker threads for the exact solvers (results are thread-count
     /// invariant; excluded from the cache key).
@@ -201,7 +204,9 @@ impl RsRequest {
     }
 
     /// Checks version and field consistency, before any parsing of the
-    /// DDG payload.
+    /// DDG payload. A solver field the op would ignore (`exact`, `ilp` or
+    /// `stats` outside `analyze`, `stats` without `ilp`) is a usage error
+    /// naming the field, not a silent no-op.
     pub fn validate(&self) -> Result<(), RsError> {
         if self.v != PROTOCOL_VERSION {
             return Err(RsError::new(
@@ -231,6 +236,26 @@ impl RsRequest {
                 }
                 Some(_) => {}
             },
+        }
+        // Only `analyze` runs the exact solvers: another op would answer as
+        // if the field had never been sent.
+        if self.op != RsOp::Analyze {
+            let solver_fields = [
+                ("exact", self.exact),
+                ("ilp", self.ilp),
+                ("stats", self.stats),
+            ];
+            if let Some((field, _)) = solver_fields.into_iter().find(|&(_, set)| set) {
+                return Err(RsError::usage(format!(
+                    "op `{}` does not take `{field}`: only `analyze` runs the exact solvers",
+                    self.op.name()
+                )));
+            }
+        }
+        if self.stats && !self.ilp {
+            return Err(RsError::usage(
+                "`stats` requires `ilp`: it reports the intLP's search statistics",
+            ));
         }
         if let Some(w) = self.issue {
             if !matches!(w, 1 | 4 | 8) {

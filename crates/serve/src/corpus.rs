@@ -1,19 +1,23 @@
 //! The parallel corpus driver behind `rsat corpus <dir>`: walk a directory
-//! of `.ddg` files and run each one through the same [`Dispatcher`] that
-//! powers `rsat serve` and the one-shot subcommands — one dispatcher (and
-//! therefore one warm [`rs_core::engine::RsEngine`]) per worker thread —
-//! then fold the [`rs_core::request::RsResponse`]s into a
-//! JSON-serializable summary whose per-type entries are the dispatcher's
-//! own [`TypeResult`]s, proof status and all. The corpus runner is a batch
-//! *client* of the service dispatch path, not a third execution stack.
+//! of `.ddg` files and apply one [`RsRequest`] to each of them through the
+//! same [`Dispatcher`] that powers `rsat serve` and the one-shot
+//! subcommands — one dispatcher (and therefore one warm
+//! [`rs_core::engine::RsEngine`]) per worker thread — then fold the
+//! [`rs_core::request::RsResponse`]s into a JSON-serializable summary
+//! whose per-type entries are the dispatcher's own [`TypeResult`]s, proof
+//! status and all. The corpus runner is a batch *client* of the service
+//! dispatch path, not a third execution stack: the request is validated
+//! once, before the directory is read, and each file's request is a clone
+//! of it carrying that file's DDG.
 //!
 //! Error containment is per file: a malformed `.ddg` becomes an `ok: false`
 //! entry carrying the structured [`RsError`] and the run continues.
 //! Summaries are deterministic in everything except wall-clock fields,
 //! independent of `jobs` (asserted by `tests/corpus_cli.rs`).
 
-use rs_core::request::{codes, RsError, RsOp, RsRequest, TypeResult};
-use rs_serve::Dispatcher;
+use crate::dispatch::Dispatcher;
+use crate::lock_recover;
+use rs_core::request::{codes, RsError, RsRequest, TypeResult};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -21,82 +25,24 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// What to run per file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CorpusMode {
-    /// Saturation analysis of every register type.
-    Analyze,
-    /// Analysis plus reduction to the given per-type budget.
-    Reduce {
-        /// Register budget per type.
-        registers: usize,
-    },
-    /// Analysis plus the full Figure-1 pipeline under a uniform budget.
-    Pipeline {
-        /// Register budget per type.
-        registers: usize,
-    },
-}
-
-impl CorpusMode {
-    fn op(self) -> RsOp {
-        match self {
-            CorpusMode::Analyze => RsOp::Analyze,
-            CorpusMode::Reduce { .. } => RsOp::Reduce,
-            CorpusMode::Pipeline { .. } => RsOp::Pipeline,
-        }
-    }
-
-    fn registers(self) -> Option<usize> {
-        match self {
-            CorpusMode::Analyze => None,
-            CorpusMode::Reduce { registers } | CorpusMode::Pipeline { registers } => {
-                Some(registers)
-            }
-        }
-    }
-}
-
-/// Corpus run configuration.
-#[derive(Clone, Debug)]
+/// How a corpus run is carried out; what runs per file is its request.
+#[derive(Clone, Debug, Default)]
 pub struct CorpusOptions {
-    /// Worker threads (clamped to ≥ 1).
+    /// Worker threads (clamped to ≥ 1, so the default 0 runs one).
     pub jobs: usize,
-    /// Per-file work.
-    pub mode: CorpusMode,
-    /// Per-file deadline; a file whose analysis exceeds it is recorded as
-    /// a `timeout` entry (with the run continuing).
-    pub timeout_ms: Option<u64>,
-    /// Also run the exact intLP saturation solver per file (analyze mode).
-    pub ilp: bool,
     /// Periodic run checkpoint file. Completed per-file entries are
     /// rewritten here (atomically, tmp + rename) after every file, and a
-    /// rerun pointed at the same path with the same per-file settings
-    /// (`mode` with its budget, `ilp`, `timeout_ms`) skips files it
-    /// already covers — a corpus run killed mid-way resumes instead of
+    /// rerun pointed at the same path with the same request skips files
+    /// it already covers — a corpus run killed mid-way resumes instead of
     /// restarting. Removed on successful completion.
     pub resume_path: Option<PathBuf>,
 }
 
-impl Default for CorpusOptions {
-    fn default() -> Self {
-        CorpusOptions {
-            jobs: 1,
-            mode: CorpusMode::Analyze,
-            timeout_ms: None,
-            ilp: false,
-            resume_path: None,
-        }
-    }
-}
-
-impl CorpusOptions {
-    /// The settings that decide each file's entry, as recorded in a
-    /// [`CorpusOptions::resume_path`] checkpoint: entries computed under
-    /// other settings are never restored.
-    fn per_file_settings(&self) -> String {
-        format!("{:?}", (self.mode, self.ilp, self.timeout_ms))
-    }
+/// The settings that decide each file's entry, as recorded in a
+/// [`CorpusOptions::resume_path`] checkpoint: the request every file
+/// runs. Entries computed under another request are never restored.
+fn per_file_settings(request: &RsRequest) -> String {
+    format!("{request:?}")
 }
 
 /// Outcome of one corpus file.
@@ -161,7 +107,7 @@ pub struct CorpusSummary {
     pub dir: String,
     /// Worker threads used.
     pub jobs: usize,
-    /// Mode label (`"analyze"`, `"reduce"`, `"pipeline"`).
+    /// The request's op (`"analyze"`, `"reduce"`, `"pipeline"`).
     pub mode: String,
     /// Files discovered.
     pub file_count: usize,
@@ -179,13 +125,17 @@ pub struct CorpusSummary {
     pub files: Vec<CorpusFileSummary>,
 }
 
-/// Runs the corpus under `dir`. Returns an error only for driver-level
-/// failures (unreadable directory, no `.ddg` files); malformed corpus files
-/// are contained as `ok: false` entries.
-pub fn run_corpus(dir: &Path, opts: &CorpusOptions) -> Result<CorpusSummary, RsError> {
-    if opts.mode.registers() == Some(0) {
-        return Err(RsError::usage("register budget must be at least 1"));
-    }
+/// Applies `request` to every `.ddg` file under `dir` (its `ddg` field is
+/// replaced by each file's text). Returns an error only when the run
+/// itself fails — an invalid request, checked before the directory is
+/// read; an unreadable directory; no `.ddg` files — while malformed corpus
+/// files are contained as `ok: false` entries.
+pub fn run_corpus(
+    dir: &Path,
+    request: &RsRequest,
+    opts: &CorpusOptions,
+) -> Result<CorpusSummary, RsError> {
+    request.validate()?;
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| {
             RsError::new(
@@ -208,8 +158,7 @@ pub fn run_corpus(dir: &Path, opts: &CorpusOptions) -> Result<CorpusSummary, RsE
 
     let jobs = opts.jobs.clamp(1, paths.len());
     let next = AtomicUsize::new(0);
-    let mode_name = opts.mode.op().name().to_string();
-    let settings = opts.per_file_settings();
+    let settings = per_file_settings(request);
     let mut slots: Vec<Option<CorpusFileSummary>> = (0..paths.len()).map(|_| None).collect();
 
     // A rerun pointed at the same `--resume` file restores the entries an
@@ -239,11 +188,11 @@ pub fn run_corpus(dir: &Path, opts: &CorpusOptions) -> Result<CorpusSummary, RsE
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(path) = paths.get(i) else { break };
-                    if results.lock().unwrap()[i].is_some() {
+                    if lock_recover(&results)[i].is_some() {
                         continue; // restored from the resume checkpoint
                     }
-                    let summary = run_file(&mut dispatcher, dir, path, opts);
-                    let mut held = results.lock().unwrap();
+                    let summary = run_file(&mut dispatcher, dir, path, request);
+                    let mut held = lock_recover(&results);
                     held[i] = Some(summary);
                     if let Some(rp) = &opts.resume_path {
                         // Rewrite the whole checkpoint after each file
@@ -260,8 +209,8 @@ pub fn run_corpus(dir: &Path, opts: &CorpusOptions) -> Result<CorpusSummary, RsE
 
     let files: Vec<CorpusFileSummary> = slots
         .into_iter()
-        .map(|s| s.expect("worker filled every slot"))
-        .collect();
+        .collect::<Option<_>>()
+        .ok_or_else(|| RsError::new(codes::ENGINE, "a corpus worker left a file unanswered"))?;
     if let Some(rp) = &opts.resume_path {
         // The run covered everything: a later rerun should start fresh.
         let _ = std::fs::remove_file(rp);
@@ -270,7 +219,7 @@ pub fn run_corpus(dir: &Path, opts: &CorpusOptions) -> Result<CorpusSummary, RsE
     Ok(CorpusSummary {
         dir: dir.display().to_string(),
         jobs,
-        mode: mode_name,
+        mode: request.op.name().to_string(),
         file_count: files.len(),
         analyzed,
         failed: files.len() - analyzed,
@@ -284,14 +233,14 @@ pub fn run_corpus(dir: &Path, opts: &CorpusOptions) -> Result<CorpusSummary, RsE
 #[derive(Serialize, Deserialize)]
 struct ResumeFile {
     version: u32,
-    /// [`CorpusOptions::per_file_settings`] of the run that wrote it.
+    /// `per_file_settings` of the run that wrote it.
     settings: String,
     files: Vec<CorpusFileSummary>,
 }
 
 /// Bumped whenever the file's shape or key changes: a file written by
 /// another version is ignored, so the rerun starts cold.
-const RESUME_VERSION: u32 = 3;
+const RESUME_VERSION: u32 = 4;
 
 /// Loads a run checkpoint, keyed by file name. Unreadable, malformed, or
 /// mismatched (different settings/version) checkpoints are ignored — the
@@ -334,9 +283,8 @@ fn run_file(
     dispatcher: &mut Dispatcher,
     dir: &Path,
     path: &Path,
-    opts: &CorpusOptions,
+    request: &RsRequest,
 ) -> CorpusFileSummary {
-    let mode = opts.mode;
     let name = path.strip_prefix(dir).unwrap_or(path).display().to_string();
     let start = Instant::now();
     let fail = |error: RsError| CorpusFileSummary {
@@ -351,24 +299,18 @@ fn run_file(
         millis: start.elapsed().as_secs_f64() * 1e3,
     };
 
-    let input = match std::fs::read_to_string(path) {
+    let mut req = request.clone();
+    req.ddg = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => return fail(RsError::new(codes::IO, format!("cannot read: {e}"))),
     };
-
-    let mut req = RsRequest::new(mode.op(), input);
-    req.registers = mode.registers();
-    req.cache = false;
-    req.ilp = opts.ilp;
-    req.timeout_ms = opts.timeout_ms;
     let resp = dispatcher.dispatch(&req);
-    if !resp.ok {
-        let error = resp
-            .error
-            .unwrap_or_else(|| RsError::new(codes::ENGINE, "missing error detail"));
-        return fail(error);
-    }
-    let result = resp.result.expect("ok response carries a result");
+    let (true, Some(result)) = (resp.ok, resp.result) else {
+        return fail(
+            resp.error
+                .unwrap_or_else(|| RsError::new(codes::ENGINE, "missing error detail")),
+        );
+    };
     CorpusFileSummary {
         file: name,
         ok: true,
@@ -439,12 +381,44 @@ pub fn render_text(summary: &CorpusSummary) -> String {
     out
 }
 
+/// Writes a report as `<name>.txt` (the text) and `<name>.json` (the
+/// data, pretty-printed) under `dir`, creating the directory. A path that
+/// cannot be created or written answers code `io` naming it.
+pub fn write_report<S: Serialize>(
+    dir: &Path,
+    name: &str,
+    text: &str,
+    data: &S,
+) -> Result<(), RsError> {
+    let io = |path: &Path, e: std::io::Error| {
+        RsError::new(codes::IO, format!("cannot write {}: {e}", path.display()))
+    };
+    std::fs::create_dir_all(dir).map_err(|e| io(dir, e))?;
+    let txt_path = dir.join(format!("{name}.txt"));
+    std::fs::write(&txt_path, text).map_err(|e| io(&txt_path, e))?;
+    let json_path = dir.join(format!("{name}.json"));
+    let json = serde_json::to_string_pretty(data)
+        .map_err(|e| RsError::new(codes::IO, format!("cannot serialize {name}: {e}")))?;
+    std::fs::write(&json_path, json).map_err(|e| io(&json_path, e))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rs_core::request::RsOp;
 
     fn fixture_dir() -> PathBuf {
         PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/data"))
+    }
+
+    fn request(op: RsOp, registers: Option<usize>) -> RsRequest {
+        let mut req = RsRequest::new(op, "");
+        req.registers = registers;
+        req
+    }
+
+    fn analyze() -> RsRequest {
+        request(RsOp::Analyze, None)
     }
 
     fn error_message(f: &CorpusFileSummary) -> &str {
@@ -453,7 +427,7 @@ mod tests {
 
     #[test]
     fn runs_shipped_fixtures() {
-        let summary = run_corpus(&fixture_dir(), &CorpusOptions::default()).unwrap();
+        let summary = run_corpus(&fixture_dir(), &analyze(), &CorpusOptions::default()).unwrap();
         assert!(summary.file_count >= 2);
         assert_eq!(summary.failed, 0);
         assert!(summary.files.iter().all(|f| f.ok && !f.types.is_empty()));
@@ -466,20 +440,21 @@ mod tests {
 
     #[test]
     fn jobs_do_not_change_the_analysis() {
+        let reduce = request(RsOp::Reduce, Some(3));
         let one = run_corpus(
             &fixture_dir(),
+            &reduce,
             &CorpusOptions {
                 jobs: 1,
-                mode: CorpusMode::Reduce { registers: 3 },
                 ..Default::default()
             },
         )
         .unwrap();
         let four = run_corpus(
             &fixture_dir(),
+            &reduce,
             &CorpusOptions {
                 jobs: 4,
-                mode: CorpusMode::Reduce { registers: 3 },
                 ..Default::default()
             },
         )
@@ -501,7 +476,7 @@ mod tests {
             "op a load float\nflow a ghost 1 float\n",
         )
         .unwrap();
-        let summary = run_corpus(&dir, &CorpusOptions::default()).unwrap();
+        let summary = run_corpus(&dir, &analyze(), &CorpusOptions::default()).unwrap();
         assert_eq!(summary.file_count, 2);
         assert_eq!(summary.analyzed, 1);
         assert_eq!(summary.failed, 1);
@@ -535,6 +510,7 @@ mod tests {
         .unwrap();
         let summary = run_corpus(
             &dir,
+            &analyze(),
             &CorpusOptions {
                 jobs: 2,
                 ..Default::default()
@@ -555,11 +531,8 @@ mod tests {
     fn reduce_mode_skips_duplicate_analysis_but_reports_saturation() {
         let summary = run_corpus(
             &fixture_dir(),
-            &CorpusOptions {
-                jobs: 1,
-                mode: CorpusMode::Reduce { registers: 3 },
-                ..Default::default()
-            },
+            &request(RsOp::Reduce, Some(3)),
+            &CorpusOptions::default(),
         )
         .unwrap();
         let expr = summary.files.iter().find(|f| f.file == "expr.ddg").unwrap();
@@ -573,11 +546,8 @@ mod tests {
     fn pipeline_mode_reports_makespan() {
         let summary = run_corpus(
             &fixture_dir(),
-            &CorpusOptions {
-                jobs: 1,
-                mode: CorpusMode::Pipeline { registers: 4 },
-                ..Default::default()
-            },
+            &request(RsOp::Pipeline, Some(4)),
+            &CorpusOptions::default(),
         )
         .unwrap();
         let daxpy = summary
@@ -600,11 +570,11 @@ mod tests {
         std::fs::write(dir.join("a.ddg"), "op a load float\n").unwrap();
         std::fs::write(dir.join("b.ddg"), "op b load float\n").unwrap();
         let resume = dir.join("resume.json");
-        let with_resume = || CorpusOptions {
+        let opts = CorpusOptions {
             resume_path: Some(resume.clone()),
             ..Default::default()
         };
-        let full = run_corpus(&dir, &with_resume()).unwrap();
+        let full = run_corpus(&dir, &analyze(), &opts).unwrap();
         assert_eq!(full.restored, 0);
         assert!(!resume.exists(), "completed run removes its checkpoint");
 
@@ -612,11 +582,11 @@ mod tests {
         // a's entry. The rerun restores it and analyses only b.ddg.
         let partial = ResumeFile {
             version: RESUME_VERSION,
-            settings: with_resume().per_file_settings(),
+            settings: per_file_settings(&analyze()),
             files: vec![full.files[0].clone()],
         };
         std::fs::write(&resume, serde_json::to_string(&partial).unwrap()).unwrap();
-        let rerun = run_corpus(&dir, &with_resume()).unwrap();
+        let rerun = run_corpus(&dir, &analyze(), &opts).unwrap();
         assert_eq!(rerun.restored, 1);
         assert_eq!(rerun.file_count, 2, "every file covered exactly once");
         for (a, b) in full.files.iter().zip(&rerun.files) {
@@ -624,36 +594,33 @@ mod tests {
         }
         assert!(!resume.exists(), "rerun completed and cleaned up");
 
-        // A checkpoint written under other per-file settings — another
-        // mode, another register budget, the intLP switched on — is
-        // ignored, not trusted.
-        let reduce = |registers| CorpusOptions {
-            mode: CorpusMode::Reduce { registers },
-            ..with_resume()
-        };
-        let with_ilp = CorpusOptions {
+        // A checkpoint written under another request — another op,
+        // another register budget, the intLP switched on — is ignored,
+        // not trusted.
+        let reduce = |registers| request(RsOp::Reduce, Some(registers));
+        let with_ilp = RsRequest {
             ilp: true,
-            ..with_resume()
+            ..analyze()
         };
         for (writer, reader, restored) in [
             (reduce(2), reduce(2), 1),
             (reduce(2), reduce(3), 0),
-            (reduce(3), with_resume(), 0),
-            (with_ilp, with_resume(), 0),
+            (reduce(3), analyze(), 0),
+            (with_ilp, analyze(), 0),
         ] {
             let written = ResumeFile {
                 version: RESUME_VERSION,
-                settings: writer.per_file_settings(),
+                settings: per_file_settings(&writer),
                 files: vec![full.files[0].clone()],
             };
             std::fs::write(&resume, serde_json::to_string(&written).unwrap()).unwrap();
-            let run = run_corpus(&dir, &reader).unwrap();
+            let run = run_corpus(&dir, &reader, &opts).unwrap();
             assert_eq!(
                 run.restored,
                 restored,
                 "written under {}, read under {}",
-                writer.per_file_settings(),
-                reader.per_file_settings()
+                per_file_settings(&writer),
+                per_file_settings(&reader)
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -664,26 +631,39 @@ mod tests {
         let dir = std::env::temp_dir().join("rsat_corpus_empty");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        assert!(run_corpus(&dir, &CorpusOptions::default()).is_err());
+        assert!(run_corpus(&dir, &analyze(), &CorpusOptions::default()).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn zero_budget_is_a_driver_error() {
-        for mode in [
-            CorpusMode::Reduce { registers: 0 },
-            CorpusMode::Pipeline { registers: 0 },
-        ] {
-            let e = run_corpus(
-                &fixture_dir(),
-                &CorpusOptions {
-                    jobs: 1,
-                    mode,
-                    ..Default::default()
-                },
-            )
-            .unwrap_err();
+        let opts = CorpusOptions {
+            jobs: 1,
+            ..Default::default()
+        };
+        for op in [RsOp::Reduce, RsOp::Pipeline] {
+            let e = run_corpus(&fixture_dir(), &request(op, Some(0)), &opts).unwrap_err();
             assert!(e.message.contains("at least 1"), "{e}");
         }
+    }
+
+    #[test]
+    fn invalid_request_fails_before_the_directory_is_read() {
+        let missing = Path::new("/nonexistent_rsat_corpus_dir");
+        let opts = CorpusOptions::default();
+        for registers in [None, Some(0)] {
+            let e = run_corpus(missing, &request(RsOp::Pipeline, registers), &opts).unwrap_err();
+            assert_eq!(e.code, codes::USAGE, "{e}");
+        }
+        let reduce_with_ilp = RsRequest {
+            ilp: true,
+            ..request(RsOp::Reduce, Some(3))
+        };
+        let e = run_corpus(missing, &reduce_with_ilp, &opts).unwrap_err();
+        assert!(e.code == codes::USAGE && e.message.contains("`ilp`"), "{e}");
+        assert_eq!(
+            run_corpus(missing, &analyze(), &opts).unwrap_err().code,
+            codes::IO
+        );
     }
 }

@@ -1,11 +1,15 @@
 //! # rs-serve — the warm-engine analysis service
 //!
-//! Everything behind `rsat serve`, and the single execution path the
-//! one-shot CLI subcommands and the corpus runner share:
+//! Everything behind `rsat serve` and `rsat corpus`, and the single
+//! execution path they share with the one-shot CLI subcommands:
 //!
 //! - [`dispatch::Dispatcher`] — one warm [`rs_core::RsEngine`] per worker,
 //!   per-request fault isolation (panics and malformed payloads answer
 //!   `ok:false`, never kill the process), optional memoization;
+//! - [`corpus`] — the batch runner: one validated request applied to every
+//!   `.ddg` file of a directory, one dispatcher per worker thread, with
+//!   resumable run checkpoints and the typed report writer
+//!   ([`corpus::write_report`]) that the experiments binary shares;
 //! - [`cache::MemoCache`] — content-keyed result cache (DAG bytes + op +
 //!   params) with hit/miss counters surfaced in every response;
 //! - [`pool::ServePool`] — a bounded work queue with backpressure feeding
@@ -25,12 +29,14 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+pub mod corpus;
 pub mod dispatch;
 pub mod fault;
 pub mod pool;
 pub mod server;
 
 pub use cache::MemoCache;
+pub use corpus::{render_text, run_corpus, write_report, CorpusOptions, CorpusSummary};
 pub use dispatch::{process_line, process_line_at, Dispatcher};
 pub use fault::{FaultAction, FaultPlan};
 pub use pool::{Job, PoolHandle, ResponseSink, ServeConfig, ServePool, ServeStats};
@@ -43,7 +49,7 @@ pub use server::{serve_io, InOrderSink, UnixServer};
 /// panic boundary; propagating the poison would turn that one contained
 /// failure into a process-wide outage on the next lock. Every structure
 /// guarded this way (memo cache, connection list,
-/// in-order sink, bounded queue) is consistent after any partial update,
+/// in-order sink, bounded queue, corpus result slots) is consistent after any partial update,
 /// so continuing with the recovered state is sound.
 pub(crate) fn lock_recover<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())

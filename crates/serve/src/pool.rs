@@ -246,36 +246,23 @@ impl ServePool {
         self.shared.queue.push(job)
     }
 
-    /// The shared memoization cache.
-    pub fn cache(&self) -> Arc<MemoCache> {
-        Arc::clone(&self.shared.cache)
-    }
-
-    /// Current statistics snapshot.
-    pub fn stats(&self) -> ServeStats {
-        snapshot(&self.shared)
-    }
-
     /// Closes the queue, drains in-flight work, joins the workers.
     pub fn shutdown(self) -> ServeStats {
         self.shared.queue.close();
         for w in self.workers {
             let _ = w.join();
         }
-        snapshot(&self.shared)
-    }
-}
-
-fn snapshot(shared: &PoolShared) -> ServeStats {
-    let (cache_hits, cache_misses) = shared.cache.counters();
-    ServeStats {
-        requests: shared.counters.requests.load(Ordering::Relaxed),
-        ok: shared.counters.ok.load(Ordering::Relaxed),
-        failed: shared.counters.failed.load(Ordering::Relaxed),
-        timeouts: shared.counters.timeouts.load(Ordering::Relaxed),
-        shed: shared.counters.shed.load(Ordering::Relaxed),
-        cache_hits,
-        cache_misses,
+        let counters = &self.shared.counters;
+        let (cache_hits, cache_misses) = self.shared.cache.counters();
+        ServeStats {
+            requests: counters.requests.load(Ordering::Relaxed),
+            ok: counters.ok.load(Ordering::Relaxed),
+            failed: counters.failed.load(Ordering::Relaxed),
+            timeouts: counters.timeouts.load(Ordering::Relaxed),
+            shed: counters.shed.load(Ordering::Relaxed),
+            cache_hits,
+            cache_misses,
+        }
     }
 }
 

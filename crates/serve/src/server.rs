@@ -140,12 +140,6 @@ impl UnixServer {
         })
     }
 
-    /// Current statistics snapshot.
-    pub fn stats(&self) -> ServeStats {
-        // lint:allow(S-01) the Option is only vacated by stop(self), which consumes the server; unreachable while callable
-        self.pool.as_ref().expect("pool alive").stats()
-    }
-
     /// Stops accepting, unblocks connection readers, drains in-flight
     /// work, and removes the socket file.
     pub fn stop(mut self) -> ServeStats {

@@ -21,23 +21,26 @@
 //!
 //! `--threads N` runs the exact solvers (`--exact` combinatorial search,
 //! `--ilp` intLP branch-and-bound) with `N` parallel workers; the reported
-//! saturations are identical for every thread count. `--stats` prints the
-//! branch-and-bound solve statistics of each `--ilp` run (nodes, LP
-//! solves, dive steps, pseudocost branch and strong-branching-probe
-//! counts, simplex pivots with the steepest-edge share, bound flips,
-//! cutting planes added with the root round count, propagation fathoms,
-//! and the relaxation tableau shape).
+//! saturations are identical for every thread count. `--stats`, which
+//! needs `--ilp`, prints the branch-and-bound solve statistics of each
+//! intLP run (nodes, LP solves, dive steps, pseudocost branch and
+//! strong-branching-probe counts, simplex pivots with the steepest-edge
+//! share, bound flips, cutting planes added with the root round count,
+//! propagation fathoms, and the relaxation tableau shape).
 //!
-//! `corpus` walks a directory of `.ddg` files with `--jobs` scoped-thread
-//! workers (each a warm dispatcher), prints a per-file summary, and writes
-//! `corpus.json`/`corpus.txt` under `--out` (default `results/`). Malformed
-//! files are reported in the summary and skipped — they do not abort the
-//! run or fail the exit code. The summary content is identical for every
-//! `--jobs` value. `--ilp` adds each type's intLP answer per file (its
-//! saturation, whether it is proven, and its bound when it is not), and
-//! `--timeout-ms N` caps each file's work. `--resume PATH` keeps an
-//! atomically-rewritten run checkpoint so a killed corpus run, rerun with
-//! the same flags, skips the files it already completed.
+//! `corpus` folds its flags into one request, exactly as the one-shots do
+//! (`--mode` is the op), and applies it to every `.ddg` file of a
+//! directory with `--jobs` scoped-thread workers (each a warm dispatcher);
+//! it prints a per-file summary and writes `corpus.json`/`corpus.txt`
+//! under `--out` (default `results/`), or answers `error[io]` when it
+//! cannot. Malformed files are reported in the summary and skipped — they
+//! do not abort the run or fail the exit code. The summary content is
+//! identical for every `--jobs` value. `--ilp` (analyze mode only) adds
+//! each type's intLP answer per file (its saturation, whether it is
+//! proven, and its bound when it is not), and `--timeout-ms N` caps each
+//! file's work. `--resume PATH` keeps an atomically-rewritten run
+//! checkpoint so a killed corpus run, rerun with the same flags, skips the
+//! files it already completed.
 //!
 //! `serve` is the persistent daemon: newline-delimited JSON requests on
 //! stdin (or a Unix socket with `--socket`), one response line per request
@@ -57,8 +60,12 @@
 
 use rs_core::parse::parse_ddg;
 use rs_core::request::{codes, RsError, RsOp, RsRequest, RsResult};
-use rs_serve::{serve_io, Dispatcher, FaultPlan, ServeConfig, UnixServer};
+use rs_serve::{
+    render_text, run_corpus, serve_io, write_report, CorpusOptions, Dispatcher, FaultPlan,
+    ServeConfig, UnixServer,
+};
 use std::io::Read;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Every subcommand with its usage: the operand, if any, then its flags as
@@ -145,7 +152,8 @@ fn one_shot(cmd: &str, args: &[String]) -> Result<(), RsError> {
         .ok_or_else(|| RsError::usage("missing input file"))?;
     let input = std::fs::read_to_string(file)
         .map_err(|e| RsError::new(codes::IO, format!("cannot read {file}: {e}")))?;
-    let req = build_request(cmd, input, args)?;
+    let op = RsOp::from_name(cmd).expect("caller routes known subcommands");
+    let req = build_request(op, input, args)?;
     let resp = Dispatcher::new().dispatch(&req);
     // A timeout response is a degradation, not a failure: it still
     // carries the best partial result, which gets rendered normally
@@ -178,13 +186,14 @@ fn one_shot(cmd: &str, args: &[String]) -> Result<(), RsError> {
     Ok(())
 }
 
-/// Folds the one-shot subcommand flags into a service request. The same
-/// parameter validation ([`RsRequest::validate`]) applies to CLI runs and
-/// daemon requests alike.
-fn build_request(cmd: &str, ddg: String, args: &[String]) -> Result<RsRequest, RsError> {
-    let op = RsOp::from_name(cmd).expect("caller routes known subcommands");
+/// Folds a subcommand's flags into the service request for `op`: the one
+/// place `rsat` reads the request flags, for the one-shots and for
+/// `corpus` (whose request every file then runs). The same parameter
+/// validation ([`RsRequest::validate`]) applies to CLI runs and daemon
+/// requests alike.
+fn build_request(op: RsOp, ddg: String, args: &[String]) -> Result<RsRequest, RsError> {
     let mut req = RsRequest::new(op, ddg);
-    req.cache = false; // one-shot process: nothing to warm
+    req.cache = false; // a CLI process keeps no cache to warm
     req.reg_type = flag_value(args, "--type")?;
     req.threads = match flag_value(args, "--threads")? {
         Some(v) => v
@@ -212,18 +221,14 @@ fn build_request(cmd: &str, ddg: String, args: &[String]) -> Result<RsRequest, R
     req.stats = args.iter().any(|a| a == "--stats");
     req.spill = args.iter().any(|a| a == "--spill");
     req.emit_ddg = op == RsOp::Reduce && flag_value(args, "--output")?.is_some();
-    req.timeout_ms = parse_timeout_ms(args)?;
-    Ok(req)
-}
-
-fn parse_timeout_ms(args: &[String]) -> Result<Option<u64>, RsError> {
-    match flag_value(args, "--timeout-ms")? {
-        Some(v) => Ok(Some(
+    req.timeout_ms = match flag_value(args, "--timeout-ms")? {
+        Some(v) => Some(
             v.parse::<u64>()
                 .map_err(|_| RsError::usage("bad --timeout-ms value"))?,
-        )),
-        None => Ok(None),
-    }
+        ),
+        None => None,
+    };
+    Ok(req)
 }
 
 fn render_analyze(req: &RsRequest, result: &RsResult) {
@@ -375,14 +380,13 @@ fn render_pipeline(req: &RsRequest, result: &RsResult, interrupted: bool) -> Res
     Ok(())
 }
 
-/// `rsat corpus <dir>`: the parallel corpus driver of `rs-bench` — a batch
-/// client of the same dispatch path — with the report plumbing the
-/// experiment binaries use. A malformed `.ddg` is reported in the summary
-/// and skipped; only driver-level failures (unreadable directory, no corpus
-/// files, bad flags) fail the command.
+/// `rsat corpus <dir>`: one request, built from the flags with `--mode`
+/// as its op, applied to every `.ddg` file by the corpus runner of
+/// `rs-serve` — a batch client of the same dispatch path. A malformed
+/// `.ddg` is reported in the summary and skipped; only failures of the run
+/// itself (an invalid request, an unreadable directory, no corpus files,
+/// a report that cannot be written) fail the command.
 fn corpus(args: &[String]) -> Result<(), RsError> {
-    use rs_bench::corpus::{render_text, run_corpus, CorpusMode, CorpusOptions};
-
     let dir = args
         .get(1)
         .ok_or_else(|| RsError::usage("missing corpus directory"))?;
@@ -393,46 +397,26 @@ fn corpus(args: &[String]) -> Result<(), RsError> {
             .max(1),
         None => 1,
     };
-    let registers = match flag_value(args, "--registers")? {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| RsError::usage("bad --registers value"))?,
-        ),
-        None => None,
+    let op = match flag_value(args, "--mode")? {
+        None => RsOp::Analyze,
+        Some(mode) => RsOp::from_name(&mode)
+            .ok_or_else(|| RsError::usage(format!("unknown corpus mode `{mode}`")))?,
     };
-    let mode = match flag_value(args, "--mode")?.as_deref() {
-        None | Some("analyze") => CorpusMode::Analyze,
-        Some("reduce") => CorpusMode::Reduce {
-            registers: registers
-                .ok_or_else(|| RsError::usage("--mode reduce requires --registers N"))?,
-        },
-        Some("pipeline") => CorpusMode::Pipeline {
-            registers: registers
-                .ok_or_else(|| RsError::usage("--mode pipeline requires --registers N"))?,
-        },
-        Some(other) => return Err(RsError::usage(format!("unknown corpus mode `{other}`"))),
-    };
-    let out_dir = flag_value(args, "--out")?.unwrap_or_else(|| "results".to_string());
-    let timeout_ms = parse_timeout_ms(args)?;
-    let ilp = args.iter().any(|a| a == "--ilp");
-    let resume_path = flag_value(args, "--resume")?.map(std::path::PathBuf::from);
+    let request = build_request(op, String::new(), args)?;
+    let out_dir = PathBuf::from(flag_value(args, "--out")?.unwrap_or_else(|| "results".into()));
+    let resume_path = flag_value(args, "--resume")?.map(PathBuf::from);
 
     let summary = run_corpus(
-        std::path::Path::new(dir),
-        &CorpusOptions {
-            jobs,
-            mode,
-            timeout_ms,
-            ilp,
-            resume_path,
-        },
+        Path::new(dir),
+        &request,
+        &CorpusOptions { jobs, resume_path },
     )?;
     let text = render_text(&summary);
     print!("{text}");
-    rs_bench::common::write_report(std::path::Path::new(&out_dir), "corpus", &text, &summary);
+    write_report(&out_dir, "corpus", &text, &summary)?;
     println!(
         "summary written to {}",
-        std::path::Path::new(&out_dir).join("corpus.json").display()
+        out_dir.join("corpus.json").display()
     );
     Ok(())
 }
@@ -467,7 +451,7 @@ fn serve(args: &[String]) -> Result<(), RsError> {
 
     let stats = match flag_value(args, "--socket")? {
         Some(path) => {
-            let server = UnixServer::bind(std::path::Path::new(&path), &cfg)
+            let server = UnixServer::bind(Path::new(&path), &cfg)
                 .map_err(|e| RsError::new(codes::IO, format!("cannot bind {path}: {e}")))?;
             eprintln!(
                 "rsat serve: listening on {path} with {} workers (EOF on stdin stops)",

@@ -1,10 +1,10 @@
 //! Integration tests for `rsat corpus`: parallel directory runs, JSON/text
-//! report output, exit-code hygiene for malformed corpus files, and
-//! `--jobs` independence of the summary.
+//! report output, exit-code hygiene for malformed corpus files and for
+//! invalid requests or unwritable reports, and `--jobs` independence of
+//! the summary.
 
-use rs_bench::corpus::{run_corpus, CorpusMode, CorpusOptions};
 use rs_core::request::{RsOp, RsRequest};
-use rs_serve::Dispatcher;
+use rs_serve::{run_corpus, CorpusOptions, Dispatcher};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -117,38 +117,79 @@ fn driver_level_failures_do_fail() {
     ]);
     assert!(!ok);
     assert!(stderr.contains("at least 1"), "{stderr}");
+
+    // only analyze runs the intLP: `--ilp` on a reduction is rejected
+    // before the directory is read, so a missing one answers the same
+    for dir in [fixtures(), "/nonexistent_rsat_dir".to_string()] {
+        let (ok, stdout, stderr) = rsat(&[
+            "corpus",
+            &dir,
+            "--mode",
+            "reduce",
+            "--registers",
+            "3",
+            "--ilp",
+        ]);
+        assert!(!ok && stdout.is_empty(), "{stdout}");
+        assert!(
+            stderr.contains("error[usage]") && stderr.contains("`ilp`"),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn unwritable_out_is_an_io_error() {
+    // `--out` below a regular file cannot be created: after the batch the
+    // report writer answers `error[io]` with exit status 1, not a panic.
+    let tc = TempCorpus::new("unwritable");
+    std::fs::write(&tc.out, "a regular file").unwrap();
+    let out = tc.out.join("sub");
+    let out = Command::new(env!("CARGO_BIN_EXE_rsat"))
+        .args([
+            "corpus",
+            tc.dir.to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run rsat");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error[io]"), "{stderr}");
+    let _ = std::fs::remove_file(&tc.out);
+}
+
+/// The request a corpus run applies to every file.
+fn request(op: RsOp, registers: Option<usize>, ilp: bool) -> RsRequest {
+    let mut req = RsRequest::new(op, "");
+    req.registers = registers;
+    req.ilp = ilp;
+    req.cache = false;
+    req
 }
 
 #[test]
 fn jobs_one_and_four_summaries_agree() {
     // library-level check on the shipped fixtures across all three modes
-    for mode in [
-        CorpusMode::Analyze,
-        CorpusMode::Reduce { registers: 3 },
-        CorpusMode::Pipeline { registers: 3 },
+    for (op, registers) in [
+        (RsOp::Analyze, None),
+        (RsOp::Reduce, Some(3)),
+        (RsOp::Pipeline, Some(3)),
     ] {
-        let one = run_corpus(
-            Path::new(&fixtures()),
-            &CorpusOptions {
-                jobs: 1,
-                mode,
+        let req = request(op, registers, false);
+        let run = |jobs| {
+            let opts = CorpusOptions {
+                jobs,
                 ..Default::default()
-            },
-        )
-        .unwrap();
-        let four = run_corpus(
-            Path::new(&fixtures()),
-            &CorpusOptions {
-                jobs: 4,
-                mode,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+            };
+            run_corpus(Path::new(&fixtures()), &req, &opts).unwrap()
+        };
+        let (one, four) = (run(1), run(4));
         assert_eq!(one.file_count, four.file_count);
         assert_eq!(one.failed, four.failed);
         for (a, b) in one.files.iter().zip(&four.files) {
-            assert_eq!(a.deterministic_view(), b.deterministic_view(), "{mode:?}");
+            assert_eq!(a.deterministic_view(), b.deterministic_view(), "{op:?}");
         }
     }
 }
@@ -177,44 +218,30 @@ fn pipeline_mode_reports_reductions() {
 #[test]
 fn corpus_entries_are_the_dispatchers_results() {
     // An `ok` entry holds the per-type results the dispatcher returns for
-    // the request corpus builds, unchanged: intLP proof status, bound and
-    // error, reduction, spills and allocation alike.
+    // the corpus request with that file's DDG, unchanged: intLP proof
+    // status, bound and error, reduction, spills and allocation alike.
     let dir = PathBuf::from(fixtures());
-    for (mode, op, registers, ilp) in [
-        (CorpusMode::Analyze, RsOp::Analyze, None, true),
-        (
-            CorpusMode::Reduce { registers: 3 },
-            RsOp::Reduce,
-            Some(3),
-            false,
-        ),
-        (
-            CorpusMode::Pipeline { registers: 3 },
-            RsOp::Pipeline,
-            Some(3),
-            false,
-        ),
+    for (op, registers, ilp) in [
+        (RsOp::Analyze, None, true),
+        (RsOp::Reduce, Some(3), false),
+        (RsOp::Pipeline, Some(3), false),
     ] {
+        let corpus_req = request(op, registers, ilp);
         let opts = CorpusOptions {
             jobs: 2,
-            mode,
-            ilp,
             ..Default::default()
         };
-        let summary = run_corpus(&dir, &opts).unwrap();
-        assert_eq!(summary.failed, 0, "{mode:?}");
+        let summary = run_corpus(&dir, &corpus_req, &opts).unwrap();
+        assert_eq!(summary.failed, 0, "{op:?}");
         for entry in &summary.files {
-            let mut req =
-                RsRequest::new(op, std::fs::read_to_string(dir.join(&entry.file)).unwrap());
-            req.registers = registers;
-            req.cache = false;
-            req.ilp = ilp;
+            let mut req = request(op, registers, ilp);
+            req.ddg = std::fs::read_to_string(dir.join(&entry.file)).unwrap();
             let resp = Dispatcher::new().dispatch(&req);
             let expected = resp.result.expect("the fixtures analyse").types;
             assert_eq!(
                 serde_json::to_string(&entry.types).unwrap(),
                 serde_json::to_string(&expected).unwrap(),
-                "{mode:?}: {}",
+                "{op:?}: {}",
                 entry.file
             );
         }

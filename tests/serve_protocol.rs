@@ -115,6 +115,41 @@ proptest! {
     }
 }
 
+/// A solver field the op would ignore answers `ok:false` with code
+/// `usage` naming the field, instead of `ok:true` with that field's result
+/// left `null`. A budget on `analyze` stays accepted: corpus batches send
+/// one in every mode.
+#[test]
+fn wire_rejects_solver_fields_the_op_ignores() {
+    let ddg = r#""ddg":"op a load float\nop s store none\nflow a s 4 float\n""#;
+    for (fields, rejected) in [
+        (
+            r#""op":"reduce","registers":3,"ilp":true,"exact":true"#,
+            Some("`exact`"),
+        ),
+        (
+            r#""op":"pipeline","registers":3,"stats":true"#,
+            Some("`stats`"),
+        ),
+        (r#""op":"pipeline","registers":3,"ilp":true"#, Some("`ilp`")),
+        (r#""op":"analyze","stats":true"#, Some("`ilp`")),
+        (
+            r#""op":"analyze","registers":6,"exact":true,"ilp":true,"stats":true"#,
+            None,
+        ),
+    ] {
+        let line = format!("{{\"v\":1,{fields},{ddg}}}");
+        let (resp, _) = rs_serve::process_line(&mut rs_serve::Dispatcher::new(), &line);
+        let Some(named) = rejected else {
+            assert!(resp.ok, "{line}: {:?}", resp.error);
+            continue;
+        };
+        let err = resp.error.expect("rejected");
+        assert!(!resp.ok && err.code == "usage", "{line}: {err:?}");
+        assert!(err.message.contains(named), "{line}: {}", err.message);
+    }
+}
+
 fn spawn_serve(extra: &[&str]) -> Child {
     Command::new(env!("CARGO_BIN_EXE_rsat"))
         .arg("serve")
