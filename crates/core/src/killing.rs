@@ -209,8 +209,13 @@ fn for_each_killed_arc(
     }
     for (u, killers) in pk.iter() {
         let ku = k.of(u);
-        // lint:allow(D-04) enumerators draw k(u) from pkill(u) by construction; cross-checked by the differential tests
-        debug_assert!(killers.contains(&ku), "killer not in pkill({u:?})");
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "enumerators draw k(u) from pkill(u) by construction; cross-checked by the differential tests"
+        )]
+        {
+            debug_assert!(killers.contains(&ku), "killer not in pkill({u:?})");
+        }
         for &v in killers {
             if v != ku {
                 f(v, ku, ddg.delta_r(v) - ddg.delta_r(ku));

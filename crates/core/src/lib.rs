@@ -33,6 +33,9 @@
 //! path behind `rsat`, `rsat corpus` and `rsat serve`.
 
 #![forbid(unsafe_code)]
+// Exact float comparison on solver values, outside tests; comparisons
+// against zero and infinity are exempt.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod cfg;
 pub mod engine;

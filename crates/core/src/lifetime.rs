@@ -60,8 +60,13 @@ pub fn lifetime_intervals(ddg: &Ddg, t: RegType, sigma: &[i64]) -> Vec<(NodeId, 
 
 /// `RN_σ^t(G)`: the register need of type `t` under schedule `sigma`.
 pub fn register_need(ddg: &Ddg, t: RegType, sigma: &[i64]) -> usize {
-    // lint:allow(D-04) validity is checked once at the producer (ILP extraction, enumerator); re-checking O(E) per evaluation would dominate the search loop
-    debug_assert!(is_valid_schedule(ddg, sigma), "invalid schedule");
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "validity is checked once at the producer (ILP extraction, enumerator); re-checking O(E) per evaluation would dominate the search loop"
+    )]
+    {
+        debug_assert!(is_valid_schedule(ddg, sigma), "invalid schedule");
+    }
     let intervals: Vec<Interval> = lifetime_intervals(ddg, t, sigma)
         .into_iter()
         .map(|(_, iv)| iv)

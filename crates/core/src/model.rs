@@ -329,8 +329,13 @@ impl Ddg {
     /// id. Does **not** re-validate acyclicity; callers check.
     pub fn add_serial(&mut self, from: NodeId, to: NodeId, latency: i64) -> EdgeId {
         let e = self.graph.add_edge(from, to, latency);
-        // lint:allow(D-04) DiGraph::add_edge allocates contiguous ids, so id == len holds by construction
-        debug_assert_eq!(e.index(), self.edge_kinds.len());
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "DiGraph::add_edge allocates contiguous ids, so id == len holds by construction"
+        )]
+        {
+            debug_assert_eq!(e.index(), self.edge_kinds.len());
+        }
         self.edge_kinds.push(EdgeKind::Serial);
         e
     }
@@ -525,8 +530,13 @@ impl DdgBuilder {
                     // exit value: ⊥ consumes it
                     let e = self.graph.add_edge(u, bottom, op.latency.max(0));
                     self.edge_kinds.push(EdgeKind::Flow(t));
-                    // lint:allow(D-04) DiGraph::add_edge allocates contiguous ids, so id == len holds by construction
-                    debug_assert_eq!(e.index() + 1, self.edge_kinds.len());
+                    #[expect(
+                        clippy::disallowed_macros,
+                        reason = "DiGraph::add_edge allocates contiguous ids, so id == len holds by construction"
+                    )]
+                    {
+                        debug_assert_eq!(e.index() + 1, self.edge_kinds.len());
+                    }
                     linked = true;
                 }
             }
@@ -534,8 +544,13 @@ impl DdgBuilder {
                 // serial arc with the source operation's latency (paper)
                 let e = self.graph.add_edge(u, bottom, op.latency.max(0));
                 self.edge_kinds.push(EdgeKind::Serial);
-                // lint:allow(D-04) DiGraph::add_edge allocates contiguous ids, so id == len holds by construction
-                debug_assert_eq!(e.index() + 1, self.edge_kinds.len());
+                #[expect(
+                    clippy::disallowed_macros,
+                    reason = "DiGraph::add_edge allocates contiguous ids, so id == len holds by construction"
+                )]
+                {
+                    debug_assert_eq!(e.index() + 1, self.edge_kinds.len());
+                }
             }
         }
 

@@ -7,6 +7,7 @@
 //! target superscalar            # or: vliw
 //! op   a   load    float        # name, class, value type (or "none")
 //! op   b   fadd    float
+//! op   p   load    int,float    # several values: distinct types, comma-separated
 //! op   st  store   none
 //! flow a b 4 float              # producer, consumer, latency, type
 //! flow b st 2 float
@@ -105,6 +106,24 @@ fn type_of(s: &str) -> Option<Option<RegType>> {
     }
 }
 
+/// Parses an op's written types: `none` (or `-`), or a comma-separated
+/// list of distinct register types.
+fn writes_of(lineno: usize, s: &str) -> Result<Vec<RegType>, ParseError> {
+    if matches!(s, "none" | "-") {
+        return Ok(Vec::new());
+    }
+    let mut writes = Vec::new();
+    for name in s.split(',') {
+        let t = RegType::from_name(name)
+            .ok_or_else(|| err(lineno, format!("unknown register type `{name}`")))?;
+        if writes.contains(&t) {
+            return Err(err(lineno, format!("register type `{name}` written twice")));
+        }
+        writes.push(t);
+    }
+    Ok(writes)
+}
+
 /// Parses the text format into a closed DDG.
 ///
 /// ```
@@ -151,7 +170,10 @@ pub fn parse_ddg(input: &str) -> Result<Ddg, ParseError> {
             }
             "op" => {
                 if tokens.len() != 4 {
-                    return Err(err(lineno, "usage: op <name> <class> <type|none>"));
+                    return Err(err(
+                        lineno,
+                        "usage: op <name> <class> <type>[,<type>...]|none",
+                    ));
                 }
                 let b = builder.get_or_insert_with(|| {
                     DdgBuilder::new(target.clone().unwrap_or_else(Target::superscalar))
@@ -162,9 +184,8 @@ pub fn parse_ddg(input: &str) -> Result<Ddg, ParseError> {
                 }
                 let class = class_of(tokens[2])
                     .ok_or_else(|| err(lineno, format!("unknown op class `{}`", tokens[2])))?;
-                let writes = type_of(tokens[3])
-                    .ok_or_else(|| err(lineno, format!("unknown register type `{}`", tokens[3])))?;
-                let id = b.op(name, class, writes);
+                let writes = writes_of(lineno, tokens[3])?;
+                let id = b.op_multi(name, class, writes);
                 nodes.insert(name.to_string(), id);
             }
             "flow" => {
@@ -281,10 +302,12 @@ pub fn print_ddg(ddg: &Ddg) -> String {
             continue;
         }
         let op = ddg.graph().node(n);
-        let ty = op
-            .writes
-            .first()
-            .map_or_else(|| "none".to_string(), |t| format!("{t:?}"));
+        let types: Vec<String> = op.writes.iter().map(|t| format!("{t:?}")).collect();
+        let ty = if types.is_empty() {
+            "none".to_string()
+        } else {
+            types.join(",")
+        };
         let _ = writeln!(out, "op {} {} {}", name_of(n), class_name(op.class), ty);
     }
     for e in ddg.graph().edge_ids() {
@@ -415,13 +438,27 @@ serial l1 l2 1
         let a = b.op("addr calc", OpClass::Addr, Some(RegType::INT));
         let l = b.op("ld", OpClass::Load, Some(RegType::FLOAT));
         let m = b.op("mul", OpClass::FloatMul, Some(RegType::FLOAT));
+        // a post-increment load: an int address and a float value
+        let p = b.op_multi("ld_inc", OpClass::Load, vec![RegType::INT, RegType::FLOAT]);
         b.serial(a, l, 1);
         b.flow(l, m, 4, RegType::FLOAT);
+        b.flow(p, m, 4, RegType::FLOAT);
         let d = b.finish();
         let d2 = parse_ddg(&print_ddg(&d)).unwrap();
         assert_eq!(d2.num_ops(), d.num_ops());
         assert_eq!(d2.target().kind, d.target().kind);
-        assert_eq!(d2.values(RegType::INT).len(), 1);
+        assert_eq!(d2.values(RegType::INT).len(), 2);
+        for (n, n2) in d.graph().node_ids().zip(d2.graph().node_ids()) {
+            assert_eq!(d2.graph().node(n2).writes, d.graph().node(n).writes);
+        }
+    }
+
+    #[test]
+    fn op_type_list_rejects_repeats_and_unknown_names() {
+        let e = parse_ddg("op a load int,int").unwrap_err();
+        assert!(e.message.contains("written twice"), "{e}");
+        let e = parse_ddg("op a load int,none").unwrap_err();
+        assert!(e.message.contains("unknown register type `none`"), "{e}");
     }
 
     #[test]

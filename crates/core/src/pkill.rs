@@ -145,11 +145,16 @@ pub fn potential_killers_into(ddg: &Ddg, t: RegType, lp: &LongestPaths, out: &mu
                 .iter()
                 .any(|&v2| v2 != v && always_reads_before(ddg, lp, v, v2))
         }));
-        // lint:allow(D-04) the ⊥-closure in Ddg::from_builder guarantees every value a consumer, hence a killer
-        debug_assert!(
-            killers.len() > offsets[i] as usize,
-            "every value has at least one potential killer after ⊥-closure"
-        );
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "the ⊥-closure in Ddg::from_builder guarantees every value a consumer, hence a killer"
+        )]
+        {
+            debug_assert!(
+                killers.len() > offsets[i] as usize,
+                "every value has at least one potential killer after ⊥-closure"
+            );
+        }
         offsets.push(killers.len() as u32);
     }
 }

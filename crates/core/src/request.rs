@@ -28,29 +28,50 @@ pub const PROTOCOL_VERSION: u64 = 1;
 
 /// Stable machine-readable error codes carried by [`RsError::code`].
 pub mod codes {
+    use super::Code;
+
     /// Bad or missing request fields / CLI flags.
-    pub const USAGE: &str = "usage";
+    pub const USAGE: Code = Code("usage");
     /// Filesystem or socket failure.
-    pub const IO: &str = "io";
+    pub const IO: Code = Code("io");
     /// The `.ddg` payload did not parse.
-    pub const PARSE: &str = "parse";
+    pub const PARSE: Code = Code("parse");
     /// The request line was not valid JSON or not a valid request object.
-    pub const REQUEST: &str = "request";
+    pub const REQUEST: Code = Code("request");
     /// Unsupported protocol version.
-    pub const VERSION: &str = "version";
+    pub const VERSION: Code = Code("version");
     /// The engine panicked; the worker replaced it and kept serving.
-    pub const PANIC: &str = "panic";
+    pub const PANIC: Code = Code("panic");
     /// A solver reported an error (e.g. intLP failure).
-    pub const ENGINE: &str = "engine";
+    pub const ENGINE: Code = Code("engine");
     /// The register budget cannot be met with the requested means.
-    pub const INFEASIBLE: &str = "infeasible";
+    pub const INFEASIBLE: Code = Code("infeasible");
     /// The request's `timeout_ms` deadline expired. The response still
     /// carries the best partial result (heuristic values, solver
     /// incumbents with their bounds) in [`super::RsResponse::result`].
-    pub const TIMEOUT: &str = "timeout";
+    pub const TIMEOUT: Code = Code("timeout");
     /// The server shed the request before execution: it waited in the
     /// queue past its own deadline. Safe to retry.
-    pub const OVERLOADED: &str = "overloaded";
+    pub const OVERLOADED: Code = Code("overloaded");
+}
+
+/// A wire error code. Its field is private to this module, so the
+/// [`codes`] constants are its only values and [`RsError::new`] cannot
+/// be handed an unknown code.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Code(&'static str);
+
+impl Code {
+    /// The code as it appears on the wire.
+    pub const fn as_str(self) -> &'static str {
+        self.0
+    }
+}
+
+impl PartialEq<Code> for String {
+    fn eq(&self, code: &Code) -> bool {
+        self == code.0
+    }
 }
 
 /// Machine-readable error shape shared by serve responses, corpus
@@ -65,9 +86,9 @@ pub struct RsError {
 
 impl RsError {
     /// Creates an error with the given code and message.
-    pub fn new(code: &str, message: impl Into<String>) -> Self {
+    pub fn new(code: Code, message: impl Into<String>) -> Self {
         RsError {
-            code: code.to_string(),
+            code: code.as_str().to_string(),
             message: message.into(),
         }
     }

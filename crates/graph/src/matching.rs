@@ -345,7 +345,7 @@ mod tests {
         #[test]
         fn matches_brute_force(edges in proptest::collection::vec((0usize..7, 0usize..7), 0..25)) {
             let mut g = BipartiteGraph::new(7, 7);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for (l, r) in edges {
                 if seen.insert((l, r)) {
                     g.add_edge(l, r);

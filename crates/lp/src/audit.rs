@@ -95,7 +95,6 @@ pub fn check_model(model: &Model) -> Result<(), AuditError> {
         }
     }
     for (ri, c) in model.constraints.iter().enumerate() {
-        // lint:allow(D-03) structural invariant: add_constraint folds the constant to exactly 0.0
         if c.expr.constant != 0.0 {
             return Err(AuditError::Row {
                 row: ri,

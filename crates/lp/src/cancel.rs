@@ -12,7 +12,9 @@
 //! `timeout` response.
 //!
 //! This module owns every deadline and is the only place the solver
-//! crates read the clock (rs-lint D-02). A solve's own time limit rides
+//! crates read the clock: `clippy::disallowed_methods` rejects
+//! `Instant::now` in rs-lp and rs-core, and the reads here are its only
+//! `#[expect]`s outside tests. A solve's own time limit rides
 //! on a *child* token (`Cancel::child`): the child trips with its parent,
 //! but its own limit never trips the parent, so a caller can tell its own
 //! deadline from a solver-local budget.
@@ -91,6 +93,10 @@ impl Cancel {
     /// (which latches `self` as usual), a poll countdown — but the child's
     /// own limit latches only the child, so `self` keeps telling its
     /// owner whether *its* deadline cut the work short.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this module owns every deadline; the clock is read only here"
+    )]
     pub(crate) fn child(&self, limit: Option<Duration>) -> Self {
         let deadline = limit.map(|l| Instant::now() + l);
         Self::with_inner(deadline, u64::MAX, Some(self.clone()))
@@ -128,6 +134,10 @@ impl Cancel {
             self.cancel();
             return true;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this module owns every deadline; the clock is read only here"
+        )]
         if let Some(dl) = self.inner.deadline {
             if Instant::now() >= dl {
                 self.cancel();
@@ -171,6 +181,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test builds its deadline from the clock"
+    )]
     fn expired_deadline_latches_the_flag() {
         let c = Cancel::with_deadline(Instant::now() - Duration::from_millis(1));
         assert!(!c.is_set(), "deadline alone does not set the flag");
@@ -195,6 +209,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test builds its deadline from the clock"
+    )]
     fn parent_deadline_trips_the_child_and_latches_the_parent() {
         let parent = Cancel::with_deadline(Instant::now() - Duration::from_millis(1));
         let child = parent.child(None);
@@ -208,6 +226,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test builds its deadline from the clock"
+    )]
     fn child_limit_latches_the_child_only() {
         let parent = Cancel::with_deadline(Instant::now() + Duration::from_secs(3600));
         let child = parent.child(Some(Duration::ZERO));

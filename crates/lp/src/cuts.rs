@@ -226,8 +226,8 @@ fn cover_cut(items: &[Item], c: f64) -> Option<(Cut, f64)> {
         .fold(f64::NEG_INFINITY, f64::max);
     let k = (cover.len() - 1) as f64;
     let mut sel = cover.clone();
-    for i in 0..items.len() {
-        if !cover.contains(&i) && items[i].weight >= w_max - EPS {
+    for (i, item) in items.iter().enumerate() {
+        if !cover.contains(&i) && item.weight >= w_max - EPS {
             sel.push(i);
         }
     }

@@ -38,6 +38,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Exact float comparison on solver values, outside tests; comparisons
+// against zero and infinity are exempt.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod audit;
 pub mod cancel;
@@ -66,7 +69,8 @@ pub use simplex::{
 pub const EPS: f64 = 1e-7;
 
 /// Tolerance equality at the solver tolerance [`EPS`]. Raw float `==` on
-/// solver values is a determinism hazard (lint rule D-03): two
+/// solver values is a determinism hazard (`clippy::float_cmp` is denied
+/// in this crate and rs-core outside tests): two
 /// arithmetically equivalent pivot orders can disagree in the last ulp,
 /// so every value comparison goes through an explicit tolerance.
 #[inline]

@@ -430,6 +430,10 @@ impl Ctx<'_> {
 /// Does the objective take integer values at every integer point? True
 /// when every term is on an integral variable with an integer
 /// coefficient and the constant is an integer.
+#[expect(
+    clippy::float_cmp,
+    reason = "integrality is exact: a coefficient is whole iff truncation returns it unchanged"
+)]
 fn objective_is_integral(model: &Model) -> bool {
     let whole = |c: f64| c.is_finite() && c.trunc() == c;
     whole(model.objective.constant)
@@ -1031,7 +1035,10 @@ fn root_cut_loop(ctx: &Ctx<'_>, base: &Model) -> RootCuts {
 /// `root_lp`, the cut loop's relaxation of the committed root model, goes
 /// to the depth-0 node. Only the first round carries it, and that round
 /// holds the root alone, so it always takes the sequential path.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the round's frozen inputs and its per-worker scratch are separate borrows"
+)]
 fn process_batch(
     ctx: &Ctx<'_>,
     inc_score: f64,
@@ -1164,6 +1171,10 @@ fn process_node(
         if tlo > thi {
             return OutcomeKind::Pruned;
         }
+        #[expect(
+            clippy::float_cmp,
+            reason = "whether rounding moved a bound is exact; a tolerance here would change which nodes reset bounds, and so the tree"
+        )]
         if tlo != lo || thi != hi {
             work.set_bounds(v, tlo, thi);
         }
@@ -1570,6 +1581,10 @@ fn dive_from(run: &mut NodeRun<'_, '_>, work: &Model, mut dt: DiveTableau, mut s
                 }
             }
         }
+        #[expect(
+            clippy::float_cmp,
+            reason = "both roundings of `x` are clamped to one box; exactly equal means the clamp merged them and there is no far side"
+        )]
         if far == near {
             return;
         }
@@ -1635,7 +1650,10 @@ fn select_most_fractional(ctx: &Ctx<'_>, sol: &Solution) -> Option<(VarId, f64)>
 /// tableau, recording the observed degradation into the node's local
 /// pseudocost overlay. Returns the local estimate for the product score
 /// (`NaN` = no usable estimate, `∞` = infeasible child).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one probe needs the node run, its scratch and source tableaus, the model, and the child box with its scoring inputs"
+)]
 fn probe_dir(
     run: &mut NodeRun<'_, '_>,
     scratch: &mut Option<DiveTableau>,

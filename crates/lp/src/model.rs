@@ -209,7 +209,11 @@ impl Model {
         let c = &self.constraints[i];
         // Walkers (cut separator, auditor) rely on the triple being the
         // whole row, so the fold invariant is enforced in release too.
-        assert_eq!(c.expr.constant, 0.0, "row constants fold into rhs");
+        assert!(
+            c.expr.constant == 0.0,
+            "row constants fold into rhs, found {}",
+            c.expr.constant
+        );
         (&c.expr.terms, c.cmp, c.rhs)
     }
 

@@ -292,7 +292,10 @@ impl PcStore {
 #[derive(Clone, Default)]
 pub(crate) struct CutPool {
     cuts: Vec<crate::cuts::Cut>,
-    // lint:allow(D-01) membership-only dedup index; iteration order is never observed, ordered state lives in `cuts`
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership-only dedup index; iteration order is never observed, ordered state lives in `cuts`"
+    )]
     keys: std::collections::HashSet<u64>,
     age: Vec<u32>,
 }

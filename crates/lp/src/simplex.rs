@@ -257,8 +257,13 @@ impl Clone for Tableau {
 
 impl Tableau {
     fn new(m: usize, ncols: usize, range: Vec<f64>) -> Self {
-        // lint:allow(D-04) shape invariant of the private constructor; a mismatch panics on first indexed access anyway
-        debug_assert_eq!(range.len(), ncols);
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "shape invariant of the private constructor; a mismatch panics on first indexed access anyway"
+        )]
+        {
+            debug_assert_eq!(range.len(), ncols);
+        }
         Tableau {
             t: vec![0.0; (m + 1) * (ncols + 1)],
             m,
@@ -428,14 +433,12 @@ impl Tableau {
     /// including the cost row) — the rank-1 update behind both the at-upper
     /// folds and the in-place bound tightenings of [`DiveTableau`].
     fn fold_rhs_scaled(&mut self, col: usize, delta: f64) {
-        // lint:allow(D-03) exact-zero fast path: skipping a literal 0.0 delta is a pure no-op, not a value comparison
         if delta == 0.0 {
             return;
         }
         let w = self.ncols + 1;
         for r in 0..=self.m {
             let a = self.t[r * w + col];
-            // lint:allow(D-03) exact-zero fast path over stored entries; adding delta*0.0 would be identical
             if a != 0.0 {
                 self.t[r * w + self.ncols] += delta * a;
             }
@@ -864,7 +867,6 @@ pub(crate) fn std_form(model: &Model, explicit_bounds: bool) -> StdForm {
         let s = if r.rhs < 0.0 { -1.0 } else { 1.0 };
         row_sign[i] = s;
         let slack_coef = slack_of_row[i].map(|(_, c)| c * s);
-        // lint:allow(D-03) structural test: slack coefficients are the literals ±1.0 by construction, so exact match is intended
         needs_artificial[i] = slack_coef != Some(1.0);
     }
     let n_art = needs_artificial.iter().filter(|&&b| b).count();
@@ -1312,7 +1314,7 @@ impl DiveTableau {
                 // cut — but *large* `f₀` is a strong one, only rejected in
                 // the last 1e-4 where `b̄` is integral up to tolerance and
                 // the "cut" would be slicing off rounding noise.
-                (f0 >= MIN_FRAC && f0 <= 1.0 - 1e-4).then(|| (f0, r))
+                (MIN_FRAC..=1.0 - 1e-4).contains(&f0).then_some((f0, r))
             })
             .collect();
         cand.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -1488,8 +1490,13 @@ impl DiveTableau {
     ) -> DiveStep {
         for &(v, new_lo, new_hi) in changes {
             let j = v.index();
-            // lint:allow(D-04) an out-of-range index panics on the slice reads two lines down in release too
-            debug_assert!(j < self.n, "tighten targets a structural variable");
+            #[expect(
+                clippy::disallowed_macros,
+                reason = "an out-of-range index panics on the slice reads two lines down in release too"
+            )]
+            {
+                debug_assert!(j < self.n, "tighten targets a structural variable");
+            }
             let cur_lo = self.lo[j];
             let cur_hi = self.hi[j];
             let new_lo = new_lo.max(cur_lo);
@@ -1895,6 +1902,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test builds its deadline from the clock"
+    )]
     fn expired_deadline_stops_a_long_solve_within_one_check_window() {
         let m = klee_minty(9);
         let sf = std_form(&m, false);

@@ -233,7 +233,8 @@ pub fn process_line_at(
     };
     // Derive-generated serialization of an owned response cannot fail; if
     // it ever does, degrade to a hand-built error line — the request loop
-    // must answer something rather than panic (lint rule S-01).
+    // must answer something rather than panic (`clippy::unwrap_used` and
+    // `clippy::expect_used` are denied in this crate).
     let json = serde_json::to_string(&response).unwrap_or_else(|e| {
         let msg = format!("response serialization failed: {e}");
         let quoted =
@@ -241,7 +242,7 @@ pub fn process_line_at(
         format!(
             "{{\"v\":{},\"ok\":false,\"error\":{{\"code\":\"{}\",\"message\":{quoted}}}}}",
             rs_core::request::PROTOCOL_VERSION,
-            rs_core::request::codes::PANIC,
+            rs_core::request::codes::PANIC.as_str(),
         )
     });
     (response, json)

@@ -27,6 +27,9 @@
 //! `rs-core` (the scheduler depends on it).
 
 #![forbid(unsafe_code)]
+// A request path answers a typed `RsError`, never a panic; tests are
+// exempt (`clippy.toml`).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cache;
 pub mod corpus;

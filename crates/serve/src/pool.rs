@@ -188,7 +188,7 @@ impl PoolHandle {
 }
 
 /// Cumulative service statistics, reported at shutdown.
-#[derive(Clone, Copy, Debug, serde::Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ServeStats {
     /// Requests dequeued by workers.
     pub requests: u64,
@@ -222,6 +222,10 @@ impl ServePool {
             cache: Arc::new(MemoCache::with_capacity(cfg.cache_capacity)),
             counters: PoolCounters::default(),
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "pool construction is startup, not a request path; failing to spawn means the service never comes up"
+        )]
         let workers = (0..n)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -229,7 +233,6 @@ impl ServePool {
                 std::thread::Builder::new()
                     .name(format!("rsat-worker-{i}"))
                     .spawn(move || worker_loop(&shared, faults))
-                    // lint:allow(S-01) pool construction is startup, not a request path; failing to spawn means the service never comes up
                     .expect("spawn worker")
             })
             .collect();
@@ -278,11 +281,11 @@ fn worker_loop(shared: &PoolShared, faults: Option<Arc<FaultPlan>>) {
             shared.counters.ok.fetch_add(1, Ordering::Relaxed);
         } else {
             shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-            match response.error.as_ref().map(|e| e.code.as_str()) {
-                Some(codes::TIMEOUT) => {
+            match &response.error {
+                Some(e) if e.code == codes::TIMEOUT => {
                     shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
                 }
-                Some(codes::OVERLOADED) => {
+                Some(e) if e.code == codes::OVERLOADED => {
                     shared.counters.shed.fetch_add(1, Ordering::Relaxed);
                 }
                 _ => {}

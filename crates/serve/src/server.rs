@@ -92,9 +92,12 @@ where
         seq += 1;
     }
     let stats = pool.shutdown();
+    #[expect(
+        clippy::expect_used,
+        reason = "runs after shutdown() joined every worker, so the Arc is provably unshared; no request is in flight"
+    )]
     let sink = Arc::try_unwrap(sink)
         .ok()
-        // lint:allow(S-01) runs after shutdown() joined every worker, so the Arc is provably unshared; no request is in flight
         .expect("all workers joined, sink unshared");
     (stats, sink.into_writer())
 }
@@ -122,13 +125,16 @@ impl UnixServer {
         let handle = pool.handle();
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<UnixStream>>> = Arc::new(Mutex::new(Vec::new()));
+        #[expect(
+            clippy::expect_used,
+            reason = "bind() is startup, not a request path; failing to spawn the acceptor means the server never starts"
+        )]
         let accept = {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
             std::thread::Builder::new()
                 .name("rsat-accept".to_string())
                 .spawn(move || accept_loop(&listener, &handle, &stop, &conns))
-                // lint:allow(S-01) bind() is startup, not a request path; failing to spawn the acceptor means the server never starts
                 .expect("spawn accept thread")
         };
         Ok(UnixServer {
@@ -150,7 +156,10 @@ impl UnixServer {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        // lint:allow(S-01) the Option is only vacated here, and stop(self) consumes the server; unreachable twice
+        #[expect(
+            clippy::expect_used,
+            reason = "the Option is only vacated here, and stop(self) consumes the server; unreachable twice"
+        )]
         let stats = self.pool.take().expect("pool alive until stop").shutdown();
         let _ = std::fs::remove_file(&self.path);
         stats

@@ -133,7 +133,7 @@ fn corpus_records_the_file_as_timed_out() {
     let code = file.get("error").and_then(|e| e.get("code"));
     assert_eq!(
         code.and_then(|c| c.as_str()),
-        Some(codes::TIMEOUT),
+        Some(codes::TIMEOUT.as_str()),
         "{json}"
     );
     assert!(took < ANSWER_WITHIN, "answered after {took:?}");
@@ -180,7 +180,7 @@ fn serve_answers_timeout_with_the_partial_result() {
     let resp = RsResponse::from_value(&value).expect("a response");
     assert!(!resp.ok, "{answer}");
     let code = resp.error.as_ref().map(|e| e.code.as_str());
-    assert_eq!(code, Some(codes::TIMEOUT), "{answer}");
+    assert_eq!(code, Some(codes::TIMEOUT.as_str()), "{answer}");
     assert!(resp.result.is_some(), "partial result attached: {answer}");
     // The answer carries the partial result and its bound; the
     // interrupted search itself is dropped, never sent.

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use rs_core::request::{
-    CacheInfo, RsError, RsOp, RsRequest, RsResponse, RsResult, SolveResult, TypeResult,
+    codes, CacheInfo, RsError, RsOp, RsRequest, RsResponse, RsResult, SolveResult, TypeResult,
 };
 use serde::Deserialize;
 use std::io::{BufRead, BufReader, Write};
@@ -76,7 +76,7 @@ proptest! {
         let resp = if seed % 3 == 0 {
             RsResponse::failure(
                 Some(tricky_string(seed)),
-                RsError::new("parse", tricky_string(seed / 2)),
+                RsError::new(codes::PARSE, tricky_string(seed / 2)),
                 cache,
                 0.25,
             )
@@ -99,7 +99,7 @@ proptest! {
                     ilp: None,
                     ilp_stats: None,
                     ilp_error: (seed % 5 == 0)
-                        .then(|| RsError::new("engine", tricky_string(seed / 5))),
+                        .then(|| RsError::new(codes::ENGINE, tricky_string(seed / 5))),
                     reduce: None,
                     alloc: None,
                 }],
