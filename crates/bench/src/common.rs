@@ -51,39 +51,11 @@ pub fn random_cases(sizes: &[usize], count: usize, target: Target) -> Vec<Case> 
     cases
 }
 
-/// Order-preserving parallel map with scoped threads — the experiments are
-/// embarrassingly parallel per DAG.
-pub fn par_map<T: Send, O: Send>(
-    items: Vec<T>,
-    threads: usize,
-    f: impl Fn(T) -> O + Sync,
-) -> Vec<O> {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    let mut slots: Vec<Option<O>> = (0..n).map(|_| None).collect();
-    let work: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    let queue = std::sync::Mutex::new(work);
-    let results = std::sync::Mutex::new(&mut slots);
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let item = queue.lock().unwrap().pop();
-                match item {
-                    Some((idx, t)) => {
-                        let out = f(t);
-                        results.lock().unwrap()[idx] = Some(out);
-                    }
-                    None => break,
-                }
-            });
-        }
-    });
-
-    slots.into_iter().map(|s| s.expect("slot filled")).collect()
+/// Order-preserving parallel map on one worker per available core — the
+/// experiments are embarrassingly parallel per DAG.
+pub fn par_map<T: Send, O: Send>(items: Vec<T>, f: impl Fn(T) -> O + Sync) -> Vec<O> {
+    let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+    rs_core::par_map(&mut vec![(); cores], items, |(), item| f(item))
 }
 
 #[cfg(test)]
@@ -109,21 +81,5 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.ddg.graph().edge_count(), y.ddg.graph().edge_count());
         }
-    }
-
-    #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<u64> = (0..50).collect();
-        let out = par_map(items.clone(), 8, |x| x * x);
-        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn par_map_empty_and_single_thread() {
-        let out: Vec<u32> = par_map(Vec::<u32>::new(), 4, |x| x);
-        assert!(out.is_empty());
-        let out = par_map(vec![1u32, 2, 3], 1, |x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
     }
 }

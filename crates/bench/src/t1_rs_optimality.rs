@@ -61,7 +61,7 @@ pub fn run(quick: bool) -> (String, Report) {
     cases.extend(random_cases(sizes, count, target));
     let ilp_max_values = 5;
 
-    let results: Vec<CaseResult> = par_map(cases, num_threads(), |case: Case| {
+    let results: Vec<CaseResult> = par_map(cases, |case: Case| {
         let h = GreedyK::new().saturation(&case.ddg, case.reg_type);
         let e = ExactRs::new().saturation(&case.ddg, case.reg_type);
         let ilp = (case.ddg.values(case.reg_type).len() <= ilp_max_values)
@@ -152,10 +152,6 @@ pub fn run(quick: bool) -> (String, Report) {
         max_error,
     };
     (text, report)
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 
 #[cfg(test)]

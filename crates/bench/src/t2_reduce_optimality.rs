@@ -115,7 +115,7 @@ pub fn run(quick: bool) -> (String, Report) {
         })
         .collect::<Vec<_>>();
 
-    let trials: Vec<Vec<Trial>> = par_map(cases, num_threads(), |case: Case| {
+    let trials: Vec<Vec<Trial>> = par_map(cases, |case: Case| {
         let t = case.reg_type;
         let rs0 = ExactRs::new().saturation(&case.ddg, t);
         let mut out = Vec::new();
@@ -296,10 +296,6 @@ fn opt_str(v: Option<usize>) -> String {
 
 fn opt_str_i(v: Option<i64>) -> String {
     v.map_or("-".into(), |x| x.to_string())
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ pub fn run(quick: bool) -> (String, Report) {
         .take(if quick { 5 } else { usize::MAX })
         .collect();
 
-    let rows: Vec<Vec<Row>> = par_map(cases, num_threads(), |case: Case| {
+    let rows: Vec<Vec<Row>> = par_map(cases, |case: Case| {
         let t = case.reg_type;
         let rs0 = GreedyK::new().saturation(&case.ddg, t).saturation;
         let mut out = Vec::new();
@@ -143,10 +143,6 @@ pub fn run(quick: bool) -> (String, Report) {
         zero_arc_wins,
     };
     (text, report)
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@ pub fn run(quick: bool) -> (String, Report) {
         if quick { 8 } else { 20 },
         target.clone(),
     );
-    let results: Vec<(bool, bool, u128, u128)> = par_map(cases, threads(), |case: Case| {
+    let results: Vec<(bool, bool, u128, u128)> = par_map(cases, |case: Case| {
         let exact = ExactRs::new().saturation(&case.ddg, case.reg_type);
         let t0 = Instant::now();
         let plain = GreedyK { refine_passes: 0 }.saturation(&case.ddg, case.reg_type);
@@ -167,10 +167,6 @@ pub fn run(quick: bool) -> (String, Report) {
     );
 
     (text, report)
-}
-
-fn threads() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 
 #[cfg(test)]

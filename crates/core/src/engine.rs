@@ -117,7 +117,7 @@ pub struct RsEngine {
     pub params: GreedyK,
     /// Cooperative cancellation for the portfolio / hill-climb loops (see
     /// [`RsEngine::set_cancel`]). Default: never trips.
-    cancel: rs_lp::Cancel,
+    pub(crate) cancel: rs_lp::Cancel,
     scratch: AnalysisScratch,
 }
 
@@ -289,18 +289,14 @@ impl RsEngine {
     }
 
     /// Reduces `RS_t(ddg)` below `r` with default [`Reducer`] settings,
-    /// measuring saturation through this engine. Identical outcome to
-    /// `Reducer::new().reduce(..)` with the same heuristic parameters.
+    /// measuring saturation through this engine. On a default engine the
+    /// outcome is identical to `Reducer::new().reduce(..)`.
     pub fn reduce(&mut self, ddg: &mut Ddg, t: RegType, r: usize) -> ReduceOutcome {
-        let reducer = Reducer {
-            heuristic: self.params.clone(),
-            ..Reducer::new()
-        };
-        self.reduce_with(&reducer, ddg, t, r)
+        self.reduce_with(&Reducer::new(), ddg, t, r)
     }
 
     /// Reduction with explicit [`Reducer`] settings (budgets, exact
-    /// verification), estimator-backed by this engine's scratch.
+    /// verification), measuring every step through this engine.
     pub fn reduce_with(
         &mut self,
         reducer: &Reducer,
@@ -308,12 +304,7 @@ impl RsEngine {
         t: RegType,
         r: usize,
     ) -> ReduceOutcome {
-        let cancel = self.cancel.clone();
-        let mut estimate = |d: &Ddg, t: RegType| {
-            let a = self.analyze(d, t);
-            (a.saturation, a.saturating_values)
-        };
-        reducer.reduce_with(ddg, t, r, &mut estimate, &cancel)
+        reducer.reduce_with(self, ddg, t, r)
     }
 }
 

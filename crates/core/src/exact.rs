@@ -30,10 +30,9 @@ use crate::pkill::{potential_killers, PKill};
 use rs_graph::antichain::{max_antichain_into, AntichainScratch};
 use rs_graph::paths::LongestPaths;
 use rs_graph::NodeId;
-use rs_lp::Cancel;
+use rs_lp::{par_map, Cancel};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Recursion steps between full (clock-reading) cancellation polls; the
 /// cheap latched-flag check runs on every step.
@@ -159,73 +158,62 @@ impl ExactRs {
             &mut Vec::new(),
         );
 
-        // Shared search state: the incumbent width (pruning bound), the
-        // global leaf budget, and diagnostic counters.
+        // Shared search state: the incumbent width (pruning bound) and the
+        // global leaf budget.
         let best_global = AtomicUsize::new(seed.saturation);
         let leaves = AtomicUsize::new(0);
-        let pruned = AtomicUsize::new(0);
 
-        // Each job owns its search state and working storage.
-        let new_search = || Search {
-            ddg,
-            t,
-            pk: &pk,
-            values: &values,
-            ambiguous: &ambiguous,
-            base_lp: &lp,
-            node_limit: self.node_limit,
-            leaves: &leaves,
-            best_global: &best_global,
-            cancel: &self.cancel,
-            ticks: 0,
-            pruned: 0,
-            exhausted: true,
-            killing: FlatKilling::default(),
-            killed: KilledScratch::new(),
-            ac: AntichainScratch::new(),
-            antichain: Vec::new(),
+        // The jobs: the whole tree, or — with more than one thread — the
+        // root split, one job per candidate killer of the first ambiguous
+        // value.
+        let jobs: Vec<(usize, BTreeMap<NodeId, NodeId>)> = match ambiguous.first() {
+            Some(&u0) if self.threads > 1 => pk
+                .of(u0)
+                .iter()
+                .map(|&cand| {
+                    let mut assignment = base_assignment.clone();
+                    assignment.insert(u0, cand);
+                    (1, assignment)
+                })
+                .collect(),
+            _ => vec![(0, base_assignment)],
         };
-        let threads = self.threads.max(1);
-        let mut job_results: Vec<(LocalBest, bool)>;
-        if threads == 1 || ambiguous.is_empty() {
-            let mut search = new_search();
-            let mut local = seed_best.clone();
-            let mut assignment = base_assignment;
-            search.recurse(0, &mut assignment, &mut local);
-            pruned.fetch_add(search.pruned, Ordering::Relaxed);
-            job_results = vec![(local, search.exhausted)];
-        } else {
-            // Root split: one job per candidate killer of the first
-            // ambiguous value, drained by `threads` scoped workers.
-            let u0 = ambiguous[0];
-            let cands = pk.of(u0);
-            let mut slots: Vec<Option<(LocalBest, bool)>> =
-                (0..cands.len()).map(|_| None).collect();
-            let next_job = AtomicUsize::new(0);
-            let results = Mutex::new(&mut slots);
-            std::thread::scope(|s| {
-                for _ in 0..threads.min(cands.len()) {
-                    s.spawn(|| loop {
-                        let j = next_job.fetch_add(1, Ordering::Relaxed);
-                        let Some(&cand) = cands.get(j) else { break };
-                        let mut search = new_search();
-                        let mut local = seed_best.clone();
-                        let mut assignment = base_assignment.clone();
-                        assignment.insert(u0, cand);
-                        search.recurse(1, &mut assignment, &mut local);
-                        pruned.fetch_add(search.pruned, Ordering::Relaxed);
-                        results.lock().unwrap()[j] = Some((local, search.exhausted));
-                    });
-                }
-            });
-            job_results = slots.into_iter().map(|r| r.expect("job ran")).collect();
-        }
+        // Each job owns its search state and working storage.
+        let job_results = par_map(
+            &mut vec![(); self.threads.max(1)],
+            jobs,
+            |(), (depth, mut assignment)| {
+                let mut search = Search {
+                    ddg,
+                    t,
+                    pk: &pk,
+                    values: &values,
+                    ambiguous: &ambiguous,
+                    base_lp: &lp,
+                    node_limit: self.node_limit,
+                    leaves: &leaves,
+                    best_global: &best_global,
+                    cancel: &self.cancel,
+                    ticks: 0,
+                    pruned: 0,
+                    exhausted: true,
+                    killing: FlatKilling::default(),
+                    killed: KilledScratch::new(),
+                    ac: AntichainScratch::new(),
+                    antichain: Vec::new(),
+                };
+                let mut local = seed_best.clone();
+                search.recurse(depth, &mut assignment, &mut local);
+                (local, search.exhausted, search.pruned)
+            },
+        );
 
         // Deterministic merge: widest witness, ties by job order; the seed
         // stands if no job improved on it.
-        let exhausted = job_results.iter().all(|(_, e)| *e);
+        let exhausted = job_results.iter().all(|&(_, e, _)| e);
+        let pruned = job_results.iter().map(|&(_, _, p)| p).sum();
         let mut best = seed_best;
-        for (local, _) in job_results.drain(..) {
+        for (local, _, _) in job_results {
             if local.width > best.width {
                 best = local;
             }
@@ -241,7 +229,7 @@ impl ExactRs {
             killing: best.killing,
             proven_optimal: exhausted,
             leaves_evaluated: leaves.load(Ordering::Relaxed),
-            pruned: pruned.load(Ordering::Relaxed),
+            pruned,
         }
     }
 }

@@ -62,5 +62,5 @@ pub use lifetime::{lifetime_intervals, register_need, saturating_values};
 pub use model::{Ddg, DdgBuilder, EdgeKind, OpClass, Operation, RegType, Target, TargetKind};
 pub use reduce::{ReduceOutcome, Reducer};
 pub use request::{RsError, RsOp, RsRequest, RsResponse, RsResult};
-pub use rs_lp::{Cancel, MilpError};
+pub use rs_lp::{par_map, Cancel, MilpError};
 pub use spill::{spill_to_fit, SpillResult};

@@ -17,11 +17,10 @@
 //! last and `σ(⊥)` is the total schedule time.
 
 use rs_graph::{topo, DiGraph, EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A register type (the paper's `t ∈ T`, e.g. `{int, float}`).
-#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegType(pub u8);
 
 impl RegType {
@@ -70,7 +69,7 @@ impl fmt::Debug for RegType {
 
 /// Functional class of an operation; drives default latencies/delays and the
 /// downstream resource model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Memory load.
     Load,
@@ -126,7 +125,7 @@ impl OpClass {
 }
 
 /// Whether reading/writing offsets are architecturally visible.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TargetKind {
     /// Sequential semantics, `δr = δw = 0` (also EPIC/IA64 per the paper:
     /// "in superscalar and EPIC/IA64 processors, δr and δw are equal to
@@ -138,7 +137,7 @@ pub enum TargetKind {
 
 /// A target processor description: per-class default latency and visible
 /// read/write delays.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Target {
     /// Offset semantics.
     pub kind: TargetKind,
@@ -194,7 +193,7 @@ impl Target {
 }
 
 /// An operation (DDG node payload).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Operation {
     /// Human-readable mnemonic, e.g. `"load a[i]"`.
     pub name: String,
@@ -213,7 +212,7 @@ pub struct Operation {
 }
 
 /// Kind of a DDG edge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EdgeKind {
     /// Flow dependence through a register of the given type (`E_{R,t}`).
     Flow(RegType),

@@ -13,7 +13,7 @@
 //! unavoidable at this budget — the same terminal case as Section 4's
 //! exact method.
 
-use crate::heuristic::GreedyK;
+use crate::engine::RsEngine;
 use crate::model::{Ddg, RegType};
 use rs_graph::paths::{asap, longest_to, LongestPaths};
 use rs_graph::NodeId;
@@ -39,8 +39,6 @@ use rs_graph::NodeId;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Reducer {
-    /// The saturation estimator used between steps.
-    pub heuristic: GreedyK,
     /// Confirm every "fits" verdict with the exact solver and keep reducing
     /// on its witness antichain when the heuristic under-estimated. With
     /// this on, a [`ReduceOutcome::Reduced`] result guarantees the *exact*
@@ -145,62 +143,54 @@ struct Candidate {
     cost: i64,
 }
 
-/// A saturation estimator: returns the estimate and its witness antichain,
-/// like [`GreedyK::saturation`]. The engine supplies one backed by its
-/// working storage to `Reducer::reduce_with`.
-pub type RsEstimator<'a> = dyn FnMut(&Ddg, RegType) -> (usize, Vec<NodeId>) + 'a;
-
 impl Reducer {
     /// Creates the reducer with defaults.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Measures the saturation: the supplied estimate, upgraded to the
+    /// Measures the saturation: the engine's estimate, upgraded to the
     /// exact value (with its witness antichain) in `verify_exact` mode when
     /// the estimate already fits.
     fn measure(
         &self,
+        engine: &mut RsEngine,
         ddg: &Ddg,
         t: RegType,
         r: usize,
-        estimate: &mut RsEstimator<'_>,
     ) -> (usize, Vec<NodeId>) {
-        let est = estimate(ddg, t);
-        if self.verify_exact && est.0 <= r {
+        let est = engine.analyze(ddg, t);
+        if self.verify_exact && est.saturation <= r {
             let exact = crate::exact::ExactRs::new().saturation(ddg, t);
-            if exact.saturation > est.0 {
+            if exact.saturation > est.saturation {
                 return (exact.saturation, exact.saturating_values);
             }
         }
-        est
+        (est.saturation, est.saturating_values)
     }
 
     /// Reduces `RS_t(ddg)` below `r` by adding serialization arcs in place.
     ///
-    /// Thin wrapper: execution is delegated to a fresh
-    /// [`crate::engine::RsEngine`] carrying this reducer's settings —
-    /// [`crate::engine::RsEngine::reduce_with`] is the single execution
+    /// Thin wrapper: execution is delegated to a fresh default
+    /// [`RsEngine`] — [`RsEngine::reduce_with`] is the single execution
     /// path. Keep an engine alive across calls to reuse its scratch.
     pub fn reduce(&self, ddg: &mut Ddg, t: RegType, r: usize) -> ReduceOutcome {
-        crate::engine::RsEngine::with_params(self.heuristic.clone()).reduce_with(self, ddg, t, r)
+        RsEngine::new().reduce_with(self, ddg, t, r)
     }
 
-    /// [`Reducer::reduce`] with a caller-supplied saturation estimator —
-    /// the hook [`crate::engine::RsEngine`] uses to route every per-step
-    /// measurement through its scratch. The estimator must behave like
-    /// [`GreedyK::saturation`] (return the estimate and its witness
-    /// antichain); `verify_exact` upgrades still apply on top of it.
+    /// [`Reducer::reduce`] measuring every step through `engine`: its
+    /// analysis and scratch, stopped by its cancellation token;
+    /// `verify_exact` upgrades still apply on top of it.
     pub(crate) fn reduce_with(
         &self,
+        engine: &mut RsEngine,
         ddg: &mut Ddg,
         t: RegType,
         r: usize,
-        estimate: &mut RsEstimator<'_>,
-        cancel: &rs_lp::Cancel,
     ) -> ReduceOutcome {
         assert!(r >= 1, "register budget must be positive");
-        let (rs_first, sat_first) = self.measure(ddg, t, r, estimate);
+        let cancel = engine.cancel.clone();
+        let (rs_first, sat_first) = self.measure(engine, ddg, t, r);
         if rs_first <= r {
             return ReduceOutcome::AlreadyFits { rs: rs_first };
         }
@@ -254,7 +244,7 @@ impl Reducer {
             {
                 debug_assert!(ddg.is_acyclic(), "serialization must keep the DDG acyclic");
             }
-            current = self.measure(ddg, t, r, estimate);
+            current = self.measure(engine, ddg, t, r);
             best_rs = best_rs.min(current.0);
         }
         ReduceOutcome::Failed {

@@ -73,10 +73,7 @@ const MAX_SPILLS: usize = 16;
 pub fn spill_to_fit(ddg: &Ddg, t: RegType, r: usize) -> Option<SpillResult> {
     let mut current = ddg.clone();
     let mut spilled_values = Vec::new();
-    let reducer = Reducer {
-        verify_exact: true,
-        ..Reducer::new()
-    };
+    let reducer = Reducer { verify_exact: true };
 
     for _round in 0..=MAX_SPILLS {
         let mut attempt = current.clone();
@@ -264,11 +261,7 @@ mod tests {
         let d = long_lived_ddg(3);
         // L overlaps every chain: serialization alone cannot reach R = 1.
         let mut plain = d.clone();
-        let plain_out = Reducer {
-            verify_exact: true,
-            ..Reducer::new()
-        }
-        .reduce(&mut plain, RegType::FLOAT, 1);
+        let plain_out = Reducer { verify_exact: true }.reduce(&mut plain, RegType::FLOAT, 1);
         assert!(!plain_out.fits(), "serialization alone must fail at R=1");
 
         let res = spill_to_fit(&d, RegType::FLOAT, 1).expect("spilling L must succeed at R=1");

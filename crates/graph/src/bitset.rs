@@ -4,10 +4,8 @@
 //! is what makes the `O(n·m/64)` closure computation cheap even for the
 //! larger random DAGs of the experiment sweeps.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-capacity set of `usize` indices backed by 64-bit words.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Vec<u64>,
     len: usize,

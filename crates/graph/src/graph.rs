@@ -7,16 +7,15 @@
 //! graph.
 
 use crate::MAX_LATENCY;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a node in a [`DiGraph`]. Stable for the lifetime of the graph
 /// (nodes are never removed).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Index of an edge in a [`DiGraph`]. Stable; removed edges leave tombstones.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub u32);
 
 impl NodeId {
@@ -47,7 +46,7 @@ impl fmt::Debug for EdgeId {
     }
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct EdgeRecord {
     src: NodeId,
     dst: NodeId,
@@ -60,7 +59,7 @@ struct EdgeRecord {
 /// Parallel edges are allowed (the DDG model produces them: a flow edge and a
 /// serial edge may connect the same pair); self-loops are rejected because
 /// every structure in the framework is a DAG or must be checked to be one.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DiGraph<N> {
     nodes: Vec<N>,
     edges: Vec<EdgeRecord>,

@@ -8,14 +8,12 @@
 //! intervals equals the maximum overlap at any point (interval graphs are
 //! perfect).
 
-use serde::{Deserialize, Serialize};
-
 /// A half-open interval `(start, end]` on the integer timeline.
 ///
 /// Empty when `end <= start` (a value killed no later than it is written
 /// occupies no register — this happens for a value whose only reader is
 /// issued at the write cycle with zero delays).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Interval {
     /// Exclusive left endpoint (the write completion cycle).
     pub start: i64,

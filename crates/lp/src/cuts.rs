@@ -40,7 +40,7 @@
 //! trace digest, thread-count invariant.
 
 use crate::model::{Cmp, Model, VarId};
-use crate::EPS;
+use crate::{Fnv, EPS};
 
 /// A globally valid cutting plane `Σ terms ≤ rhs`, with terms sorted by
 /// variable index.
@@ -63,21 +63,14 @@ impl Cut {
     /// pool's dedup identity. Terms are kept sorted by variable, so two
     /// derivations of the same inequality collide exactly.
     pub fn key(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(PRIME);
-            }
-        };
-        eat(self.terms.len() as u64);
+        let mut h = Fnv::new();
+        h.u64v(self.terms.len() as u64);
         for &(v, a) in &self.terms {
-            eat(v.0 as u64);
-            eat(a.to_bits());
+            h.u64v(v.0 as u64);
+            h.u64v(a.to_bits());
         }
-        eat(self.rhs.to_bits());
-        h
+        h.u64v(self.rhs.to_bits());
+        h.state()
     }
 
     /// Appends the cut to `model` as a `≤` row.

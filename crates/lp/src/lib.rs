@@ -49,6 +49,7 @@ pub mod expr;
 pub mod linearize;
 pub mod milp;
 pub mod model;
+pub mod par;
 pub(crate) mod pool;
 pub mod propagate;
 pub mod reference;
@@ -60,6 +61,7 @@ pub use cuts::Cut;
 pub use expr::LinExpr;
 pub use milp::{solve, MilpConfig, MilpError, MilpStats};
 pub use model::{Cmp, Model, ModelStats, Sense, VarId, VarKind};
+pub use par::par_map;
 pub use propagate::{propagate, Propagation};
 pub use simplex::{
     solve_relaxation, tableau_shape, DiveStep, DiveTableau, LpOutcome, LpStats, Solution,
@@ -83,4 +85,33 @@ pub fn approx_eq(a: f64, b: f64) -> bool {
 #[inline]
 pub fn approx_zero(a: f64) -> bool {
     a.abs() <= EPS
+}
+
+/// Incremental 64-bit FNV-1a: the branch-and-bound trace digest and the
+/// cut pool's content keys.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Fnv(u64);
+
+impl Fnv {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    pub(crate) fn new() -> Self {
+        Fnv(Self::OFFSET)
+    }
+
+    pub(crate) fn bytes(&mut self, bs: &[u8]) {
+        for &b in bs {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// Feeds `v` as its eight little-endian bytes.
+    pub(crate) fn u64v(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    pub(crate) fn state(self) -> u64 {
+        self.0
+    }
 }

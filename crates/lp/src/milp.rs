@@ -7,7 +7,8 @@
 //! count), processes every node of the batch against *frozen* round-start
 //! state — incumbent score, pseudocost store — and then commits the
 //! results sequentially in batch order. Worker threads only parallelize
-//! the processing step; they never touch shared mutable state. Node
+//! the processing step ([`crate::par_map`], one scratch model per worker);
+//! they never touch shared mutable state. Node
 //! identity is the **branch path** from the root (see `crate::pool`), so
 //! pop order, node counts, branching decisions, incumbents, and the
 //! explored-node sequence are identical at any [`MilpConfig::threads`]
@@ -99,9 +100,7 @@ use crate::cuts::Cut;
 use crate::model::{Model, Sense};
 use crate::pool::{BranchStep, CutPool, Frontier, Incumbent, Node, PcStore};
 use crate::simplex::{DiveStep, DiveTableau, LpOutcome, LpStats, Solution};
-use crate::{VarId, EPS};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use crate::{par_map, Fnv, VarId, EPS};
 
 /// Nodes per search round. A round is the atomic unit of commitment (and
 /// of parallelism): its nodes are processed against frozen round-start
@@ -337,41 +336,6 @@ impl From<MilpSolution> for Solution {
             values: s.values,
             objective: s.objective,
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FNV-1a hashing: the trace digest.
-// ---------------------------------------------------------------------------
-
-/// Incremental 64-bit FNV-1a hasher over the explored-node trace.
-#[derive(Clone, Copy, Debug)]
-struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
-    }
-
-    fn bytes(&mut self, bs: &[u8]) {
-        for &b in bs {
-            self.byte(b);
-        }
-    }
-
-    fn u64v(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn state(self) -> u64 {
-        self.0
     }
 }
 
@@ -662,7 +626,6 @@ impl SearchState {
 /// The round-based branch-and-bound search: root cut loop, root dive, then
 /// rounds over the frontier until it empties or the search is stopped.
 fn search(model: &Model, cfg: &MilpConfig) -> Result<MilpSolution, MilpError> {
-    let threads = cfg.threads.max(1);
     let n = model.num_vars();
     let ctx = Ctx {
         model,
@@ -729,9 +692,9 @@ fn search(model: &Model, cfg: &MilpConfig) -> Result<MilpSolution, MilpError> {
     }
 
     // Per-worker model copies, allocated once and reused across rounds
-    // (nodes change only variable bounds).
-    let slots = threads.clamp(1, BATCH);
-    let mut work_models: Vec<Model> = (0..slots).map(|_| search_model.clone()).collect();
+    // (nodes change only variable bounds): the workers of every round.
+    let workers = cfg.threads.clamp(1, BATCH);
+    let mut work_models: Vec<Model> = (0..workers).map(|_| search_model.clone()).collect();
 
     let mut interrupted = false;
     let mut unbounded = false;
@@ -765,19 +728,23 @@ fn search(model: &Model, cfg: &MilpConfig) -> Result<MilpSolution, MilpError> {
         } else {
             4 * DIVE_PERIOD - 1
         };
-        let dive_flags: Vec<bool> = (0..take)
-            .map(|bi| (st.nodes + bi) & period_mask == 1)
+        // Every node of the round sees only the frozen round-start state,
+        // so the outcomes do not depend on which worker ran which node.
+        // `root_lp`, the cut loop's relaxation of the committed root model,
+        // goes to the depth-0 node; only the first round, which holds the
+        // root alone, carries it.
+        let items: Vec<_> = batch
+            .iter()
+            .enumerate()
+            .map(|(bi, node)| {
+                let dive = (st.nodes + bi) & period_mask == 1;
+                (node, dive, root_lp.take_if(|_| node.depth == 0))
+            })
             .collect();
-        let outcomes = process_batch(
-            &ctx,
-            st.incumbent.score(),
-            &st.pc,
-            &batch,
-            &dive_flags,
-            &mut work_models,
-            threads,
-            root_lp.take(),
-        );
+        let inc_score = st.incumbent.score();
+        let outcomes = par_map(&mut work_models, items, |work, (node, dive, lp)| {
+            run_one(&ctx, inc_score, &st.pc, node, dive, work, lp)
+        });
         if outcomes.iter().any(|o| o.interrupted) {
             // Abort the round whole: push the batch back so the frontier
             // (and hence the dual bound) covers exactly the uncommitted
@@ -1024,81 +991,6 @@ fn root_cut_loop(ctx: &Ctx<'_>, base: &Model) -> RootCuts {
         dive_seed,
         root_lp: root_tab.map(|dt| (sol, dt)),
     }))
-}
-
-/// Processes one round's batch: sequentially when a single worker
-/// suffices, otherwise on scoped threads pulling batch indices from an
-/// atomic counter. Either way each node sees only the frozen round-start
-/// state, so the outcomes are identical — threading changes wall-clock
-/// time, nothing else.
-///
-/// `root_lp`, the cut loop's relaxation of the committed root model, goes
-/// to the depth-0 node. Only the first round carries it, and that round
-/// holds the root alone, so it always takes the sequential path.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the round's frozen inputs and its per-worker scratch are separate borrows"
-)]
-fn process_batch(
-    ctx: &Ctx<'_>,
-    inc_score: f64,
-    pc: &PcStore,
-    batch: &[Node],
-    dive_flags: &[bool],
-    work_models: &mut [Model],
-    threads: usize,
-    mut root_lp: Option<SolvedLp>,
-) -> Vec<NodeOutcome> {
-    let n = batch.len();
-    let workers = threads.min(n).min(work_models.len());
-    if workers <= 1 {
-        let work = &mut work_models[0];
-        return batch
-            .iter()
-            .enumerate()
-            .map(|(i, node)| {
-                run_one(
-                    ctx,
-                    inc_score,
-                    pc,
-                    node,
-                    dive_flags[i],
-                    work,
-                    if node.depth == 0 {
-                        root_lp.take()
-                    } else {
-                        None
-                    },
-                )
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<NodeOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    {
-        let next = &next;
-        let results = &results;
-        std::thread::scope(|s| {
-            for work in work_models.iter_mut().take(workers) {
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let out = run_one(ctx, inc_score, pc, &batch[i], dive_flags[i], work, None);
-                    *results[i].lock().expect("result slot poisoned") = Some(out);
-                });
-            }
-        });
-    }
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every batch slot is filled")
-        })
-        .collect()
 }
 
 /// Runs one node against frozen round-start state, producing its outcome.

@@ -17,11 +17,11 @@
 
 use crate::dispatch::Dispatcher;
 use crate::lock_recover;
+use rs_core::par_map;
 use rs_core::request::{codes, RsError, RsRequest, TypeResult};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -53,6 +53,8 @@ pub struct CorpusFileSummary {
     /// Whether the file parsed and analysed.
     pub ok: bool,
     /// Structured error (shared `{code, message}` shape) when `ok` is false.
+    /// A `timeout` entry still carries its best partial result in the
+    /// fields below, as the dispatcher answered it.
     pub error: Option<RsError>,
     /// Operation count (incl. ⊥); 0 when the file failed to parse.
     pub ops: usize,
@@ -160,60 +162,52 @@ pub fn run_corpus(
     }
 
     let jobs = opts.jobs.clamp(1, paths.len());
-    let next = AtomicUsize::new(0);
     let settings = per_file_settings(request);
-    let mut slots: Vec<Option<CorpusFileSummary>> = (0..paths.len()).map(|_| None).collect();
 
     // A rerun pointed at the same `--resume` file restores the entries an
-    // earlier (killed) run already completed; its workers only touch the
-    // empty slots, so the final summary covers every file exactly once.
-    let mut restored = 0;
-    if let Some(rp) = &opts.resume_path {
-        let mut prior = load_resume(rp, &settings);
-        for (i, path) in paths.iter().enumerate() {
-            let name = path.strip_prefix(dir).unwrap_or(path).display().to_string();
-            if let Some(entry) = prior.remove(&name) {
-                slots[i] = Some(entry);
-                restored += 1;
-            }
-        }
-    }
-    let results = Mutex::new(&mut slots);
+    // earlier (killed) run already completed; only the other files are
+    // run, so the final summary covers every file exactly once.
+    let mut prior = match &opts.resume_path {
+        Some(rp) => load_resume(rp, &settings),
+        None => HashMap::new(),
+    };
+    let slots: Vec<Option<CorpusFileSummary>> = paths
+        .iter()
+        .map(|path| prior.remove(&file_name(dir, path)))
+        .collect();
+    let pending: Vec<&PathBuf> = paths
+        .iter()
+        .zip(&slots)
+        .filter_map(|(path, slot)| slot.is_none().then_some(path))
+        .collect();
+    let restored = paths.len() - pending.len();
+    // Every completed entry, rewritten to the checkpoint after each file.
+    let checkpoint = Mutex::new(slots.iter().flatten().cloned().collect::<Vec<_>>());
 
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                // Per-worker dispatcher: a private warm engine across files,
-                // the same execution path as `rsat serve` (cache-less —
-                // every corpus file is distinct work).
-                let mut dispatcher = Dispatcher::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(path) = paths.get(i) else { break };
-                    if lock_recover(&results)[i].is_some() {
-                        continue; // restored from the resume checkpoint
-                    }
-                    let summary = run_file(&mut dispatcher, dir, path, request);
-                    let mut held = lock_recover(&results);
-                    held[i] = Some(summary);
-                    if let Some(rp) = &opts.resume_path {
-                        // Rewrite the whole checkpoint after each file
-                        // (atomic: tmp + rename). Corpora are small; the
-                        // simplicity is worth the quadratic rewrites.
-                        let done: Vec<&CorpusFileSummary> = held.iter().flatten().collect();
-                        save_resume(rp, &settings, &done);
-                    }
-                }
-            });
+    // One dispatcher per worker: a private warm engine across files, the
+    // same execution path as `rsat serve` (cache-less — every corpus file
+    // is distinct work).
+    let mut dispatchers: Vec<Dispatcher> = (0..jobs).map(|_| Dispatcher::new()).collect();
+    let fresh = par_map(&mut dispatchers, pending, |dispatcher, path| {
+        let summary = run_file(dispatcher, dir, path, request);
+        if let Some(rp) = &opts.resume_path {
+            // Rewrite the whole checkpoint after each file (atomic: tmp +
+            // rename). Corpora are small; the simplicity is worth the
+            // quadratic rewrites.
+            let mut done = lock_recover(&checkpoint);
+            done.push(summary.clone());
+            save_resume(rp, &settings, &done);
         }
+        summary
     });
     let total_millis = start.elapsed().as_secs_f64() * 1e3;
 
+    let mut fresh = fresh.into_iter();
     let files: Vec<CorpusFileSummary> = slots
         .into_iter()
-        .collect::<Option<_>>()
-        .ok_or_else(|| RsError::new(codes::ENGINE, "a corpus worker left a file unanswered"))?;
+        .filter_map(|slot| slot.or_else(|| fresh.next()))
+        .collect();
     if let Some(rp) = &opts.resume_path {
         // The run covered everything: a later rerun should start fresh.
         let _ = std::fs::remove_file(rp);
@@ -267,11 +261,11 @@ fn load_resume(path: &Path, settings: &str) -> HashMap<String, CorpusFileSummary
 /// any instant leaves either the old or the new checkpoint, never a torn
 /// one. Best-effort: IO errors are swallowed (checkpointing must never
 /// fail the run it protects).
-fn save_resume(path: &Path, settings: &str, files: &[&CorpusFileSummary]) {
+fn save_resume(path: &Path, settings: &str, files: &[CorpusFileSummary]) {
     let snapshot = ResumeFile {
         version: RESUME_VERSION,
         settings: settings.to_string(),
-        files: files.iter().map(|f| (*f).clone()).collect(),
+        files: files.to_vec(),
     };
     let Ok(json) = serde_json::to_string(&snapshot) else {
         return;
@@ -282,13 +276,19 @@ fn save_resume(path: &Path, settings: &str, files: &[&CorpusFileSummary]) {
     }
 }
 
+/// A corpus file's name relative to the corpus directory: its entry's
+/// `file` and its key in a resume checkpoint.
+fn file_name(dir: &Path, path: &Path) -> String {
+    path.strip_prefix(dir).unwrap_or(path).display().to_string()
+}
+
 fn run_file(
     dispatcher: &mut Dispatcher,
     dir: &Path,
     path: &Path,
     request: &RsRequest,
 ) -> CorpusFileSummary {
-    let name = path.strip_prefix(dir).unwrap_or(path).display().to_string();
+    let name = file_name(dir, path);
     let start = Instant::now();
     let fail = |error: RsError| CorpusFileSummary {
         file: name.clone(),
@@ -308,16 +308,17 @@ fn run_file(
         Err(e) => return fail(RsError::new(codes::IO, format!("cannot read: {e}"))),
     };
     let resp = dispatcher.dispatch(&req);
-    let (true, Some(result)) = (resp.ok, resp.result) else {
-        return fail(
-            resp.error
-                .unwrap_or_else(|| RsError::new(codes::ENGINE, "missing error detail")),
-        );
+    // A timed-out response fails yet carries its best partial result,
+    // which the entry keeps next to the error.
+    let missing = || RsError::new(codes::ENGINE, "missing error detail");
+    let error = (!resp.ok).then(|| resp.error.unwrap_or_else(missing));
+    let Some(result) = resp.result else {
+        return fail(error.unwrap_or_else(missing));
     };
     CorpusFileSummary {
         file: name,
-        ok: true,
-        error: None,
+        ok: error.is_none(),
+        error,
         ops: result.ops,
         edges: result.edges,
         critical_path: result.critical_path,

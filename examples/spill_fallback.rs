@@ -33,11 +33,7 @@ fn main() {
 
     // Serialization alone at R = 1: must fail.
     let mut plain = ddg.clone();
-    let out = Reducer {
-        verify_exact: true,
-        ..Reducer::new()
-    }
-    .reduce(&mut plain, RegType::FLOAT, 1);
+    let out = Reducer { verify_exact: true }.reduce(&mut plain, RegType::FLOAT, 1);
     println!(
         "value-serialization reduction to R=1: fits = {}",
         out.fits()

@@ -67,6 +67,7 @@ use rs_serve::{
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// Every subcommand with its usage: the operand, if any, then its flags as
 /// `[--flag VALUE]` (optional), `--flag VALUE` (required) or `[--flag]` (a
@@ -195,39 +196,15 @@ fn build_request(op: RsOp, ddg: String, args: &[String]) -> Result<RsRequest, Rs
     let mut req = RsRequest::new(op, ddg);
     req.cache = false; // a CLI process keeps no cache to warm
     req.reg_type = flag_value(args, "--type")?;
-    req.threads = match flag_value(args, "--threads")? {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| RsError::usage("bad --threads value"))?
-            .max(1),
-        None => 1,
-    };
-    req.registers = match flag_value(args, "--registers")? {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| RsError::usage("bad --registers value"))?,
-        ),
-        None => None,
-    };
-    req.issue = match flag_value(args, "--issue")? {
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| RsError::usage(format!("unknown issue width `{v}`")))?,
-        ),
-        None => None,
-    };
+    req.threads = flag_parsed(args, "--threads")?.unwrap_or(1).max(1);
+    req.registers = flag_parsed(args, "--registers")?;
+    req.issue = flag_parsed(args, "--issue")?;
     req.exact = args.iter().any(|a| a == "--exact");
     req.ilp = args.iter().any(|a| a == "--ilp");
     req.stats = args.iter().any(|a| a == "--stats");
     req.spill = args.iter().any(|a| a == "--spill");
     req.emit_ddg = op == RsOp::Reduce && flag_value(args, "--output")?.is_some();
-    req.timeout_ms = match flag_value(args, "--timeout-ms")? {
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| RsError::usage("bad --timeout-ms value"))?,
-        ),
-        None => None,
-    };
+    req.timeout_ms = flag_parsed(args, "--timeout-ms")?;
     Ok(req)
 }
 
@@ -390,13 +367,7 @@ fn corpus(args: &[String]) -> Result<(), RsError> {
     let dir = args
         .get(1)
         .ok_or_else(|| RsError::usage("missing corpus directory"))?;
-    let jobs = match flag_value(args, "--jobs")? {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| RsError::usage("bad --jobs value"))?
-            .max(1),
-        None => 1,
-    };
+    let jobs = flag_parsed(args, "--jobs")?.unwrap_or(1).max(1);
     let op = match flag_value(args, "--mode")? {
         None => RsOp::Analyze,
         Some(mode) => RsOp::from_name(&mode)
@@ -428,21 +399,14 @@ fn corpus(args: &[String]) -> Result<(), RsError> {
 /// carries nothing but response JSON.
 fn serve(args: &[String]) -> Result<(), RsError> {
     let mut cfg = ServeConfig::default();
-    if let Some(v) = flag_value(args, "--workers")? {
-        cfg.workers = v
-            .parse::<usize>()
-            .map_err(|_| RsError::usage("bad --workers value"))?;
+    if let Some(workers) = flag_parsed(args, "--workers")? {
+        cfg.workers = workers;
     }
-    if let Some(v) = flag_value(args, "--queue")? {
-        cfg.queue = v
-            .parse::<usize>()
-            .map_err(|_| RsError::usage("bad --queue value"))?
-            .max(1);
+    if let Some(queue) = flag_parsed::<usize>(args, "--queue")? {
+        cfg.queue = queue.max(1);
     }
-    if let Some(v) = flag_value(args, "--cache-capacity")? {
-        cfg.cache_capacity = v
-            .parse::<usize>()
-            .map_err(|_| RsError::usage("bad --cache-capacity value"))?;
+    if let Some(capacity) = flag_parsed(args, "--cache-capacity")? {
+        cfg.cache_capacity = capacity;
     }
     cfg.faults = parse_faults(args)?;
     if cfg.faults.is_some() {
@@ -523,4 +487,15 @@ fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, RsError> {
         Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
         _ => Err(RsError::usage(format!("missing value for {flag}"))),
     }
+}
+
+/// A typed flag's value: [`flag_value`], parsed; a value that does not
+/// parse is a usage error naming the flag.
+fn flag_parsed<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, RsError> {
+    flag_value(args, flag)?
+        .map(|v| {
+            v.parse()
+                .map_err(|_| RsError::usage(format!("bad {flag} value")))
+        })
+        .transpose()
 }

@@ -168,6 +168,48 @@ fn flag_without_value_is_a_usage_error() {
 }
 
 #[test]
+fn unparsable_flag_value_is_a_usage_error() {
+    // A numeric flag whose value does not parse must fail before anything
+    // runs, naming the flag: no output, no file written, no daemon started.
+    let cwd = std::env::temp_dir().join(format!("rsat-bad-value-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).unwrap();
+    let (expr, fixtures) = (data("expr.ddg"), data(""));
+    let pipeline = ["pipeline", &expr, "--registers", "3"];
+    let cases: [(&[&str], &str); 8] = [
+        (&["analyze", &expr, "--threads", "x"], "--threads"),
+        (&["reduce", &expr, "--registers", "x"], "--registers"),
+        (&[&pipeline[..], &["--issue", "x"]].concat(), "--issue"),
+        (&["analyze", &expr, "--timeout-ms", "x"], "--timeout-ms"),
+        (&["corpus", &fixtures, "--jobs", "x"], "--jobs"),
+        (&["serve", "--workers", "x"], "--workers"),
+        (&["serve", "--queue", "x"], "--queue"),
+        (&["serve", "--cache-capacity", "x"], "--cache-capacity"),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_rsat"))
+            .args(args)
+            .current_dir(&cwd)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("run rsat");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error[usage]: bad {flag} value")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+        assert!(
+            !stderr.contains("rsat serve:"),
+            "{args:?} started: {stderr}"
+        );
+    }
+    let written: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+    assert!(written.is_empty(), "files written: {written:?}");
+    let _ = std::fs::remove_dir(&cwd);
+}
+
+#[test]
 fn unknown_argument_is_a_usage_error() {
     // A misspelt flag, a flag of another subcommand, or a stray operand
     // must fail before anything runs instead of being ignored: no output,

@@ -160,6 +160,45 @@ fn unwritable_out_is_an_io_error() {
     let _ = std::fs::remove_file(&tc.out);
 }
 
+#[test]
+fn a_timed_out_file_keeps_its_partial_result() {
+    // A deadline that expires mid-reduction answers `timeout` with the
+    // best partial result; the entry keeps it next to its error, and the
+    // file still counts as failed.
+    let tc = TempCorpus::new("timeout");
+    let (dir, out) = (tc.dir.to_str().unwrap(), tc.out.to_str().unwrap());
+    let (ok, stdout, stderr) = rsat(&[
+        "corpus",
+        dir,
+        "--mode",
+        "reduce",
+        "--registers",
+        "2",
+        "--timeout-ms",
+        "0",
+        "--out",
+        out,
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("2 files, 0 analyzed, 2 failed"), "{stdout}");
+    let json = std::fs::read_to_string(tc.out.join("corpus.json")).unwrap();
+    let summary = serde_json::from_str(&json).unwrap();
+    let files = summary.get("files").and_then(|f| f.as_array()).unwrap();
+    assert_eq!(files.len(), 2, "{json}");
+    for file in files {
+        let code = file.get("error").and_then(|e| e.get("code"));
+        assert_eq!(code.and_then(|c| c.as_str()), Some("timeout"), "{json}");
+        assert!(file.get("ops").and_then(|o| o.as_u64()) > Some(0), "{json}");
+        let types = file.get("types").and_then(|t| t.as_array()).unwrap();
+        let float = types
+            .iter()
+            .find(|t| t.get("reg_type").and_then(|r| r.as_str()) == Some("float"))
+            .expect("a float type");
+        let fits = float.get("reduce").and_then(|r| r.get("fits"));
+        assert_eq!(fits.and_then(|f| f.as_bool()), Some(false), "{json}");
+    }
+}
+
 /// The request a corpus run applies to every file.
 fn request(op: RsOp, registers: Option<usize>, ilp: bool) -> RsRequest {
     let mut req = RsRequest::new(op, "");

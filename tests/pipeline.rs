@@ -9,10 +9,7 @@ use rs_core::model::Target;
 use rs_kernels::random::{random_ddg, RandomDagConfig};
 
 fn full_pipeline(mut ddg: Ddg, budget: usize) -> (bool, usize) {
-    let reducer = Reducer {
-        verify_exact: true,
-        ..Reducer::new()
-    };
+    let reducer = Reducer { verify_exact: true };
     let mut all_fit = true;
     for t in [RegType::INT, RegType::FLOAT] {
         if ddg.values(t).is_empty() {

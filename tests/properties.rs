@@ -68,7 +68,7 @@ proptest! {
         }
         let budget = rs0 - drop;
         let originals: Vec<_> = ddg.graph().edge_ids().collect();
-        let out = Reducer { verify_exact: true, ..Reducer::new() }.reduce(&mut ddg, t, budget);
+        let out = Reducer { verify_exact: true }.reduce(&mut ddg, t, budget);
         prop_assert!(ddg.is_acyclic());
         for e in originals {
             prop_assert!(ddg.graph().edge_alive(e));
@@ -92,7 +92,7 @@ proptest! {
             return Ok(());
         }
         let budget = rs0 - 1;
-        let out = Reducer { verify_exact: true, ..Reducer::new() }.reduce(&mut ddg, t, budget);
+        let out = Reducer { verify_exact: true }.reduce(&mut ddg, t, budget);
         if !out.fits() {
             return Ok(());
         }
