@@ -9,9 +9,11 @@
 //! [`KilledScratch::dv_antichain_into`], the same two steps the exact
 //! search's leaves run. The working storage holds:
 //!
-//! - one topological order per DAG, shared by the longest-path table, the
-//!   transitive closure and the killer position table;
-//! - a pooled-row transitive closure ([`TransitiveClosure::build_into`]);
+//! - one topological order per DAG, shared by the longest-path table and
+//!   the killer position table;
+//! - the DAG's longest-path table `lp(u, v)`, which answers the
+//!   potential-killer sets and the greedy scores' value-descendant counts
+//!   ([`LongestPaths::reaches`]);
 //! - a single [`KilledScratch`] rebuilt in place for every candidate killing
 //!   function — the dominant cost of the portfolio + hill-climbing search.
 //!   It never copies the DDG: it lays the DDG's live arcs and the
@@ -36,8 +38,6 @@ use crate::model::{Ddg, RegType};
 use crate::pkill::{potential_killers_into, PKill};
 use crate::reduce::{ReduceOutcome, Reducer};
 use rs_graph::antichain::AntichainScratch;
-use rs_graph::bitset::BitSetPool;
-use rs_graph::closure::TransitiveClosure;
 use rs_graph::paths::LongestPaths;
 use rs_graph::{topo, NodeId};
 use std::collections::BTreeMap;
@@ -56,12 +56,9 @@ struct AnalysisScratch {
     indeg: Vec<usize>,
     pos: Vec<usize>,
     lp: LongestPaths,
-    tc: TransitiveClosure,
-    pool: BitSetPool,
     pk: PKill,
     values: Vec<NodeId>,
     // Killer score arrays, flat over dense node ids.
-    is_value: Vec<bool>,
     coverage: Vec<u32>,
     value_desc: Vec<u32>,
     // Killing-function tables.
@@ -186,14 +183,8 @@ impl RsEngine {
             s.pos[u.index()] = i;
         }
         topo_max_killing_into(&s.pk, &s.pos, &mut s.fallback);
-        s.tc.build_into(ddg.graph(), &s.order, &mut s.pool);
 
         // Killer score arrays (value-descendant counts fill lazily).
-        s.is_value.clear();
-        s.is_value.resize(n, false);
-        for &u in &s.values {
-            s.is_value[u.index()] = true;
-        }
         s.coverage.clear();
         s.coverage.resize(n, 0);
         for (_, ks) in s.pk.iter() {
@@ -320,9 +311,9 @@ fn build_killing(ddg: &Ddg, s: &mut AnalysisScratch, strategy: Strategy) -> bool
     }
     let AnalysisScratch {
         pos,
-        tc,
+        lp,
         pk,
-        is_value,
+        values,
         coverage,
         value_desc,
         killer,
@@ -335,7 +326,10 @@ fn build_killing(ddg: &Ddg, s: &mut AnalysisScratch, strategy: Strategy) -> bool
     let mut vdesc = |k: NodeId| -> i64 {
         let cell = &mut value_desc[k.index()];
         if *cell == u32::MAX {
-            *cell = tc.descendants(k).iter().filter(|&i| is_value[i]).count() as u32;
+            *cell = values
+                .iter()
+                .filter(|&&v| v != k && lp.reaches(k, v))
+                .count() as u32;
         }
         *cell as i64
     };

@@ -250,11 +250,6 @@ impl Ddg {
         &self.target
     }
 
-    /// Number of distinct register types appearing in the DDG.
-    pub fn num_types(&self) -> usize {
-        self.num_types
-    }
-
     /// All register types with at least one value.
     pub fn reg_types(&self) -> Vec<RegType> {
         (0..self.num_types as u8)
@@ -671,7 +666,7 @@ mod tests {
         let d = b.finish();
         assert!(d.values(RegType::INT).contains(&n));
         assert!(d.values(RegType::FLOAT).contains(&n));
-        assert_eq!(d.num_types(), 2);
+        assert_eq!(d.num_types, 2);
         assert_eq!(d.reg_types().len(), 2);
     }
 

@@ -171,7 +171,9 @@ pub struct RsRequest {
     pub ddg: String,
     /// Restrict to one register type (default: every type present).
     pub reg_type: Option<String>,
-    /// Register budget; required by `reduce` and `pipeline`.
+    /// Register budget; required by `reduce` and `pipeline`. `analyze`
+    /// accepts and ignores it (a corpus batch may pass one budget whatever
+    /// its mode).
     pub registers: Option<usize>,
     /// Also run the exact combinatorial search (`analyze` only; another
     /// op rejects it).
@@ -186,11 +188,13 @@ pub struct RsRequest {
     /// invariant; excluded from the cache key).
     pub threads: usize,
     /// Fall back to spill-code insertion when serialization cannot reach
-    /// the budget (`reduce`).
+    /// the budget (`reduce` only; another op rejects it).
     pub spill: bool,
-    /// Return the post-reduction DDG text in [`RsResult::ddg_out`].
+    /// Return the post-reduction DDG text in [`RsResult::ddg_out`]
+    /// (`reduce` and `pipeline`; `analyze` rejects it).
     pub emit_ddg: bool,
-    /// Issue width for the pipeline scheduler (1, 4, or 8; default 4).
+    /// Issue width for the pipeline scheduler (1, 4, or 8; default 4;
+    /// `pipeline` only, another op rejects it).
     pub issue: Option<u64>,
     /// Allow the server to answer from its memoization cache.
     pub cache: bool,
@@ -225,9 +229,10 @@ impl RsRequest {
     }
 
     /// Checks version and field consistency, before any parsing of the
-    /// DDG payload. A solver field the op would ignore (`exact`, `ilp` or
-    /// `stats` outside `analyze`, `stats` without `ilp`) is a usage error
-    /// naming the field, not a silent no-op.
+    /// DDG payload. A field the op does not read (`exact`, `ilp` and
+    /// `stats` outside `analyze`, `spill` outside `reduce`, `emit_ddg` on
+    /// `analyze`, `issue` outside `pipeline`) and `stats` without `ilp`
+    /// are usage errors naming the field, not silent no-ops.
     pub fn validate(&self) -> Result<(), RsError> {
         if self.v != PROTOCOL_VERSION {
             return Err(RsError::new(
@@ -258,20 +263,26 @@ impl RsRequest {
                 Some(_) => {}
             },
         }
-        // Only `analyze` runs the exact solvers: another op would answer as
-        // if the field had never been sent.
-        if self.op != RsOp::Analyze {
-            let solver_fields = [
-                ("exact", self.exact),
-                ("ilp", self.ilp),
-                ("stats", self.stats),
-            ];
-            if let Some((field, _)) = solver_fields.into_iter().find(|&(_, set)| set) {
-                return Err(RsError::usage(format!(
-                    "op `{}` does not take `{field}`: only `analyze` runs the exact solvers",
-                    self.op.name()
-                )));
-            }
+        // Each optional field with the ops that read it: another op would
+        // answer as if the field had never been sent.
+        let fields: [(&str, bool, &[RsOp]); 6] = [
+            ("exact", self.exact, &[RsOp::Analyze]),
+            ("ilp", self.ilp, &[RsOp::Analyze]),
+            ("stats", self.stats, &[RsOp::Analyze]),
+            ("spill", self.spill, &[RsOp::Reduce]),
+            ("emit_ddg", self.emit_ddg, &[RsOp::Reduce, RsOp::Pipeline]),
+            ("issue", self.issue.is_some(), &[RsOp::Pipeline]),
+        ];
+        if let Some((field, _, ops)) = fields
+            .into_iter()
+            .find(|&(_, set, ops)| set && !ops.contains(&self.op))
+        {
+            let readers: Vec<String> = ops.iter().map(|op| format!("`{}`", op.name())).collect();
+            return Err(RsError::usage(format!(
+                "op `{}` does not take `{field}`: it is read only by {}",
+                self.op.name(),
+                readers.join(" and ")
+            )));
         }
         if self.stats && !self.ilp {
             return Err(RsError::usage(

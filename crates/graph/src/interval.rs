@@ -56,8 +56,16 @@ impl Interval {
 /// Maximum number of simultaneously "alive" intervals, i.e. the maximum
 /// clique of the interference graph. Empty intervals never contribute.
 ///
-/// Runs a sweep over endpoint events in `O(k log k)`.
+/// The count of [`max_overlap_witness`]'s endpoint sweep, `O(k log k)`.
 pub fn max_overlap(intervals: &[Interval]) -> usize {
+    max_overlap_witness(intervals).0
+}
+
+/// The maximum overlap, the first time point achieving it (0 when no
+/// interval is alive anywhere) and the indices of the intervals alive
+/// there. Useful for extracting a *saturating set* of values from a
+/// schedule.
+pub fn max_overlap_witness(intervals: &[Interval]) -> (usize, i64, Vec<usize>) {
     // Events at integer point p: an interval (a, b] covers points a+1 ..= b.
     // Opening at a+1, closing after b.
     let mut events: Vec<(i64, i32)> = Vec::with_capacity(intervals.len() * 2);
@@ -68,32 +76,9 @@ pub fn max_overlap(intervals: &[Interval]) -> usize {
         events.push((iv.start + 1, 1));
         events.push((iv.end + 1, -1));
     }
-    // Sort by position; process closings before openings at the same point
-    // is NOT needed because close at b+1 vs open at a+1: if b+1 == a'+1 then
-    // b == a', intervals (a,b] and (a',b'] with a' = b do not interfere, so
-    // the closing must apply first: order -1 before +1 at equal positions.
-    events.sort_unstable();
-    let mut cur = 0i64;
-    let mut best = 0i64;
-    for (_, delta) in events {
-        cur += delta as i64;
-        best = best.max(cur);
-    }
-    best as usize
-}
-
-/// Returns one time point achieving the maximum overlap, with the indices of
-/// the intervals alive there. Useful for extracting a *saturating set* of
-/// values from a schedule.
-pub fn max_overlap_witness(intervals: &[Interval]) -> (usize, i64, Vec<usize>) {
-    let mut events: Vec<(i64, i32)> = Vec::new();
-    for iv in intervals {
-        if iv.is_empty() {
-            continue;
-        }
-        events.push((iv.start + 1, 1));
-        events.push((iv.end + 1, -1));
-    }
+    // Sorting puts a closing (-1) before an opening (+1) at one position:
+    // a close at b+1 and an open at a'+1 meet when b == a', and (a, b] and
+    // (a', b'] with a' = b do not interfere, so the closing applies first.
     events.sort_unstable();
     let mut cur = 0i64;
     let mut best = 0i64;

@@ -10,11 +10,10 @@
 //! ## Modules
 //!
 //! - [`graph`]: arena-based directed multigraph with `i64` edge latencies.
-//! - [`bitset`]: fixed-size bitsets used for transitive-closure rows.
 //! - [`topo`]: topological sorting and cycle extraction.
 //! - [`paths`]: single-source and all-pairs *longest* paths on DAGs
-//!   (the scheduling-theoretic `lp(u, v)` of the paper).
-//! - [`closure`]: bitset transitive closure / reachability.
+//!   (the scheduling-theoretic `lp(u, v)` of the paper), which also answer
+//!   reachability.
 //! - [`matching`]: Hopcroft–Karp maximum bipartite matching with König
 //!   vertex-cover extraction.
 //! - [`antichain`]: maximum antichain of a poset (Dilworth machinery used
@@ -43,8 +42,6 @@
 #![forbid(unsafe_code)]
 
 pub mod antichain;
-pub mod bitset;
-pub mod closure;
 pub mod dot;
 pub mod graph;
 pub mod interval;
@@ -53,13 +50,9 @@ pub mod paths;
 pub mod topo;
 
 pub use antichain::{max_antichain_into, AntichainScratch};
-pub use bitset::{BitSet, BitSetPool};
-pub use closure::TransitiveClosure;
 pub use graph::{DiGraph, EdgeId, NodeId};
 pub use interval::{max_overlap, Interval};
-pub use matching::{
-    hopcroft_karp, hopcroft_karp_into, BipartiteGraph, MatchingResult, MatchingScratch,
-};
+pub use matching::{hopcroft_karp_into, BipartiteGraph, MatchingScratch};
 pub use topo::{cycle_witness, is_acyclic, topo_sort, topo_sort_into, CycleError};
 
 /// The sentinel a [`paths::LongestPaths`] table starts every cell at:

@@ -60,21 +60,6 @@ impl BipartiteGraph {
     }
 }
 
-/// Result of a maximum-matching computation.
-#[derive(Clone, Debug)]
-pub struct MatchingResult {
-    /// `pair_left[l] = Some(r)` if left `l` is matched to right `r`.
-    pub pair_left: Vec<Option<usize>>,
-    /// `pair_right[r] = Some(l)` if right `r` is matched to left `l`.
-    pub pair_right: Vec<Option<usize>>,
-    /// Matching cardinality.
-    pub size: usize,
-    /// König minimum vertex cover: flags for left vertices in the cover.
-    pub cover_left: Vec<bool>,
-    /// König minimum vertex cover: flags for right vertices in the cover.
-    pub cover_right: Vec<bool>,
-}
-
 const INF: u32 = u32::MAX;
 
 /// Reusable working storage for [`hopcroft_karp_into`]. The pairing and
@@ -104,21 +89,7 @@ impl MatchingScratch {
 }
 
 /// Hopcroft–Karp maximum matching in `O(E·√V)`; also extracts a König
-/// minimum vertex cover (|cover| == matching size).
-pub fn hopcroft_karp(g: &BipartiteGraph) -> MatchingResult {
-    let mut s = MatchingScratch::new();
-    hopcroft_karp_into(g, &mut s);
-    MatchingResult {
-        pair_left: s.pair_left,
-        pair_right: s.pair_right,
-        size: s.size,
-        cover_left: s.cover_left,
-        cover_right: s.cover_right,
-    }
-}
-
-/// Allocation-reusing [`hopcroft_karp`]: results land in `s` (identical to
-/// what `hopcroft_karp` returns — it delegates here).
+/// minimum vertex cover (|cover| == matching size). Results land in `s`.
 pub fn hopcroft_karp_into(g: &BipartiteGraph, s: &mut MatchingScratch) {
     let (nl, nr) = (g.n_left, g.n_right);
     let pair_l = &mut s.pair_left;
@@ -244,7 +215,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn check_valid(g: &BipartiteGraph, m: &MatchingResult) {
+    fn matching(g: &BipartiteGraph) -> MatchingScratch {
+        let mut m = MatchingScratch::new();
+        hopcroft_karp_into(g, &mut m);
+        m
+    }
+
+    fn check_valid(g: &BipartiteGraph, m: &MatchingScratch) {
         // consistency of the two pairing arrays
         for (l, &p) in m.pair_left.iter().enumerate() {
             if let Some(r) = p {
@@ -274,7 +251,7 @@ mod tests {
         g.add_edge(0, 1);
         g.add_edge(1, 1);
         g.add_edge(2, 2);
-        let m = hopcroft_karp(&g);
+        let m = matching(&g);
         assert_eq!(m.size, 3);
         check_valid(&g, &m);
     }
@@ -286,7 +263,7 @@ mod tests {
         g.add_edge(0, 0);
         g.add_edge(0, 1);
         g.add_edge(1, 0);
-        let m = hopcroft_karp(&g);
+        let m = matching(&g);
         assert_eq!(m.size, 2);
         check_valid(&g, &m);
     }
@@ -297,7 +274,7 @@ mod tests {
         for r in 0..5 {
             g.add_edge(0, r);
         }
-        let m = hopcroft_karp(&g);
+        let m = matching(&g);
         assert_eq!(m.size, 1);
         check_valid(&g, &m);
     }
@@ -305,7 +282,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = BipartiteGraph::new(4, 4);
-        let m = hopcroft_karp(&g);
+        let m = matching(&g);
         assert_eq!(m.size, 0);
         check_valid(&g, &m);
         assert_eq!(g.edge_count(), 0);
@@ -318,7 +295,7 @@ mod tests {
             g.add_edge(l, 0);
             g.add_edge(l, 1);
         }
-        let m = hopcroft_karp(&g);
+        let m = matching(&g);
         assert_eq!(m.size, 2);
         check_valid(&g, &m);
     }
@@ -351,7 +328,7 @@ mod tests {
                     g.add_edge(l, r);
                 }
             }
-            let m = hopcroft_karp(&g);
+            let m = matching(&g);
             check_valid(&g, &m);
             prop_assert_eq!(m.size, brute_force_matching(&g));
         }

@@ -196,25 +196,10 @@ impl LongestPaths {
     }
 }
 
-/// Length of the longest path in the DAG (0 for an empty or edgeless graph).
+/// Length of the longest path in the DAG (0 for an empty or edgeless
+/// graph): the latest [`asap`] date.
 pub fn critical_path<N>(g: &DiGraph<N>) -> i64 {
-    let order = topo_sort(g).expect("critical_path requires a DAG");
-    let mut dist: Vec<i64> = vec![0; g.node_count()];
-    let mut best = 0i64;
-    for &u in &order {
-        let du = dist[u.index()];
-        for e in g.out_edges(u) {
-            let v = g.dst(e);
-            let cand = du + g.latency(e);
-            if cand > dist[v.index()] {
-                dist[v.index()] = cand;
-                if cand > best {
-                    best = cand;
-                }
-            }
-        }
-    }
-    best
+    asap(g).into_iter().max().unwrap_or(0)
 }
 
 /// As-soon-as-possible issue dates: `asap(u) = max path length into u`,

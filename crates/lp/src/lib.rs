@@ -70,18 +70,11 @@ pub use simplex::{
 /// Numeric tolerance used throughout the solver.
 pub const EPS: f64 = 1e-7;
 
-/// Tolerance equality at the solver tolerance [`EPS`]. Raw float `==` on
+/// Tolerance zero test at the solver tolerance [`EPS`]. Raw float `==` on
 /// solver values is a determinism hazard (`clippy::float_cmp` is denied
-/// in this crate and rs-core outside tests): two
-/// arithmetically equivalent pivot orders can disagree in the last ulp,
-/// so every value comparison goes through an explicit tolerance.
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= EPS
-}
-
-/// Tolerance zero test at the solver tolerance [`EPS`]; the zero-argument
-/// twin of [`approx_eq`].
+/// in this crate and rs-core outside tests): two arithmetically
+/// equivalent pivot orders can disagree in the last ulp, so a value
+/// comparison goes through an explicit tolerance.
 #[inline]
 pub fn approx_zero(a: f64) -> bool {
     a.abs() <= EPS

@@ -51,8 +51,8 @@ pub use server::{serve_io, InOrderSink, UnixServer};
 /// already been isolated and answered `ok:false` by the dispatcher's
 /// panic boundary; propagating the poison would turn that one contained
 /// failure into a process-wide outage on the next lock. Every structure
-/// guarded this way (memo cache, connection list,
-/// in-order sink, bounded queue, corpus result slots) is consistent after any partial update,
+/// guarded this way (memo cache, connection list, in-order sink, bounded
+/// queue, corpus checkpoint list) is consistent after any partial update,
 /// so continuing with the recovered state is sound.
 pub(crate) fn lock_recover<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())

@@ -15,8 +15,8 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! - [`graph`] (`rs-graph`): DAG substrate — longest paths, transitive
-//!   closure, Dilworth antichains via Hopcroft–Karp.
+//! - [`graph`] (`rs-graph`): DAG substrate — longest paths (which also
+//!   answer reachability), Dilworth antichains via Hopcroft–Karp.
 //! - [`lp`] (`rs-lp`): two-phase simplex + branch-and-bound MILP solver and
 //!   the logical-operator linearizations used by the paper's intLP models.
 //! - [`core`] (`rs-core`): the paper — DDG model, lifetimes, potential

@@ -130,29 +130,50 @@ fn cfg_pipeline_respects_effective_budget() {
     }
 }
 
-/// The kernel corpus round-trips through the text format.
+/// The kernel corpus on both targets and a random sweep of 4–64 ops
+/// round-trip through the text format: printing the re-parsed DDG gives
+/// back the same text and every op keeps the types it writes; the kernels
+/// keep their saturation too.
 #[test]
 fn corpus_roundtrips_through_text_format() {
-    for k in rs_kernels::corpus() {
-        let ddg = (k.build)(Target::superscalar());
-        let text = print_ddg(&ddg);
-        let reparsed = parse_ddg(&text).unwrap_or_else(|e| panic!("{}: {e}", k.name));
-        assert_eq!(reparsed.num_ops(), ddg.num_ops(), "{}", k.name);
-        assert_eq!(
-            reparsed.graph().edge_count(),
-            ddg.graph().edge_count(),
-            "{}",
-            k.name
-        );
-        assert_eq!(reparsed.critical_path(), ddg.critical_path(), "{}", k.name);
-        for t in ddg.reg_types() {
-            let a = rs_core::heuristic::GreedyK::new()
-                .saturation(&ddg, t)
-                .saturation;
-            let b = rs_core::heuristic::GreedyK::new()
-                .saturation(&reparsed, t)
-                .saturation;
-            assert_eq!(a, b, "{}/{:?}", k.name, t);
+    for target in [Target::superscalar(), Target::vliw()] {
+        let kernels = rs_kernels::corpus()
+            .into_iter()
+            .map(|k| (k.name.to_string(), (k.build)(target.clone()), true));
+        let random = (4..=64).step_by(4).flat_map(|ops| {
+            rs_kernels::random::sweep(ops, 8, 1000 + ops as u64, target.clone())
+                .into_iter()
+                .enumerate()
+                .map(move |(i, d)| (format!("random {ops}/{i}"), d, false))
+        });
+        for (name, ddg, kernel) in kernels.chain(random) {
+            let name = format!("{name} ({:?})", target.kind);
+            let text = print_ddg(&ddg);
+            let reparsed = parse_ddg(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(print_ddg(&reparsed), text, "{name}");
+            assert_eq!(reparsed.num_ops(), ddg.num_ops(), "{name}");
+            for n in ddg.graph().node_ids() {
+                let (a, b) = (ddg.graph().node(n), reparsed.graph().node(n));
+                assert_eq!(a.writes, b.writes, "{name}: {}", a.name);
+            }
+            assert_eq!(
+                reparsed.graph().edge_count(),
+                ddg.graph().edge_count(),
+                "{name}"
+            );
+            assert_eq!(reparsed.critical_path(), ddg.critical_path(), "{name}");
+            if !kernel {
+                continue;
+            }
+            for t in ddg.reg_types() {
+                let a = rs_core::heuristic::GreedyK::new()
+                    .saturation(&ddg, t)
+                    .saturation;
+                let b = rs_core::heuristic::GreedyK::new()
+                    .saturation(&reparsed, t)
+                    .saturation;
+                assert_eq!(a, b, "{name}/{t:?}");
+            }
         }
     }
 }

@@ -115,10 +115,11 @@ proptest! {
     }
 }
 
-/// A solver field the op would ignore answers `ok:false` with code
-/// `usage` naming the field, instead of `ok:true` with that field's result
-/// left `null`. A budget on `analyze` stays accepted: corpus batches send
-/// one in every mode.
+/// A field the op would ignore (a solver field outside `analyze`, `spill`
+/// outside `reduce`, `emit_ddg` on `analyze`, `issue` outside `pipeline`)
+/// answers `ok:false` with code `usage` naming the field, instead of
+/// `ok:true` as if it had never been sent. A budget on `analyze` stays
+/// accepted: corpus batches send one in every mode.
 #[test]
 fn wire_rejects_solver_fields_the_op_ignores() {
     let ddg = r#""ddg":"op a load float\nop s store none\nflow a s 4 float\n""#;
@@ -134,7 +135,26 @@ fn wire_rejects_solver_fields_the_op_ignores() {
         (r#""op":"pipeline","registers":3,"ilp":true"#, Some("`ilp`")),
         (r#""op":"analyze","stats":true"#, Some("`ilp`")),
         (
+            r#""op":"analyze","emit_ddg":true,"spill":true,"issue":8"#,
+            Some("`spill`"),
+        ),
+        (r#""op":"analyze","emit_ddg":true"#, Some("`emit_ddg`")),
+        (r#""op":"analyze","issue":8"#, Some("`issue`")),
+        (
+            r#""op":"pipeline","registers":2,"spill":true"#,
+            Some("`spill`"),
+        ),
+        (r#""op":"reduce","registers":2,"issue":4"#, Some("`issue`")),
+        (
             r#""op":"analyze","registers":6,"exact":true,"ilp":true,"stats":true"#,
+            None,
+        ),
+        (
+            r#""op":"reduce","registers":2,"spill":true,"emit_ddg":true"#,
+            None,
+        ),
+        (
+            r#""op":"pipeline","registers":2,"emit_ddg":true,"issue":8"#,
             None,
         ),
     ] {
