@@ -29,7 +29,7 @@ fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("experiments: error[{}]: {}", e.code, e.message);
+            eprintln!("experiments: error[{}]: {e}", e.code());
             ExitCode::FAILURE
         }
     }

@@ -21,7 +21,7 @@
 //! cycle.
 
 use crate::model::RegType;
-use serde::{de_field, DeError, Deserialize, Serialize, Value};
+use serde::{de_field, DeError, Deserialize, JsonWriter, Serialize, Value};
 
 /// The wire protocol version accepted by [`RsRequest::validate`].
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -56,39 +56,72 @@ pub mod codes {
 }
 
 /// A wire error code. Its field is private to this module, so the
-/// [`codes`] constants are its only values and [`RsError::new`] cannot
-/// be handed an unknown code.
+/// [`codes`] constants are its only values: neither [`RsError::new`] nor
+/// a deserialized response or corpus checkpoint can carry an unknown code.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Code(&'static str);
 
 impl Code {
+    /// Every code, in the order of [`codes`].
+    const ALL: [Code; 10] = [
+        codes::USAGE,
+        codes::IO,
+        codes::PARSE,
+        codes::REQUEST,
+        codes::VERSION,
+        codes::PANIC,
+        codes::ENGINE,
+        codes::INFEASIBLE,
+        codes::TIMEOUT,
+        codes::OVERLOADED,
+    ];
+
     /// The code as it appears on the wire.
     pub const fn as_str(self) -> &'static str {
         self.0
     }
 }
 
-impl PartialEq<Code> for String {
-    fn eq(&self, code: &Code) -> bool {
-        self == code.0
+impl std::fmt::Display for Code {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl Serialize for Code {
+    fn to_value(&self) -> Value {
+        Value::Str(self.0.to_string())
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self.0);
+    }
+}
+
+impl Deserialize for Code {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let name = String::from_value(value)?;
+        Code::ALL
+            .into_iter()
+            .find(|code| code.0 == name)
+            .ok_or_else(|| DeError::new(format!("unknown error code `{name}`")))
     }
 }
 
 /// Machine-readable error shape shared by serve responses, corpus
-/// `ok:false` entries, and CLI failures.
+/// `ok:false` entries, and CLI failures. On the wire it is
+/// `{"code":"<name>","message":"..."}`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RsError {
-    /// One of the [`codes`] constants.
-    pub code: String,
-    /// Human-readable description.
-    pub message: String,
+    code: Code,
+    message: String,
 }
 
 impl RsError {
     /// Creates an error with the given code and message.
     pub fn new(code: Code, message: impl Into<String>) -> Self {
         RsError {
-            code: code.as_str().to_string(),
+            code,
             message: message.into(),
         }
     }
@@ -96,6 +129,16 @@ impl RsError {
     /// Shorthand for a [`codes::USAGE`] error.
     pub fn usage(message: impl Into<String>) -> Self {
         RsError::new(codes::USAGE, message)
+    }
+
+    /// One of the [`codes`] constants.
+    pub fn code(&self) -> Code {
+        self.code
+    }
+
+    /// Human-readable description.
+    pub fn message(&self) -> &str {
+        &self.message
     }
 }
 
@@ -143,6 +186,10 @@ impl RsOp {
 impl Serialize for RsOp {
     fn to_value(&self) -> Value {
         Value::Str(self.name().to_string())
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self.name());
     }
 }
 
@@ -303,14 +350,20 @@ impl RsRequest {
     /// two do not affect results, exact-solver results are thread-count
     /// invariant (solve *statistics* may differ; they are advisory), and
     /// timed-out (degraded) results are never inserted into the cache, so
-    /// the deadline cannot affect what a cached entry holds.
+    /// the deadline cannot affect what a cached entry holds. `registers`
+    /// counts only for the ops that read it: `analyze` accepts a budget
+    /// and ignores it, so an `analyze` with and without one share a key.
     pub fn cache_key(&self) -> String {
+        let registers = match self.op {
+            RsOp::Analyze => None,
+            RsOp::Reduce | RsOp::Pipeline => self.registers,
+        };
         format!(
             "v{};op={};type={:?};regs={:?};exact={};ilp={};stats={};spill={};emit={};issue={:?};ddg={}",
             self.v,
             self.op.name(),
             self.reg_type,
-            self.registers,
+            registers,
             self.exact,
             self.ilp,
             self.stats,
@@ -590,16 +643,16 @@ mod tests {
         let v = serde_json::from_str(r#"{"op":"analyze","ddg":""}"#).unwrap();
         let req = RsRequest::from_value(&v).expect("parses");
         let err = req.validate().unwrap_err();
-        assert_eq!(err.code, codes::VERSION);
+        assert_eq!(err.code(), codes::VERSION);
     }
 
     #[test]
     fn reduce_without_budget_is_a_usage_error() {
         let mut req = RsRequest::new(RsOp::Reduce, "op a load float");
-        assert_eq!(req.validate().unwrap_err().code, codes::USAGE);
+        assert_eq!(req.validate().unwrap_err().code(), codes::USAGE);
         req.registers = Some(0);
         let err = req.validate().unwrap_err();
-        assert!(err.message.contains("at least 1"), "{err}");
+        assert!(err.message().contains("at least 1"), "{err}");
         req.registers = Some(2);
         assert!(req.validate().is_ok());
     }
@@ -635,6 +688,39 @@ mod tests {
     }
 
     #[test]
+    fn error_codes_round_trip_and_unknown_names_are_rejected() {
+        for code in Code::ALL {
+            let e = RsError::new(code, "m");
+            let json = serde_json::to_string(&e).unwrap();
+            assert_eq!(json, format!(r#"{{"code":"{code}","message":"m"}}"#));
+            let back = RsError::from_value(&serde_json::from_str(&json).unwrap()).unwrap();
+            assert_eq!(back, e);
+        }
+        for bad in [r#""oops""#, r#""USAGE""#, "7", "null"] {
+            let json = format!(r#"{{"code":{bad},"message":"m"}}"#);
+            let err = RsError::from_value(&serde_json::from_str(&json).unwrap()).unwrap_err();
+            assert!(err.to_string().starts_with("field `code`: "), "{err}");
+        }
+    }
+
+    #[test]
+    fn cache_key_counts_registers_only_where_read() {
+        for (op, read) in [
+            (RsOp::Analyze, false),
+            (RsOp::Reduce, true),
+            (RsOp::Pipeline, true),
+        ] {
+            let mut a = RsRequest::new(op, "op a load float");
+            a.registers = Some(4);
+            let mut b = a.clone();
+            b.registers = Some(6);
+            assert_eq!(a.cache_key() != b.cache_key(), read, "{op:?}");
+            b.registers = None;
+            assert_eq!(a.cache_key() != b.cache_key(), read, "{op:?}");
+        }
+    }
+
+    #[test]
     fn timeout_ms_defaults_to_none_on_the_wire() {
         let v = serde_json::from_str(r#"{"v":1,"op":"analyze","ddg":"op a load float"}"#).unwrap();
         let req = RsRequest::from_value(&v).expect("parses");
@@ -665,7 +751,7 @@ mod tests {
             41.0,
         );
         assert!(!resp.ok);
-        assert_eq!(resp.error.as_ref().unwrap().code, codes::TIMEOUT);
+        assert_eq!(resp.error.as_ref().unwrap().code(), codes::TIMEOUT);
         assert!(
             resp.result.is_some(),
             "timeout must keep the partial result"

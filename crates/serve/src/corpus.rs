@@ -378,7 +378,7 @@ pub fn render_text(summary: &CorpusSummary) -> String {
                 out,
                 "  {}: SKIPPED ({})",
                 f.file,
-                f.error.as_ref().map_or("unknown error", |e| &e.message)
+                f.error.as_ref().map_or("unknown error", |e| e.message())
             );
         }
     }
@@ -426,7 +426,10 @@ mod tests {
     }
 
     fn error_message(f: &CorpusFileSummary) -> &str {
-        &f.error.as_ref().expect("failed entry has an error").message
+        f.error
+            .as_ref()
+            .expect("failed entry has an error")
+            .message()
     }
 
     #[test]
@@ -486,7 +489,7 @@ mod tests {
         assert_eq!(summary.failed, 1);
         let bad = summary.files.iter().find(|f| f.file == "bad.ddg").unwrap();
         assert!(!bad.ok);
-        assert_eq!(bad.error.as_ref().unwrap().code, codes::PARSE);
+        assert_eq!(bad.error.as_ref().unwrap().code(), codes::PARSE);
         assert!(error_message(bad).contains("line 2"), "{:?}", bad.error);
         let text = render_text(&summary);
         assert!(text.contains("SKIPPED"));
@@ -647,7 +650,7 @@ mod tests {
         };
         for op in [RsOp::Reduce, RsOp::Pipeline] {
             let e = run_corpus(&fixture_dir(), &request(op, Some(0)), &opts).unwrap_err();
-            assert!(e.message.contains("at least 1"), "{e}");
+            assert!(e.message().contains("at least 1"), "{e}");
         }
     }
 
@@ -657,16 +660,19 @@ mod tests {
         let opts = CorpusOptions::default();
         for registers in [None, Some(0)] {
             let e = run_corpus(missing, &request(RsOp::Pipeline, registers), &opts).unwrap_err();
-            assert_eq!(e.code, codes::USAGE, "{e}");
+            assert_eq!(e.code(), codes::USAGE, "{e}");
         }
         let reduce_with_ilp = RsRequest {
             ilp: true,
             ..request(RsOp::Reduce, Some(3))
         };
         let e = run_corpus(missing, &reduce_with_ilp, &opts).unwrap_err();
-        assert!(e.code == codes::USAGE && e.message.contains("`ilp`"), "{e}");
+        assert!(
+            e.code() == codes::USAGE && e.message().contains("`ilp`"),
+            "{e}"
+        );
         assert_eq!(
-            run_corpus(missing, &analyze(), &opts).unwrap_err().code,
+            run_corpus(missing, &analyze(), &opts).unwrap_err().code(),
             codes::IO
         );
     }

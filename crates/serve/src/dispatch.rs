@@ -551,8 +551,8 @@ mod tests {
             let resp = d.dispatch(&RsRequest::new(RsOp::Analyze, ddg));
             assert!(!resp.ok);
             let err = resp.error.unwrap();
-            assert_eq!(err.code, codes::PARSE);
-            assert!(err.message.contains(line), "{}", err.message);
+            assert_eq!(err.code(), codes::PARSE);
+            assert!(err.message().contains(line), "{}", err.message());
         }
     }
 
@@ -600,7 +600,7 @@ mod tests {
         req.timeout_ms = Some(0); // expired on arrival: every poll trips
         let resp = d.dispatch(&req);
         assert!(!resp.ok);
-        assert_eq!(resp.error.as_ref().unwrap().code, codes::TIMEOUT);
+        assert_eq!(resp.error.as_ref().unwrap().code(), codes::TIMEOUT);
         let result = resp.result.expect("timeout keeps the partial result");
         let float = result.types.iter().find(|t| t.reg_type == "float").unwrap();
         assert!(float.saturation >= 1, "partial result reports the RS seen");
@@ -625,7 +625,7 @@ mod tests {
         timed.registers = Some(2);
         timed.timeout_ms = Some(0);
         let degraded = d.dispatch(&timed);
-        assert_eq!(degraded.error.unwrap().code, codes::TIMEOUT);
+        assert_eq!(degraded.error.unwrap().code(), codes::TIMEOUT);
         // Same cache key (timeout_ms is excluded): a cached degraded
         // result would surface here as a hit.
         let mut fresh_req = RsRequest::new(RsOp::Reduce, CHAINS);
@@ -648,9 +648,9 @@ mod tests {
         req.timeout_ms = Some(0); // expired on arrival: intLP interrupted at once
         let first = d.dispatch(&req);
         let first_line = serde_json::to_string(&first).unwrap();
-        assert_eq!(first.error.as_ref().unwrap().code, codes::TIMEOUT);
+        assert_eq!(first.error.as_ref().unwrap().code(), codes::TIMEOUT);
         let partial = float(first.result.expect("timeout keeps the partial result"));
-        assert_eq!(partial.ilp_error.unwrap().code, codes::TIMEOUT);
+        assert_eq!(partial.ilp_error.unwrap().code(), codes::TIMEOUT);
         // The retry on the same dispatcher solves from the root: the same
         // answer, tree and work as a dispatcher that never saw the request.
         req.timeout_ms = None;
@@ -679,7 +679,7 @@ mod tests {
         let enqueued = Instant::now() - Duration::from_millis(50);
         let (resp, _) = process_line_at(&mut d, &line, enqueued);
         assert!(!resp.ok);
-        assert_eq!(resp.error.unwrap().code, codes::OVERLOADED);
+        assert_eq!(resp.error.unwrap().code(), codes::OVERLOADED);
         assert!(resp.result.is_none(), "shed requests never execute");
     }
 
@@ -694,9 +694,9 @@ mod tests {
         let third = d.dispatch(&req); // tick 3: injected panic, contained
         let fourth = d.dispatch(&req); // tick 4: injected error
         assert!(first.ok);
-        assert_eq!(second.error.unwrap().code, codes::ENGINE);
-        assert_eq!(third.error.unwrap().code, codes::PANIC);
-        assert_eq!(fourth.error.unwrap().code, codes::ENGINE);
+        assert_eq!(second.error.unwrap().code(), codes::ENGINE);
+        assert_eq!(third.error.unwrap().code(), codes::PANIC);
+        assert_eq!(fourth.error.unwrap().code(), codes::ENGINE);
         assert!(d.dispatch(&req).ok, "engine replaced, service continues");
     }
 
@@ -707,16 +707,16 @@ mod tests {
         let mut engine = RsEngine::new();
         let mut req = RsRequest::new(RsOp::Reduce, CHAINS);
         let err = execute(&mut engine, &req, &cancel).unwrap_err();
-        assert_eq!(err.code, codes::REQUEST);
+        assert_eq!(err.code(), codes::REQUEST);
         req.reg_type = Some("flux".into());
         let err = execute(&mut engine, &req, &cancel).unwrap_err();
-        assert_eq!(err.code, codes::REQUEST);
+        assert_eq!(err.code(), codes::REQUEST);
         let mut req = RsRequest::new(RsOp::Pipeline, CHAINS);
         req.registers = Some(4);
         req.issue = Some(3);
         let err = execute(&mut engine, &req, &cancel).unwrap_err();
-        assert_eq!(err.code, codes::REQUEST);
-        assert!(err.message.contains("issue width"), "{err}");
+        assert_eq!(err.code(), codes::REQUEST);
+        assert!(err.message().contains("issue width"), "{err}");
     }
 
     #[test]
@@ -724,7 +724,7 @@ mod tests {
         let mut d = Dispatcher::new();
         let (bad, _) = process_line(&mut d, "{\"v\":1,\"op\":\"analyze\"");
         assert!(!bad.ok);
-        assert_eq!(bad.error.unwrap().code, codes::REQUEST);
+        assert_eq!(bad.error.unwrap().code(), codes::REQUEST);
         let good = serde_json::to_string(&RsRequest::new(RsOp::Analyze, CHAINS)).unwrap();
         let (ok, json) = process_line(&mut d, &good);
         assert!(ok.ok);

@@ -282,10 +282,10 @@ fn worker_loop(shared: &PoolShared, faults: Option<Arc<FaultPlan>>) {
         } else {
             shared.counters.failed.fetch_add(1, Ordering::Relaxed);
             match &response.error {
-                Some(e) if e.code == codes::TIMEOUT => {
+                Some(e) if e.code() == codes::TIMEOUT => {
                     shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
                 }
-                Some(e) if e.code == codes::OVERLOADED => {
+                Some(e) if e.code() == codes::OVERLOADED => {
                     shared.counters.shed.fetch_add(1, Ordering::Relaxed);
                 }
                 _ => {}

@@ -114,7 +114,7 @@ fn main() -> ExitCode {
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("rsat: error[{}]: {}", e.code, e.message);
+            eprintln!("rsat: error[{}]: {e}", e.code());
             eprintln!();
             eprintln!("usage:");
             for (cmd, usage) in SUBCOMMANDS {
@@ -160,17 +160,17 @@ fn one_shot(cmd: &str, args: &[String]) -> Result<(), RsError> {
     // carries the best partial result, which gets rendered normally
     // (with interruption markers) plus a warning on stderr.
     let timed_out = match (resp.ok, &resp.error) {
-        (false, Some(e)) if e.code == codes::TIMEOUT => resp.error.clone(),
+        (false, Some(e)) if e.code() == codes::TIMEOUT => resp.error.clone(),
         _ => None,
     };
     let result = match (resp.ok || timed_out.is_some(), resp.result) {
         (true, Some(result)) => result,
         _ => {
-            let mut e = resp
+            let e = resp
                 .error
                 .unwrap_or_else(|| RsError::new(codes::ENGINE, "missing error detail"));
-            if e.code == codes::PARSE {
-                e.message = format!("{file}: {}", e.message);
+            if e.code() == codes::PARSE {
+                return Err(RsError::new(codes::PARSE, format!("{file}: {e}")));
             }
             return Err(e);
         }
@@ -182,7 +182,7 @@ fn one_shot(cmd: &str, args: &[String]) -> Result<(), RsError> {
         RsOp::Pipeline => render_pipeline(&req, &result, interrupted)?,
     }
     if let Some(e) = timed_out {
-        eprintln!("rsat: warning[{}]: {}", e.code, e.message);
+        eprintln!("rsat: warning[{}]: {e}", e.code());
     }
     Ok(())
 }
@@ -223,8 +223,8 @@ fn render_analyze(req: &RsRequest, result: &RsResult) {
             print!(", intLP RS = {}{}", i.saturation, solve_qualifier(i));
         }
         if let Some(e) = &tr.ilp_error {
-            if e.code == codes::TIMEOUT {
-                print!(", intLP interrupted: {}", e.message);
+            if e.code() == codes::TIMEOUT {
+                print!(", intLP interrupted: {e}");
             } else {
                 print!(", intLP failed: {e}");
             }

@@ -9,7 +9,7 @@
 
 use rs_core::model::Target;
 use rs_core::parse::print_ddg;
-use rs_core::request::{codes, RsOp, RsRequest, RsResponse};
+use rs_core::request::{codes, RsError, RsOp, RsRequest, RsResponse};
 use rs_kernels::random::{random_ddg, RandomDagConfig};
 use serde::Deserialize;
 use std::io::{BufRead, BufReader, Write};
@@ -179,8 +179,8 @@ fn serve_answers_timeout_with_the_partial_result() {
     let value = serde_json::from_str(&answer).expect("one JSON answer");
     let resp = RsResponse::from_value(&value).expect("a response");
     assert!(!resp.ok, "{answer}");
-    let code = resp.error.as_ref().map(|e| e.code.as_str());
-    assert_eq!(code, Some(codes::TIMEOUT.as_str()), "{answer}");
+    let code = resp.error.as_ref().map(RsError::code);
+    assert_eq!(code, Some(codes::TIMEOUT), "{answer}");
     assert!(resp.result.is_some(), "partial result attached: {answer}");
     // The answer carries the partial result and its bound; the
     // interrupted search itself is dropped, never sent.

@@ -54,18 +54,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// `RsRequest` → JSON → `Value` → `RsRequest` is the identity, for every
-    /// field combination including escape-heavy strings.
+    /// field combination including escape-heavy strings, and the JSON text
+    /// written straight from the request is its value tree's text.
     #[test]
     fn request_json_round_trips(seed in 0u64..1_000_000) {
         let req = request_from_seed(seed);
         let json = serde_json::to_string(&req).unwrap();
+        let tree = serde::Serialize::to_value(&req);
+        prop_assert_eq!(&json, &serde_json::to_string(&tree).unwrap());
         let value = serde_json::from_str(&json).unwrap();
         let back = RsRequest::from_value(&value).unwrap();
         prop_assert_eq!(back, req);
     }
 
     /// `RsResponse` round-trips through its wire form, success and failure
-    /// shapes alike.
+    /// shapes alike, and its compact and pretty JSON text is its value
+    /// tree's text.
     #[test]
     fn response_json_round_trips(seed in 0u64..1_000_000) {
         let cache = CacheInfo {
@@ -109,9 +113,147 @@ proptest! {
             RsResponse::success(Some(tricky_string(seed)), result, cache, 1.5)
         };
         let json = serde_json::to_string(&resp).unwrap();
+        let tree = serde::Serialize::to_value(&resp);
+        prop_assert_eq!(&json, &serde_json::to_string(&tree).unwrap());
+        prop_assert_eq!(
+            serde_json::to_string_pretty(&resp).unwrap(),
+            serde_json::to_string_pretty(&tree).unwrap()
+        );
         let value = serde_json::from_str(&json).unwrap();
         let back = RsResponse::from_value(&value).unwrap();
         prop_assert_eq!(back, resp);
+    }
+}
+
+// ---- Fuzzing the request decoder: whatever a line holds, `process_line`
+// answers it with one response line. The vendored proptest cannot shrink,
+// so inputs stay small.
+
+/// Characters of the first fuzzer: JSON punctuation and escapes, hex
+/// digits, number characters, the letters of `true` and `null`, a space,
+/// and multi-byte and control characters.
+const FUZZ_CHARS: &[char] = &[
+    '{', '}', '[', ']', ':', ',', '"', '\\', 'u', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9',
+    'a', 'b', 'c', 'd', 'e', 'f', 'A', 'B', 'C', 'D', 'E', 'F', '+', '-', '.', 't', 'r', 'n', 'l',
+    ' ', 'é', '🦀', '\u{1}',
+];
+
+/// Sends `line` through a dispatcher and checks its answer: one line that
+/// re-parses into the same response, `ok:true` or a typed error (a
+/// response naming a code outside `codes` does not deserialize).
+fn answers_one_typed_line(d: &mut rs_serve::Dispatcher, line: &str) -> TestCaseResult {
+    let (resp, json) = rs_serve::process_line(d, line);
+    prop_assert!(!json.contains('\n'), "{line:?} answered {json:?}");
+    let value = serde_json::from_str(&json)
+        .map_err(|e| TestCaseError::fail(format!("{line:?} answered {json:?}: {e}")))?;
+    let back = RsResponse::from_value(&value)
+        .map_err(|e| TestCaseError::fail(format!("{line:?} answered {json:?}: {e}")))?;
+    prop_assert_eq!(&back, &resp, "{:?} answered {:?}", line, json);
+    prop_assert!(
+        resp.ok == resp.error.is_none(),
+        "{line:?} answered {json:?}"
+    );
+    Ok(())
+}
+
+/// A valid request line with an escape-heavy id, for the cut and
+/// one-char-replaced variants.
+fn valid_line(seed: u64) -> String {
+    let ddg = "op a load float\nop s store none\nflow a s 4 float\n";
+    let op = [RsOp::Analyze, RsOp::Reduce, RsOp::Pipeline][(seed % 3) as usize];
+    let mut req = RsRequest::new(op, ddg);
+    req.id = Some(format!("q\"\\\u{1}é🦀{}", tricky_string(seed)));
+    req.registers = (op != RsOp::Analyze).then_some(1 + (seed % 3) as usize);
+    serde_json::to_string(&req).unwrap()
+}
+
+/// DDG text of a few lines, each an `op`, `flow`, `serial` or `target`
+/// line with arguments drawn from valid and invalid words, or words alone.
+fn arbitrary_ddg(words: &[usize]) -> String {
+    const NAMES: &[&str] = &["a", "b", "s", "⊥", "é"];
+    const CLASSES: &[&str] = &["load", "store", "falu", "fmul", "ialu", "copy", "jump"];
+    const TYPES: &[&str] = &[
+        "float",
+        "int",
+        "branch",
+        "none",
+        "int,float",
+        "float,float",
+        "t9",
+    ];
+    const LATENCIES: &[&str] = &["0", "1", "4", "-3", "2147483647", "-2147483648", "9e9", "x"];
+    const WORDS: &[&str] = &[
+        "op", "flow", "serial", "target", "vliw", "#", "\t", "", "🦀",
+    ];
+    let mut words = words.iter().copied();
+    let mut draw = |from: &[&'static str]| from[words.next().unwrap_or(0) % from.len()];
+    let mut text = String::new();
+    for _ in 0..draw(&["1", "2", "3", "4", "5", "6"]).parse().unwrap() {
+        let line = match draw(&[
+            "op", "op", "op", "flow", "flow", "serial", "target", "words",
+        ]) {
+            "op" => format!("op {} {} {}", draw(NAMES), draw(CLASSES), draw(TYPES)),
+            "flow" => format!(
+                "flow {} {} {} {}",
+                draw(NAMES),
+                draw(NAMES),
+                draw(LATENCIES),
+                draw(TYPES)
+            ),
+            "serial" => format!("serial {} {} {}", draw(NAMES), draw(NAMES), draw(LATENCIES)),
+            "target" => format!("target {}", draw(&["superscalar", "vliw", "risc"])),
+            _ => format!("{} {}", draw(WORDS), draw(WORDS)),
+        };
+        text.push_str(&line);
+        text.push('\n');
+    }
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Short strings over a JSON-heavy alphabet.
+    #[test]
+    fn decoder_answers_arbitrary_text(
+        chars in proptest::collection::vec(0..FUZZ_CHARS.len(), 0..65),
+    ) {
+        let line: String = chars.iter().map(|&i| FUZZ_CHARS[i]).collect();
+        answers_one_typed_line(&mut rs_serve::Dispatcher::new(), &line)?;
+    }
+
+    /// A valid request line cut at every char boundary, and with one char
+    /// replaced.
+    #[test]
+    fn decoder_answers_damaged_requests(
+        seed in 0u64..1_000_000,
+        at in 0usize..1_000,
+        with in 0..FUZZ_CHARS.len(),
+    ) {
+        let line = valid_line(seed);
+        let mut d = rs_serve::Dispatcher::new();
+        for cut in (0..=line.len()).filter(|&i| line.is_char_boundary(i)) {
+            answers_one_typed_line(&mut d, &line[..cut])?;
+        }
+        let (pos, old) = line.char_indices().nth(at % line.chars().count()).unwrap();
+        let mut replaced = line.clone();
+        let new = FUZZ_CHARS[with].encode_utf8(&mut [0; 4]).to_string();
+        replaced.replace_range(pos..pos + old.len_utf8(), &new);
+        answers_one_typed_line(&mut d, &replaced)?;
+    }
+
+    /// Valid requests whose `ddg` is arbitrary text, which drives the
+    /// `.ddg` parser and, when it parses, the engine.
+    #[test]
+    fn decoder_answers_arbitrary_ddg_text(
+        seed in 0u64..3,
+        words in proptest::collection::vec(0usize..1_000, 0..40),
+    ) {
+        let op = [RsOp::Analyze, RsOp::Reduce, RsOp::Pipeline][seed as usize];
+        let mut req = RsRequest::new(op, arbitrary_ddg(&words));
+        req.registers = (op != RsOp::Analyze).then_some(2);
+        let line = serde_json::to_string(&req).unwrap();
+        answers_one_typed_line(&mut rs_serve::Dispatcher::new(), &line)?;
     }
 }
 
@@ -165,8 +307,8 @@ fn wire_rejects_solver_fields_the_op_ignores() {
             continue;
         };
         let err = resp.error.expect("rejected");
-        assert!(!resp.ok && err.code == "usage", "{line}: {err:?}");
-        assert!(err.message.contains(named), "{line}: {}", err.message);
+        assert!(!resp.ok && err.code() == codes::USAGE, "{line}: {err:?}");
+        assert!(err.message().contains(named), "{line}: {err}");
     }
 }
 
@@ -252,17 +394,50 @@ fn daemon_cache_hit_is_bit_identical() {
         result_json(&values[1]),
         "cache hit must replay the cold result bit-identically"
     );
-    // perfbench reads the counters with `rsat serve: .* cache (\d+) hits /
-    // (\d+) misses`; the line ends there.
-    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_cache_counters(&out.stderr, 1, 1);
+}
+
+/// Checks the daemon's shutdown line on stderr. perfbench reads the
+/// counters with `rsat serve: .* cache (\d+) hits / (\d+) misses`; the
+/// line ends there.
+fn assert_cache_counters(stderr: &[u8], hits: u64, misses: u64) {
+    let stderr = String::from_utf8_lossy(stderr);
     let shutdown = stderr
         .lines()
         .find(|l| l.starts_with("rsat serve: ") && l.contains(" cache "))
         .unwrap_or_else(|| panic!("no shutdown line: {stderr}"));
     assert!(
-        shutdown.ends_with(" cache 1 hits / 1 misses"),
+        shutdown.ends_with(&format!(" cache {hits} hits / {misses} misses")),
         "shutdown line: {shutdown}"
     );
+}
+
+/// `analyze` reads no register budget, so one does not split its cache
+/// entry: the same DAG with and without `"registers":6` is one miss and
+/// then a hit.
+#[test]
+fn analyze_budget_shares_the_cache_entry() {
+    let mut child = spawn_serve(&["--workers", "1"]);
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let mut req = RsRequest::new(RsOp::Analyze, "op a load float\nop b load float\n");
+    writeln!(stdin, "{}", serde_json::to_string(&req).unwrap()).unwrap();
+    req.registers = Some(6);
+    writeln!(stdin, "{}", serde_json::to_string(&req).unwrap()).unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().expect("daemon exit");
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    let hits: Vec<Option<bool>> = text
+        .lines()
+        .map(|l| {
+            let v = serde_json::from_str(l).expect("valid response JSON");
+            v.get("cache")
+                .and_then(|c| c.get("hit"))
+                .and_then(|h| h.as_bool())
+        })
+        .collect();
+    assert_eq!(hits, [Some(false), Some(true)], "{text}");
+    assert_cache_counters(&out.stderr, 1, 1);
 }
 
 /// Socket transport through the real binary: bind, connect, round-trip one
