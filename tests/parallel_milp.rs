@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use rs_core::ilp::{ReduceIlp, RsIlp};
 use rs_core::model::{RegType, Target};
 use rs_kernels::random::{random_ddg, RandomDagConfig};
-use rs_lp::MilpConfig;
+use rs_lp::{MilpConfig, MilpStats};
 
 /// Builds the saturation intLP of a seeded random kernel; `None` when the
 /// kernel has fewer than two float values (trivial model).
@@ -111,10 +111,25 @@ proptest! {
 }
 
 /// Pinned `(objective, nodes, trace_digest, cuts_added,
-/// propagation_fathoms)` per instance: any change to the explored tree —
-/// not only a thread-count dependence — fails the suite. A change that
-/// means to reshape the tree updates these and says why.
-type Tree = (f64, usize, u64, usize, usize);
+/// propagation_fathoms, work)` per instance: any change to the explored
+/// tree — not only a thread-count dependence — fails the suite. A change
+/// that means to reshape the tree updates these and says why.
+type Tree = (f64, usize, u64, usize, usize, Work);
+
+/// Pinned LP work of a solve: `(lp_solves, pivots, dse_pivots,
+/// bound_flips, strong_branch_probes)`. A simplex change that moves one
+/// pivot, or one probe, fails here even when the tree holds.
+type Work = (usize, usize, usize, usize, usize);
+
+fn work(st: &MilpStats) -> Work {
+    (
+        st.lp_solves,
+        st.pivots,
+        st.dse_pivots,
+        st.bound_flips,
+        st.strong_branch_probes,
+    )
+}
 
 #[test]
 fn bench_grid_trees_are_thread_invariant_with_cuts_and_dse() {
@@ -128,9 +143,42 @@ fn bench_grid_trees_are_thread_invariant_with_cuts_and_dse() {
     // order as `pre-cut ≥ post-cut ≥ optimum` (every model maximizes).
     let mut cases: Vec<(String, rs_lp::Model, Tree)> = Vec::new();
     for (size, seed, tree) in [
-        (12usize, 1u64, (6.0, 17, 0x5ac2_8445_6af7_c949, 0, 0)),
-        (14, 0, (8.0, 69, 0x6aef_6eac_aa77_76bf, 9, 3)),
-        (18, 4, (10.0, 51, 0x0c63_99ab_8ab0_979e, 0, 0)),
+        (
+            12usize,
+            1u64,
+            (
+                6.0,
+                17,
+                0x5ac2_8445_6af7_c949,
+                0,
+                0,
+                (83, 1571, 238, 45, 19),
+            ),
+        ),
+        (
+            14,
+            0,
+            (
+                8.0,
+                69,
+                0x6aef_6eac_aa77_76bf,
+                9,
+                3,
+                (414, 6837, 1611, 218, 119),
+            ),
+        ),
+        (
+            18,
+            4,
+            (
+                10.0,
+                51,
+                0x0c63_99ab_8ab0_979e,
+                0,
+                0,
+                (288, 6812, 1358, 158, 83),
+            ),
+        ),
     ] {
         let cfg = RandomDagConfig::sized(size, 0xBEEF + size as u64 + seed * 7919);
         let ddg = random_ddg(&cfg, Target::superscalar());
@@ -141,18 +189,29 @@ fn bench_grid_trees_are_thread_invariant_with_cuts_and_dse() {
         (
             "lll12",
             RegType::FLOAT,
-            (6.0, 9, 0xc12a_8795_4124_e81f, 0, 0),
+            (
+                6.0,
+                9,
+                0xc12a_8795_4124_e81f,
+                0,
+                0,
+                (121, 1011, 430, 40, 26),
+            ),
         ),
-        ("lll1", RegType::INT, (4.0, 7, 0x3b28_676b_271a_27f2, 0, 0)),
+        (
+            "lll1",
+            RegType::INT,
+            (4.0, 7, 0x3b28_676b_271a_27f2, 0, 0, (24, 448, 63, 13, 4)),
+        ),
         (
             "whet_p8",
             RegType::FLOAT,
-            (5.0, 1, 0x8820_1fb9_60ff_6465, 8, 0),
+            (5.0, 1, 0x8820_1fb9_60ff_6465, 8, 0, (60, 322, 76, 21, 0)),
         ),
         (
             "tomcatv",
             RegType::INT,
-            (6.0, 1, 0x8820_1fb9_60ff_6465, 0, 1),
+            (6.0, 1, 0x8820_1fb9_60ff_6465, 0, 1, (12, 105, 10, 10, 0)),
         ),
     ] {
         let kernel = rs_kernels::corpus()
@@ -186,6 +245,7 @@ fn bench_grid_trees_are_thread_invariant_with_cuts_and_dse() {
                 st.trace_digest,
                 st.cuts_added,
                 st.propagation_fathoms,
+                work(&st),
             );
             assert_eq!(tree, pinned, "{name}: threads {threads} changed the tree");
             let rows = model.num_constraints();
@@ -207,9 +267,9 @@ fn bench_grid_trees_are_thread_invariant_with_cuts_and_dse() {
     }
 }
 
-/// Pinned `(objective, nodes, trace_digest, rows)` of a Section-4
+/// Pinned `(objective, nodes, trace_digest, rows, work)` of a Section-4
 /// reduction intLP.
-type ReduceTree = (f64, usize, u64, usize);
+type ReduceTree = (f64, usize, u64, usize, Work);
 
 #[test]
 fn reduce_ilp_trees_are_pinned_and_thread_invariant() {
@@ -218,8 +278,28 @@ fn reduce_ilp_trees_are_pinned_and_thread_invariant() {
     // builder emits no independent-set row for the x_u columns it fixes
     // at zero, and a row that comes back fails here.
     for (name, r, pinned) in [
-        ("fppp", 4, (-36.0, 69, 0x10c6_f8a7_8b99_7147, 365)),
-        ("lll11", 4, (-17.0, 373, 0x5582_c26e_d6be_ffd1, 259)),
+        (
+            "fppp",
+            4,
+            (
+                -36.0,
+                69,
+                0x10c6_f8a7_8b99_7147,
+                365,
+                (433, 7987, 1704, 1670, 121),
+            ),
+        ),
+        (
+            "lll11",
+            4,
+            (
+                -17.0,
+                373,
+                0x5582_c26e_d6be_ffd1,
+                259,
+                (492, 18584, 1191, 4446, 109),
+            ),
+        ),
     ] {
         let kernel = rs_kernels::corpus()
             .into_iter()
@@ -239,6 +319,7 @@ fn reduce_ilp_trees_are_pinned_and_thread_invariant() {
                 sol.stats.nodes,
                 sol.stats.trace_digest,
                 sol.stats.rows,
+                work(&sol.stats),
             );
             assert_eq!(
                 tree, pinned,
