@@ -159,10 +159,16 @@ pub fn parse_ddg(input: &str) -> Result<Ddg, ParseError> {
                 let t = match tokens.get(1) {
                     Some(&"superscalar") => Target::superscalar(),
                     Some(&"vliw") => Target::vliw(),
-                    other => {
+                    Some(other) => {
                         return Err(err(
                             lineno,
-                            format!("unknown target {:?} (expected superscalar|vliw)", other),
+                            format!("unknown target `{other}` (expected superscalar|vliw)"),
+                        ))
+                    }
+                    None => {
+                        return Err(err(
+                            lineno,
+                            "missing target name (expected superscalar|vliw)",
                         ))
                     }
                 };
@@ -475,6 +481,19 @@ serial l1 l2 1
         assert!(e.message.contains("precede"));
         let e = parse_ddg("bogus directive").unwrap_err();
         assert!(e.message.contains("unknown directive"));
+    }
+
+    #[test]
+    fn target_errors_name_the_token() {
+        let e = parse_ddg("target risc\nop a load float\n").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert_eq!(
+            e.message,
+            "unknown target `risc` (expected superscalar|vliw)"
+        );
+        let e = parse_ddg("target\nop a load float\n").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert_eq!(e.message, "missing target name (expected superscalar|vliw)");
     }
 
     #[test]

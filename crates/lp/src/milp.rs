@@ -38,8 +38,8 @@
 //!   dual repair on the live tableau. The incumbents those dives find are
 //!   what turn the near-flat big-M dual bounds into actual pruning.
 //! - **strong-branching-lite probes** for pseudocost initialization (see
-//!   below), which clone the tableau (one memcpy ≈ one pivot) and tighten
-//!   the probe bound on the copy.
+//!   below), which tighten the probe bound on the node's own tableau
+//!   inside a trial and roll it back.
 //!
 //! ## Work the search already holds is not redone
 //!
@@ -48,17 +48,21 @@
 //!
 //! - **Primed pricing weights.** Before a node's first strong-branching
 //!   probe, its dive tableau computes its dual steepest-edge weights
-//!   (`DiveTableau::prime_dse`). Every probe copy and the scheduled dive
-//!   inherit them instead of each repeating the full-tableau scan; bound
+//!   (`DiveTableau::prime_dse`). Every probe and the scheduled dive start
+//!   from them instead of each repeating the full-tableau scan; bound
 //!   folds touch only the rhs column, which the weights exclude.
 //! - **One root relaxation.** The root cut loop's first optimal tableau,
 //!   of the pre-cut model, seeds the root dive, and the tableau of the
 //!   committed cut-loop model serves the depth-0 node — after an exact
 //!   check that the node's rounded box and row count match it bit for bit
 //!   (otherwise the node cold-solves).
-//! - **Snapshot allocations.** Probe scratch and dive snapshots are
-//!   refilled by `clone_from`, which reuses the tableau's buffers instead
-//!   of reallocating them.
+//! - **Tableau copies.** A probe direction, and a dive step that may fail,
+//!   back out by rolling back a trial (`DiveTableau::begin_trial`), not by
+//!   restoring a copy: the tableau logs the old value of every cell it
+//!   writes, and a rollback replays the log backwards, bit for bit. The log
+//!   holds what the trial's pivots wrote, where a whole-tableau copy costs
+//!   several pivots' time. The one copy left is the root dive's seed, taken
+//!   once per solve.
 //!
 //! [`MilpStats::lp_solves`] and [`MilpStats::pivots`] count the work
 //! actually done, so reused solves are not charged twice.
@@ -120,7 +124,8 @@ const DIVE_PERIOD: usize = 64;
 const PC_RELIABLE: usize = 1;
 
 /// At most this many strong-branching-lite probes per node (each probe is
-/// two tableau clones + dual repairs on the dive tableau).
+/// two trials on the node's dive tableau: a bound tightening and a capped
+/// dual repair, rolled back).
 const SB_PER_NODE: usize = 8;
 
 /// Pivot cap per strong-branching probe repair: a probe is an estimate,
@@ -1375,12 +1380,13 @@ const DIVE_BATCH_TOL: f64 = 0.1;
 /// every near-integral one (within [`DIVE_BATCH_TOL`] of an integer) — to
 /// its nearest in-bounds integer and dual-repair **in place**. No tableau
 /// rebuild, no basis reinstall, no model mutation: each step is a batch of
-/// rank-1 rhs folds plus a few dual pivots. An infeasible batch step
-/// restores the pre-step tableau (one clone held per step) and falls back
-/// to fixing the single most fractional variable; if that is infeasible
-/// too, its opposite rounding is tried once, and a further failure aborts
-/// the dive. A stalled dual repair aborts the dive outright (the tableau
-/// state is unreliable, and the dive is only a heuristic). When the dive
+/// rank-1 rhs folds plus a few dual pivots. Each step runs inside a trial:
+/// an infeasible batch step rolls back to the pre-step tableau and falls
+/// back to fixing the single most fractional variable; if that is
+/// infeasible too, it rolls back again and the opposite rounding is tried
+/// once, and a further failure aborts the dive. A stalled dual repair
+/// aborts the dive outright (the tableau state is unreliable, and the dive
+/// is only a heuristic). When the dive
 /// reaches an integral relaxation, the (feasibility-checked) point is
 /// offered as an incumbent.
 ///
@@ -1393,10 +1399,6 @@ fn dive_from(run: &mut NodeRun<'_, '_>, work: &Model, mut dt: DiveTableau, mut s
     let ctx = run.ctx;
     let max_steps = 2 * ctx.integral.len() + 8;
     let mut batch: Vec<(VarId, f64, f64)> = Vec::new();
-    // Pre-step snapshot buffer, allocated once per dive and refilled by
-    // `clone_from` each step (a failed batch backs out by restoring it —
-    // the dive tableau itself only supports tightenings).
-    let mut snap = dt.clone();
     for step in 0..max_steps {
         if step & 7 == 0 && ctx.cancel.cancelled() {
             run.interrupted = true;
@@ -1420,8 +1422,8 @@ fn dive_from(run: &mut NodeRun<'_, '_>, work: &Model, mut dt: DiveTableau, mut s
         };
 
         // Batch step: fix every near-integral variable plus the most
-        // fractional one. Refreshing the snapshot is one tableau memcpy,
-        // ≈ a single pivot's cost.
+        // fractional one, inside a trial (the dive tableau only supports
+        // tightenings, so a failed batch backs out by rolling back).
         batch.clear();
         for (j, &int) in ctx.integral.iter().enumerate() {
             if !int {
@@ -1437,35 +1439,37 @@ fn dive_from(run: &mut NodeRun<'_, '_>, work: &Model, mut dt: DiveTableau, mut s
             let target = xj.round().clamp(lo, hi);
             batch.push((v, target, target));
         }
-        snap.clone_from(&dt);
+        dt.begin_trial();
         match dive_tighten(run, &mut dt, &batch, work) {
             DiveStep::Optimal(s) => {
+                dt.commit();
                 sol = s;
                 continue;
             }
-            DiveStep::Infeasible => {}
+            DiveStep::Infeasible => dt.rollback(),
             DiveStep::Stalled => return,
             DiveStep::Cancelled => {
                 run.interrupted = true;
                 return;
             }
         }
-        // Batch failed: restore and fix only the most fractional variable
-        // (when the batch was already that single variable, go straight to
-        // the opposite rounding).
+        // Batch failed: fix only the most fractional variable (when the
+        // batch was already that single variable, go straight to the
+        // opposite rounding).
         let single_was_batch = batch.len() == 1;
-        dt.clone_from(&snap);
         let v = VarId(i as u32);
         let (lo, hi) = dt.bounds(v);
         let near = x.round().clamp(lo, hi);
         let far = if near > x { x.floor() } else { x.ceil() }.clamp(lo, hi);
         if !single_was_batch {
+            dt.begin_trial();
             match dive_tighten(run, &mut dt, &[(v, near, near)], work) {
                 DiveStep::Optimal(s) => {
+                    dt.commit();
                     sol = s;
                     continue;
                 }
-                DiveStep::Infeasible => dt.clone_from(&snap),
+                DiveStep::Infeasible => dt.rollback(),
                 DiveStep::Stalled => return,
                 DiveStep::Cancelled => {
                     run.interrupted = true;
@@ -1538,18 +1542,18 @@ fn select_most_fractional(ctx: &Ctx<'_>, sol: &Solution) -> Option<(VarId, f64)>
     branch
 }
 
-/// Probes one branching direction of `v` on a clone of the node's dive
-/// tableau, recording the observed degradation into the node's local
-/// pseudocost overlay. Returns the local estimate for the product score
-/// (`NaN` = no usable estimate, `∞` = infeasible child).
+/// Probes one branching direction of `v` on the node's dive tableau,
+/// inside a trial that is rolled back before returning, recording the
+/// observed degradation into the node's local pseudocost overlay. Returns
+/// the local estimate for the product score (`NaN` = no usable estimate,
+/// `∞` = infeasible child).
 #[expect(
     clippy::too_many_arguments,
-    reason = "one probe needs the node run, its scratch and source tableaus, the model, and the child box with its scoring inputs"
+    reason = "one probe needs the node run, its tableau, the model, and the child box with its scoring inputs"
 )]
 fn probe_dir(
     run: &mut NodeRun<'_, '_>,
-    scratch: &mut Option<DiveTableau>,
-    dt: &DiveTableau,
+    dt: &mut DiveTableau,
     work: &Model,
     v: VarId,
     child_lo: f64,
@@ -1559,17 +1563,11 @@ fn probe_dir(
     raw_score: f64,
 ) -> f64 {
     run.counters.lp_solves += 1;
-    let p = match scratch {
-        Some(p) => {
-            p.clone_from(dt);
-            p
-        }
-        // First probe of the node: a fresh clone doubles as the refill.
-        empty => empty.insert(dt.clone()),
-    };
-    let before = p.work();
-    let step = p.tighten_capped(&[(v, child_lo, child_hi)], work, SB_PIVOT_CAP);
-    run.counters.charge_dive_work(p, before);
+    dt.begin_trial();
+    let before = dt.work();
+    let step = dt.tighten_capped(&[(v, child_lo, child_hi)], work, SB_PIVOT_CAP);
+    run.counters.charge_dive_work(dt, before);
+    dt.rollback();
     match step {
         DiveStep::Optimal(s) => {
             let deg = (raw_score - run.ctx.dir * s.objective).max(0.0);
@@ -1616,15 +1614,16 @@ fn probe_dir(
 /// the expected objective degradation of that child (per-unit pseudocost ×
 /// fractional distance). Candidates whose pseudocosts are not yet reliable
 /// (fewer than [`PC_RELIABLE`] observations in either direction) are
-/// initialized by probing both children on a **clone of the node's dive
-/// tableau** — a bound tightening plus dual repair, no reinstall — with at
-/// most [`SB_PER_NODE`] probes per node, most fractional first. The node
-/// tableau's dual steepest-edge weights are primed before the first probe,
-/// so the clones (and a scheduled dive from `dt`) inherit them; probe
-/// degradations are recorded into the node's pseudocost log (replayed into
-/// the shared store at commit), so each variable is probed only a bounded
-/// number of times across the whole search. An infeasible probe direction
-/// scores infinite (branching there closes a whole side). Directions with
+/// initialized by probing both children on **the node's dive tableau**,
+/// each inside a rolled-back trial — a bound tightening plus dual repair,
+/// no reinstall — with at most [`SB_PER_NODE`] probes per node, most
+/// fractional first. The node tableau's dual steepest-edge weights are
+/// primed before the first probe, so every probe (and a scheduled dive
+/// from `dt`) starts from them; probe degradations are recorded into the
+/// node's pseudocost log (replayed into the shared store at commit), so
+/// each variable is probed only a bounded number of times across the whole
+/// search. An infeasible probe direction scores infinite (branching there
+/// closes a whole side). Directions with
 /// no local probe and no reliable estimate fall back to the store average,
 /// then to the global average. Reads only frozen round-start state plus
 /// this node's own observations — deterministic at every thread count.
@@ -1664,13 +1663,6 @@ fn select_branch_pseudocost(
     // Local probe estimates (total degradation per direction); NaN = none.
     let mut local: Vec<(f64, f64)> = vec![(f64::NAN, f64::NAN); cands.len()];
     let mut probes = 0usize;
-    // Probe scratch tableau, allocated on the first probe and refilled in
-    // place by `clone_from` for every direction afterwards (zero
-    // steady-state allocation on the branching hot path). Each refill
-    // copies the node tableau's dual steepest-edge weights, primed once
-    // before the first probe: otherwise every probe direction would repeat
-    // the full-tableau weight scan on its own copy.
-    let mut scratch: Option<DiveTableau> = None;
     for &ci in &order {
         if probes >= SB_PER_NODE {
             break;
@@ -1680,6 +1672,9 @@ fn select_branch_pseudocost(
         if run.pc.count(v, false) >= PC_RELIABLE && run.pc.count(v, true) >= PC_RELIABLE {
             continue;
         }
+        // Primed once before the first probe, the dual steepest-edge
+        // weights survive every rollback: otherwise each probe direction
+        // would repeat the full-tableau weight scan.
         if probes == 0 {
             dt.prime_dse();
         }
@@ -1687,19 +1682,8 @@ fn select_branch_pseudocost(
         run.counters.strong_branch_probes += 1;
         let (lo, hi) = dt.bounds(v);
         let fl = x.floor();
-        let down = probe_dir(run, &mut scratch, dt, work, v, lo, fl, fd, false, raw_score);
-        let up = probe_dir(
-            run,
-            &mut scratch,
-            dt,
-            work,
-            v,
-            fl + 1.0,
-            hi,
-            fu,
-            true,
-            raw_score,
-        );
+        let down = probe_dir(run, dt, work, v, lo, fl, fd, false, raw_score);
+        let up = probe_dir(run, dt, work, v, fl + 1.0, hi, fu, true, raw_score);
         local[ci] = (down, up);
         if run.interrupted {
             return None;

@@ -50,11 +50,18 @@
 //!
 //! ## Pivot loop
 //!
-//! The pivot kernel is sparse-aware: the normalized pivot row is snapshot
-//! into a scratch buffer together with its nonzero index mask, and each
-//! eliminated row either walks only the nonzero columns or, when the pivot
-//! row is dense, runs a contiguous `zip` loop that the compiler
-//! autovectorizes (no per-element `row * width + col` indexing).
+//! A pivot touches only what changes. Once per iteration the entering
+//! column is gathered: one strided pass lists the rows whose entry is not
+//! within 1e-12 of zero, the cost row included. The primal ratio test
+//! reads only those rows, and the elimination runs over exactly that list
+//! (the dual loop and the phase-1 drive-out gather before they pivot).
+//! One branchless pass over the pivot row normalizes it, snapshots it into
+//! a scratch buffer and lists its nonzero columns. Each eliminated row then
+//! either walks only those columns or, when the pivot row is dense, runs a
+//! contiguous `zip` loop that the compiler autovectorizes. Every element
+//! gets the same operations in the same order as a full sweep would give
+//! it: ratio-test ties still scan rows in ascending order, and the
+//! steepest-edge dot product still sums in column order.
 
 use crate::model::{Cmp, Model, Sense};
 use crate::EPS;
@@ -153,6 +160,7 @@ enum DualStatus {
     Stalled,
 }
 
+#[derive(Clone)]
 struct Tableau {
     /// (m + 1) rows × (ncols + 1) columns, row-major; last row is the cost
     /// row, last column the right-hand side (= actual basic values, with
@@ -183,8 +191,11 @@ struct Tableau {
     dse: Vec<f64>,
     /// Reused snapshot of the normalized pivot row.
     scratch_row: Vec<f64>,
-    /// Reused nonzero-column mask of the pivot row.
+    /// Reused nonzero-column list of the pivot row.
     scratch_nz: Vec<u32>,
+    /// Old values of the cells written while a trial is open (see
+    /// [`DiveTableau::begin_trial`]); off and empty otherwise.
+    undo: UndoLog,
     /// Cooperative cancellation, polled in full (flag, deadline, poll
     /// countdown) every [`CANCEL_CHECK_MASK`]+1 pivot-loop iterations. A
     /// tripped token aborts the optimization as [`Abort::Cancelled`]
@@ -197,63 +208,6 @@ struct Tableau {
 /// Pivot-loop iterations between cancellation checks (power of two minus
 /// one, used as a mask).
 const CANCEL_CHECK_MASK: usize = 127;
-
-/// Hand-written so that [`Clone::clone_from`] refills the destination's
-/// buffers in place: the derived impl is `*self = src.clone()`, which
-/// reallocates the whole `(m+1)×(n+1)` tableau on every probe and dive
-/// snapshot. The pivot scratch buffers hold nothing between pivots, so a
-/// clone starts them empty and a refill keeps its own.
-impl Clone for Tableau {
-    fn clone(&self) -> Self {
-        Tableau {
-            t: self.t.clone(),
-            m: self.m,
-            ncols: self.ncols,
-            basis: self.basis.clone(),
-            status: self.status.clone(),
-            range: self.range.clone(),
-            allowed: self.allowed.clone(),
-            pivots: self.pivots,
-            flips: self.flips,
-            dse_pivots: self.dse_pivots,
-            dse: self.dse.clone(),
-            scratch_row: Vec::new(),
-            scratch_nz: Vec::new(),
-            cancel: self.cancel.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        let Tableau {
-            t,
-            m,
-            ncols,
-            basis,
-            status,
-            range,
-            allowed,
-            pivots,
-            flips,
-            dse_pivots,
-            dse,
-            scratch_row: _,
-            scratch_nz: _,
-            cancel,
-        } = src;
-        self.t.clone_from(t);
-        self.m = *m;
-        self.ncols = *ncols;
-        self.basis.clone_from(basis);
-        self.status.clone_from(status);
-        self.range.clone_from(range);
-        self.allowed.clone_from(allowed);
-        self.pivots = *pivots;
-        self.flips = *flips;
-        self.dse_pivots = *dse_pivots;
-        self.dse.clone_from(dse);
-        self.cancel.clone_from(cancel);
-    }
-}
 
 impl Tableau {
     fn new(m: usize, ncols: usize, range: Vec<f64>) -> Self {
@@ -278,6 +232,7 @@ impl Tableau {
             dse: Vec::new(),
             scratch_row: Vec::new(),
             scratch_nz: Vec::new(),
+            undo: UndoLog::default(),
             cancel: None,
         }
     }
@@ -316,34 +271,64 @@ impl Tableau {
         self.allowed[j] && self.status[j] != ColStatus::Basic && self.range[j] > FIXED_TOL
     }
 
-    fn pivot(&mut self, row: usize, col: usize) -> Result<(), Abort> {
+    /// Lists in `rows`, in ascending order and cost row included, the rows
+    /// whose entry in `col` is not within 1e-12 of zero: exactly the rows
+    /// a pivot on `col` eliminates. One strided pass, written branchlessly
+    /// (each row index is stored, and kept only when the entry counts); a
+    /// NaN entry counts, as the elimination would not skip it.
+    fn gather_col(&self, col: usize, rows: &mut Vec<u32>) {
+        rows.clear();
+        rows.resize(self.m + 1, 0);
+        let mut k = 0;
+        for (r, &a) in self.t[col..].iter().step_by(self.ncols + 1).enumerate() {
+            rows[k] = r as u32;
+            k += usize::from(a.abs() > 1e-12 || a.is_nan());
+        }
+        rows.truncate(k);
+    }
+
+    /// Pivots on `(row, col)`. `rows` is [`Tableau::gather_col`]'s list for
+    /// `col`, taken after the last write to the column: the elimination
+    /// touches those rows and no other.
+    fn pivot(&mut self, row: usize, col: usize, rows: &[u32]) -> Result<(), Abort> {
         let w = self.ncols + 1;
         let piv = self.at(row, col);
         if piv.abs() <= PIVOT_MIN {
             return Err(Abort::Stall);
         }
         self.pivots += 1;
-        // Normalize pivot row.
-        let inv = 1.0 / piv;
         let rs = row * w;
-        for x in &mut self.t[rs..rs + w] {
-            *x *= inv;
+        if self.undo.on {
+            self.undo.run(&self.t, rs, w);
         }
-        // Snapshot the normalized pivot row and its nonzero columns so the
-        // elimination below neither re-reads through `self.t` (which blocks
+        // One pass normalizes the pivot row, snapshots it and lists its
+        // nonzero columns (branchlessly: every column index is stored, and
+        // kept only when its entry is nonzero). The elimination below then
+        // neither re-reads through `self.t` (which blocks
         // autovectorization) nor touches columns the pivot row cannot
         // change.
+        let inv = 1.0 / piv;
         let mut prow = std::mem::take(&mut self.scratch_row);
         let mut pnz = std::mem::take(&mut self.scratch_nz);
-        prow.clear();
-        prow.extend_from_slice(&self.t[rs..rs + w]);
-        pnz.clear();
-        for (j, &v) in prow.iter().enumerate() {
-            if v.abs() > 1e-13 {
-                pnz.push(j as u32);
-            }
+        prow.resize(w, 0.0);
+        pnz.resize(w, 0);
+        let mut k = 0;
+        for (j, (x, p)) in self.t[rs..rs + w].iter_mut().zip(&mut prow).enumerate() {
+            *x *= inv;
+            *p = *x;
+            pnz[k] = j as u32;
+            k += usize::from(x.abs() > 1e-13);
         }
+        pnz.truncate(k);
         let dense = pnz.len() * 2 >= w;
+        // A trial logs a sparse elimination's old values at the pivot
+        // row's nonzero columns, whose list it keeps once per pivot, and a
+        // dense one's whole row.
+        let log_cols = if self.undo.on && !dense {
+            self.undo.cols_list(&pnz)
+        } else {
+            0
+        };
         // Dual steepest-edge bookkeeping: the new pivot-row weight is
         // `‖prow‖²` (rhs column excluded), and each eliminated row updates
         // by the exact recurrence
@@ -365,14 +350,19 @@ impl Tableau {
             0.0
         };
         // Eliminate the column elsewhere.
-        for r in 0..=self.m {
+        for &r in rows {
+            let r = r as usize;
             if r == row {
                 continue;
             }
             let or_s = r * w;
             let factor = self.t[or_s + col];
-            if factor.abs() <= 1e-12 {
-                continue;
+            if self.undo.on {
+                if dense {
+                    self.undo.run(&self.t, or_s, w);
+                } else {
+                    self.undo.cols(&self.t, or_s, log_cols, pnz.len());
+                }
             }
             let row_slice = &mut self.t[or_s..or_s + w];
             if track_dse && r < self.m {
@@ -412,6 +402,9 @@ impl Tableau {
         if track_dse {
             self.dse[row] = wr_new.max(DSE_MIN);
         }
+        if self.undo.on {
+            self.undo.bound(&self.t);
+        }
         self.scratch_row = prow;
         self.scratch_nz = pnz;
         self.basis[row] = col;
@@ -440,7 +433,11 @@ impl Tableau {
         for r in 0..=self.m {
             let a = self.t[r * w + col];
             if a != 0.0 {
-                self.t[r * w + self.ncols] += delta * a;
+                let at = r * w + self.ncols;
+                if self.undo.on {
+                    self.undo.run(&self.t, at, 1);
+                }
+                self.t[at] += delta * a;
             }
         }
     }
@@ -459,13 +456,16 @@ impl Tableau {
 
     /// Basis change with status/fold bookkeeping: `col` enters (from its
     /// upper bound when `from_upper`), the basic variable of `row` leaves
-    /// (to its upper bound when `leave_at_upper`).
+    /// (to its upper bound when `leave_at_upper`). `rows` is
+    /// [`Tableau::gather_col`]'s list for `col`; the unfold below writes
+    /// only the rhs column, so the list still holds at the pivot.
     fn pivot_bounded(
         &mut self,
         row: usize,
         col: usize,
         from_upper: bool,
         leave_at_upper: bool,
+        rows: &[u32],
     ) -> Result<(), Abort> {
         if from_upper {
             // Unfold the entering column: the elimination algebra assumes
@@ -473,7 +473,7 @@ impl Tableau {
             self.fold_rhs(col, 1.0);
         }
         let old = self.basis[row];
-        self.pivot(row, col)?;
+        self.pivot(row, col, rows)?;
         self.status[col] = ColStatus::Basic;
         if old != usize::MAX {
             if leave_at_upper {
@@ -504,6 +504,7 @@ impl Tableau {
         let iter_budget = 50 * (self.m + self.ncols) + 1000;
         let hard_cap = 4 * iter_budget;
         let mut iters = 0usize;
+        let mut rows = Vec::new();
         loop {
             iters += 1;
             if iters > hard_cap {
@@ -537,11 +538,12 @@ impl Tableau {
             let Some((col, from_upper)) = enter else {
                 return Ok(true); // optimal
             };
-            match self.ratio_test(col, from_upper, bland) {
+            self.gather_col(col, &mut rows);
+            match self.ratio_test(col, from_upper, bland, &rows) {
                 RatioOutcome::Unbounded => return Ok(false),
                 RatioOutcome::Flip => self.flip(col, from_upper),
                 RatioOutcome::Pivot(row, leave_at_upper) => {
-                    self.pivot_bounded(row, col, from_upper, leave_at_upper)?;
+                    self.pivot_bounded(row, col, from_upper, leave_at_upper, &rows)?;
                 }
             }
         }
@@ -550,14 +552,19 @@ impl Tableau {
     /// Bounded-variable ratio test for `col` entering (moving off its
     /// lower, or when `from_upper` its upper, bound). Considers basic
     /// variables hitting either of their bounds plus the entering column's
-    /// own bound flip.
-    fn ratio_test(&self, col: usize, from_upper: bool, bland: bool) -> RatioOutcome {
+    /// own bound flip. `rows` is [`Tableau::gather_col`]'s list for `col`:
+    /// a row it leaves out has no entry the test would consider.
+    fn ratio_test(&self, col: usize, from_upper: bool, bland: bool, rows: &[u32]) -> RatioOutcome {
         // The rhs is clamped at zero / range: accumulated drift can leave a
         // basic value at -1e-13, and a negative step would walk the iterate
         // out of the feasible region.
         let mut t_best = self.range[col]; // own bound flip (may be ∞)
         let mut leave: Option<(usize, bool)> = None;
-        for r in 0..self.m {
+        for &r in rows {
+            let r = r as usize;
+            if r == self.m {
+                break; // the cost row, listed last
+            }
             let a = self.at(r, col);
             if a.abs() <= 1e-9 {
                 continue;
@@ -606,12 +613,14 @@ impl Tableau {
     }
 
     /// Computes the dual steepest-edge reference weights from scratch —
-    /// one full tableau scan, about the cost of a single pivot. Called
+    /// one full tableau scan, which like a tableau copy costs several
+    /// pivots' time. Called
     /// through [`Tableau::ensure_dse`]: lazily by the first dual repair,
-    /// or up front by [`DiveTableau::prime_dse`] so that clones
-    /// inherit the weights instead of each repeating the scan. Afterwards
-    /// [`Tableau::pivot`] keeps the weights exact, so the scan never
-    /// repeats for the lifetime of the tableau (dive chains included).
+    /// or up front by [`DiveTableau::prime_dse`] so that trials and
+    /// clones start from the weights instead of each repeating the scan.
+    /// Afterwards [`Tableau::pivot`] keeps the weights exact, so the scan
+    /// never repeats for the lifetime of the tableau (dive chains
+    /// included).
     /// When it runs does not matter: between the cold solve and the first
     /// dual loop only rhs folds happen, and the weights exclude the rhs.
     fn init_dse(&mut self) {
@@ -652,6 +661,7 @@ impl Tableau {
     /// with the textbook recurrence fused into the elimination loop.
     fn dual_optimize(&mut self, iter_budget: usize) -> Result<DualStatus, Abort> {
         self.ensure_dse();
+        let mut rows = Vec::new();
         for it in 1..=iter_budget {
             if self.cancelled_at(it) {
                 return Err(Abort::Cancelled);
@@ -721,7 +731,8 @@ impl Tableau {
                 return Ok(DualStatus::Infeasible);
             };
             let from_upper = self.status[col] == ColStatus::Upper;
-            self.pivot_bounded(row, col, from_upper, above)?;
+            self.gather_col(col, &mut rows);
+            self.pivot_bounded(row, col, from_upper, above, &rows)?;
             self.dse_pivots += 1;
         }
         Ok(DualStatus::Stalled)
@@ -749,6 +760,129 @@ impl Tableau {
             let u = self.basic_range(r);
             b >= -1e-9 && (u.is_infinite() || b <= u + 1e-9)
         })
+    }
+}
+
+/// The old values of the tableau cells written during a trial, in write
+/// order (see [`DiveTableau::begin_trial`]). Replayed backwards, it leaves
+/// every cell at the value it held when the trial began.
+///
+/// Most trials write a small part of the tableau (over the 640 intLP
+/// proofs of the perfbench pool: a median of 4 %), but a long dual repair
+/// can write it many times over (up to 156×). A log that outgrows the
+/// tableau is therefore traded for one copy of the tableau as the trial
+/// found it, and the rest of the trial goes unlogged.
+#[derive(Clone, Default)]
+struct UndoLog {
+    /// Whether writes are logged: a trial is open and has not outgrown
+    /// its log.
+    on: bool,
+    /// Old values, span after span.
+    old: Vec<f64>,
+    /// Where each span of `old` belongs, in write order.
+    spans: Vec<Span>,
+    /// The column lists that [`Span::Cols`] spans index into.
+    cols: Vec<u32>,
+    /// Whether the trial outgrew its log: `base` then holds the tableau as
+    /// the trial found it.
+    based: bool,
+    /// The outgrown trial's starting tableau; its buffer is kept for the
+    /// next trial that needs one.
+    base: Vec<f64>,
+}
+
+/// Cells of the tableau whose old values one stretch of [`UndoLog::old`]
+/// holds.
+#[derive(Clone, Copy)]
+enum Span {
+    /// `len` cells from flat index `start`: a pivot row, a densely
+    /// eliminated row, or one rhs cell.
+    Run { start: usize, len: usize },
+    /// The cells of the row at flat index `start` in the columns
+    /// `cols[from..from + len]`: a sparsely eliminated row.
+    Cols {
+        start: usize,
+        from: usize,
+        len: usize,
+    },
+}
+
+impl UndoLog {
+    /// Logs the `len` cells of `t` from flat index `start`.
+    fn run(&mut self, t: &[f64], start: usize, len: usize) {
+        self.old.extend_from_slice(&t[start..start + len]);
+        self.spans.push(Span::Run { start, len });
+    }
+
+    /// Keeps a column list for [`UndoLog::cols`] and returns its handle.
+    fn cols_list(&mut self, cols: &[u32]) -> usize {
+        let from = self.cols.len();
+        self.cols.extend_from_slice(cols);
+        from
+    }
+
+    /// Logs the cells of the row at flat index `start` in the `len`
+    /// columns of the list at `from`.
+    fn cols(&mut self, t: &[f64], start: usize, from: usize, len: usize) {
+        let row = &t[start..];
+        self.old
+            .extend(self.cols[from..from + len].iter().map(|&j| row[j as usize]));
+        self.spans.push(Span::Cols { start, from, len });
+    }
+
+    /// Writes every logged old value back into `t`, newest first.
+    fn undo_into(&self, t: &mut [f64]) {
+        let mut end = self.old.len();
+        for &span in self.spans.iter().rev() {
+            match span {
+                Span::Run { start, len } => {
+                    end -= len;
+                    t[start..start + len].copy_from_slice(&self.old[end..end + len]);
+                }
+                Span::Cols { start, from, len } => {
+                    end -= len;
+                    let row = &mut t[start..];
+                    for (&j, &v) in self.cols[from..from + len].iter().zip(&self.old[end..]) {
+                        row[j as usize] = v;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Once the log holds more values than the tableau `t` has cells,
+    /// trades it for a copy of the tableau as the trial found it (`t`
+    /// with the log undone onto it) and stops logging: however long the
+    /// trial runs, it costs a few tableau copies at most.
+    fn bound(&mut self, t: &[f64]) {
+        if self.old.len() <= t.len() {
+            return;
+        }
+        let mut base = std::mem::take(&mut self.base);
+        copy_into(&mut base, t);
+        self.undo_into(&mut base);
+        self.clear();
+        self.base = base;
+        self.based = true;
+    }
+
+    /// Puts back every cell of `t` the trial wrote and ends the trial.
+    fn rollback(&mut self, t: &mut [f64]) {
+        if self.based {
+            t.copy_from_slice(&self.base);
+        } else {
+            self.undo_into(t);
+        }
+        self.clear();
+    }
+
+    /// Drops the log and ends the trial, keeping what it wrote.
+    fn clear(&mut self) {
+        self.on = false;
+        self.based = false;
+        self.old.clear();
+        self.spans.clear();
+        self.cols.clear();
     }
 }
 
@@ -1052,6 +1186,7 @@ fn cold_solve_tab(
             return (LpOutcome::Infeasible, stats_of(&tab), None);
         }
         // Drive remaining (degenerate) artificials out of the basis.
+        let mut rows = Vec::new();
         for r in 0..sf.m {
             if tab.basis[r] >= core {
                 let mut pivot_col = None;
@@ -1063,7 +1198,8 @@ fn cold_solve_tab(
                 }
                 if let Some(j) = pivot_col {
                     let from_upper = tab.status[j] == ColStatus::Upper;
-                    if tab.pivot_bounded(r, j, from_upper, false).is_err() {
+                    tab.gather_col(j, &mut rows);
+                    if tab.pivot_bounded(r, j, from_upper, false, &rows).is_err() {
                         return (LpOutcome::PivotTooSmall, stats_of(&tab), None);
                     }
                 }
@@ -1128,11 +1264,18 @@ pub enum DiveStep {
 /// only *remove* movable columns, so the basis stays dual feasible and a
 /// single dual-simplex repair restores optimality (or proves the child
 /// infeasible). Only tightenings are supported — relaxing a bound could
-/// re-mobilize a column whose reduced cost drifted while it was fixed —
-/// so callers snapshot via [`Clone`] (one tableau memcpy, ≈ the cost of a
-/// single pivot) where they may need to back out, e.g. strong-branching
-/// probes and dive batch fallbacks. [`Clone::clone_from`] refills an
-/// existing snapshot's buffers without allocating.
+/// re-mobilize a column whose reduced cost drifted while it was fixed.
+/// Callers that may need to back out (strong-branching probes, a dive
+/// step that fails) tighten inside a *trial* instead
+/// (`DiveTableau::begin_trial`): the tableau logs the old value of
+/// every cell it writes, and a rollback replays that log backwards. The
+/// log holds only what the trial's pivots and folds wrote (a trial whose
+/// log would outgrow the tableau keeps one copy of its starting tableau
+/// instead), where a copy of the whole tableau costs 1–46× a cold solve's
+/// time per pivot on the kernel intLPs (median 4.6×; see the README's
+/// solver section). [`Clone`] is still a full copy, for a caller that
+/// wants two tableaus.
+#[derive(Clone)]
 pub struct DiveTableau {
     tab: Tableau,
     /// Current lower bound per structural variable (the column shift).
@@ -1141,25 +1284,29 @@ pub struct DiveTableau {
     hi: Vec<f64>,
     /// Structural variable count.
     n: usize,
+    /// What a rollback restores besides the logged cells, saved when the
+    /// trial began; its buffers are reused by the next trial.
+    saved: Checkpoint,
 }
 
-impl Clone for DiveTableau {
-    fn clone(&self) -> Self {
-        DiveTableau {
-            tab: self.tab.clone(),
-            lo: self.lo.clone(),
-            hi: self.hi.clone(),
-            n: self.n,
-        }
-    }
+/// The per-row and per-column state of a [`DiveTableau`] at the start of a
+/// trial. A rollback swaps it back in whole.
+#[derive(Clone, Default)]
+struct Checkpoint {
+    basis: Vec<usize>,
+    status: Vec<ColStatus>,
+    range: Vec<f64>,
+    dse: Vec<f64>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    /// `(pivots, flips, dse_pivots)`.
+    work: (usize, usize, usize),
+}
 
-    fn clone_from(&mut self, src: &Self) {
-        let DiveTableau { tab, lo, hi, n } = src;
-        self.tab.clone_from(tab);
-        self.lo.clone_from(lo);
-        self.hi.clone_from(hi);
-        self.n = *n;
-    }
+/// Overwrites `dst` with `src`, reusing `dst`'s buffer.
+fn copy_into<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
+    dst.clear();
+    dst.extend_from_slice(src);
 }
 
 impl DiveTableau {
@@ -1189,6 +1336,7 @@ impl DiveTableau {
                 lo: sf.lo.clone(),
                 hi,
                 n,
+                saved: Checkpoint::default(),
             }
         });
         (outcome, dt, stats)
@@ -1201,14 +1349,54 @@ impl DiveTableau {
 
     /// Cumulative `(pivots, bound_flips, dse_pivots)` performed on this
     /// tableau, including the initial cold solve (clones inherit the
-    /// counters of their source; callers charge deltas).
+    /// counters of their source, and a rollback restores the counters of
+    /// the trial's start; callers charge deltas).
     pub fn work(&self) -> (usize, usize, usize) {
         (self.tab.pivots, self.tab.flips, self.tab.dse_pivots)
     }
 
+    /// Opens a trial: from here until [`DiveTableau::rollback`] or
+    /// [`DiveTableau::commit`], every tableau cell a tightening writes is
+    /// logged with its old value. The basis, column status and ranges,
+    /// steepest-edge weights, bounds and work counters are saved now.
+    /// Trials do not nest.
+    pub(crate) fn begin_trial(&mut self) {
+        let tab = &self.tab;
+        let saved = &mut self.saved;
+        copy_into(&mut saved.basis, &tab.basis);
+        copy_into(&mut saved.status, &tab.status);
+        copy_into(&mut saved.range, &tab.range);
+        copy_into(&mut saved.dse, &tab.dse);
+        copy_into(&mut saved.lo, &self.lo);
+        copy_into(&mut saved.hi, &self.hi);
+        saved.work = (tab.pivots, tab.flips, tab.dse_pivots);
+        self.tab.undo.on = true;
+    }
+
+    /// Ends the trial and puts the tableau back bit for bit as it was when
+    /// the trial began, whatever the tightenings in between returned.
+    pub(crate) fn rollback(&mut self) {
+        let tab = &mut self.tab;
+        tab.undo.rollback(&mut tab.t);
+        let saved = &mut self.saved;
+        std::mem::swap(&mut tab.basis, &mut saved.basis);
+        std::mem::swap(&mut tab.status, &mut saved.status);
+        std::mem::swap(&mut tab.range, &mut saved.range);
+        std::mem::swap(&mut tab.dse, &mut saved.dse);
+        std::mem::swap(&mut self.lo, &mut saved.lo);
+        std::mem::swap(&mut self.hi, &mut saved.hi);
+        (tab.pivots, tab.flips, tab.dse_pivots) = saved.work;
+    }
+
+    /// Ends the trial and keeps what it did.
+    pub(crate) fn commit(&mut self) {
+        self.tab.undo.clear();
+    }
+
     /// Computes the dual steepest-edge weights now rather than at the
-    /// first dual repair, so every clone taken afterwards inherits them
-    /// instead of repeating the scan. The results are bit-identical to the
+    /// first dual repair, so every trial opened afterwards (and every
+    /// clone) starts from them instead of repeating the scan: a rollback
+    /// restores the weights it found. The results are bit-identical to the
     /// lazy path: tightenings fold only the rhs column, which the weights
     /// exclude. A no-op once the weights are live.
     pub(crate) fn prime_dse(&mut self) {
@@ -1844,31 +2032,42 @@ mod tests {
 
     #[test]
     fn dive_tableau_clone_isolates_probes() {
-        // Strong-branching probes clone the tableau; the original must be
-        // unaffected by a probe's tightenings.
+        // A probe on a clone, and a probe inside a trial on the tableau
+        // itself once rolled back, leave the tableau unaffected by the
+        // probe's tightening.
         let m = bounded_model();
         let (dt, base) = dive_tableau(&m);
-        let mut probe = dt.clone();
         let mut child = m.clone();
         child.set_bounds(crate::VarId(0), 0.0, 1.0);
-        let DiveStep::Optimal(probed) = probe.tighten(&[(crate::VarId(0), 0.0, 1.0)], &child)
-        else {
-            panic!("probe must stay optimal");
-        };
-        assert!(probed.objective < base.objective - 1e-6);
-        // the original still reports the unrestricted optimum
-        let mut dt2 = dt.clone();
-        let DiveStep::Optimal(still) = dt2.tighten(&[], &m) else {
-            panic!("no-op tighten stays optimal");
-        };
-        assert!((still.objective - base.objective).abs() < 1e-9);
-        assert_eq!(dt.bounds(crate::VarId(0)), (0.0, 6.0));
+        for trial in [false, true] {
+            let mut t = dt.clone();
+            let probe = [(crate::VarId(0), 0.0, 1.0)];
+            let step = if trial {
+                t.begin_trial();
+                let step = t.tighten(&probe, &child);
+                t.rollback();
+                step
+            } else {
+                t.clone().tighten(&probe, &child)
+            };
+            let DiveStep::Optimal(probed) = step else {
+                panic!("probe must stay optimal (trial: {trial})");
+            };
+            assert!(probed.objective < base.objective - 1e-6);
+            // the tableau still reports the unrestricted optimum
+            assert_eq!(t.bounds(crate::VarId(0)), (0.0, 6.0));
+            let DiveStep::Optimal(still) = t.tighten(&[], &m) else {
+                panic!("no-op tighten stays optimal (trial: {trial})");
+            };
+            assert!((still.objective - base.objective).abs() < 1e-9);
+        }
     }
 
     #[test]
     fn dive_tableau_only_tightens() {
         // Bounds wider than the current box are clamped inward: the dive
-        // tableau refuses to relax (callers snapshot via Clone instead).
+        // tableau refuses to relax (callers back out by rolling back a
+        // trial instead).
         let m = bounded_model();
         let (mut dt, base) = dive_tableau(&m);
         let step = dt.tighten(&[(crate::VarId(0), -5.0, 50.0)], &m);
@@ -2009,8 +2208,7 @@ mod tests {
         /// chains, a clone whose steepest-edge weights were primed before
         /// step `prime_at`'s fold and a clone left to initialize them
         /// lazily take bit-identical steps with identical work counters —
-        /// also under the probes' repair cap, and on clones refilled by
-        /// `clone_from` the way probes and dives take their snapshots.
+        /// also under the probes' repair cap.
         #[test]
         fn primed_dse_weights_match_lazy_initialization(
             bounds in proptest::array::uniform8((-3i64..=3, 2i64..=8)),
@@ -2023,79 +2221,253 @@ mod tests {
             cap_pick in 0usize..3,
         ) {
             let cap = [usize::MAX, 1, 3][cap_pick];
-            let mut m = Model::new(Sense::Maximize);
-            let vars: Vec<_> = bounds
-                .iter()
-                .enumerate()
-                .map(|(i, &(lo, w))| {
-                    m.add_var(format!("x{i}"), VarKind::Continuous, lo as f64, (lo + w) as f64)
-                })
-                .collect();
-            // Every row holds at the box centre (within `slack`), so the
-            // relaxation is feasible and bounded and every case dives.
-            for (coefs, slack, le) in &cons {
-                let mut e = LinExpr::new();
-                let mut at_centre = 0.0;
-                for (i, &c) in coefs.iter().enumerate() {
-                    e = e + (c as f64, vars[i]);
-                    at_centre += c as f64 * (bounds[i].0 as f64 + bounds[i].1 as f64 / 2.0);
-                }
-                if *le {
-                    m.add_constraint(e, Cmp::Le, at_centre + *slack as f64);
-                } else {
-                    m.add_constraint(e, Cmp::Ge, at_centre - *slack as f64);
-                }
-            }
-            let mut o = LinExpr::new();
-            for (i, &c) in obj.iter().enumerate() {
-                o = o + (c as f64, vars[i]);
-            }
-            m.set_objective(o);
-
+            let (m, vars) = centred_lp(&bounds, &cons, &obj);
             let (_, dt, _) = DiveTableau::new(&m, None);
             let dt = dt.expect("the box centre is feasible");
-            // Step outcome: 0 optimal / 1 infeasible / 2 stalled, plus
-            // the objective and value bits, plus the work counters.
-            type Trace = Vec<(u8, Option<(u64, Vec<u64>)>, (usize, usize, usize))>;
-            let run = |t: &mut DiveTableau, prime: Option<usize>| -> Trace {
-                let mut trace = Trace::new();
+            let run = |t: &mut DiveTableau, prime: Option<usize>| -> Vec<StepBits> {
+                let mut trace = Vec::new();
                 for (k, step) in chain.iter().enumerate() {
                     if prime == Some(k) {
                         t.prime_dse();
                     }
-                    // Each step shrinks a few boxes by tenths of their
-                    // width, so several rows can turn infeasible at
-                    // once and the pricing rule has a choice to make.
-                    let change: Vec<_> = step
-                        .iter()
-                        .map(|&(v, dlo, dhi)| {
-                            let (lo, hi) = t.bounds(vars[v]);
-                            let w = (hi - lo) / 10.0;
-                            (vars[v], lo + dlo as f64 * w, hi - dhi as f64 * w)
-                        })
-                        .collect();
-                    let (kind, bits) = match t.tighten_capped(&change, &m, cap) {
-                        DiveStep::Optimal(s) => (0, Some((
-                            s.objective.to_bits(),
-                            s.values.iter().map(|x| x.to_bits()).collect(),
-                        ))),
-                        DiveStep::Infeasible => (1, None),
-                        DiveStep::Stalled | DiveStep::Cancelled => (2, None),
-                    };
-                    trace.push((kind, bits, t.work()));
-                    if kind != 0 {
+                    let change = shrink(t, &vars, step);
+                    let step = t.tighten_capped(&change, &m, cap);
+                    trace.push(step_bits(&step, t));
+                    if !matches!(step, DiveStep::Optimal(_)) {
                         break;
                     }
                 }
                 trace
             };
-            let mut buf = dt.clone();
-            let primed = run(&mut buf, Some(prime_at));
-            // The used buffer, refilled in place the way probe scratch
-            // and dive snapshots are, must forget its own weights.
-            buf.clone_from(&dt);
-            let lazy = run(&mut buf, None);
+            let primed = run(&mut dt.clone(), Some(prime_at));
+            let lazy = run(&mut dt.clone(), None);
             prop_assert_eq!(primed, lazy);
         }
+    }
+
+    /// A bounded maximization LP whose every row holds at the box centre
+    /// within its slack, so the relaxation is feasible and bounded and
+    /// every case has a tableau to tighten.
+    fn centred_lp<const N: usize>(
+        bounds: &[(i64, i64); N],
+        cons: &[([i64; N], i64, bool)],
+        obj: &[i64; N],
+    ) -> (Model, Vec<crate::VarId>) {
+        let mut m = Model::new(Sense::Maximize);
+        let vars: Vec<_> = bounds
+            .iter()
+            .enumerate()
+            .map(|(i, &(lo, w))| {
+                m.add_var(
+                    format!("x{i}"),
+                    VarKind::Continuous,
+                    lo as f64,
+                    (lo + w) as f64,
+                )
+            })
+            .collect();
+        for (coefs, slack, le) in cons {
+            let mut e = LinExpr::new();
+            let mut at_centre = 0.0;
+            for (i, &c) in coefs.iter().enumerate() {
+                e = e + (c as f64, vars[i]);
+                at_centre += c as f64 * (bounds[i].0 as f64 + bounds[i].1 as f64 / 2.0);
+            }
+            if *le {
+                m.add_constraint(e, Cmp::Le, at_centre + *slack as f64);
+            } else {
+                m.add_constraint(e, Cmp::Ge, at_centre - *slack as f64);
+            }
+        }
+        let mut o = LinExpr::new();
+        for (i, &c) in obj.iter().enumerate() {
+            o = o + (c as f64, vars[i]);
+        }
+        m.set_objective(o);
+        (m, vars)
+    }
+
+    /// One tightening step: each `(variable, lower cut, upper cut)` shrinks
+    /// that variable's current box by tenths of its width, so several rows
+    /// can turn infeasible at once and the pricing rule has a choice to
+    /// make.
+    fn shrink(
+        dt: &DiveTableau,
+        vars: &[crate::VarId],
+        step: &[(usize, u8, u8)],
+    ) -> Vec<(crate::VarId, f64, f64)> {
+        step.iter()
+            .map(|&(v, dlo, dhi)| {
+                let (lo, hi) = dt.bounds(vars[v]);
+                let w = (hi - lo) / 10.0;
+                (vars[v], lo + dlo as f64 * w, hi - dhi as f64 * w)
+            })
+            .collect()
+    }
+
+    /// A step's outcome bit for bit: 0 optimal (with the objective and
+    /// value bits), 1 infeasible, 2 stalled, 3 cancelled; and the work
+    /// counters after it.
+    type StepBits = (u8, Option<(u64, Vec<u64>)>, (usize, usize, usize));
+
+    fn step_bits(step: &DiveStep, dt: &DiveTableau) -> StepBits {
+        let (kind, bits) = match step {
+            DiveStep::Optimal(s) => (
+                0,
+                Some((
+                    s.objective.to_bits(),
+                    s.values.iter().map(|x| x.to_bits()).collect(),
+                )),
+            ),
+            DiveStep::Infeasible => (1, None),
+            DiveStep::Stalled => (2, None),
+            DiveStep::Cancelled => (3, None),
+        };
+        (kind, bits, dt.work())
+    }
+
+    /// What a rollback must restore: every cell of `t` and the saved
+    /// state, bit for bit.
+    type TrialState = (
+        Vec<u64>,
+        Vec<usize>,
+        Vec<ColStatus>,
+        Vec<u64>,
+        Vec<u64>,
+        Vec<u64>,
+        Vec<u64>,
+        (usize, usize, usize),
+    );
+
+    fn trial_state(dt: &DiveTableau) -> TrialState {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            bits(&dt.tab.t),
+            dt.tab.basis.clone(),
+            dt.tab.status.clone(),
+            bits(&dt.tab.range),
+            bits(&dt.tab.dse),
+            bits(&dt.lo),
+            bits(&dt.hi),
+            dt.work(),
+        )
+    }
+
+    /// A trial rolls back to the tableau it started from, bit for bit,
+    /// whatever its tightenings returned: on seeded random bounded LPs,
+    /// random `tighten_capped` sequences run inside a trial (primed or
+    /// lazy steepest-edge weights, with or without the probes' repair
+    /// cap) and are checked against a clone taken before the trial. Each
+    /// step also returns exactly what the same step returns on that clone.
+    /// The cases must between them reach every outcome the callers back
+    /// out of: an optimal step, a dual-infeasible one, a capped-out
+    /// `Stalled` one, and an empty domain found after earlier folds of
+    /// the same batch had already written the tableau; and some trials
+    /// must outgrow their log and roll back from the starting copy.
+    #[test]
+    fn trial_rollback_restores_the_tableau_bit_for_bit() {
+        let bounds_s = proptest::array::uniform5((-3i64..=3, 1i64..=6));
+        let cons_s = proptest::collection::vec(
+            (
+                proptest::array::uniform5(-3i64..=3),
+                0i64..=3,
+                any::<bool>(),
+            ),
+            2..8,
+        );
+        let obj_s = proptest::array::uniform5(-4i64..=4);
+        // Per step: a batch for `shrink`, and whether it ends on an empty
+        // domain (one step in five).
+        let chain_s = proptest::collection::vec(
+            (
+                proptest::collection::vec((0usize..5, 0u8..=6, 0u8..=6), 1..4),
+                0u8..5,
+            ),
+            1..6,
+        );
+        // Optimal, infeasible, stalled and empty-after-folds steps, and
+        // trials that outgrew their log.
+        let mut reached = [0usize; 5];
+        for case in 0..384 {
+            let mut rng =
+                proptest::TestRng::deterministic("simplex::trial_rollback_restores", case);
+            let (m, vars) = centred_lp(
+                &bounds_s.generate(&mut rng),
+                &cons_s.generate(&mut rng),
+                &obj_s.generate(&mut rng),
+            );
+            let chain = chain_s.generate(&mut rng);
+            let prime = any::<bool>().generate(&mut rng);
+            let cap = [usize::MAX, 1, 2][(0usize..3).generate(&mut rng)];
+
+            let (_, dt, _) = DiveTableau::new(&m, None);
+            let mut dt = dt.expect("the box centre is feasible");
+            if prime {
+                dt.prime_dse();
+            }
+            let before = dt.clone();
+            let start = trial_state(&dt);
+            dt.begin_trial();
+            let mut batches = Vec::new();
+            let mut steps = Vec::new();
+            for (batch, empty) in &chain {
+                let mut change = shrink(&dt, &vars, batch);
+                // The empty domain comes last, after the batch's other
+                // changes: a lower bound above the current upper one.
+                let ends_empty = *empty == 0;
+                if ends_empty {
+                    let (_, hi) = dt.bounds(change[0].0);
+                    change.push((change[0].0, hi + 1.0, hi + 1.0));
+                }
+                let t_before = dt.tab.t.clone();
+                let step = dt.tighten_capped(&change, &m, cap);
+                let kind = match step {
+                    DiveStep::Optimal(_) => Some(0),
+                    DiveStep::Infeasible if ends_empty => {
+                        let folded = dt
+                            .tab
+                            .t
+                            .iter()
+                            .zip(&t_before)
+                            .any(|(a, b)| a.to_bits() != b.to_bits());
+                        folded.then_some(3)
+                    }
+                    DiveStep::Infeasible => Some(1),
+                    DiveStep::Stalled => Some(2),
+                    DiveStep::Cancelled => None,
+                };
+                if let Some(k) = kind {
+                    reached[k] += 1;
+                }
+                steps.push(step_bits(&step, &dt));
+                batches.push(change);
+                if !matches!(step, DiveStep::Optimal(_)) {
+                    break;
+                }
+            }
+            if dt.tab.undo.based {
+                reached[4] += 1;
+            }
+            dt.rollback();
+            assert!(
+                trial_state(&dt) == start,
+                "case {case}: rollback left the tableau changed"
+            );
+            assert!(!dt.tab.undo.on && !dt.tab.undo.based && dt.tab.undo.old.is_empty());
+            // The same steps on the clone taken before the trial.
+            let mut shadow = before;
+            for (k, change) in batches.iter().enumerate() {
+                let step = shadow.tighten_capped(change, &m, cap);
+                assert!(
+                    step_bits(&step, &shadow) == steps[k],
+                    "case {case}: step {k} differs from the step on the clone"
+                );
+            }
+        }
+        assert!(
+            reached.iter().all(|&n| n > 0),
+            "optimal, infeasible, stalled and empty-after-folds steps, and outgrown logs, \
+             reached {reached:?} times"
+        );
     }
 }

@@ -20,7 +20,7 @@ use rs_core::spill::spill_to_fit;
 use rs_core::RsEngine;
 use rs_core::{Cancel, MilpError};
 use rs_sched::{ListScheduler, RegisterAllocator, Resources};
-use serde::Deserialize;
+use serde::{Deserialize, JsonWriter, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -231,20 +231,9 @@ pub fn process_line_at(
             }
         },
     };
-    // Derive-generated serialization of an owned response cannot fail; if
-    // it ever does, degrade to a hand-built error line — the request loop
-    // must answer something rather than panic (`clippy::unwrap_used` and
-    // `clippy::expect_used` are denied in this crate).
-    let json = serde_json::to_string(&response).unwrap_or_else(|e| {
-        let msg = format!("response serialization failed: {e}");
-        let quoted =
-            serde_json::to_string(&msg).unwrap_or_else(|_| "\"serialization failed\"".into());
-        format!(
-            "{{\"v\":{},\"ok\":false,\"error\":{{\"code\":\"{}\",\"message\":{quoted}}}}}",
-            rs_core::request::PROTOCOL_VERSION,
-            rs_core::request::codes::PANIC.as_str(),
-        )
-    });
+    let mut w = JsonWriter::new(None);
+    response.write_json(&mut w);
+    let json = w.finish();
     (response, json)
 }
 
