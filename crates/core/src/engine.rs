@@ -11,17 +11,26 @@
 //!
 //! - one topological order per DAG, shared by the longest-path table and
 //!   the killer position table;
-//! - the DAG's longest-path table `lp(u, v)`, which answers the
-//!   potential-killer sets and the greedy scores' value-descendant counts
-//!   ([`LongestPaths::reaches`]);
+//! - the DAG's longest-path table `lp(u, v)`, the one table per DAG: it
+//!   answers the potential-killer sets and the greedy scores'
+//!   value-descendant counts ([`LongestPaths::reaches`]), every killed
+//!   graph starts from a copy of it, and the reduction's candidate scoring
+//!   reads it too (ASAP dates, distances to ⊥, the critical path);
 //! - a single [`KilledScratch`] rebuilt in place for every candidate killing
-//!   function — the dominant cost of the portfolio + hill-climbing search.
-//!   It never copies the DDG: it lays the DDG's live arcs and the
-//!   enforcement arcs out as one flat arc list, runs Kahn's sort on it and
-//!   relaxes the longest-path table from it
-//!   ([`LongestPaths::compute_arcs_into`]);
+//!   function. It never copies the DDG nor relaxes its arcs: it buckets the
+//!   enforcement arcs by killer, orders the killers downstream first
+//!   (rejecting a cyclic function before any row is copied), and raises a
+//!   copy of the DAG's table once per killer
+//!   ([`LongestPaths::raise_through`]);
 //! - flat `Vec`-indexed score arrays and [`FlatKilling`] killer tables;
 //! - reusable Dilworth machinery ([`AntichainScratch`]).
+//!
+//! Measured on the 824 files of the seed-1 `corpus` workload (pipeline to
+//! 6 registers, one warm dispatcher, 10 passes, timers in an instrumented
+//! build, 2-vCPU VM): the ~80 killed-graph builds per file are ~28 % of a
+//! file's time, the Dilworth step (the `DV_k` relation read off the killed
+//! table, then Hopcroft–Karp) ~29 % and the largest Greedy-k cost left,
+//! the reduction's candidate scoring ~10 % and parsing ~10 %.
 //!
 //! Only the returned [`RsAnalysis`] (witness vector + killing map) is
 //! allocated per call — it is the output. [`GreedyK::saturation`] and
@@ -158,6 +167,8 @@ impl RsEngine {
 
         ddg.values_into(t, &mut s.values);
         if s.values.is_empty() {
+            // No table of an earlier DAG may outlive this call.
+            s.lp = LongestPaths::empty();
             return RsAnalysis {
                 reg_type: t,
                 saturation: 0,
@@ -279,6 +290,12 @@ impl RsEngine {
         }
     }
 
+    /// The DDG's longest-path table built by the last
+    /// [`RsEngine::analyze`]; empty when that analysis found no value.
+    pub(crate) fn path_table(&self) -> &LongestPaths {
+        &self.scratch.lp
+    }
+
     /// Reduces `RS_t(ddg)` below `r` with default [`Reducer`] settings,
     /// measuring saturation through this engine. On a default engine the
     /// outcome is identical to `Reducer::new().reduce(..)`.
@@ -356,7 +373,7 @@ fn build_killing(ddg: &Ddg, s: &mut AnalysisScratch, strategy: Strategy) -> bool
     // Cycle repair: re-point conflicting values at their topological-max
     // killer (arcs toward the topo-max killer always go forward).
     for _ in 0..MAX_REPAIRS {
-        if killed.build(ddg, pk, killer) {
+        if killed.build(ddg, lp, pk, killer) {
             return true;
         }
         let mut flipped = false;
@@ -381,6 +398,7 @@ fn build_killing(ddg: &Ddg, s: &mut AnalysisScratch, strategy: Strategy) -> bool
 /// (cyclic) killing function.
 fn eval_current(ddg: &Ddg, s: &mut AnalysisScratch, killed_current: bool) -> Option<usize> {
     let AnalysisScratch {
+        lp,
         pk,
         values,
         killer,
@@ -389,7 +407,7 @@ fn eval_current(ddg: &Ddg, s: &mut AnalysisScratch, killed_current: bool) -> Opt
         antichain,
         ..
     } = s;
-    if !killed_current && !killed.build(ddg, pk, killer) {
+    if !killed_current && !killed.build(ddg, lp, pk, killer) {
         return None;
     }
     Some(killed.dv_antichain_into(ddg, killer, values, ac, antichain))

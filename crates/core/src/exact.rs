@@ -15,8 +15,12 @@
 //!   it stops the search.
 //!
 //! A leaf evaluates its killing function exactly as Greedy-k evaluates a
-//! candidate: [`KilledScratch::build`], then
-//! [`KilledScratch::dv_antichain_into`], on storage each job owns.
+//! candidate: [`KilledScratch::build`] from the DAG's path table (the one
+//! the optimistic bound reads), then [`KilledScratch::dv_antichain_into`],
+//! on storage each job owns. Most leaves are cyclic (203,517 of 203,656
+//! on a 70-case probe set of kernels and random DAGs of 24–40 ops), and
+//! the build rejects those from the killers' follow relation alone,
+//! before any row of the table is copied.
 //!
 //! This solver is exact when it terminates within its node budget (flagged
 //! in [`ExactRsResult::proven_optimal`]) and scales far beyond the intLP on
@@ -297,7 +301,10 @@ impl Search<'_> {
             for (&u, &ku) in assignment.iter() {
                 self.killing.set(u, ku);
             }
-            if self.killed.build(self.ddg, self.pk, &self.killing) {
+            if self
+                .killed
+                .build(self.ddg, self.base_lp, self.pk, &self.killing)
+            {
                 let width = self.killed.dv_antichain_into(
                     self.ddg,
                     &self.killing,

@@ -7,7 +7,11 @@
 //!
 //! 1. enforce each choice with serial arcs `v → k(u)` of latency
 //!    `δr(v) − δr(k(u))` from every other potential killer `v`
-//!    ([`KilledScratch::build`]; a cycle means `k` is invalid);
+//!    ([`KilledScratch::build`]; a cycle means `k` is invalid). The build
+//!    derives `G_{→k}`'s path table from the DAG's own: the arcs are
+//!    grouped by killer, a cycle shows up as a cycle among the groups, and
+//!    otherwise each group raises the rows that reach its sources once,
+//!    downstream killers first;
 //! 2. in the resulting graph, value `u` always dies before value `w` is
 //!    defined iff `lp(k(u), w) ≥ δr(k(u)) − δw(w)` ([`killer_kills_before`])
 //!    — these pairs form the strict partial order `DV_k`;
@@ -18,13 +22,14 @@
 //!
 //! Both the Greedy-k engine ([`crate::engine::RsEngine`]) and the exact
 //! search ([`crate::exact::ExactRs`]) evaluate a killing function with
-//! these two calls, on storage they reuse across candidates.
+//! these two calls, on storage they reuse across candidates, each passing
+//! the one path table it already holds for the DAG.
 
 use crate::model::{Ddg, RegType};
 use crate::pkill::PKill;
 use rs_graph::antichain::{max_antichain_into, AntichainScratch};
 use rs_graph::paths::LongestPaths;
-use rs_graph::{topo, NodeId};
+use rs_graph::NodeId;
 use std::collections::BTreeMap;
 
 /// A killing function for one register type: `k(u) ∈ pkill(u)` per value.
@@ -103,21 +108,29 @@ impl FlatKilling {
     }
 }
 
-/// Scratch for repeated killed-graph construction: `G_{→k}` as a flat arc
-/// list (offsets plus `(dst, latency)` pairs), its topological-sort
-/// buffers, and the longest-path table, all reused across candidate
+/// Scratch for repeated killed-graph construction: the enforcement arcs
+/// bucketed by killer, the order in which their groups raise the table,
+/// and the longest-path table of `G_{→k}`, all reused across candidate
 /// killing functions and across DAGs. One [`KilledScratch::build`] in the
-/// steady state performs no heap allocation, and never copies the DDG:
-/// acyclicity and longest paths need only the arcs.
+/// steady state performs no heap allocation, and never copies the DDG nor
+/// relaxes its arcs: it raises a copy of the DAG's own path table.
 #[derive(Clone, Debug, Default)]
 pub struct KilledScratch {
     /// All-pairs longest paths of `G_{→k}` of the last successful build.
     pub lp: LongestPaths,
-    // The arcs leaving node `u` are `arcs[offsets[u]..offsets[u + 1]]`.
-    offsets: Vec<usize>,
+    // The enforcement arcs into killer `k` are `arcs[starts[k]..starts[k + 1]]`,
+    // each a `(source, latency)` pair.
+    starts: Vec<usize>,
     arcs: Vec<(NodeId, i64)>,
-    order: Vec<NodeId>,
-    indeg: Vec<usize>,
+    // The killers with at least one enforcement arc, ascending: the groups.
+    groups: Vec<NodeId>,
+    // `follows[i * groups.len() + j]`: group i's killer reaches a source of
+    // group j in the DAG, so group j raises the table first.
+    follows: Vec<bool>,
+    // Per group, the groups it follows that have not been ordered yet.
+    pending: Vec<usize>,
+    // Group indices, downstream first.
+    order: Vec<usize>,
 }
 
 impl KilledScratch {
@@ -130,32 +143,109 @@ impl KilledScratch {
     /// for each value `u` and each other potential killer
     /// `v ∈ pkill(u) ∖ {k(u)}`, an arc `v → k(u)` of latency
     /// `δr(v) − δr(k(u))` (zero on superscalar), forcing `k(u)` to read
-    /// last. Returns `false` (without computing longest paths) when the
-    /// enforcement arcs create a cycle — the killing function is invalid.
-    pub fn build(&mut self, ddg: &Ddg, pk: &PKill, k: &FlatKilling) -> bool {
+    /// last. `base` is the DDG's own longest-path table. Returns `false`
+    /// (without touching the table) when the enforcement arcs create a
+    /// cycle — the killing function is invalid.
+    ///
+    /// The arcs are grouped by killer. No path of an acyclic `G_{→k}`
+    /// enters one killer twice, so a copy of `base` raised once per group
+    /// ([`LongestPaths::raise_through`]) is `G_{→k}`'s table, provided each
+    /// group raises after every group whose sources its killer reaches.
+    /// That "follows" relation between groups is acyclic exactly when
+    /// `G_{→k}` is (a cycle of `G_{→k}` alternates DAG paths and
+    /// enforcement arcs), so it decides validity before any row is copied.
+    pub fn build(&mut self, ddg: &Ddg, base: &LongestPaths, pk: &PKill, k: &FlatKilling) -> bool {
         let n = ddg.num_ops();
-        // Counting sort by source: after the prefix sums `offsets[s]` is
-        // the end of the run of `s`; placing each arc steps it back, so it
-        // ends at the start of the run.
-        let offsets = &mut self.offsets;
-        offsets.clear();
-        offsets.resize(n + 1, 0);
-        for_each_killed_arc(ddg, pk, k, |src, _, _| offsets[src.index()] += 1);
-        for i in 1..=n {
-            offsets[i] += offsets[i - 1];
+        assert_eq!(base.len(), n, "base must be this DDG's path table");
+        let KilledScratch {
+            lp,
+            starts,
+            arcs,
+            groups,
+            follows,
+            pending,
+            order,
+        } = self;
+
+        // Bucket the enforcement arcs by killer (counting sort by node id):
+        // after the prefix sums `starts[k]` is the end of the run of `k`;
+        // placing each arc steps it back, so it ends at the run's start.
+        starts.clear();
+        starts.resize(n + 1, 0);
+        for (u, killers) in pk.iter() {
+            let ku = k.of(u);
+            #[expect(
+                clippy::disallowed_macros,
+                reason = "enumerators draw k(u) from pkill(u) by construction; cross-checked by the differential tests"
+            )]
+            {
+                debug_assert!(killers.contains(&ku), "killer not in pkill({u:?})");
+            }
+            starts[ku.index()] += killers.iter().filter(|&&v| v != ku).count();
         }
-        let arcs = &mut self.arcs;
+        for i in 1..=n {
+            starts[i] += starts[i - 1];
+        }
         arcs.clear();
-        arcs.resize(offsets[n], (NodeId(0), 0));
-        for_each_killed_arc(ddg, pk, k, |src, dst, lat| {
-            offsets[src.index()] -= 1;
-            arcs[offsets[src.index()]] = (dst, lat);
-        });
-        if !topo::topo_sort_arcs_into(&self.offsets, &self.arcs, &mut self.indeg, &mut self.order) {
+        arcs.resize(starts[n], (NodeId(0), 0));
+        for (u, killers) in pk.iter() {
+            let ku = k.of(u);
+            for &v in killers.iter().filter(|&&v| v != ku) {
+                starts[ku.index()] -= 1;
+                arcs[starts[ku.index()]] = (v, ddg.delta_r(v) - ddg.delta_r(ku));
+            }
+        }
+        let bucket = |kj: NodeId| &arcs[starts[kj.index()]..starts[kj.index() + 1]];
+
+        // The follows relation, evaluated once.
+        groups.clear();
+        groups.extend(
+            (0..n)
+                .filter(|&i| starts[i] < starts[i + 1])
+                .map(|i| NodeId(i as u32)),
+        );
+        let g = groups.len();
+        follows.clear();
+        follows.resize(g * g, false);
+        for (j, &kj) in groups.iter().enumerate() {
+            let sources = bucket(kj);
+            for (i, &ki) in groups.iter().enumerate() {
+                follows[i * g + j] = sources.iter().any(|&(v, _)| base.reaches(ki, v));
+            }
+        }
+
+        // Kahn's sort over the groups, downstream first; a group left
+        // pending lies on a cycle (a killer that reaches one of its own
+        // sources follows itself).
+        pending.clear();
+        pending.extend(
+            follows
+                .chunks(g.max(1))
+                .map(|row| row.iter().filter(|&&f| f).count()),
+        );
+        order.clear();
+        order.extend((0..g).filter(|&i| pending[i] == 0));
+        let mut head = 0;
+        while head < order.len() {
+            let j = order[head];
+            head += 1;
+            for i in 0..g {
+                if follows[i * g + j] {
+                    pending[i] -= 1;
+                    if pending[i] == 0 {
+                        order.push(i);
+                    }
+                }
+            }
+        }
+        if order.len() < g {
             return false;
         }
-        self.lp
-            .compute_arcs_into(&self.order, &self.offsets, &self.arcs);
+
+        lp.copy_from(base);
+        for &j in order.iter() {
+            lp.raise_through(base, groups[j], bucket(groups[j]));
+        }
         true
     }
 
@@ -195,35 +285,6 @@ impl KilledScratch {
     }
 }
 
-/// Calls `f(src, dst, latency)` on every arc of `G_{→k}`: the DDG's live
-/// arcs, then the enforcement arcs of [`KilledScratch::build`].
-fn for_each_killed_arc(
-    ddg: &Ddg,
-    pk: &PKill,
-    k: &FlatKilling,
-    mut f: impl FnMut(NodeId, NodeId, i64),
-) {
-    let g = ddg.graph();
-    for e in g.edge_ids() {
-        f(g.src(e), g.dst(e), g.latency(e));
-    }
-    for (u, killers) in pk.iter() {
-        let ku = k.of(u);
-        #[expect(
-            clippy::disallowed_macros,
-            reason = "enumerators draw k(u) from pkill(u) by construction; cross-checked by the differential tests"
-        )]
-        {
-            debug_assert!(killers.contains(&ku), "killer not in pkill({u:?})");
-        }
-        for &v in killers {
-            if v != ku {
-                f(v, ku, ddg.delta_r(v) - ddg.delta_r(ku));
-            }
-        }
-    }
-}
-
 /// The kill-before-definition criterion behind `DV_k` and the exact
 /// search's optimistic bound:
 /// with `ku` the designated last reader of some value, that value is dead
@@ -256,7 +317,7 @@ pub fn topo_max_killing_into(pk: &PKill, pos: &[usize], out: &mut FlatKilling) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{DdgBuilder, OpClass, Target};
+    use crate::model::{DdgBuilder, OpClass, Operation, Target};
     use crate::pkill::potential_killers;
 
     fn fanout_ddg() -> Ddg {
@@ -274,8 +335,13 @@ mod tests {
         potential_killers(d, RegType::INT, &LongestPaths::new(d.graph()))
     }
 
+    /// `killed.build` on `d`'s own path table.
+    fn build(killed: &mut KilledScratch, d: &Ddg, pk: &PKill, k: &FlatKilling) -> bool {
+        killed.build(d, &LongestPaths::new(d.graph()), pk, k)
+    }
+
     fn topo_max(d: &Ddg, pk: &PKill) -> FlatKilling {
-        let order = topo::topo_sort(d.graph()).unwrap();
+        let order = rs_graph::topo::topo_sort(d.graph()).unwrap();
         let mut pos = vec![0; d.num_ops()];
         for (i, n) in order.iter().enumerate() {
             pos[n.index()] = i;
@@ -298,7 +364,7 @@ mod tests {
     /// cyclic.
     fn rs_k(d: &Ddg, pk: &PKill, k: &FlatKilling) -> Option<(usize, Vec<NodeId>)> {
         let mut killed = KilledScratch::new();
-        if !killed.build(d, pk, k) {
+        if !build(&mut killed, d, pk, k) {
             return None;
         }
         let mut antichain = Vec::new();
@@ -314,7 +380,7 @@ mod tests {
         let pk = pkill(&d);
         let k = topo_max(&d, &pk);
         assert!(k.to_killing_function(RegType::INT, &pk).respects(&pk));
-        assert!(KilledScratch::new().build(&d, &pk, &k));
+        assert!(build(&mut KilledScratch::new(), &d, &pk, &k));
     }
 
     #[test]
@@ -325,7 +391,7 @@ mod tests {
         assert_eq!(pk.of(v).len(), 2);
         assert!(!LongestPaths::new(d.graph()).reaches(s2, s1));
         let mut killed = KilledScratch::new();
-        assert!(killed.build(&d, &pk, &flat(&d, &[(v, s1)])));
+        assert!(build(&mut killed, &d, &pk, &flat(&d, &[(v, s1)])));
         // the arc s2 -> s1 (latency δr(s2) − δr(s1) = 0) now orders them
         assert_eq!(killed.lp.lp(s2, s1), Some(0));
     }
@@ -347,12 +413,61 @@ mod tests {
         let pk = pkill(&d);
         let mut killed = KilledScratch::new();
         assert!(
-            !killed.build(&d, &pk, &flat(&d, &[(u1, a), (u2, b)])),
+            !build(&mut killed, &d, &pk, &flat(&d, &[(u1, a), (u2, b)])),
             "cyclic killing must be rejected"
         );
         assert!(rs_k(&d, &pk, &flat(&d, &[(u1, a), (u2, b)])).is_none());
         // but the consistent choice works, on the same scratch
-        assert!(killed.build(&d, &pk, &flat(&d, &[(u1, a), (u2, a)])));
+        assert!(build(&mut killed, &d, &pk, &flat(&d, &[(u1, a), (u2, a)])));
+    }
+
+    #[test]
+    fn killers_that_reach_each_others_sources_are_rejected() {
+        // u1 is read by a and y, u2 by b and x, with a -> x and b -> y.
+        // k(u1) = a forces y -> a and k(u2) = b forces x -> b: neither
+        // killer reaches its own source, but a -> x -> b -> y -> a. The
+        // readers carry distinct read delays, so each enforcement arc has
+        // its own latency δr(v) − δr(k).
+        let mut bld = DdgBuilder::new(Target::superscalar());
+        let u1 = bld.op("u1", OpClass::IntAlu, Some(RegType::INT));
+        let u2 = bld.op("u2", OpClass::IntAlu, Some(RegType::INT));
+        let [a, b, x, y] = [("a", 1), ("b", 0), ("x", 2), ("y", 4)].map(|(name, delta_r)| {
+            bld.add_operation(Operation {
+                name: name.into(),
+                class: OpClass::Store,
+                writes: Vec::new(),
+                latency: 0,
+                delta_w: 0,
+                delta_r,
+                is_bottom: false,
+            })
+        });
+        bld.flow(u1, a, 1, RegType::INT);
+        bld.flow(u1, y, 1, RegType::INT);
+        bld.flow(u2, b, 1, RegType::INT);
+        bld.flow(u2, x, 1, RegType::INT);
+        bld.serial(a, x, 2);
+        bld.serial(b, y, 3);
+        let d = bld.finish();
+        let pk = pkill(&d);
+        assert_eq!((pk.of(u1), pk.of(u2)), (&[a, y][..], &[b, x][..]));
+        let mut killed = KilledScratch::new();
+        assert!(!build(&mut killed, &d, &pk, &flat(&d, &[(u1, a), (u2, b)])));
+        // k(u1) = y forces a -> y instead: valid, and the table is the one
+        // of the DDG with both enforcement arcs added as plain arcs.
+        assert!(build(&mut killed, &d, &pk, &flat(&d, &[(u1, y), (u2, b)])));
+        let mut extended = d.clone();
+        extended.add_serial(a, y, -3); // δr(a) − δr(y)
+        extended.add_serial(x, b, 2); // δr(x) − δr(b)
+        let want = LongestPaths::new(extended.graph());
+        for p in d.graph().node_ids() {
+            for q in d.graph().node_ids() {
+                assert_eq!(killed.lp.lp(p, q), want.lp(p, q), "lp({p:?}, {q:?})");
+            }
+        }
+        // u1 reaches b only through the arc x -> b
+        assert_eq!(LongestPaths::new(d.graph()).lp(u1, b), None);
+        assert_eq!(killed.lp.lp(u1, b), Some(1 + 2 + 2));
     }
 
     #[test]
@@ -381,7 +496,7 @@ mod tests {
         // u < c in DV (u's killer is c itself; δr(c)=0 ≤ δw(c)=0) ...
         assert_eq!(k.of(u), c);
         let mut killed = KilledScratch::new();
-        assert!(killed.build(&d, &pk, &k));
+        assert!(build(&mut killed, &d, &pk, &k));
         assert!(killer_kills_before(&d, &killed.lp, k.of(u), c));
         // ... so only one of them is alive at a time
         assert_eq!(rs_k(&d, &pk, &k).unwrap().0, 1);

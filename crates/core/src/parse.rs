@@ -501,4 +501,101 @@ serial l1 l2 1
         let d = parse_ddg("  # leading comment\n\nop x ialu int # trailing\n").unwrap();
         assert_eq!(d.values(RegType::INT).len(), 1);
     }
+
+    /// The words a fuzzed line is drawn from, by the place they fill:
+    /// op names, classes, written types, latencies (on both sides of the
+    /// format's limits) and targets. Each pool ends with a word that is
+    /// wrong in its place.
+    const NAMES: [&str; 4] = ["a", "b", "c", "z"];
+    const CLASSES: [&str; 6] = ["load", "fadd", "store", "ialu", "fmul", "int"];
+    const TYPES: [&str; 7] = ["int", "float", "none", "int,float", "float", "-", "int,int"];
+    const LATENCIES: [&str; 5] = ["0", "4", "1", "-3", "2147483648"];
+    const TARGETS: [&str; 3] = ["vliw", "superscalar", "risc"];
+
+    /// One line of the format: `directive`, then its words picked from the
+    /// pools by the bytes of `pick` (leaving out each pool's wrong word
+    /// when `valid`); `arity` 0 drops the last word and 1 adds one.
+    fn fuzz_line(directive: &str, arity: usize, pick: usize, valid: bool) -> String {
+        let word = |i: usize, pool: &[&'static str]| {
+            let pool = &pool[..pool.len() - usize::from(valid)];
+            pool[(pick >> (8 * i) & 0xff) % pool.len()]
+        };
+        let mut words = vec![directive];
+        match directive {
+            "op" => words.extend([word(0, &NAMES), word(1, &CLASSES), word(2, &TYPES)]),
+            "flow" => words.extend([
+                word(0, &NAMES),
+                word(1, &NAMES),
+                word(2, &LATENCIES),
+                word(3, &TYPES),
+            ]),
+            "serial" => words.extend([word(0, &NAMES), word(1, &NAMES), word(2, &LATENCIES)]),
+            "target" => words.push(word(0, &TARGETS)),
+            _ => words.push(word(0, &NAMES)),
+        }
+        match arity {
+            0 => {
+                words.pop();
+            }
+            1 => words.push(word(4, &NAMES)),
+            _ => {}
+        }
+        words.join(" ")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Fuzzing of the parser. An input is 2–3 well-formed `op` lines
+        /// naming `a`, `b`, `c` in turn, then up to 8 lines of any
+        /// directive, three in four of them without wrong words, so that
+        /// inputs reach the checks behind the first token (self-loops,
+        /// latency limits and floors, unwritten types, duplicate names),
+        /// under at most one byte edit that overwrites, deletes or inserts
+        /// an arbitrary byte, read as lossy UTF-8. Every input answers a
+        /// DDG or a typed error, never a panic: the error names a line of
+        /// the input (0 for the whole input) and says what is wrong, and a
+        /// DDG is acyclic and prints back to text that parses to as many
+        /// ops.
+        #[test]
+        fn arbitrary_bytes_answer_a_ddg_or_a_typed_error(
+            ops in proptest::collection::vec(proptest::prelude::any::<usize>(), 2..4),
+            lines in proptest::collection::vec((0usize..7, 0usize..16, proptest::prelude::any::<usize>()), 0..9),
+            edits in proptest::collection::vec((0usize..3, proptest::prelude::any::<usize>(), proptest::prelude::any::<u8>()), 0..2),
+        ) {
+            let mut text = Vec::new();
+            for (i, pick) in ops.into_iter().enumerate() {
+                // the op's own name, then its class and types from `pick`
+                text.push(fuzz_line("op", 2, pick << 8 | i, true));
+            }
+            for (d, arity, pick) in lines {
+                let directive = ["flow", "flow", "serial", "serial", "op", "target", "#"][d];
+                text.push(fuzz_line(directive, arity, pick, arity >= 4));
+            }
+            let mut bytes = (text.join("\n") + "\n").into_bytes();
+            for (kind, at, byte) in edits {
+                let at = at % (bytes.len() + 1);
+                match kind {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            match parse_ddg(&text) {
+                Ok(d) => {
+                    proptest::prop_assert!(d.is_acyclic(), "{text:?} parsed to a cyclic DDG");
+                    let again = parse_ddg(&print_ddg(&d));
+                    proptest::prop_assert!(again.is_ok(), "{text:?} printed unparsable: {again:?}");
+                    proptest::prop_assert_eq!(again.unwrap().num_ops(), d.num_ops());
+                }
+                Err(e) => {
+                    proptest::prop_assert!(e.line <= text.lines().count(), "{text:?}: {e}");
+                    proptest::prop_assert!(!e.message.is_empty(), "{text:?}");
+                }
+            }
+        }
+    }
 }

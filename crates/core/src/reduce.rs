@@ -15,7 +15,7 @@
 
 use crate::engine::RsEngine;
 use crate::model::{Ddg, RegType};
-use rs_graph::paths::{asap, longest_to, LongestPaths};
+use rs_graph::paths::LongestPaths;
 use rs_graph::NodeId;
 
 /// The value-serialization reducer.
@@ -225,7 +225,7 @@ impl Reducer {
                     added_arcs: added,
                 };
             }
-            let Some(best) = self.best_candidate(ddg, t, &current.1) else {
+            let Some(best) = self.best_candidate(ddg, t, engine.path_table(), &current.1) else {
                 return ReduceOutcome::Failed {
                     rs_before,
                     best_rs,
@@ -256,12 +256,31 @@ impl Reducer {
     }
 
     /// Enumerates valid serializations among the saturating values and
-    /// returns the cheapest.
-    fn best_candidate(&self, ddg: &Ddg, t: RegType, saturating: &[NodeId]) -> Option<Candidate> {
-        let lp = LongestPaths::new(ddg.graph());
-        let asap_v = asap(ddg.graph());
-        let to_bottom = longest_to(ddg.graph(), ddg.bottom());
-        let cp = ddg.critical_path();
+    /// returns the cheapest. `lp` is `ddg`'s longest-path table, the one
+    /// the engine built to measure it: a node's ASAP date is its column
+    /// maximum (`lp(v, v) = 0` covers the sources), its distance to ⊥ is
+    /// `lp(v, ⊥)`, and the critical path is the largest ASAP date.
+    fn best_candidate(
+        &self,
+        ddg: &Ddg,
+        t: RegType,
+        lp: &LongestPaths,
+        saturating: &[NodeId],
+    ) -> Option<Candidate> {
+        assert_eq!(
+            lp.len(),
+            ddg.num_ops(),
+            "the engine's table is not this DDG's"
+        );
+        let mut asap_v = vec![0i64; ddg.num_ops()];
+        for x in ddg.graph().node_ids() {
+            for (v, date) in asap_v.iter_mut().enumerate() {
+                if let Some(d) = lp.lp(x, NodeId(v as u32)) {
+                    *date = (*date).max(d);
+                }
+            }
+        }
+        let cp = asap_v.iter().copied().max().unwrap_or(0);
 
         let mut best: Option<Candidate> = None;
         for &u in saturating {
@@ -285,7 +304,8 @@ impl Reducer {
                         valid = false; // would create a circuit
                         break;
                     }
-                    let through = asap_v[reader.index()] + lat + to_bottom[v.index()].unwrap_or(0);
+                    let to_bottom = lp.lp(v, ddg.bottom()).unwrap_or(0);
+                    let through = asap_v[reader.index()] + lat + to_bottom;
                     cost = cost.max(through - cp);
                     arcs.push((reader, v, lat));
                 }

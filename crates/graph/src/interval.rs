@@ -40,13 +40,6 @@ impl Interval {
         !self.is_empty() && !other.is_empty() && self.start < other.end && other.start < self.end
     }
 
-    /// The "before" relation `≺` of the interval algebra used by the paper:
-    /// `self ≺ other` iff `self` ends no later than `other` starts.
-    #[inline]
-    pub fn before(&self, other: &Interval) -> bool {
-        self.end <= other.start
-    }
-
     /// Number of integer points in the interval (`0` if empty).
     pub fn len(&self) -> i64 {
         (self.end - self.start).max(0)
@@ -112,11 +105,9 @@ mod tests {
             !a.interferes(&b),
             "touching half-open intervals do not interfere"
         );
-        assert!(a.before(&b));
         let c = Interval::new(4, 6);
         assert!(a.interferes(&c));
         assert!(c.interferes(&a), "interference is symmetric");
-        assert!(!a.before(&c));
     }
 
     #[test]

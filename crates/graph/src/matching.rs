@@ -16,15 +16,6 @@ pub struct BipartiteGraph {
 }
 
 impl BipartiteGraph {
-    /// Creates an empty bipartite graph.
-    pub fn new(n_left: usize, n_right: usize) -> Self {
-        BipartiteGraph {
-            n_left,
-            n_right,
-            adj: vec![Vec::new(); n_left],
-        }
-    }
-
     /// Adds an edge between left vertex `l` and right vertex `r`.
     pub fn add_edge(&mut self, l: usize, r: usize) {
         assert!(l < self.n_left && r < self.n_right, "edge out of range");
@@ -42,21 +33,6 @@ impl BipartiteGraph {
         if self.adj.len() < n_left {
             self.adj.resize_with(n_left, Vec::new);
         }
-    }
-
-    /// Number of left vertices.
-    pub fn n_left(&self) -> usize {
-        self.n_left
-    }
-
-    /// Number of right vertices.
-    pub fn n_right(&self) -> usize {
-        self.n_right
-    }
-
-    /// Total number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum()
     }
 }
 
@@ -215,6 +191,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// An edgeless graph of the given sides, as `max_antichain_into`
+    /// prepares one.
+    fn bipartite(n_left: usize, n_right: usize) -> BipartiteGraph {
+        let mut g = BipartiteGraph::default();
+        g.reset(n_left, n_right);
+        g
+    }
+
     fn matching(g: &BipartiteGraph) -> MatchingScratch {
         let mut m = MatchingScratch::new();
         hopcroft_karp_into(g, &mut m);
@@ -230,7 +214,7 @@ mod tests {
             }
         }
         // cover covers every edge
-        for l in 0..g.n_left() {
+        for l in 0..g.n_left {
             for &r in &g.adj[l] {
                 assert!(
                     m.cover_left[l] || m.cover_right[r],
@@ -246,7 +230,7 @@ mod tests {
 
     #[test]
     fn perfect_matching() {
-        let mut g = BipartiteGraph::new(3, 3);
+        let mut g = bipartite(3, 3);
         g.add_edge(0, 0);
         g.add_edge(0, 1);
         g.add_edge(1, 1);
@@ -259,7 +243,7 @@ mod tests {
     #[test]
     fn needs_augmenting_path() {
         // classic: greedy would match 0-0 and block; HK must augment
-        let mut g = BipartiteGraph::new(2, 2);
+        let mut g = bipartite(2, 2);
         g.add_edge(0, 0);
         g.add_edge(0, 1);
         g.add_edge(1, 0);
@@ -270,7 +254,7 @@ mod tests {
 
     #[test]
     fn star_graph() {
-        let mut g = BipartiteGraph::new(1, 5);
+        let mut g = bipartite(1, 5);
         for r in 0..5 {
             g.add_edge(0, r);
         }
@@ -281,16 +265,15 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = BipartiteGraph::new(4, 4);
+        let g = bipartite(4, 4);
         let m = matching(&g);
         assert_eq!(m.size, 0);
         check_valid(&g, &m);
-        assert_eq!(g.edge_count(), 0);
     }
 
     #[test]
     fn asymmetric_sides() {
-        let mut g = BipartiteGraph::new(5, 2);
+        let mut g = bipartite(5, 2);
         for l in 0..5 {
             g.add_edge(l, 0);
             g.add_edge(l, 1);
@@ -303,7 +286,7 @@ mod tests {
     /// Exhaustive reference maximum matching via bitmask DP (right side ≤ 12).
     fn brute_force_matching(g: &BipartiteGraph) -> usize {
         fn go(g: &BipartiteGraph, l: usize, used: u32) -> usize {
-            if l == g.n_left() {
+            if l == g.n_left {
                 return 0;
             }
             // skip l
@@ -321,7 +304,7 @@ mod tests {
     proptest! {
         #[test]
         fn matches_brute_force(edges in proptest::collection::vec((0usize..7, 0usize..7), 0..25)) {
-            let mut g = BipartiteGraph::new(7, 7);
+            let mut g = bipartite(7, 7);
             let mut seen = std::collections::BTreeSet::new();
             for (l, r) in edges {
                 if seen.insert((l, r)) {

@@ -110,38 +110,7 @@ impl LongestPaths {
     /// [`crate::topo::topo_sort_into`]); sharing it lets a caller pay for one
     /// topological sort per graph instead of one per table.
     pub fn compute_into<N>(&mut self, g: &DiGraph<N>, order: &[NodeId]) {
-        self.relax(g.node_count(), order, |u| {
-            g.out_edges(u).map(move |e| (g.dst(e), g.latency(e)))
-        });
-    }
-
-    /// [`LongestPaths::compute_into`] for a flat out-adjacency over
-    /// `offsets.len() − 1` nodes: the arcs of node `u` are
-    /// `arcs[offsets[u]..offsets[u + 1]]`, each a `(dst, latency)` pair with
-    /// `|latency| ≤` [`MAX_LATENCY`](crate::MAX_LATENCY). `order` must be a
-    /// topological order of those arcs (e.g. from
-    /// [`crate::topo::topo_sort_arcs_into`]).
-    pub fn compute_arcs_into(
-        &mut self,
-        order: &[NodeId],
-        offsets: &[usize],
-        arcs: &[(NodeId, i64)],
-    ) {
-        self.relax(offsets.len() - 1, order, |u| {
-            arcs[offsets[u.index()]..offsets[u.index() + 1]]
-                .iter()
-                .copied()
-        });
-    }
-
-    /// The one relaxation loop behind both entries: `out(u)` yields the
-    /// `(dst, latency)` arcs leaving `u`.
-    fn relax<I: Iterator<Item = (NodeId, i64)>>(
-        &mut self,
-        n: usize,
-        order: &[NodeId],
-        mut out: impl FnMut(NodeId) -> I,
-    ) {
+        let n = g.node_count();
         assert!(n < MAX_NODES, "{n} nodes would let path sums pass ±2^60");
         debug_assert_eq!(order.len(), n, "order must cover the graph");
         self.n = n;
@@ -153,22 +122,56 @@ impl LongestPaths {
         for &u in order.iter().rev() {
             let ui = u.index();
             table[ui * n + ui] = 0;
-            for (w, lat) in out(u) {
-                let wi = w.index();
-                // Split borrows: row `u` mutable, row `w` shared (ui != wi
-                // because self-loops are rejected). Whole-row slices keep the
-                // inner loop free of index arithmetic so it vectorizes.
-                let (urow, wrow) = if ui < wi {
-                    let (lo, hi) = table.split_at_mut(wi * n);
-                    (&mut lo[ui * n..ui * n + n], &hi[..n])
-                } else {
-                    let (lo, hi) = table.split_at_mut(ui * n);
-                    (&mut hi[..n], &lo[wi * n..wi * n + n])
-                };
-                for (cell, &via) in urow.iter_mut().zip(wrow) {
-                    *cell = (*cell).max(via + lat);
-                }
+            for e in g.out_edges(u) {
+                // ui != wi because self-loops are rejected.
+                let (urow, wrow) = row_pair(table, n, ui, g.dst(e).index());
+                raise_row(urow, g.latency(e), wrow);
             }
+        }
+    }
+
+    /// Makes this table a copy of `other`, reusing the table allocation.
+    pub fn copy_from(&mut self, other: &LongestPaths) {
+        self.n = other.n;
+        self.table.clear();
+        self.table.extend_from_slice(&other.table);
+    }
+
+    /// Adds the arcs `v → k`, one `(v, latency)` pair each in `arcs`, to
+    /// the graph this table describes. `base` is the table before any arc
+    /// was added; this one is `base` or a copy of it raised by earlier
+    /// calls. Every row `x` that reaches a source in `base` is raised once:
+    /// `lp(x, ·) ← max(lp(x, ·), c_x + lp(k, ·))` with
+    /// `c_x = max_v base(x, v) + latency(v)`. A row with `base(x, k) ≥ c_x`
+    /// is skipped: it already holds those paths through `k`.
+    ///
+    /// The result is the exact table of the extended graph when
+    /// - `k` reaches none of the sources, in the extended graph (the arcs
+    ///   close no cycle; panics if `k` reaches one in `base`);
+    /// - the arcs into every node that `k` reaches in `base` were added
+    ///   before, so `k`'s row is final;
+    /// - every latency lies within ±[`MAX_LATENCY`](crate::MAX_LATENCY).
+    ///
+    /// No path of the extended graph enters `k` twice, so raising each row
+    /// once by `k`'s final row covers every path through the new arcs.
+    /// Pathless cells drift by a real path sum from `x`, which keeps them
+    /// below `NO_PATH / 2` as in [`LongestPaths::compute_into`].
+    pub fn raise_through(&mut self, base: &LongestPaths, k: NodeId, arcs: &[(NodeId, i64)]) {
+        let n = self.n;
+        debug_assert_eq!(base.n, n, "base must cover the same graph");
+        let ki = k.index();
+        for x in 0..n {
+            let brow = &base.table[x * n..x * n + n];
+            let c = arcs
+                .iter()
+                .map(|&(v, lat)| brow[v.index()] + lat)
+                .fold(NO_PATH, i64::max);
+            if c <= NO_PATH / 2 || brow[ki] >= c {
+                continue;
+            }
+            assert_ne!(x, ki, "arcs into {k:?} from nodes it reaches close a cycle");
+            let (xrow, krow) = row_pair(&mut self.table, n, x, ki);
+            raise_row(xrow, c, krow);
         }
     }
 
@@ -193,6 +196,27 @@ impl LongestPaths {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+}
+
+/// Rows `dst` (mutable) and `src` (shared) of an `n`-wide row-major
+/// table, `dst != src`. Whole-row slices keep [`raise_row`] free of index
+/// arithmetic so it vectorizes.
+fn row_pair(table: &mut [i64], n: usize, dst: usize, src: usize) -> (&mut [i64], &[i64]) {
+    if dst < src {
+        let (lo, hi) = table.split_at_mut(src * n);
+        (&mut lo[dst * n..dst * n + n], &hi[..n])
+    } else {
+        let (lo, hi) = table.split_at_mut(dst * n);
+        (&mut hi[..n], &lo[src * n..src * n + n])
+    }
+}
+
+/// `row ← max(row, lat + via)`, cell by cell.
+#[inline]
+fn raise_row(row: &mut [i64], lat: i64, via: &[i64]) {
+    for (cell, &v) in row.iter_mut().zip(via) {
+        *cell = (*cell).max(v + lat);
     }
 }
 
@@ -407,60 +431,90 @@ mod tests {
         g
     }
 
-    /// The flat out-adjacency of `g` that [`LongestPaths::compute_arcs_into`]
-    /// reads.
-    fn arc_list(g: &DiGraph<()>) -> (Vec<usize>, Vec<(NodeId, i64)>) {
-        let mut offsets = vec![0];
-        let mut arcs = Vec::new();
-        for u in g.node_ids() {
-            arcs.extend(g.out_edges(u).map(|e| (g.dst(e), g.latency(e))));
-            offsets.push(arcs.len());
+    /// Splits `g`'s arcs into a base graph on the same nodes and the rest,
+    /// bucketed by destination: each node is a raise target with
+    /// probability 1/2, and two thirds of its in-arcs move to its bucket.
+    fn split_arcs(g: &DiGraph<()>, seed: u64) -> (DiGraph<()>, Vec<Vec<(NodeId, i64)>>) {
+        let mut state = seed;
+        let mut base = DiGraph::new();
+        for _ in g.node_ids() {
+            base.add_node(());
         }
-        (offsets, arcs)
+        let target: Vec<bool> = g.node_ids().map(|_| next(&mut state) % 2 == 0).collect();
+        let mut extra = vec![Vec::new(); g.node_count()];
+        for e in g.edge_ids() {
+            let (src, dst, lat) = (g.src(e), g.dst(e), g.latency(e));
+            if target[dst.index()] && next(&mut state) % 3 != 0 {
+                extra[dst.index()].push((src, lat));
+            } else {
+                base.add_edge(src, dst, lat);
+            }
+        }
+        (base, extra)
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
-        /// Both entries of the table equal the single-source oracle
+        /// Both ways to fill a table equal the single-source oracle
         /// `longest_from` (no sentinel, plain `Option` arithmetic) on every
-        /// pair, while one table is refilled at changing sizes.
+        /// pair, while each table is refilled at changing sizes: a fresh
+        /// relaxation of the whole DAG, and the table of a subgraph raised
+        /// by the remaining arcs, one destination at a time from the last
+        /// in topological order.
         #[test]
         fn table_matches_single_source_oracle(
             sizes in (1usize..=48, 1usize..=48),
             seed in proptest::prelude::any::<u64>(),
         ) {
             let mut lp = LongestPaths::empty();
+            let mut raised = LongestPaths::empty();
             for (i, n) in [sizes.0, sizes.1, sizes.0].into_iter().enumerate() {
                 let g = random_dag(n, seed ^ i as u64);
                 let order = topo_sort(&g).unwrap();
-                let (offsets, arcs) = arc_list(&g);
-                let mut indeg = Vec::new();
-                let mut arc_order = Vec::new();
-                proptest::prop_assert!(crate::topo::topo_sort_arcs_into(
-                    &offsets, &arcs, &mut indeg, &mut arc_order
-                ));
-                proptest::prop_assert_eq!(&arc_order, &order);
-                for flat in [false, true] {
-                    if flat {
-                        lp.compute_arcs_into(&arc_order, &offsets, &arcs);
-                    } else {
-                        lp.compute_into(&g, &order);
-                    }
-                    proptest::prop_assert_eq!(lp.len(), n);
+                lp.compute_into(&g, &order);
+                let (base_graph, extra) = split_arcs(&g, !seed ^ i as u64);
+                let base = LongestPaths::new(&base_graph);
+                raised.copy_from(&base);
+                for &k in order.iter().rev() {
+                    raised.raise_through(&base, k, &extra[k.index()]);
+                }
+                for (table, how) in [(&lp, "relaxed"), (&raised, "raised")] {
+                    proptest::prop_assert_eq!(table.len(), n);
                     for u in g.node_ids() {
                         let oracle = longest_from(&g, u);
                         for v in g.node_ids() {
                             proptest::prop_assert_eq!(
-                                lp.lp(u, v), oracle[v.index()],
-                                "n={} flat={} lp({:?},{:?})", n, flat, u, v
+                                table.lp(u, v), oracle[v.index()],
+                                "n={} {} lp({:?},{:?})", n, how, u, v
                             );
-                            proptest::prop_assert_eq!(lp.reaches(u, v), oracle[v.index()].is_some());
+                            proptest::prop_assert_eq!(
+                                table.reaches(u, v), oracle[v.index()].is_some()
+                            );
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn raising_a_node_that_reaches_its_source_panics() {
+        // A second arc a -> b lengthens lp(a, b); an arc b -> a into a,
+        // which reaches b, closes a cycle.
+        let mut g = DiGraph::new();
+        let a = g.add_node(());
+        let b = g.add_node(());
+        g.add_edge(a, b, 1);
+        let base = LongestPaths::new(&g);
+        let mut raised = LongestPaths::empty();
+        raised.copy_from(&base);
+        raised.raise_through(&base, b, &[(a, 5)]);
+        assert_eq!(raised.lp(a, b), Some(5));
+        let cyclic = std::panic::catch_unwind(move || {
+            raised.raise_through(&base, a, &[(b, 0)]);
+        });
+        assert!(cyclic.is_err());
     }
 
     #[test]

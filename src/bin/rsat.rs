@@ -115,10 +115,14 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("rsat: error[{}]: {e}", e.code());
-            eprintln!();
-            eprintln!("usage:");
-            for (cmd, usage) in SUBCOMMANDS {
-                eprintln!("  rsat {cmd:<8} {usage}");
+            // Only a malformed command line is answered with the usage
+            // text; a parse, io or engine error is about the input.
+            if e.code() == codes::USAGE {
+                eprintln!();
+                eprintln!("usage:");
+                for (cmd, usage) in SUBCOMMANDS {
+                    eprintln!("  rsat {cmd:<8} {usage}");
+                }
             }
             ExitCode::FAILURE
         }

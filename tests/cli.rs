@@ -134,6 +134,36 @@ fn unknown_command_fails_with_usage() {
 }
 
 #[test]
+fn only_usage_errors_print_the_usage_text() {
+    // An unreadable file or a malformed one is about the input, not the
+    // command line: one error line, exit 1, no usage block. A malformed
+    // command line still gets the usage block.
+    let risc = std::env::temp_dir().join(format!("rsat-risc-{}.ddg", std::process::id()));
+    std::fs::write(&risc, "target risc\nop a load float\n").unwrap();
+    let missing = data("no-such-file.ddg");
+    let cases: [(&[&str], &str, bool); 3] = [
+        (&["analyze", risc.to_str().unwrap()], "error[parse]", false),
+        (&["analyze", &missing], "error[io]", false),
+        (
+            &["analyze", &data("expr.ddg"), "--exactt"],
+            "error[usage]",
+            true,
+        ),
+    ];
+    for (args, code, usage) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_rsat"))
+            .args(args)
+            .output()
+            .expect("run rsat");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(code), "{args:?}: {stderr}");
+        assert_eq!(stderr.contains("usage:"), usage, "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(risc);
+}
+
+#[test]
 fn flag_without_value_is_a_usage_error() {
     // A value flag given last, or followed by another flag, must fail
     // before anything runs: no daemon starts, no solve runs at a default,

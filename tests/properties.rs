@@ -5,12 +5,13 @@ use proptest::prelude::*;
 use rs_core::engine::RsEngine;
 use rs_core::exact::ExactRs;
 use rs_core::heuristic::{GreedyK, RsAnalysis};
-use rs_core::killing::{FlatKilling, KilledScratch, KillingFunction};
+use rs_core::killing::{topo_max_killing_into, FlatKilling, KilledScratch, KillingFunction};
 use rs_core::lifetime::{asap_schedule, is_valid_schedule, register_need};
 use rs_core::model::{Ddg, RegType, Target};
 use rs_core::pkill::{potential_killers, PKill};
 use rs_core::reduce::Reducer;
 use rs_graph::paths::LongestPaths;
+use rs_graph::NodeId;
 use rs_kernels::random::{random_ddg, RandomDagConfig};
 use std::collections::BTreeMap;
 
@@ -186,29 +187,81 @@ fn killed_lp_oracle(ddg: &Ddg, pk: &PKill, k: &KillingFunction) -> Option<Vec<Ve
     Some(lp)
 }
 
-/// The engine's flat killed graph (`KilledScratch`) agrees with a
-/// Floyd–Warshall oracle on random DDGs of both targets, under killing
-/// functions drawn at random from pkill, cyclic ones included: the same
-/// validity, and on valid ones the same longest path for every pair. One
-/// scratch serves DAGs of every size, so stale state fails too.
+/// How a killing function's enforcement arcs relate, judged on the DAG's
+/// own table: whether some killer reaches one of its own sources (a cycle
+/// within one group), and whether some killer reaches a source of another
+/// killer (groups that chain).
+fn killer_groups(lp: &LongestPaths, pk: &PKill, k: &KillingFunction) -> (bool, bool) {
+    let mut sources: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+    for (u, killers) in pk.iter() {
+        let ku = k.of(u);
+        sources
+            .entry(ku)
+            .or_default()
+            .extend(killers.iter().filter(|&&v| v != ku));
+    }
+    sources.retain(|_, vs| !vs.is_empty());
+    let reaches_group = |ki: NodeId, kj: NodeId| sources[&kj].iter().any(|&v| lp.reaches(ki, v));
+    let own = sources.keys().any(|&ki| reaches_group(ki, ki));
+    let chained = sources
+        .keys()
+        .any(|&ki| sources.keys().any(|&kj| ki != kj && reaches_group(ki, kj)));
+    (own, chained)
+}
+
+/// The engine's killed graph (`KilledScratch`, the DAG's table raised per
+/// killer) agrees with a Floyd–Warshall oracle on random DDGs of both
+/// targets, under killing functions drawn from pkill, cyclic ones
+/// included: the same validity, and on valid ones the same longest path
+/// for every pair. One scratch serves DAGs of every size, so stale state
+/// fails too. The sparse half draws every killer at random on DAGs of
+/// 4–29 ops; the dense half takes default-generator DAGs of 32–48 ops and
+/// re-draws from 1 in 32 up to all of the always-valid topological-max
+/// killers, so that valid functions whose killer groups chain occur, and
+/// cycles that close only through two or more groups.
 #[test]
 fn flat_killed_graph_matches_reference() {
     let mut scratch = KilledScratch::new();
     let mut flat = FlatKilling::default();
-    let (mut valid, mut cyclic) = (0, 0);
+    let mut topo_max = FlatKilling::default();
+    let (mut valid, mut cyclic, mut chained, mut multi_group_cycles) = (0, 0, 0, 0);
     let mut state = 0x5eed;
-    for case in 0..64u64 {
-        let cfg = RandomDagConfig::sized(4 + (case as usize * 7) % 26, case);
+    // (DAG, shifts): one draw per shift, each re-drawing 1 in 2^shift
+    // values at random and keeping the topological-max killer elsewhere.
+    let sparse = (0..64u64).map(|case| {
+        (
+            RandomDagConfig::sized(4 + (case as usize * 7) % 26, case),
+            &[0; 4][..],
+        )
+    });
+    let dense = (0..20u64).map(|case| {
+        let cfg = RandomDagConfig::sized(32 + 4 * (case as usize % 5), case);
+        (cfg, &[0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5][..])
+    });
+    for (case, (cfg, shifts)) in sparse.chain(dense).enumerate() {
         for target in [Target::superscalar(), Target::vliw()] {
             let ddg = random_ddg(&cfg, target);
             let lp = LongestPaths::new(ddg.graph());
+            let mut pos = vec![0; ddg.num_ops()];
+            for (i, u) in rs_graph::topo::topo_sort(ddg.graph())
+                .unwrap()
+                .into_iter()
+                .enumerate()
+            {
+                pos[u.index()] = i;
+            }
             for t in ddg.reg_types() {
                 let pk = potential_killers(&ddg, t, &lp);
-                for _ in 0..4 {
+                topo_max_killing_into(&pk, &pos, &mut topo_max);
+                for &shift in shifts {
                     flat.reset(ddg.num_ops());
                     let mut killer = BTreeMap::new();
                     for (u, ks) in pk.iter() {
-                        let k = ks[(splitmix(&mut state) % ks.len() as u64) as usize];
+                        let k = if splitmix(&mut state) % (1 << shift) == 0 {
+                            ks[(splitmix(&mut state) % ks.len() as u64) as usize]
+                        } else {
+                            topo_max.of(u)
+                        };
                         flat.set(u, k);
                         killer.insert(u, k);
                     }
@@ -218,15 +271,18 @@ fn flat_killed_graph_matches_reference() {
                     };
                     let reference = killed_lp_oracle(&ddg, &pk, &k);
                     assert_eq!(
-                        scratch.build(&ddg, &pk, &flat),
+                        scratch.build(&ddg, &lp, &pk, &flat),
                         reference.is_some(),
                         "case {case} type {t:?}: validity of {k:?}"
                     );
+                    let (own, chain) = killer_groups(&lp, &pk, &k);
                     let Some(reference) = reference else {
                         cyclic += 1;
+                        multi_group_cycles += usize::from(!own);
                         continue;
                     };
                     valid += 1;
+                    chained += usize::from(chain);
                     assert_eq!(scratch.lp.len(), ddg.num_ops());
                     for u in ddg.graph().node_ids() {
                         for v in ddg.graph().node_ids() {
@@ -242,8 +298,9 @@ fn flat_killed_graph_matches_reference() {
         }
     }
     assert!(
-        valid > 100 && cyclic > 100,
-        "draws covered {valid} valid and {cyclic} cyclic killing functions"
+        valid > 100 && cyclic > 100 && chained > 100 && multi_group_cycles > 100,
+        "draws covered {valid} valid ({chained} with chained killer groups) and \
+         {cyclic} cyclic ({multi_group_cycles} through two or more groups) killing functions"
     );
 }
 
